@@ -34,7 +34,7 @@ from .errors import (
     InvariantViolation,
     StateValidationError,
 )
-from .harness import RunSummary, demo_config, run, run_invariant_checks, worker_count
+from .harness import RunSummary, demo_config, run, run_invariant_checks
 from .koopman import (
     BetaMarginal,
     PhaseSpaceDensity,
@@ -81,77 +81,3 @@ from .states import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlphaDecomposition",
-    "BetaMarginal",
-    "ConfigError",
-    "DensityMatrix",
-    "DimensionCapError",
-    "ExperimentConfig",
-    "Hamiltonian",
-    "InvariantViolation",
-    "MAX_POINTS",
-    "MomentumBasis",
-    "PhaseSpaceDensity",
-    "PhaseSpaceGrid",
-    "Propagator",
-    "PureState",
-    "RANK_TOL",
-    "RunSummary",
-    "ShellDecomposition",
-    "ShellTable",
-    "StateValidationError",
-    "SUPEROP_DIM_CAP",
-    "Superoperator",
-    "TAU_LAMBDA",
-    "TraceRow",
-    "alpha_decompose",
-    "alpha_diagonality_test",
-    "alpha_offblock_norm",
-    "apply_kick",
-    "assemble_block_diagonal",
-    "basis_from_json",
-    "basis_to_json",
-    "build_basis",
-    "build_basis_1d",
-    "build_hamiltonian",
-    "classical_effective_entropy",
-    "classical_free_flow",
-    "classical_reduce",
-    "commutator_superoperator",
-    "demo_config",
-    "density_from_json",
-    "density_to_json",
-    "effective_entropy",
-    "effectively_pure_state",
-    "energy_tolerance",
-    "entropy_trace",
-    "evolve",
-    "expectation_xi_independent",
-    "first_order_reduced_step",
-    "free_phase_law",
-    "gaussian_density",
-    "global_entropy",
-    "global_purity",
-    "interaction_liouvillian_element",
-    "is_effectively_pure",
-    "liouvillian_superoperator",
-    "load_config",
-    "pure_to_density",
-    "random_density_matrix",
-    "random_effectively_pure_state",
-    "random_pure_state",
-    "random_psd_unit_trace",
-    "reduce",
-    "run",
-    "run_invariant_checks",
-    "shell_entropies",
-    "shell_of",
-    "single_p_row_density",
-    "validate_config",
-    "weighted_effective_entropy",
-    "worker_count",
-    "xi_beta_coordinates",
-    "yukawa_fourier",
-]

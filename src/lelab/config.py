@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import koopman
 from .errors import ConfigError
 
 QUANTUM_STATE_KINDS = ("pure-random", "effectively-pure-mixed", "shell-mixed")
@@ -330,6 +331,30 @@ def _parse_outputs(raw: dict, chk: _Collector):
     return OutputsConfig(csv=csv, summary=summary)
 
 
+def _check_classical_fit(lattice, potential, initial_state, t_max: float, chk: _Collector):
+    """Refuse classical runs whose mass would start or be kicked off the p grid.
+
+    The free flow keeps every p row; the kick, applied when
+    ``kick_time < t_max``, moves the start row by up to strength * max|V'|.
+    """
+    grid = koopman.PhaseSpaceGrid(nq=lattice.nq, n_p=lattice.n_p, dq=lattice.dq, dp=lattice.dp)
+    edge = grid.n_p * grid.dp / 2
+    p0 = initial_state.p0
+    if abs(p0) > edge:
+        chk.error("initial_state.p0", f"{p0} lies outside the p grid [{-edge:g}, {edge:g}]")
+        return
+    if potential.strength == 0.0 or t_max <= potential.time:
+        return
+    row = koopman.nearest_p_row(grid, p0)
+    grad_v = koopman.kick_gradient(potential.shape)
+    if not koopman.kick_keeps_row_on_grid(grid, row, grad_v, potential.strength):
+        chk.error(
+            "potential.kick_strength",
+            f"a kick of {potential.strength} carries mass from p = {grid.p[row]:g} past the "
+            f"p grid [{-edge:g}, {edge:g}]; widen lattice.np or lattice.dp, or weaken the kick",
+        )
+
+
 def validate_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON config, collecting every field error.
 
@@ -363,6 +388,9 @@ def validate_config(text: str) -> ExperimentConfig:
     initial_state = _parse_initial_state(work, mode, chk)
     outputs = _parse_outputs(work, chk)
     chk.raise_if_any()
+    if mode == "classical":
+        _check_classical_fit(lattice, potential, initial_state, time_grid.t_max, chk)
+        chk.raise_if_any()
 
     return ExperimentConfig(
         mode=mode,

@@ -17,6 +17,7 @@ cannot masquerade as entropy change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,11 @@ class Hamiltonian:
     @property
     def matrix(self) -> np.ndarray:
         return np.diag(self.h0_diag.astype(complex)) + self.v
+
+    @cached_property
+    def propagator(self) -> "Propagator":
+        """Eigendecomposition of this H, computed on first use and kept."""
+        return Propagator.from_hamiltonian(self)
 
 
 def yukawa_fourier(k, coupling: float, screening: float) -> float:
@@ -113,8 +119,8 @@ class Propagator:
 
 
 def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
-    """rho(t) = U(t) rho U(t)^dagger via eigendecomposition of H."""
-    return Propagator.from_hamiltonian(h).evolve(rho, t)
+    """rho(t) = U(t) rho U(t)^dagger via the (cached) eigendecomposition of H."""
+    return h.propagator.evolve(rho, t)
 
 
 @dataclass(frozen=True)

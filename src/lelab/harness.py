@@ -5,13 +5,12 @@ trace (quantum) or a kick trace (classical), writes a CSV and a JSON run
 summary, and re-asserts the library invariants on its own output.  CSV
 content is a pure function of the config: floats are written with
 ``repr`` and rows follow the time grid, so identical configs give
-byte-identical files regardless of worker count.
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,15 +37,11 @@ MASS_TOL = 1e-6
 
 
 def worker_count() -> int:
-    """Worker threads for the time grid; LEL_THREADS overrides (0 = auto)."""
-    raw = os.environ.get("LEL_THREADS", "0").strip() or "0"
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError([("LEL_THREADS", f"expected an integer, got {raw!r}")]) from None
-    if n < 0:
-        raise ConfigError([("LEL_THREADS", f"must be >= 0, got {n}")])
-    return n if n > 0 else (os.cpu_count() or 1)
+    """Threads that compute trace rows: always 1, rows run serially.
+
+    Kept so that run provenance (``perfbench/run.py``) can record it.
+    """
+    return 1
 
 
 def _fmt(x: float) -> str:
@@ -124,15 +119,6 @@ def build_initial_state(cfg: ExperimentConfig, basis: MomentumBasis) -> DensityM
     raise ConfigError([("initial_state.kind", f"{st.kind!r} is not a quantum state kind")])
 
 
-def _kick_gradient(shape: str):
-    """V'(q) for the named kick potential V(q)."""
-    if shape == "cos":
-        return lambda q: -np.sin(q)
-    if shape == "sin":
-        return lambda q: np.cos(q)
-    raise ConfigError([("potential.kick_shape", f"unknown shape {shape!r}")])
-
-
 def _write_quantum_csv(path: Path, rows, basis: MomentumBasis):
     header = ["t", "S_eff", "S_global", "tr_rho2", "effectively_pure"]
     header += [f"S_E_{e:g}" for e in basis.shells.energies]
@@ -164,16 +150,19 @@ def _run_quantum(cfg: ExperimentConfig, out_dir: Path) -> RunSummary:
     h = dynamics.build_hamiltonian(basis, pot.coupling, pot.screening)
     rho0 = build_initial_state(cfg, basis)
     times = cfg.time_grid.times()
-    rows = reduction.entropy_trace(rho0, h, times, basis, workers=worker_count())
+    rows = reduction.entropy_trace(rho0, h, times, basis)
 
-    rho_end = dynamics.evolve(rho0, h, float(times[-1]))
+    # The trace works in the eigenbasis of H; rebuilding rho(t_max) in the
+    # momentum basis makes these checks measure the full evolution.
+    rho_end = h.propagator.evolve(rho0, float(times[-1]))
     m_end = rho_end.matrix
     s_eff = np.array([r.effective_entropy for r in rows])
+    purity_drift = abs(states.global_purity(rho_end) - rows[0].purity)
     checks = {
         "hermitian": bool(np.abs(m_end - m_end.conj().T).max() <= states.HERMITICITY_TOL),
         "unit_trace": bool(abs(np.trace(m_end).real - 1.0) <= states.TRACE_TOL),
         "psd": bool(np.linalg.eigvalsh(m_end).min() >= -states.PSD_TOL),
-        "purity_constant": bool(abs(rows[-1].purity - rows[0].purity) <= PURITY_DRIFT_TOL),
+        "purity_constant": bool(purity_drift <= PURITY_DRIFT_TOL),
     }
     if pot.coupling == 0.0:
         checks["free_entropy_constant"] = bool(
@@ -206,7 +195,7 @@ def _run_classical(cfg: ExperimentConfig, out_dir: Path) -> RunSummary:
         raise ConfigError([("initial_state.kind", "classical mode needs single-p-row")])
     rho0 = koopman.single_p_row_density(grid, cfg.initial_state.p0)
     kick: KickConfig = cfg.potential
-    grad_v = _kick_gradient(kick.shape)
+    grad_v = koopman.kick_gradient(kick.shape)
 
     # Each output time is reached by one exact flow from an anchor state
     # (initial, or post-kick), so interpolation diffusion never compounds.

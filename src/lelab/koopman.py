@@ -121,11 +121,16 @@ def gaussian_density(
     return density_from_values(grid, np.outer(fq, fp))
 
 
+def nearest_p_row(grid: PhaseSpaceGrid, p0: float) -> int:
+    """Index of the p row nearest ``p0`` (the lower one on a tie)."""
+    return int(np.argmin(np.abs(grid.p - p0)))
+
+
 def single_p_row_density(
     grid: PhaseSpaceGrid, p0: float, q_profile: np.ndarray | None = None
 ) -> PhaseSpaceDensity:
     """All mass on the p row nearest ``p0``, uniform in q unless a profile is given."""
-    j = int(np.argmin(np.abs(grid.p - p0)))
+    j = nearest_p_row(grid, p0)
     values = np.zeros((grid.nq, grid.n_p))
     values[:, j] = 1.0 if q_profile is None else np.asarray(q_profile, dtype=float)
     return density_from_values(grid, values)
@@ -185,6 +190,27 @@ def apply_kick(
         col = rho.values[i, :]
         out[i, :] = (1.0 - w) * _shift_zero(col, k) + w * _shift_zero(col, k + 1)
     return PhaseSpaceDensity(grid, out)
+
+
+def kick_gradient(shape: str) -> Callable[[np.ndarray], np.ndarray]:
+    """V'(q) for the named kick potential V(q) = cos q or sin q."""
+    if shape == "cos":
+        return lambda q: -np.sin(q)
+    if shape == "sin":
+        return lambda q: np.cos(q)
+    raise ValueError(f"unknown kick shape {shape!r}")
+
+
+def kick_keeps_row_on_grid(
+    grid: PhaseSpaceGrid, row: int, grad_v: Callable[[np.ndarray], np.ndarray], strength: float
+) -> bool:
+    """True iff ``apply_kick`` moves all mass on p row ``row`` to rows of the grid.
+
+    In column q the kick carries that mass to the fractional row
+    ``row - strength * V'(q) / dp``, split between the two rows around it.
+    """
+    offset = strength * np.asarray(grad_v(grid.q), dtype=float) / grid.dp
+    return bool(offset.max() <= row and offset.min() >= row - (grid.n_p - 1))
 
 
 def xi_beta_coordinates(q, p, p_min: float = 0.0):

@@ -15,15 +15,20 @@ occupied block has rank one (an effectively pure state).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .basis import MomentumBasis
-from .dynamics import Hamiltonian, Propagator
-from .states import DensityMatrix, as_matrix, entropy_from_eigenvalues, global_entropy, global_purity
+from .dynamics import Hamiltonian
+from .states import (
+    DensityMatrix,
+    as_matrix,
+    entropy_from_eigenvalues,
+    global_purity,
+    validated_spectrum,
+)
 
 # Shells with weight at or below this are treated as empty: the normalized
 # block would be numerically meaningless.
@@ -233,30 +238,54 @@ def entropy_trace(
     h: Hamiltonian,
     time_grid: Sequence[float],
     basis: MomentumBasis,
-    workers: int | None = None,
 ) -> list[TraceRow]:
     """Evolve exactly to each grid time, reduce, and report.
 
-    Grid points are independent given the shared propagator; ``workers``
-    may fan them out over threads.  Row order always follows the grid.
+    Works in the eigenbasis of H = Q diag(w) Q^dagger, taken once from
+    ``h.propagator``: X0 = Q^dagger rho0 Q is formed once, and
+    X(t) = e^{-iwt} X0 e^{+iwt} is an elementwise phase.  Every row
+    validates X(t) as a density matrix; that spectrum also gives
+    S_global, and ||X(t)||_F^2 gives tr rho^2 (both are invariant under
+    the rotation back to the momentum basis).  Shell blocks of rho(t) come
+    from one product Y = Q[members] X(t) as Y[rows_s] Q[members_s]^dagger,
+    and one ``eigvalsh`` per occupied block gives both S_E and the
+    rank-one test.  One-member shells have zero entropy and rank at most
+    one, so they need no block.  Rows follow the grid.
     """
-    prop = Propagator.from_hamiltonian(h)
+    prop = h.propagator
+    w, q = prop.eigenvalues, prop.eigenvectors
+    x0 = q.conj().T @ as_matrix(rho0) @ q
+    # (shell, its rows in Y, Q[members]^dagger) for every multi-member shell
+    shells, order = [], []
+    for s, mem in enumerate(basis.shells.members):
+        if len(mem) > 1:
+            shells.append((s, len(order), len(order) + len(mem), q[mem].conj().T))
+            order.extend(mem)
+    q_multi = q[np.array(order, dtype=int)]
 
-    def row(t: float) -> TraceRow:
-        rho_t = prop.evolve(rho0, float(t))
-        dec = reduce(rho_t, basis)
-        per_shell = shell_entropies(dec)
-        return TraceRow(
-            t=float(t),
+    rows = []
+    for t in time_grid:
+        t = float(t)
+        phase = np.exp(-1j * w * t)
+        x = phase[:, None] * x0 * phase.conj()
+        spectrum = validated_spectrum(x)
+        y = q_multi @ x
+        per_shell = np.zeros(basis.n_shells)
+        pure = True
+        for s, lo, hi, q_shell_h in shells:
+            block = y[lo:hi] @ q_shell_h
+            weight = float(np.trace(block).real)
+            if weight <= TAU_LAMBDA:
+                continue
+            eigs = np.linalg.eigvalsh(block / weight)
+            per_shell[s] = entropy_from_eigenvalues(eigs)
+            pure = pure and bool(eigs[-2] < RANK_TOL)
+        rows.append(TraceRow(
+            t=t,
             effective_entropy=float(per_shell.sum()),
-            global_entropy=global_entropy(rho_t),
-            purity=global_purity(rho_t),
-            effectively_pure=is_effectively_pure(dec),
+            global_entropy=entropy_from_eigenvalues(spectrum),
+            purity=global_purity(x),
+            effectively_pure=pure,
             shell_entropies=per_shell,
-        )
-
-    times = list(time_grid)
-    if workers is not None and workers > 1 and len(times) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(row, times))
-    return [row(t) for t in times]
+        ))
+    return rows

@@ -29,6 +29,28 @@ def _readonly_complex(a) -> np.ndarray:
     return m
 
 
+def validated_spectrum(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of ``m`` after checking it is a density matrix.
+
+    Raises StateValidationError unless ``m`` is square, Hermitian, unit
+    trace and positive semidefinite within the module tolerances.  The
+    one ``eigvalsh`` serves both the PSD check and any entropy the
+    caller derives from the spectrum.
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise StateValidationError(f"density matrix must be square, got shape {m.shape}")
+    herm = np.abs(m - m.conj().T).max()
+    if herm > HERMITICITY_TOL:
+        raise StateValidationError(f"not Hermitian: max deviation {herm:.3e}")
+    tr = np.trace(m)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise StateValidationError(f"trace is {tr}, not 1")
+    eigs = np.linalg.eigvalsh(m)
+    if eigs[0] < -PSD_TOL:
+        raise StateValidationError(f"not positive semidefinite: min eigenvalue {eigs[0]:.3e}")
+    return eigs
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Complex Hermitian, unit-trace, positive-semidefinite matrix."""
@@ -37,17 +59,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _readonly_complex(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise StateValidationError(f"density matrix must be square, got shape {m.shape}")
-        herm = np.abs(m - m.conj().T).max()
-        if herm > HERMITICITY_TOL:
-            raise StateValidationError(f"not Hermitian: max deviation {herm:.3e}")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise StateValidationError(f"trace is {tr}, not 1")
-        lo = np.linalg.eigvalsh(m).min()
-        if lo < -PSD_TOL:
-            raise StateValidationError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
+        validated_spectrum(m)
         object.__setattr__(self, "matrix", m)
 
     @property

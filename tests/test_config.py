@@ -163,3 +163,28 @@ def test_invalid_json_reported():
     assert "" in errs and "invalid JSON" in errs[""]
     errs = errors_of("[1, 2]")
     assert "top level" in errs[""]
+
+
+# p rows at +-0.05 .. +-3.15; cells span [-3.2, 3.2].
+EDGE_GRID = {"nq": 64, "np": 64, "dq": 0.09817477042468103, "dp": 0.1}
+
+
+def test_kick_past_the_p_edge_is_config_error():
+    # Mass on the row at p = 3.05 would be kicked up to p = 3.35.
+    raw = dict(CLASSICAL, lattice=EDGE_GRID,
+               initial_state={"kind": "single-p-row", "p0": 3.05})
+    assert set(errors_of(raw)) == {"potential.kick_strength"}
+    # The same start row is fine with a kick that stays inside the grid,
+    # or with a kick that falls after t_max.
+    weak = dict(raw, potential=dict(CLASSICAL["potential"], kick_strength=0.1))
+    validate_config(json.dumps(weak))
+    late = dict(raw, potential=dict(CLASSICAL["potential"], kick_time=2.0))
+    validate_config(json.dumps(late))
+
+
+def test_p0_off_the_p_grid_is_config_error():
+    for p0 in (3.3, -10.0):
+        raw = dict(CLASSICAL, lattice=EDGE_GRID,
+                   potential=dict(CLASSICAL["potential"], kick_strength=0.0),
+                   initial_state={"kind": "single-p-row", "p0": p0})
+        assert set(errors_of(raw)) == {"initial_state.p0"}

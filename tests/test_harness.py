@@ -101,19 +101,17 @@ def test_shell_index_out_of_range_is_config_error(tmp_path):
     assert dict(info.value.errors).keys() == {"initial_state.shell"}
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("LEL_THREADS", raising=False)
-    assert harness.worker_count() >= 1
-    monkeypatch.setenv("LEL_THREADS", "0")
-    assert harness.worker_count() >= 1
-    monkeypatch.setenv("LEL_THREADS", "3")
-    assert harness.worker_count() == 3
-    monkeypatch.setenv("LEL_THREADS", "many")
-    with pytest.raises(ConfigError):
-        harness.worker_count()
-    monkeypatch.setenv("LEL_THREADS", "-1")
-    with pytest.raises(ConfigError):
-        harness.worker_count()
+def test_quantum_run_diagonalizes_once(tmp_path, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    harness.run(make_config(), out_dir=tmp_path)
+    assert len(calls) == 1
 
 
 def test_demo_configs_all_validate():
@@ -153,6 +151,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["run", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
     assert "potential.mu" in capsys.readouterr().err
     assert cli.main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+    # A kick that would carry mass off the p grid is refused before the run.
+    bad.write_text(json.dumps({
+        "mode": "classical",
+        "lattice": {"nq": 64, "np": 64, "dq": 2 * np.pi / 64, "dp": 0.1},
+        "potential": {"kick_strength": 0.3, "kick_shape": "cos", "kick_time": 1.0},
+        "initial_state": {"kind": "single-p-row", "p0": 3.05},
+        "time_grid": {"t_max": 2.0, "steps": 20},
+    }))
+    assert cli.main(["run", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
+    assert "potential.kick_strength" in capsys.readouterr().err
 
 
 def test_cli_dimension_cap_exit_code(tmp_path, capsys):

@@ -21,6 +21,8 @@ from lelab.reduction import (
 from lelab.states import (
     DensityMatrix,
     PureState,
+    global_entropy,
+    global_purity,
     pure_to_density,
     random_density_matrix,
     random_effectively_pure_state,
@@ -193,16 +195,33 @@ def test_entropy_trace_rows_follow_grid():
     assert rows[0].effectively_pure
 
 
-def test_entropy_trace_worker_count_does_not_change_values():
-    h = build_hamiltonian(BASIS, 0.2, 1.0)
-    rho0 = random_effectively_pure_state(BASIS, np.random.default_rng(6))
-    times = np.linspace(0.0, 2.0, 7)
-    serial = entropy_trace(rho0, h, times, BASIS, workers=None)
-    threaded = entropy_trace(rho0, h, times, BASIS, workers=4)
-    for a, b in zip(serial, threaded):
-        assert a.effective_entropy == b.effective_entropy
-        assert a.purity == b.purity
-        np.testing.assert_array_equal(a.shell_entropies, b.shell_entropies)
+@pytest.mark.parametrize("lattice", ["cubic", "line"])
+def test_entropy_trace_matches_momentum_basis_oracle(lattice):
+    # Oracle: evolve in the momentum basis, reduce, and take the global
+    # invariants there, one time point at a time.
+    if lattice == "cubic":
+        basis = build_basis(2, 1.0)
+        h = build_hamiltonian(basis, 0.2, 1.0)
+        rho0 = random_effectively_pure_state(basis, np.random.default_rng(21))
+    else:
+        basis = build_basis_1d(32, 1.0)
+        h = build_hamiltonian(basis, 1.0, 1.0)
+        rho0 = pure_to_density(random_pure_state(basis.size, np.random.default_rng(22)))
+    times = np.linspace(0.0, 5.0, 6)
+    rows = entropy_trace(rho0, h, times, basis)
+    assert len(rows) == len(times)
+    for row, t in zip(rows, times):
+        rho_t = evolve(rho0, h, t)
+        dec = reduce(rho_t, basis)
+        per_shell = shell_entropies(dec)
+        assert row.t == t
+        assert row.effective_entropy == pytest.approx(per_shell.sum(), abs=1e-12)
+        np.testing.assert_allclose(row.shell_entropies, per_shell, rtol=0, atol=1e-12)
+        assert row.global_entropy == pytest.approx(global_entropy(rho_t), abs=1e-12)
+        assert row.purity == pytest.approx(global_purity(rho_t), abs=1e-12)
+        assert row.effectively_pure == is_effectively_pure(dec)
+    if lattice == "cubic":
+        assert rows[-1].effective_entropy > 1e-4  # the comparison covers mixing rows
 
 
 def test_reduce_canonical_examples():
