@@ -145,6 +145,13 @@ def shell_of(basis: MomentumBasis, index: int) -> int:
     return int(basis.shell_index[index])
 
 
+def bohr_labels(basis: MomentumBasis) -> np.ndarray:
+    """Integer Bohr label |n_col|^2 - |n_row|^2 of every matrix element:
+    element (a, b) has alpha = E_b - E_a = label * delta_k^2, exactly."""
+    n2 = basis.norms2
+    return n2[None, :] - n2[:, None]
+
+
 def basis_to_json(basis: MomentumBasis) -> str:
     """Serialize to the documented JSON schema."""
     doc = {

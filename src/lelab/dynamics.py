@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import MomentumBasis
+from .basis import MomentumBasis, bohr_labels
 from .errors import DimensionCapError
 from .states import HERMITICITY_TOL, DensityMatrix
 
@@ -72,13 +72,17 @@ class Hamiltonian:
         return Propagator.from_hamiltonian(self)
 
 
-def yukawa_fourier(k, coupling: float, screening: float) -> float:
-    """Momentum-space screened-Coulomb amplitude 4 pi A / (mu (|k|^2 + mu^2))."""
+def _yukawa(k2, coupling: float, screening: float):
+    """4 pi A / (mu (k^2 + mu^2)) at squared momentum transfer ``k2`` (scalar or array)."""
     if not screening > 0:
         raise ValueError(f"screening must be positive, got {screening}")
-    k = np.asarray(k, dtype=float)
-    k2 = float(k @ k)
     return 4.0 * np.pi * coupling / (screening * (k2 + screening * screening))
+
+
+def yukawa_fourier(k, coupling: float, screening: float) -> float:
+    """Momentum-space screened-Coulomb amplitude 4 pi A / (mu (|k|^2 + mu^2))."""
+    k = np.asarray(k, dtype=float)
+    return _yukawa(float(k @ k), coupling, screening)
 
 
 def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -> Hamiltonian:
@@ -86,11 +90,10 @@ def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -
 
     Vt is real and even, so v is real symmetric.
     """
-    if not screening > 0:
-        raise ValueError(f"screening must be positive, got {screening}")
-    d = basis.points[:, None, :] - basis.points[None, :, :]
-    k2 = (d * d).sum(axis=-1) * basis.delta_k**2
-    v = 4.0 * np.pi * coupling / (screening * (k2 + screening * screening))
+    # |n_i - n_j|^2 in exact integers, without an (n, n, 3) difference array
+    p = basis.points
+    d2 = basis.norms2[:, None] + basis.norms2[None, :] - 2 * (p @ p.T)
+    v = _yukawa(d2 * basis.delta_k**2, coupling, screening)
     return Hamiltonian(h0_diag=basis.energies, v=v, coupling=float(coupling), screening=float(screening))
 
 
@@ -179,17 +182,11 @@ def interaction_liouvillian_element(
     return complex(out)
 
 
-def _alpha_labels(basis: MomentumBasis) -> np.ndarray:
-    """Integer alpha label (col norm minus row norm) per vectorized index."""
-    n2 = basis.norms2
-    return (n2[None, :] - n2[:, None]).reshape(-1)
-
-
 def alpha_offblock_norm(op, basis: MomentumBasis) -> tuple[float, float]:
     """(max element, Frobenius norm) of the part of ``op`` coupling
     different Bohr-frequency sectors."""
     s = op.matrix if isinstance(op, Superoperator) else np.asarray(op, dtype=complex)
-    labels = _alpha_labels(basis)
+    labels = bohr_labels(basis).reshape(-1)
     if s.shape != (len(labels), len(labels)):
         raise ValueError(f"operator shape {s.shape} does not match basis of size {basis.size}")
     off = s[labels[:, None] != labels[None, :]]

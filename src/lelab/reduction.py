@@ -15,12 +15,13 @@ occupied block has rank one (an effectively pure state).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .basis import MomentumBasis
+from .basis import MomentumBasis, bohr_labels
 from .dynamics import Hamiltonian
 from .states import (
     DensityMatrix,
@@ -38,17 +39,26 @@ RANK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class AlphaDecomposition:
-    """Partition of a matrix into disjointly supported Bohr-frequency parts."""
+    """Partition of a matrix into disjointly supported Bohr-frequency parts.
 
-    alphas: np.ndarray                  # distinct frequencies, ascending
-    components: tuple[np.ndarray, ...]  # same shape as the input, disjoint supports
+    Sectors are labels over one copy of the matrix, not copies of it;
+    ``components`` builds a sector's matrix only when it is indexed.
+    """
+
+    matrix: np.ndarray         # read-only copy of the decomposed matrix
+    labels: np.ndarray         # basis.bohr_labels: element alpha = label * delta_k**2
+    sector_labels: np.ndarray  # distinct labels of the nonzero elements, ascending
+    alphas: np.ndarray         # sector_labels * delta_k**2; [0.0] for a zero matrix
+    delta_k: float
+
+    @property
+    def components(self) -> Sequence[np.ndarray]:
+        """Full-size sector matrices, in the order of ``alphas``."""
+        return _Components(self)
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of all components; equals the decomposed matrix exactly."""
-        out = np.zeros_like(self.components[0])
-        for c in self.components:
-            out = out + c
-        return out
+        """Sum of all components; exact, because their supports are disjoint."""
+        return np.where(np.isin(self.labels, self.sector_labels), self.matrix, 0)
 
     def component(self, alpha: float) -> np.ndarray:
         hits = np.flatnonzero(self.alphas == alpha)
@@ -57,37 +67,43 @@ class AlphaDecomposition:
         return self.components[int(hits[0])]
 
 
+@dataclass(frozen=True)
+class _Components(Sequence):
+    """Read-only sequence of the sector matrices of an AlphaDecomposition."""
+
+    decomp: AlphaDecomposition
+
+    def __len__(self) -> int:
+        return len(self.decomp.sector_labels)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        d = self.decomp
+        return np.where(d.labels == d.sector_labels[operator.index(i)], d.matrix, 0)
+
+
 def alpha_decompose(matrix, basis: MomentumBasis) -> AlphaDecomposition:
     """Split ``matrix`` by alpha = E_col - E_row.
 
     Grouping runs over integer squared-norm differences, so the support
     partition is index bookkeeping, not floating-point arithmetic.
     """
-    m = as_matrix(matrix)
-    n = basis.size
-    if m.shape != (n, n):
-        raise ValueError(f"matrix shape {m.shape} does not match basis of size {n}")
-    diffs = basis.norms2[None, :] - basis.norms2[:, None]
-    alphas = []
-    components = []
-    for d in np.unique(diffs):
-        comp = np.where(diffs == d, m, 0)
-        if np.any(comp != 0):
-            alphas.append(d)
-            components.append(comp)
-    if not components:  # zero matrix: keep a single empty alpha = 0 sector
-        alphas, components = [0], [np.zeros_like(m)]
-    return AlphaDecomposition(
-        alphas=np.array(alphas) * basis.delta_k**2, components=tuple(components)
-    )
+    m = as_matrix(matrix).copy()  # the decomposition must not follow later writes to the input
+    if m.shape != (basis.size, basis.size):
+        raise ValueError(f"matrix shape {m.shape} does not match basis of size {basis.size}")
+    labels = bohr_labels(basis)
+    sector_labels = np.unique(labels[m != 0])
+    if not sector_labels.size:  # zero matrix: keep a single empty alpha = 0 sector
+        sector_labels = np.zeros(1, dtype=labels.dtype)
+    alphas = sector_labels * basis.delta_k**2
+    for a in (m, labels, sector_labels, alphas):
+        a.setflags(write=False)
+    return AlphaDecomposition(m, labels, sector_labels, alphas, basis.delta_k)
 
 
 def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
     """Free evolution in decomposed form: each component gains exp(+i alpha t)."""
-    out = np.zeros_like(decomp.components[0], dtype=complex)
-    for alpha, comp in zip(decomp.alphas, decomp.components):
-        out = out + np.exp(1j * alpha * t) * comp
-    return out
+    alpha = decomp.labels * decomp.delta_k**2
+    return np.exp(1j * alpha * t) * decomp.matrix
 
 
 @dataclass(frozen=True)
@@ -142,15 +158,19 @@ def assemble_block_diagonal(dec: ShellDecomposition, basis: MomentumBasis) -> np
     return out
 
 
+def _shell_spectrum(block: np.ndarray, weight: float) -> np.ndarray | None:
+    """Eigenvalues of the normalized shell block ``block / weight``; None for an
+    empty shell (weight <= TAU_LAMBDA) and for a one-member shell, whose
+    entropy is zero and whose rank is at most one."""
+    if weight <= TAU_LAMBDA or block.shape[0] == 1:
+        return None
+    return np.linalg.eigvalsh(block / weight)
+
+
 def shell_entropies(dec: ShellDecomposition) -> np.ndarray:
     """Per-shell S_E = -Tr rho_hat_E ln rho_hat_E; zero on empty shells."""
-    out = np.zeros(dec.n_shells)
-    for s in range(dec.n_shells):
-        block = dec.rho_hat(s)
-        if block is None or block.shape[0] == 1:
-            continue
-        out[s] = entropy_from_eigenvalues(np.linalg.eigvalsh(block))
-    return out
+    spectra = (_shell_spectrum(b, w) for b, w in zip(dec.blocks, dec.weights))
+    return np.array([0.0 if e is None else entropy_from_eigenvalues(e) for e in spectra])
 
 
 def effective_entropy(dec: ShellDecomposition) -> float:
@@ -173,14 +193,8 @@ def is_effectively_pure(dec: ShellDecomposition, tol_rank: float = RANK_TOL) -> 
     Rank is judged by the second-largest eigenvalue of the normalized
     block, so ``tol_rank`` is scale-free.
     """
-    for s in range(dec.n_shells):
-        block = dec.rho_hat(s)
-        if block is None or block.shape[0] == 1:
-            continue
-        eigs = np.linalg.eigvalsh(block)
-        if eigs[-2] >= tol_rank:
-            return False
-    return True
+    spectra = (_shell_spectrum(b, w) for b, w in zip(dec.blocks, dec.weights))
+    return all(e is None or e[-2] < tol_rank for e in spectra)
 
 
 def expectation_xi_independent(shell_ops: Sequence[np.ndarray], rho: DensityMatrix, basis: MomentumBasis) -> float:
@@ -274,10 +288,9 @@ def entropy_trace(
         pure = True
         for s, lo, hi, q_shell_h in shells:
             block = y[lo:hi] @ q_shell_h
-            weight = float(np.trace(block).real)
-            if weight <= TAU_LAMBDA:
+            eigs = _shell_spectrum(block, float(np.trace(block).real))
+            if eigs is None:
                 continue
-            eigs = np.linalg.eigvalsh(block / weight)
             per_shell[s] = entropy_from_eigenvalues(eigs)
             pure = pure and bool(eigs[-2] < RANK_TOL)
         rows.append(TraceRow(

@@ -69,6 +69,25 @@ def test_build_hamiltonian_structure():
     assert m[i, j] == pytest.approx(yukawa_fourier(np.array([1.0, 0, 0]), 0.5, 2.0))
 
 
+@pytest.mark.parametrize("lattice, extent, dk", [("cubic", 3, 0.7), ("cubic", 2, 1.3),
+                                                 ("line", 64, 0.37)])
+def test_build_hamiltonian_matches_difference_array_formula(lattice, extent, dk):
+    # Reference: |n_i - n_j|^2 summed over an (n, n, 3) difference array.
+    basis = build_basis(extent, dk) if lattice == "cubic" else build_basis_1d(extent, dk)
+    d = basis.points[:, None, :] - basis.points[None, :, :]
+    k2 = (d * d).sum(axis=-1) * dk**2
+    expected = 4.0 * np.pi * 0.3 / (1.1 * (k2 + 1.1 * 1.1))
+    assert np.array_equal(build_hamiltonian(basis, 0.3, 1.1).v, expected)
+
+
+@pytest.mark.parametrize("screening", [0.0, -1.0, float("nan")])
+def test_yukawa_rejects_non_positive_screening(screening):
+    with pytest.raises(ValueError, match="screening"):
+        yukawa_fourier(np.zeros(3), 1.0, screening)
+    with pytest.raises(ValueError, match="screening"):
+        build_hamiltonian(build_basis(1, 1.0), 1.0, screening)
+
+
 def test_coupling_zero_gives_free_hamiltonian():
     basis = build_basis_1d(5, 1.0)
     h = build_hamiltonian(basis, 0.0, 1.0)

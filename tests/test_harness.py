@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lelab import cli, harness
+from lelab import cli, dynamics, harness
 from lelab.config import validate_config
 from lelab.errors import ConfigError, InvariantViolation
 
@@ -112,6 +112,21 @@ def test_quantum_run_diagonalizes_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     harness.run(make_config(), out_dir=tmp_path)
     assert len(calls) == 1
+
+
+def test_bad_final_state_is_recorded_before_raising(tmp_path, monkeypatch):
+    # A unitary that is off by 1e-6 leaves the trace rows alone (they use the
+    # eigenbasis) but breaks the trace of the rebuilt end state.
+    unitary = dynamics.Propagator.unitary
+    monkeypatch.setattr(dynamics.Propagator, "unitary",
+                        lambda self, t: unitary(self, t) * (1 + 1e-6))
+    with pytest.raises(InvariantViolation, match="unit_trace"):
+        harness.run(make_config(), out_dir=tmp_path)
+    loaded = json.loads((tmp_path / "summary.json").read_text())
+    assert loaded["invariant_checks"]["unit_trace"] is False
+    assert loaded["invariant_checks"]["hermitian"] is True
+    assert loaded["all_checks_pass"] is False
+    assert (tmp_path / "trace.csv").exists()
 
 
 def test_demo_configs_all_validate():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,48 @@ def test_alpha_decomposition_reconstructs_exactly(seed):
     dec = alpha_decompose(rho.matrix, BASIS)
     # components tile the matrix with disjoint supports: equality is exact
     np.testing.assert_array_equal(dec.reconstruct(), rho.matrix)
+
+
+def test_alpha_components_are_disjoint_and_sum_to_the_input():
+    rho = random_density_matrix(BASIS.size, np.random.default_rng(4))
+    dec = alpha_decompose(rho.matrix, BASIS)
+    assert len(dec.components) == len(dec.alphas)
+    total = np.zeros_like(rho.matrix)
+    covered = np.zeros(rho.matrix.shape, dtype=int)
+    for comp in dec.components:
+        total = total + comp
+        covered += comp != 0
+    assert covered.max() == 1  # every element sits in at most one sector
+    np.testing.assert_array_equal(total, rho.matrix)
+    np.testing.assert_array_equal(dec.components[-1], dec.component(dec.alphas[-1]))
+    with pytest.raises(IndexError):
+        dec.components[len(dec.alphas)]
+
+
+def test_alpha_decomposition_does_not_follow_later_writes_to_the_input():
+    m = random_density_matrix(BASIS.size, np.random.default_rng(6)).matrix.copy()
+    dec = alpha_decompose(m, BASIS)
+    before = [c.copy() for c in dec.components]
+    m[:] = 0.0
+    np.testing.assert_array_equal(dec.reconstruct(), sum(before))
+    for comp, old in zip(dec.components, before):
+        np.testing.assert_array_equal(comp, old)
+
+
+def test_alpha_decomposition_holds_no_per_sector_copy():
+    basis = build_basis(2, 1.0)
+    m = random_density_matrix(basis.size, np.random.default_rng(9)).matrix
+    dense = m.nbytes  # one n x n complex array
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dec = alpha_decompose(m, basis)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(dec.alphas) == 25
+    # the matrix copy plus its integer labels, not 25 sector matrices
+    assert held <= 3 * dense
 
 
 def test_alpha_labels_are_energy_differences():
