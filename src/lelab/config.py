@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import koopman
-from .errors import ConfigError
+from . import koopman, states
+from .errors import ConfigError, StateValidationError
 
 QUANTUM_STATE_KINDS = ("pure-random", "effectively-pure-mixed", "shell-mixed")
 CLASSICAL_STATE_KINDS = ("single-p-row",)
@@ -254,15 +254,10 @@ def _parse_mu_matrix(value, path: str, chk: _Collector):
             chk.error(f"{path}[{i}]", f"expected a row of {n} finite numbers")
             return None
         rows.append(tuple(float(x) for x in row))
-    m = np.array(rows)
-    if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
-        chk.error(path, "matrix must be symmetric")
-        return None
-    if abs(np.trace(m) - 1.0) > 1e-10:
-        chk.error(path, f"trace must be 1, got {np.trace(m)}")
-        return None
-    if np.linalg.eigvalsh(m).min() < -1e-10:
-        chk.error(path, "matrix must be positive semidefinite")
+    try:
+        states.validated_spectrum(np.array(rows), "matrix")
+    except StateValidationError as err:
+        chk.error(path, str(err))
         return None
     return tuple(rows)
 

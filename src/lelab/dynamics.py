@@ -27,6 +27,8 @@ from .states import HERMITICITY_TOL, DensityMatrix
 
 # A dim-64 system already implies a 4096^2 superoperator; refuse beyond that.
 SUPEROP_DIM_CAP = 64
+# Elements of the superoperator that ``alpha_offblock_norm`` reads per chunk.
+OFFBLOCK_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -185,15 +187,22 @@ def interaction_liouvillian_element(
 def alpha_offblock_norm(op, basis: MomentumBasis) -> tuple[float, float]:
     """(max element, Frobenius norm) of the part of ``op`` coupling
     different Bohr-frequency sectors."""
-    s = op.matrix if isinstance(op, Superoperator) else np.asarray(op, dtype=complex)
+    s = op.matrix if isinstance(op, Superoperator) else np.asarray(op)
     labels = bohr_labels(basis).reshape(-1)
     if s.shape != (len(labels), len(labels)):
         raise ValueError(f"operator shape {s.shape} does not match basis of size {basis.size}")
-    off = s[labels[:, None] != labels[None, :]]
-    if off.size == 0:
-        return 0.0, 0.0
-    mags = np.abs(off)
-    return float(mags.max()), float(np.sqrt((mags * mags).sum()))
+    # A few rows at a time, with in-sector elements zeroed, so the extra
+    # memory is bounded by the chunk instead of a gather of every
+    # off-sector element.
+    n = len(labels)
+    step = max(1, OFFBLOCK_CHUNK_ELEMENTS // n)
+    max_off = sum_sq = 0.0
+    for r in range(0, n, step):
+        mags = np.abs(s[r : r + step], dtype=float)
+        mags[labels[r : r + step, None] == labels[None, :]] = 0.0
+        max_off = max(max_off, float(mags.max()))
+        sum_sq += float(np.vdot(mags, mags))
+    return max_off, float(np.sqrt(sum_sq))
 
 
 def alpha_diagonality_test(op, basis: MomentumBasis, tol: float = 1e-10) -> bool:

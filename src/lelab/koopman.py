@@ -11,7 +11,12 @@ effective entropy, which the free flow leaves invariant.
 
 Transport is semi-Lagrangian with linear interpolation: per p-row (flow)
 or per q-column (kick) the shift is constant, so the scheme preserves
-nonnegativity and conserves mass up to p-boundary truncation.
+nonnegativity and conserves mass up to p-boundary truncation; the free
+flow also keeps the p-marginal.  Each kernel copies its integer shifts
+into one work buffer with at most two slices per row and blends with
+whole-array numpy, doing per element exactly the arithmetic of a
+one-row-at-a-time ``np.roll`` scheme, so the output is bit-identical
+to that scheme.
 """
 
 from __future__ import annotations
@@ -136,37 +141,35 @@ def single_p_row_density(
     return density_from_values(grid, values)
 
 
-def _roll_interp(col: np.ndarray, offset: float) -> np.ndarray:
-    """Periodic semi-Lagrangian shift: out[i] = col at fractional index i - offset."""
-    k = int(np.floor(offset))
-    w = offset - k
-    return (1.0 - w) * np.roll(col, k) + w * np.roll(col, k + 1)
-
-
-def _shift_zero(col: np.ndarray, s: int) -> np.ndarray:
-    """out[j] = col[j + s], with zero fill outside the column."""
-    n = len(col)
-    out = np.zeros(n)
-    if s >= n or s <= -n:
-        return out
-    if s >= 0:
-        out[: n - s] = col[s:]
-    else:
-        out[-s:] = col[: n + s]
-    return out
-
-
 def classical_free_flow(rho: PhaseSpaceDensity, t: float) -> PhaseSpaceDensity:
     """Transport along q -> q + 2 p t at fixed p (characteristics of H = p^2).
 
-    The shift per p row is constant, so the periodic linear-interpolation
-    backtrace conserves both mass and the p-marginal to machine precision.
+    The p row ``values[:, j]`` moves by ``offset = 2 p_j t / dq`` cells:
+    with ``k = floor(offset)`` and ``w = offset - k`` it becomes
+    ``(1 - w) * roll(row, k) + w * roll(row, k + 1)``.  Two slice copies
+    per p row put ``roll(row, k)`` into a (n_p, nq) buffer; that buffer
+    rolled by one more cell is ``roll(row, k + 1)``, and the blend is
+    done in place.  The shift per p row is constant, so the periodic
+    linear-interpolation backtrace conserves both mass and the
+    p-marginal to machine precision.
     """
     grid = rho.grid
-    out = np.empty_like(rho.values)
-    for j, p in enumerate(grid.p):
-        out[:, j] = _roll_interp(rho.values[:, j], 2.0 * p * t / grid.dq)
-    return PhaseSpaceDensity(grid, out)
+    nq = grid.nq
+    offset = 2.0 * grid.p * t / grid.dq
+    # k stays a float so that any finite t is exact (an int64 overflows
+    # past 2**63 cells); + 0.0 turns floor(-0.0) into the +0 of an integer.
+    k = np.floor(offset) + 0.0
+    w = (offset - k)[:, None]
+    a = np.empty((grid.n_p, nq))
+    for dst, src, s in zip(a, rho.values.T, (k % nq).astype(np.int64).tolist()):
+        dst[s:] = src[: nq - s]
+        dst[:s] = src[nq - s :]
+    b = np.roll(a, 1, axis=1)
+    a *= 1.0 - w
+    b *= w
+    a += b
+    del b  # at most two grid-sized arrays live while PhaseSpaceDensity copies
+    return PhaseSpaceDensity(grid, a.T)
 
 
 def apply_kick(
@@ -174,21 +177,35 @@ def apply_kick(
 ) -> PhaseSpaceDensity:
     """Impulsive interaction p -> p - strength * V'(q), V' given as ``grad_v``.
 
+    The q column ``c = values[i, :]`` moves along p by
+    ``offset = strength * V'(q_i) / dp`` cells: with ``k = floor(offset)``
+    and ``w = offset - k``, cell j gets ``(1 - w) * c[j + k] +
+    w * c[j + k + 1]``, zero where the index leaves the grid.  One slice
+    copy per q column fills an (nq, n_p + 1) buffer whose first and last
+    n_p entries per q are the two shifted columns.
+
     The backtraced p must stay on the grid; mass pushed past the p
     boundary is dropped, and the resulting mass defect trips the
     unit-mass validation.  Choose the grid wide enough for the kick.
     """
     grid = rho.grid
+    n = grid.n_p
     dv = np.asarray(grad_v(grid.q), dtype=float)
     if dv.shape != (grid.nq,):
         raise ValueError(f"grad_v must return one value per q cell, got shape {dv.shape}")
-    out = np.empty_like(rho.values)
-    for i in range(grid.nq):
-        offset = strength * dv[i] / grid.dp
-        k = int(np.floor(offset))
-        w = offset - k
-        col = rho.values[i, :]
-        out[i, :] = (1.0 - w) * _shift_zero(col, k) + w * _shift_zero(col, k + 1)
+    offset = strength * dv / grid.dp
+    k = np.floor(offset).astype(np.int64)
+    w = (offset - k)[:, None]
+    e = np.zeros((grid.nq, n + 1))
+    for dst, src, s in zip(e, rho.values, k.tolist()):
+        lo, hi = max(0, -s), min(n + 1, n - s)
+        if lo < hi:
+            dst[lo:hi] = src[lo + s : hi + s]
+    out = e[:, 1:] * w
+    a = e[:, :n]
+    a *= 1.0 - w
+    out += a
+    del a, e  # at most two grid-sized arrays live while PhaseSpaceDensity copies
     return PhaseSpaceDensity(grid, out)
 
 

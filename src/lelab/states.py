@@ -29,25 +29,28 @@ def _readonly_complex(a) -> np.ndarray:
     return m
 
 
-def validated_spectrum(m: np.ndarray) -> np.ndarray:
+def validated_spectrum(m: np.ndarray, what: str = "density matrix") -> np.ndarray:
     """Eigenvalues (ascending) of ``m`` after checking it is a density matrix.
 
-    Raises StateValidationError unless ``m`` is square, Hermitian, unit
-    trace and positive semidefinite within the module tolerances.  The
-    one ``eigvalsh`` serves both the PSD check and any entropy the
-    caller derives from the spectrum.
+    This is the one statement of the density-matrix rule: raises
+    StateValidationError, naming ``m`` as ``what``, unless ``m`` is
+    square, Hermitian, unit trace and positive semidefinite within the
+    module tolerances.  The one ``eigvalsh`` serves both the PSD check
+    and any entropy the caller derives from the spectrum.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise StateValidationError(f"density matrix must be square, got shape {m.shape}")
+        raise StateValidationError(f"{what} must be square, got shape {m.shape}")
     herm = np.abs(m - m.conj().T).max()
     if herm > HERMITICITY_TOL:
-        raise StateValidationError(f"not Hermitian: max deviation {herm:.3e}")
+        raise StateValidationError(f"{what} is not Hermitian: max deviation {herm:.3e}")
     tr = np.trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
-        raise StateValidationError(f"trace is {tr}, not 1")
+        raise StateValidationError(f"{what} has trace {tr}, not 1")
     eigs = np.linalg.eigvalsh(m)
     if eigs[0] < -PSD_TOL:
-        raise StateValidationError(f"not positive semidefinite: min eigenvalue {eigs[0]:.3e}")
+        raise StateValidationError(
+            f"{what} is not positive semidefinite: min eigenvalue {eigs[0]:.3e}"
+        )
     return eigs
 
 
@@ -131,7 +134,8 @@ def effectively_pure_state(
     construction; it is mixed whenever mu has rank above one with
     off-diagonal magnitudes strictly below the Cauchy-Schwarz bound.
 
-    ``mu`` must be Hermitian, positive semidefinite and unit trace;
+    ``mu`` must pass the density-matrix rule of ``validated_spectrum``
+    (its StateValidationError is a ValueError naming ``mu``);
     ``shell_vectors[i]`` must be a unit vector of length equal to the
     degeneracy of shell ``shell_ids[i]``.
     """
@@ -156,12 +160,7 @@ def effectively_pure_state(
     mu = np.asarray(mu, dtype=complex)
     if mu.shape != (len(ids), len(ids)):
         raise ValueError(f"mu must be {len(ids)}x{len(ids)}, got {mu.shape}")
-    if np.abs(mu - mu.conj().T).max() > HERMITICITY_TOL:
-        raise ValueError("mu must be Hermitian")
-    if abs(np.trace(mu) - 1.0) > TRACE_TOL:
-        raise ValueError(f"mu must have unit trace, got {np.trace(mu)}")
-    if np.linalg.eigvalsh(mu).min() < -PSD_TOL:
-        raise ValueError("mu must be positive semidefinite")
+    validated_spectrum(mu, "mu")
 
     rho = np.zeros((basis.size, basis.size), dtype=complex)
     for a, (sa, va) in enumerate(zip(ids, vecs)):

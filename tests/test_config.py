@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from lelab.basis import build_basis
 from lelab.config import (
     ClassicalGrid,
     CubicLattice,
@@ -9,7 +11,8 @@ from lelab.config import (
     YukawaConfig,
     validate_config,
 )
-from lelab.errors import ConfigError
+from lelab.errors import ConfigError, StateValidationError
+from lelab.states import DensityMatrix, effectively_pure_state
 
 QUANTUM = {
     "mode": "quantum",
@@ -156,6 +159,48 @@ def test_mu_matrix_validation():
     assert "initial_state.mu" in errors_of(dict(QUANTUM, initial_state=wrong_size))
     dup_shells = dict(base, shells=[1, 1])
     assert "initial_state.shells" in errors_of(dict(QUANTUM, initial_state=dup_shells))
+
+
+MU_BASE = {"kind": "effectively-pure-mixed", "seed": 1, "shells": [0, 1]}
+
+
+def _rejection(build):
+    """The ValueError ``build()`` raises, or None."""
+    try:
+        build()
+    except ValueError as err:
+        return err
+    return None
+
+
+@pytest.mark.parametrize(
+    "mu,ok",
+    [
+        ([[0.5, 0.2 + 2e-12], [0.2, 0.5]], False),  # Hermitian deviation 2e-12
+        ([[0.5, 0.2 + 5e-13], [0.2, 0.5]], True),
+        ([[0.5, 0.0], [0.0, 0.5 + 2e-10]], False),  # trace off by 2e-10
+        ([[0.5, 0.0], [0.0, 0.5 + 5e-11]], True),
+        ([[1.0 + 2e-10, 0.0], [0.0, -2e-10]], False),  # min eigenvalue -2e-10
+        ([[1.0 + 5e-11, 0.0], [0.0, -5e-11]], True),
+    ],
+)
+def test_mu_is_checked_by_the_one_density_matrix_rule(mu, ok):
+    m = np.array(mu)
+    basis = build_basis(1, 1.0)
+    vecs = [np.array([1.0]), np.eye(6)[0]]
+    raw = dict(QUANTUM, initial_state=dict(MU_BASE, mu=mu))
+    errs = [
+        _rejection(lambda: DensityMatrix(m)),
+        _rejection(lambda: effectively_pure_state(basis, [0, 1], vecs, m)),
+        _rejection(lambda: validate_config(json.dumps(raw))),
+    ]
+    if ok:
+        assert errs == [None, None, None]
+    else:
+        assert isinstance(errs[0], StateValidationError)
+        assert isinstance(errs[1], ValueError) and "mu" in str(errs[1])
+        assert isinstance(errs[2], ConfigError)
+        assert "initial_state.mu" in dict(errs[2].errors)
 
 
 def test_invalid_json_reported():

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lelab.basis import build_basis, build_basis_1d
+from lelab.basis import bohr_labels, build_basis, build_basis_1d
 from lelab.dynamics import (
     Hamiltonian,
     Propagator,
@@ -191,6 +193,39 @@ def test_interaction_liouvillian_mixes_alpha_sectors():
     assert not alpha_diagonality_test(li.matrix, basis, tol=1e-10)
     _, fro_off = alpha_offblock_norm(li.matrix, basis)
     assert fro_off >= 1e-3 * np.linalg.norm(li.matrix)
+
+
+def _gathered_offblock_norm(op, basis):
+    """Reference: gather every off-sector element, then reduce."""
+    labels = bohr_labels(basis).reshape(-1)
+    off = np.abs(op[labels[:, None] != labels[None, :]])
+    return float(off.max()), float(np.sqrt((off * off).sum()))
+
+
+@pytest.mark.parametrize("basis", [build_basis_1d(32, 1.0), build_basis(1, 1.0)], ids=["N32", "M1"])
+def test_alpha_offblock_norm_matches_gathered_reduction(basis):
+    h = build_hamiltonian(basis, 0.8, 1.3)
+    for op in (commutator_superoperator(h.v).matrix, liouvillian_superoperator(h).matrix):
+        max_ref, fro_ref = _gathered_offblock_norm(op, basis)
+        max_el, fro = alpha_offblock_norm(op, basis)
+        assert max_el == max_ref
+        assert abs(fro - fro_ref) <= 1e-12 * fro_ref
+
+
+def test_alpha_offblock_norm_does_not_copy_the_off_sector_part():
+    basis = build_basis_1d(32, 1.0)
+    op = commutator_superoperator(build_hamiltonian(basis, 0.8, 1.3).v).matrix
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        alpha_offblock_norm(op, basis)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # a gather of the off-sector part holds about two operator sizes, and
+    # even a whole-operator abs() would hold half of one
+    assert extra < op.nbytes / 8
 
 
 def test_evolve_at_time_zero_is_identity():

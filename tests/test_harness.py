@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +154,14 @@ def test_cli_run_and_demo(tmp_path, capsys):
     demo_dir = tmp_path / "demo"
     assert cli.main(["demo", "free-invariance", "--out-dir", str(demo_dir)]) == 0
     assert (demo_dir / "free-invariance.csv").exists()
+
+
+def test_classical_demo_csv_matches_golden_bytes(tmp_path):
+    # tests/data/classical-kick.csv is the demo output of the per-column
+    # transport kernels that the whole-array kernels replaced
+    golden = Path(__file__).parent / "data" / "classical-kick.csv"
+    assert cli.main(["demo", "classical-kick", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "classical-kick.csv").read_bytes() == golden.read_bytes()
 
 
 def test_cli_check_command(capsys):
