@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import load_config
 from .errors import ConfigError, DimensionCapError, InvariantViolation, StateValidationError
 from .harness import DEMO_CONFIGS, demo_config, run, run_invariant_checks
 
@@ -56,25 +57,19 @@ def _print_summary(summary) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-            from .config import validate_config
-
-            summary = run(validate_config(text), out_dir=args.out_dir)
-            _print_summary(summary)
-            return 0
         if args.command == "check":
             results = run_invariant_checks(verbose=True)
             return 0 if all(results.values()) else EXIT_INVARIANT
         if args.command == "demo":
-            summary = run(demo_config(args.name), out_dir=args.out_dir)
-            _print_summary(summary)
-            return 0
+            cfg = demo_config(args.name)
+        else:
+            try:
+                cfg = load_config(args.config)
+            except (OSError, UnicodeDecodeError) as exc:
+                print(f"config error: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
+        _print_summary(run(cfg, out_dir=args.out_dir))
+        return 0
     except ConfigError as exc:
         for path, message in exc.errors:
             where = path or "config"
@@ -86,7 +81,6 @@ def main(argv=None) -> int:
     except (InvariantViolation, StateValidationError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,16 @@
-"""Strict JSON experiment configuration.
+"""Strict JSON experiment configuration: the one place a config is judged.
 
 The schema is closed: unknown fields are errors, and every problem is
 reported with its field path (``potential.mu``), so a typo in a physics
 parameter fails loudly instead of silently running the wrong experiment.
 Validation collects all errors before raising, so a bad config is fixed
-in one round trip.
+in one round trip.  Once the fields parse, the cross-field rules run:
+``initial_state.shell``, ``shells`` and ``mu`` must fit the lattice's
+shells (the basis is built only when one of them is given, so a lattice
+over the point cap raises DimensionCapError), a classical start row and
+kick must stay on the p grid, and the output names must be two distinct
+plain file names.  ``harness.run`` trusts the ExperimentConfig returned
+here and checks none of this again.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import koopman, states
+from .basis import MomentumBasis, build_basis, build_basis_1d
 from .errors import ConfigError, StateValidationError
 
 QUANTUM_STATE_KINDS = ("pure-random", "effectively-pure-mixed", "shell-mixed")
@@ -39,12 +46,14 @@ class LineLattice:
     delta_k: float
 
 
-@dataclass(frozen=True)
-class ClassicalGrid:
-    nq: int
-    n_p: int
-    dq: float
-    dp: float
+ClassicalGrid = koopman.PhaseSpaceGrid
+
+
+def quantum_basis(lattice: CubicLattice | LineLattice) -> MomentumBasis:
+    """The momentum basis of a quantum lattice; DimensionCapError over the cap."""
+    if isinstance(lattice, CubicLattice):
+        return build_basis(lattice.extent, lattice.delta_k)
+    return build_basis_1d(lattice.n_points, lattice.delta_k)
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,25 @@ class ExperimentConfig:
     echo: dict = field(repr=False)
 
 
+def _is_number(v) -> bool:
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# Field type -> (accepts the raw JSON value, what it expected).
+_TYPES = {
+    float: (_is_number, "expected a finite number"),
+    int: (_is_int, "expected an integer"),
+    str: (lambda v: isinstance(v, str) and v != "", "expected a non-empty string"),
+}
+
+
 class _Collector:
     def __init__(self):
         self.errors: list[tuple[str, str]] = []
@@ -108,107 +136,66 @@ class _Collector:
         if self.errors:
             raise ConfigError(self.errors)
 
+    def object(self, raw: dict, key: str) -> dict | None:
+        if key not in raw:
+            self.error(key, "required field is missing")
+            return None
+        v = raw[key]
+        if not isinstance(v, dict):
+            self.error(key, f"expected an object, got {type(v).__name__}")
+            return None
+        return dict(v)
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _object(raw: dict, key: str, chk: _Collector) -> dict | None:
-    if key not in raw:
-        chk.error(key, "required field is missing")
-        return None
-    v = raw[key]
-    if not isinstance(v, dict):
-        chk.error(key, f"expected an object, got {type(v).__name__}")
-        return None
-    return dict(v)
-
-
-def _number(obj: dict, key: str, path: str, chk: _Collector, *, required=True, minimum=None, exclusive_minimum=None):
-    if key not in obj:
-        if required:
-            chk.error(path, "required field is missing")
-        return None
-    v = obj.pop(key)
-    if not _is_number(v):
-        chk.error(path, "expected a finite number")
-        return None
-    if minimum is not None and v < minimum:
-        chk.error(path, f"must be >= {minimum}, got {v}")
-        return None
-    if exclusive_minimum is not None and v <= exclusive_minimum:
-        chk.error(path, f"must be > {exclusive_minimum}, got {v}")
-        return None
-    return float(v)
-
-
-def _integer(obj: dict, key: str, path: str, chk: _Collector, *, required=True, minimum=None):
-    if key not in obj:
-        if required:
-            chk.error(path, "required field is missing")
-        return None
-    v = obj.pop(key)
-    if not _is_int(v):
-        chk.error(path, "expected an integer")
-        return None
-    if minimum is not None and v < minimum:
-        chk.error(path, f"must be >= {minimum}, got {v}")
-        return None
-    return int(v)
-
-
-def _string(obj: dict, key: str, path: str, chk: _Collector, *, required=True, choices=None, default=None):
-    if key not in obj:
-        if required:
-            chk.error(path, "required field is missing")
+    def field(self, obj: dict, section: str, key: str, kind: type, *, required=True,
+              default=None, minimum=None, exclusive_minimum=None, choices=None):
+        """Pop ``obj[key]`` as ``kind``, or record why it cannot be read and return ``default``."""
+        path = f"{section}.{key}" if section else key
+        if key not in obj:
+            if required:
+                self.error(path, "required field is missing")
+            return default
+        v = obj.pop(key)
+        accepts, expected = _TYPES[kind]
+        if not accepts(v):
+            self.error(path, expected)
+        elif minimum is not None and v < minimum:
+            self.error(path, f"must be >= {minimum}, got {v}")
+        elif exclusive_minimum is not None and v <= exclusive_minimum:
+            self.error(path, f"must be > {exclusive_minimum}, got {v}")
+        elif choices is not None and v not in choices:
+            self.error(path, f"must be one of {list(choices)}, got {v!r}")
+        else:
+            return kind(v)
         return default
-    v = obj.pop(key)
-    if not isinstance(v, str) or not v:
-        chk.error(path, "expected a non-empty string")
-        return default
-    if choices is not None and v not in choices:
-        chk.error(path, f"must be one of {list(choices)}, got {v!r}")
-        return default
-    return v
+
+    def reject_unknown(self, obj: dict, path: str):
+        for key in sorted(obj):
+            self.error(f"{path}.{key}" if path else key, "unknown field")
 
 
-def _reject_unknown(obj: dict, path: str, chk: _Collector):
-    for key in sorted(obj):
-        chk.error(f"{path}.{key}" if path else key, "unknown field")
+# Lattice key -> (class, smallest value).
+_QUANTUM_LATTICES = {"M": (CubicLattice, 0), "N": (LineLattice, 1)}
 
 
 def _parse_lattice(raw: dict, mode: str | None, chk: _Collector):
-    obj = _object(raw, "lattice", chk)
+    obj = chk.object(raw, "lattice")
     if obj is None:
         return None
-    if "M" in obj:
-        extent = _integer(obj, "M", "lattice.M", chk, minimum=0)
-        delta_k = _number(obj, "delta_k", "lattice.delta_k", chk, exclusive_minimum=0.0)
-        _reject_unknown(obj, "lattice", chk)
+    key = next((k for k in _QUANTUM_LATTICES if k in obj), None)
+    if key is not None:
+        cls, minimum = _QUANTUM_LATTICES[key]
+        size = chk.field(obj, "lattice", key, int, minimum=minimum)
+        delta_k = chk.field(obj, "lattice", "delta_k", float, exclusive_minimum=0.0)
+        chk.reject_unknown(obj, "lattice")
         if mode == "classical":
             chk.error("lattice", "classical mode needs a grid {nq, np, dq, dp}")
-        if extent is None or delta_k is None:
-            return None
-        return CubicLattice(extent=extent, delta_k=delta_k)
-    if "N" in obj:
-        n_points = _integer(obj, "N", "lattice.N", chk, minimum=1)
-        delta_k = _number(obj, "delta_k", "lattice.delta_k", chk, exclusive_minimum=0.0)
-        _reject_unknown(obj, "lattice", chk)
-        if mode == "classical":
-            chk.error("lattice", "classical mode needs a grid {nq, np, dq, dp}")
-        if n_points is None or delta_k is None:
-            return None
-        return LineLattice(n_points=n_points, delta_k=delta_k)
+        return None if size is None or delta_k is None else cls(size, delta_k)
     if any(k in obj for k in ("nq", "np", "dq", "dp")):
-        nq = _integer(obj, "nq", "lattice.nq", chk, minimum=1)
-        n_p = _integer(obj, "np", "lattice.np", chk, minimum=2)
-        dq = _number(obj, "dq", "lattice.dq", chk, exclusive_minimum=0.0)
-        dp = _number(obj, "dp", "lattice.dp", chk, exclusive_minimum=0.0)
-        _reject_unknown(obj, "lattice", chk)
+        nq = chk.field(obj, "lattice", "nq", int, minimum=1)
+        n_p = chk.field(obj, "lattice", "np", int, minimum=2)
+        dq = chk.field(obj, "lattice", "dq", float, exclusive_minimum=0.0)
+        dp = chk.field(obj, "lattice", "dp", float, exclusive_minimum=0.0)
+        chk.reject_unknown(obj, "lattice")
         if n_p is not None and n_p % 2 != 0:
             chk.error("lattice.np", "must be even (the p grid straddles zero)")
             return None
@@ -222,22 +209,22 @@ def _parse_lattice(raw: dict, mode: str | None, chk: _Collector):
 
 
 def _parse_potential(raw: dict, mode: str | None, t_max: float | None, chk: _Collector):
-    obj = _object(raw, "potential", chk)
+    obj = chk.object(raw, "potential")
     if obj is None:
         return None
     if mode == "classical" or (mode is None and "kick_strength" in obj):
-        strength = _number(obj, "kick_strength", "potential.kick_strength", chk)
-        shape = _string(obj, "kick_shape", "potential.kick_shape", chk, choices=KICK_SHAPES)
-        time = _number(obj, "kick_time", "potential.kick_time", chk, required=False, minimum=0.0)
-        _reject_unknown(obj, "potential", chk)
+        strength = chk.field(obj, "potential", "kick_strength", float)
+        shape = chk.field(obj, "potential", "kick_shape", str, choices=KICK_SHAPES)
+        time = chk.field(obj, "potential", "kick_time", float, required=False, minimum=0.0)
+        chk.reject_unknown(obj, "potential")
         if strength is None or shape is None:
             return None
         if time is None:
             time = (t_max or 0.0) / 2.0
         return KickConfig(strength=strength, shape=shape, time=time)
-    coupling = _number(obj, "A", "potential.A", chk, minimum=0.0)
-    screening = _number(obj, "mu", "potential.mu", chk, exclusive_minimum=0.0)
-    _reject_unknown(obj, "potential", chk)
+    coupling = chk.field(obj, "potential", "A", float, minimum=0.0)
+    screening = chk.field(obj, "potential", "mu", float, exclusive_minimum=0.0)
+    chk.reject_unknown(obj, "potential")
     if coupling is None or screening is None:
         return None
     return YukawaConfig(coupling=coupling, screening=screening)
@@ -263,13 +250,13 @@ def _parse_mu_matrix(value, path: str, chk: _Collector):
 
 
 def _parse_initial_state(raw: dict, mode: str | None, chk: _Collector):
-    obj = _object(raw, "initial_state", chk)
+    obj = chk.object(raw, "initial_state")
     if obj is None:
         return None
     all_kinds = QUANTUM_STATE_KINDS + CLASSICAL_STATE_KINDS
-    kind = _string(obj, "kind", "initial_state.kind", chk, choices=all_kinds)
+    kind = chk.field(obj, "initial_state", "kind", str, choices=all_kinds)
     if kind is None:
-        _reject_unknown(obj, "initial_state", chk)
+        chk.reject_unknown(obj, "initial_state")
         return None
     if mode == "quantum" and kind not in QUANTUM_STATE_KINDS:
         chk.error("initial_state.kind", f"{kind!r} is not a quantum state kind")
@@ -277,10 +264,9 @@ def _parse_initial_state(raw: dict, mode: str | None, chk: _Collector):
         chk.error("initial_state.kind", f"{kind!r} is not a classical state kind")
 
     seed = shell = shells = mu = p0 = None
-    if kind == "pure-random":
-        seed = _integer(obj, "seed", "initial_state.seed", chk, minimum=0)
-    elif kind == "effectively-pure-mixed":
-        seed = _integer(obj, "seed", "initial_state.seed", chk, minimum=0)
+    if kind in ("pure-random", "effectively-pure-mixed"):
+        seed = chk.field(obj, "initial_state", "seed", int, minimum=0)
+    if kind == "effectively-pure-mixed":
         if "shells" in obj:
             v = obj.pop("shells")
             if (not isinstance(v, list) or len(v) < 1
@@ -295,44 +281,66 @@ def _parse_initial_state(raw: dict, mode: str | None, chk: _Collector):
             if mu is not None and shells is not None and len(mu) != len(shells):
                 chk.error("initial_state.mu", f"size {len(mu)} does not match {len(shells)} shells")
     elif kind == "shell-mixed":
-        shell = _integer(obj, "shell", "initial_state.shell", chk, minimum=0)
+        shell = chk.field(obj, "initial_state", "shell", int, minimum=0)
     elif kind == "single-p-row":
-        p0 = _number(obj, "p0", "initial_state.p0", chk)
-    _reject_unknown(obj, "initial_state", chk)
+        p0 = chk.field(obj, "initial_state", "p0", float)
+    chk.reject_unknown(obj, "initial_state")
     return InitialStateConfig(kind=kind, seed=seed, shell=shell, shells=shells, mu=mu, p0=p0)
 
 
 def _parse_time_grid(raw: dict, chk: _Collector):
-    obj = _object(raw, "time_grid", chk)
+    obj = chk.object(raw, "time_grid")
     if obj is None:
         return None
-    t_max = _number(obj, "t_max", "time_grid.t_max", chk, exclusive_minimum=0.0)
-    steps = _integer(obj, "steps", "time_grid.steps", chk, minimum=1)
-    _reject_unknown(obj, "time_grid", chk)
+    t_max = chk.field(obj, "time_grid", "t_max", float, exclusive_minimum=0.0)
+    steps = chk.field(obj, "time_grid", "steps", int, minimum=1)
+    chk.reject_unknown(obj, "time_grid")
     if t_max is None or steps is None:
         return None
     return TimeGridConfig(t_max=t_max, steps=steps)
 
 
 def _parse_outputs(raw: dict, chk: _Collector):
-    if "outputs" not in raw:
-        return OutputsConfig()
-    obj = _object(raw, "outputs", chk)
+    """Two distinct plain file names, written inside the run's output directory."""
+    obj = chk.object(raw, "outputs") if "outputs" in raw else {}
     if obj is None:
         return OutputsConfig()
-    csv = _string(obj, "csv", "outputs.csv", chk, required=False, default="trace.csv")
-    summary = _string(obj, "summary", "outputs.summary", chk, required=False, default="summary.json")
-    _reject_unknown(obj, "outputs", chk)
-    return OutputsConfig(csv=csv, summary=summary)
+    names = {}
+    for key, default in (("csv", "trace.csv"), ("summary", "summary.json")):
+        name = chk.field(obj, "outputs", key, str, required=False, default=default)
+        if name in (".", "..") or any(c in name for c in "/\\\0"):
+            chk.error(f"outputs.{key}", f"must be a plain file name, got {name!r}")
+        names[key] = name
+    chk.reject_unknown(obj, "outputs")
+    if names["csv"] == names["summary"]:
+        chk.error("outputs.summary", f"must differ from outputs.csv, both are {names['csv']!r}")
+    return OutputsConfig(**names)
 
 
-def _check_classical_fit(lattice, potential, initial_state, t_max: float, chk: _Collector):
+def _check_basis_fit(lattice, st: InitialStateConfig, chk: _Collector):
+    """Refuse a shell, shells or a mu that the lattice's shells cannot hold.
+
+    The basis is built only when one of them is given.
+    """
+    if st.shell is None and st.shells is None and st.mu is None:
+        return
+    n_shells = quantum_basis(lattice).n_shells
+    if st.shell is not None and st.shell >= n_shells:
+        chk.error("initial_state.shell", f"basis has only {n_shells} shells")
+    if st.shells is not None and max(st.shells) >= n_shells:
+        chk.error("initial_state.shells", f"basis has only {n_shells} shells")
+    if st.mu is not None and st.shells is None and len(st.mu) != n_shells:
+        chk.error("initial_state.mu",
+                  f"size {len(st.mu)} does not match the basis's {n_shells} shells")
+
+
+def _check_classical_fit(grid: ClassicalGrid, potential, initial_state, t_max: float,
+                         chk: _Collector):
     """Refuse classical runs whose mass would start or be kicked off the p grid.
 
     The free flow keeps every p row; the kick, applied when
     ``kick_time < t_max``, moves the start row by up to strength * max|V'|.
     """
-    grid = koopman.PhaseSpaceGrid(nq=lattice.nq, n_p=lattice.n_p, dq=lattice.dq, dp=lattice.dp)
     edge = grid.n_p * grid.dp / 2
     p0 = initial_state.p0
     if abs(p0) > edge:
@@ -353,7 +361,8 @@ def _check_classical_fit(lattice, potential, initial_state, t_max: float, chk: _
 def validate_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON config, collecting every field error.
 
-    Raises ConfigError whose ``errors`` lists (field path, message) pairs.
+    Raises ConfigError whose ``errors`` lists (field path, message) pairs,
+    or DimensionCapError when a shell check needs a basis over the cap.
     """
     if not text.strip():
         raw = {}
@@ -371,12 +380,7 @@ def validate_config(text: str) -> ExperimentConfig:
         chk.error(key, "unknown field")
 
     work = {k: v for k, v in raw.items() if k in known}
-    if "mode" not in work:
-        chk.error("mode", "required field is missing")
-        mode = None
-    else:
-        mode = _string(work, "mode", "mode", chk, choices=("quantum", "classical"))
-
+    mode = chk.field(work, "", "mode", str, choices=("quantum", "classical"))
     time_grid = _parse_time_grid(work, chk)
     lattice = _parse_lattice(work, mode, chk)
     potential = _parse_potential(work, mode, time_grid.t_max if time_grid else None, chk)
@@ -385,7 +389,9 @@ def validate_config(text: str) -> ExperimentConfig:
     chk.raise_if_any()
     if mode == "classical":
         _check_classical_fit(lattice, potential, initial_state, time_grid.t_max, chk)
-        chk.raise_if_any()
+    else:
+        _check_basis_fit(lattice, initial_state, chk)
+    chk.raise_if_any()
 
     return ExperimentConfig(
         mode=mode,

@@ -19,14 +19,7 @@ import numpy as np
 
 from . import dynamics, koopman, reduction, states
 from .basis import MomentumBasis, build_basis, build_basis_1d
-from .config import (
-    ClassicalGrid,
-    CubicLattice,
-    ExperimentConfig,
-    KickConfig,
-    LineLattice,
-    YukawaConfig,
-)
+from .config import ExperimentConfig, LineLattice, quantum_basis, validate_config
 from .errors import ConfigError, InvariantViolation
 from .states import DensityMatrix
 
@@ -85,12 +78,7 @@ class RunSummary:
 
 
 def build_quantum_basis(cfg: ExperimentConfig) -> MomentumBasis:
-    lat = cfg.lattice
-    if isinstance(lat, CubicLattice):
-        return build_basis(lat.extent, lat.delta_k)
-    if isinstance(lat, LineLattice):
-        return build_basis_1d(lat.n_points, lat.delta_k)
-    raise ConfigError([("lattice", "not a quantum lattice")])
+    return quantum_basis(cfg.lattice)
 
 
 def build_initial_state(cfg: ExperimentConfig, basis: MomentumBasis) -> DensityMatrix:
@@ -100,23 +88,12 @@ def build_initial_state(cfg: ExperimentConfig, basis: MomentumBasis) -> DensityM
         return states.pure_to_density(states.random_pure_state(basis.size, rng))
     if st.kind == "effectively-pure-mixed":
         rng = np.random.default_rng(st.seed)
-        shells = st.shells
-        if shells is not None and any(s >= basis.n_shells for s in shells):
-            raise ConfigError(
-                [("initial_state.shells", f"basis has only {basis.n_shells} shells")]
-            )
         mu = None if st.mu is None else np.array(st.mu, dtype=float)
-        return states.random_effectively_pure_state(basis, rng, shell_ids=shells, mu=mu)
-    if st.kind == "shell-mixed":
-        if st.shell >= basis.n_shells:
-            raise ConfigError(
-                [("initial_state.shell", f"basis has only {basis.n_shells} shells")]
-            )
-        members = basis.shells.members[st.shell]
-        m = np.zeros((basis.size, basis.size), dtype=complex)
-        m[members, members] = 1.0 / len(members)
-        return DensityMatrix(m)
-    raise ConfigError([("initial_state.kind", f"{st.kind!r} is not a quantum state kind")])
+        return states.random_effectively_pure_state(basis, rng, shell_ids=st.shells, mu=mu)
+    members = basis.shells.members[st.shell]  # shell-mixed
+    m = np.zeros((basis.size, basis.size), dtype=complex)
+    m[members, members] = 1.0 / len(members)
+    return DensityMatrix(m)
 
 
 def _write_quantum_csv(path: Path, rows, basis: MomentumBasis):
@@ -146,7 +123,7 @@ def _write_classical_csv(path: Path, rows):
 def _run_quantum(cfg: ExperimentConfig, out_dir: Path) -> RunSummary:
     t_start = time.perf_counter()
     basis = build_quantum_basis(cfg)
-    pot: YukawaConfig = cfg.potential
+    pot = cfg.potential
     h = dynamics.build_hamiltonian(basis, pot.coupling, pot.screening)
     rho0 = build_initial_state(cfg, basis)
     times = cfg.time_grid.times()
@@ -190,12 +167,8 @@ def _run_quantum(cfg: ExperimentConfig, out_dir: Path) -> RunSummary:
 
 def _run_classical(cfg: ExperimentConfig, out_dir: Path) -> RunSummary:
     t_start = time.perf_counter()
-    lat: ClassicalGrid = cfg.lattice
-    grid = koopman.PhaseSpaceGrid(nq=lat.nq, n_p=lat.n_p, dq=lat.dq, dp=lat.dp)
-    if cfg.initial_state.kind != "single-p-row":
-        raise ConfigError([("initial_state.kind", "classical mode needs single-p-row")])
-    rho0 = koopman.single_p_row_density(grid, cfg.initial_state.p0)
-    kick: KickConfig = cfg.potential
+    rho0 = koopman.single_p_row_density(cfg.lattice, cfg.initial_state.p0)
+    kick = cfg.potential
     grad_v = koopman.kick_gradient(kick.shape)
 
     # Each output time is reached by one exact flow from an anchor state
@@ -235,8 +208,10 @@ def _run_classical(cfg: ExperimentConfig, out_dir: Path) -> RunSummary:
 def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunSummary:
     """Run the experiment, write CSV + summary JSON, re-assert invariants.
 
-    Artifacts are written even when an invariant check fails; the failure
-    is then raised as InvariantViolation so callers can exit nonzero.
+    ``cfg`` must come from ``validate_config`` or ``demo_config``; it is
+    not checked again here.  Artifacts are written even when an invariant
+    check fails; the failure is then raised as InvariantViolation so
+    callers can exit nonzero.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -291,8 +266,6 @@ DEMO_CONFIGS = {
 
 def demo_config(name: str) -> ExperimentConfig:
     """Named built-in config, validated through the same strict schema."""
-    from .config import validate_config
-
     if name not in DEMO_CONFIGS:
         known = ", ".join(sorted(DEMO_CONFIGS))
         raise ConfigError([("demo", f"unknown demo {name!r} (known: {known})")])

@@ -12,6 +12,7 @@ from lelab.config import (
     validate_config,
 )
 from lelab.errors import ConfigError, StateValidationError
+from lelab.koopman import PhaseSpaceGrid
 from lelab.states import DensityMatrix, effectively_pure_state
 
 QUANTUM = {
@@ -126,6 +127,14 @@ def test_non_finite_numbers_rejected():
     text = json.dumps(QUANTUM).replace('"A": 0.2', '"A": NaN')
     errs = errors_of(text)
     assert "potential.A" in errs
+    # an integer beyond the float range is not a finite number either
+    text = json.dumps(QUANTUM).replace('"A": 0.2', '"A": 1' + "0" * 400)
+    assert errors_of(text) == {"potential.A": "expected a finite number"}
+
+
+def test_classical_grid_is_the_phase_space_grid():
+    assert ClassicalGrid is PhaseSpaceGrid
+    assert validate_config(json.dumps(CLASSICAL)).lattice == PhaseSpaceGrid(32, 32, 0.196, 0.1)
 
 
 def test_multiple_errors_reported_at_once():

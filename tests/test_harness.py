@@ -95,11 +95,27 @@ def test_runs_are_byte_deterministic(tmp_path):
     assert sa == sb
 
 
-def test_shell_index_out_of_range_is_config_error(tmp_path):
-    cfg = make_config(initial_state={"kind": "shell-mixed", "shell": 9})
+def test_shell_index_out_of_range_is_config_error(tmp_path, monkeypatch, capsys):
+    # validate_config checks shells against the lattice, so no run starts
     with pytest.raises(ConfigError) as info:
-        harness.run(cfg, out_dir=tmp_path)
+        make_config(initial_state={"kind": "shell-mixed", "shell": 9})
     assert dict(info.value.errors).keys() == {"initial_state.shell"}
+    with pytest.raises(ConfigError) as info:
+        make_config(initial_state={"kind": "effectively-pure-mixed", "seed": 1, "shells": [0, 4]})
+    assert dict(info.value.errors).keys() == {"initial_state.shells"}
+
+    def no_hamiltonian(*args, **kwargs):
+        raise AssertionError("the Hamiltonian was built for a refused config")
+
+    # M = 7 (3375 points) is inside the cap; the refusal comes before H is built.
+    monkeypatch.setattr(dynamics, "build_hamiltonian", no_hamiltonian)
+    cfg_path = tmp_path / "m7.json"
+    cfg_path.write_text(json.dumps(dict(QUANTUM, lattice={"M": 7, "delta_k": 1.0},
+                                        initial_state={"kind": "shell-mixed", "shell": 999})))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert "initial_state.shell: basis has only 88 shells" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_quantum_run_diagonalizes_once(tmp_path, monkeypatch):
@@ -185,6 +201,33 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     }))
     assert cli.main(["run", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
     assert "potential.kick_strength" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,change", [
+    # each of these used to fail only after the run had started, or to
+    # write somewhere other than the output directory
+    ("initial_state.mu", {"initial_state": {"kind": "effectively-pure-mixed", "seed": 7,
+                                            "mu": [[0.5, 0.0], [0.0, 0.5]]}}),
+    ("outputs.csv", {"outputs": {"csv": "sub/trace.csv"}}),
+    ("outputs.csv", {"outputs": {"csv": ".."}}),
+    ("outputs.summary", {"outputs": {"summary": "../summary.json"}}),
+    ("outputs.summary", {"outputs": {"csv": "summary.json"}}),
+])
+def test_cli_refuses_what_used_to_fail_mid_run(tmp_path, capsys, field, change):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(dict(QUANTUM, **change)))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
+
+def test_cli_unreadable_config_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_dimension_cap_exit_code(tmp_path, capsys):
