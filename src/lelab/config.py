@@ -4,7 +4,9 @@ The schema is closed: unknown fields are errors, and every problem is
 reported with its field path (``potential.mu``), so a typo in a physics
 parameter fails loudly instead of silently running the wrong experiment.
 Validation collects all errors before raising, so a bad config is fixed
-in one round trip.  Once the fields parse, the cross-field rules run:
+in one round trip.  Once the fields parse, the size caps are checked (a
+classical grid over ``MAX_GRID_CELLS`` cells or more than ``MAX_STEPS``
+time steps raises DimensionCapError), then the cross-field rules run:
 ``initial_state.shell``, ``shells`` and ``mu`` must fit the lattice's
 shells (the basis is built only when one of them is given, so a lattice
 over the point cap raises DimensionCapError), a classical start row and
@@ -23,7 +25,14 @@ import numpy as np
 
 from . import koopman, states
 from .basis import MomentumBasis, build_basis, build_basis_1d
-from .errors import ConfigError, StateValidationError
+from .errors import ConfigError, DimensionCapError, StateValidationError
+
+# A classical run holds about six float64 grids at once (48 B per cell,
+# measured at 1024^2), so this cap of 2048^2 cells bounds it near 0.2 GB.
+MAX_GRID_CELLS = 1 << 22
+# Each step is one row in memory and in the CSV: under 1 KB even with the
+# 88 shells of the largest cubic lattice, so about 0.1 GB at this cap.
+MAX_STEPS = 100_000
 
 QUANTUM_STATE_KINDS = ("pure-random", "effectively-pure-mixed", "shell-mixed")
 CLASSICAL_STATE_KINDS = ("single-p-row",)
@@ -317,6 +326,15 @@ def _parse_outputs(raw: dict, chk: _Collector):
     return OutputsConfig(**names)
 
 
+def _check_caps(lattice, time_grid: TimeGridConfig):
+    """Refuse, with DimensionCapError, a classical grid or a time grid over its cap."""
+    if isinstance(lattice, ClassicalGrid) and lattice.nq * lattice.n_p > MAX_GRID_CELLS:
+        raise DimensionCapError(f"classical grid nq * np = {lattice.nq * lattice.n_p} "
+                                f"exceeds cap of {MAX_GRID_CELLS} cells")
+    if time_grid.steps > MAX_STEPS:
+        raise DimensionCapError(f"time_grid.steps = {time_grid.steps} exceeds cap of {MAX_STEPS}")
+
+
 def _check_basis_fit(lattice, st: InitialStateConfig, chk: _Collector):
     """Refuse a shell, shells or a mu that the lattice's shells cannot hold.
 
@@ -362,7 +380,9 @@ def validate_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON config, collecting every field error.
 
     Raises ConfigError whose ``errors`` lists (field path, message) pairs,
-    or DimensionCapError when a shell check needs a basis over the cap.
+    or DimensionCapError when a classical grid or the time grid is over its
+    cap (checked once every field parses) or a shell check needs a basis
+    over the point cap.
     """
     if not text.strip():
         raw = {}
@@ -387,6 +407,7 @@ def validate_config(text: str) -> ExperimentConfig:
     initial_state = _parse_initial_state(work, mode, chk)
     outputs = _parse_outputs(work, chk)
     chk.raise_if_any()
+    _check_caps(lattice, time_grid)
     if mode == "classical":
         _check_classical_fit(lattice, potential, initial_state, time_grid.t_max, chk)
     else:

@@ -35,6 +35,9 @@ OFFBLOCK_CHUNK_ELEMENTS = 1 << 16
 class Hamiltonian:
     """H = diag(h0) + v with v Hermitian.
 
+    ``v`` keeps its dtype (integers become float): a real symmetric v,
+    such as the Yukawa matrix, gives a real H whose ``eigh`` runs in real
+    arithmetic, and a complex v runs the same code in complex.
     ``coupling`` and ``screening`` record the Yukawa parameters used to
     build ``v``; they are informational for hand-assembled operators.
     All box-normalization constants are absorbed into the coupling.
@@ -47,7 +50,8 @@ class Hamiltonian:
 
     def __post_init__(self):
         h0 = np.asarray(self.h0_diag, dtype=float)
-        v = np.asarray(self.v, dtype=complex)
+        v = np.asarray(self.v)
+        v = np.asarray(v, dtype=np.result_type(v, np.float64))
         if h0.ndim != 1:
             raise ValueError("h0_diag must be a vector")
         if v.shape != (len(h0), len(h0)):
@@ -66,7 +70,7 @@ class Hamiltonian:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.diag(self.h0_diag.astype(complex)) + self.v
+        return np.diag(self.h0_diag) + self.v
 
     @cached_property
     def propagator(self) -> "Propagator":
@@ -90,7 +94,7 @@ def yukawa_fourier(k, coupling: float, screening: float) -> float:
 def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -> Hamiltonian:
     """Free energies plus the full Yukawa matrix v[i,j] = Vt(k_i - k_j).
 
-    Vt is real and even, so v is real symmetric.
+    Vt is real and even, so v is real symmetric and so is H.
     """
     # |n_i - n_j|^2 in exact integers, without an (n, n, 3) difference array
     p = basis.points

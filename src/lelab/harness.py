@@ -82,6 +82,12 @@ def build_quantum_basis(cfg: ExperimentConfig) -> MomentumBasis:
 
 
 def build_initial_state(cfg: ExperimentConfig, basis: MomentumBasis) -> DensityMatrix:
+    """The configured initial state, built from its n x r factor.
+
+    The rank r is 1 for ``pure-random``, the shell's degeneracy for
+    ``shell-mixed`` and at most the number of listed shells for
+    ``effectively-pure-mixed``.
+    """
     st = cfg.initial_state
     if st.kind == "pure-random":
         rng = np.random.default_rng(st.seed)
@@ -90,10 +96,10 @@ def build_initial_state(cfg: ExperimentConfig, basis: MomentumBasis) -> DensityM
         rng = np.random.default_rng(st.seed)
         mu = None if st.mu is None else np.array(st.mu, dtype=float)
         return states.random_effectively_pure_state(basis, rng, shell_ids=st.shells, mu=mu)
-    members = basis.shells.members[st.shell]  # shell-mixed
-    m = np.zeros((basis.size, basis.size), dtype=complex)
-    m[members, members] = 1.0 / len(members)
-    return DensityMatrix(m)
+    members = basis.shells.members[st.shell]  # shell-mixed: I / deg on the shell
+    b = np.zeros((basis.size, len(members)), dtype=complex)
+    b[members, np.arange(len(members))] = 1.0 / np.sqrt(len(members))
+    return DensityMatrix(factor=b)
 
 
 def _write_quantum_csv(path: Path, rows, basis: MomentumBasis):
@@ -129,9 +135,10 @@ def _run_quantum(cfg: ExperimentConfig, out_dir: Path) -> RunSummary:
     times = cfg.time_grid.times()
     rows = reduction.entropy_trace(rho0, h, times, basis)
 
-    # The trace works in the eigenbasis of H; rebuilding rho(t_max) in the
-    # momentum basis makes these checks measure the full evolution.  It is
-    # not symmetrized or validated, so a bad end state is recorded, not raised.
+    # The trace rows hold rho(t) as a factor, Hermitian and PSD by
+    # construction; rebuilding rho(t_max) densely in the momentum basis makes
+    # these checks measure the full evolution.  It is not symmetrized or
+    # validated, so a bad end state is recorded, not raised.
     u = h.propagator.unitary(float(times[-1]))
     m_end = u @ rho0.matrix @ u.conj().T
     s_eff = np.array([r.effective_entropy for r in rows])

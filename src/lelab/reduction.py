@@ -23,12 +23,13 @@ import numpy as np
 
 from .basis import MomentumBasis, bohr_labels
 from .dynamics import Hamiltonian
+from .errors import StateValidationError
 from .states import (
+    TRACE_TOL,
     DensityMatrix,
     as_matrix,
     entropy_from_eigenvalues,
-    global_purity,
-    validated_spectrum,
+    state_factor,
 )
 
 # Shells with weight at or below this are treated as empty: the normalized
@@ -158,13 +159,14 @@ def assemble_block_diagonal(dec: ShellDecomposition, basis: MomentumBasis) -> np
     return out
 
 
-def _shell_spectrum(block: np.ndarray, weight: float) -> np.ndarray | None:
-    """Eigenvalues of the normalized shell block ``block / weight``; None for an
-    empty shell (weight <= TAU_LAMBDA) and for a one-member shell, whose
-    entropy is zero and whose rank is at most one."""
-    if weight <= TAU_LAMBDA or block.shape[0] == 1:
+def _shell_spectrum(gram: np.ndarray, weight: float) -> np.ndarray | None:
+    """Eigenvalues of ``gram / weight``, where ``gram`` is a shell block or a
+    Gram matrix with the same nonzero eigenvalues and ``weight`` is the
+    block's trace; None for an empty shell (weight <= TAU_LAMBDA) and for
+    a 1 x 1 ``gram``, whose block has zero entropy and rank at most one."""
+    if weight <= TAU_LAMBDA or gram.shape[0] == 1:
         return None
-    return np.linalg.eigvalsh(block / weight)
+    return np.linalg.eigvalsh(gram / weight)
 
 
 def shell_entropies(dec: ShellDecomposition) -> np.ndarray:
@@ -247,6 +249,15 @@ class TraceRow:
     shell_entropies: np.ndarray
 
 
+def _product(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """q @ x for a C-contiguous complex128 ``x``.  A real ``q`` multiplies the
+    interleaved real and imaginary parts of ``x`` in one real product, at
+    half the flops of a complex one and with no complex copy of ``q``."""
+    if np.isrealobj(q):
+        return (q @ x.view(np.float64)).view(np.complex128)
+    return q @ x
+
+
 def entropy_trace(
     rho0: DensityMatrix,
     h: Hamiltonian,
@@ -255,40 +266,46 @@ def entropy_trace(
 ) -> list[TraceRow]:
     """Evolve exactly to each grid time, reduce, and report.
 
-    Works in the eigenbasis of H = Q diag(w) Q^dagger, taken once from
-    ``h.propagator``: X0 = Q^dagger rho0 Q is formed once, and
-    X(t) = e^{-iwt} X0 e^{+iwt} is an elementwise phase.  Every row
-    validates X(t) as a density matrix; that spectrum also gives
-    S_global, and ||X(t)||_F^2 gives tr rho^2 (both are invariant under
-    the rotation back to the momentum basis).  Shell blocks of rho(t) come
-    from one product Y = Q[members] X(t) as Y[rows_s] Q[members_s]^dagger,
-    and one ``eigvalsh`` per occupied block gives both S_E and the
-    rank-one test.  One-member shells have zero entropy and rank at most
-    one, so they need no block.  Rows follow the grid.
+    Works on an n x r factor B of rho0 = B B^dagger (``states.state_factor``)
+    and the eigenbasis of H = Q diag(w) Q^dagger, taken once from
+    ``h.propagator``: G = Q^dagger B is formed once, and each row builds
+    the factor C(t) = Q (e^{-iwt} (.) G) of rho(t) = C C^dagger, at
+    O(n^2 r).  Per row, ||C||_F^2 must be one within TRACE_TOL
+    (StateValidationError otherwise); rho(t) is Hermitian and PSD by
+    construction.  The r x r matrix C^dagger C has the nonzero spectrum of
+    rho(t), which gives S_global, and tr rho^2 = ||C^dagger C||_F^2.  The
+    shell block rho(t)[s, s] = C_s C_s^dagger (C_s the rows of shell s)
+    has weight ||C_s||_F^2 and shares its nonzero eigenvalues with the
+    smaller of C_s C_s^dagger and C_s^dagger C_s; one ``eigvalsh`` of that
+    Gram matrix gives both S_E and the rank-one test.  A Gram matrix of
+    size one (a one-member shell, or r = 1) means zero entropy and rank at
+    most one, so it needs no ``eigvalsh``.  Rows follow the grid.
     """
     prop = h.propagator
     w, q = prop.eigenvalues, prop.eigenvectors
-    x0 = q.conj().T @ as_matrix(rho0) @ q
-    # (shell, its rows in Y, Q[members]^dagger) for every multi-member shell
-    shells, order = [], []
-    for s, mem in enumerate(basis.shells.members):
-        if len(mem) > 1:
-            shells.append((s, len(order), len(order) + len(mem), q[mem].conj().T))
-            order.extend(mem)
-    q_multi = q[np.array(order, dtype=int)]
+    g = q.conj().T @ state_factor(rho0)
+    r = g.shape[1]
+    # Rows of Q in shell order, so that each shell's rows of C are one slice.
+    order = np.concatenate(basis.shells.members)
+    q_shells = q[order]
+    bounds = np.cumsum([0] + [len(mem) for mem in basis.shells.members])
+    shells = [(s, lo, hi) for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+              if min(hi - lo, r) > 1]
 
     rows = []
     for t in time_grid:
         t = float(t)
-        phase = np.exp(-1j * w * t)
-        x = phase[:, None] * x0 * phase.conj()
-        spectrum = validated_spectrum(x)
-        y = q_multi @ x
+        c = _product(q_shells, np.exp(-1j * w * t)[:, None] * g)
+        gram = c.conj().T @ c
+        norm2 = float(np.trace(gram).real)
+        if abs(norm2 - 1.0) > TRACE_TOL:
+            raise StateValidationError(f"state at t = {t} has trace {norm2}, not 1")
         per_shell = np.zeros(basis.n_shells)
         pure = True
-        for s, lo, hi, q_shell_h in shells:
-            block = y[lo:hi] @ q_shell_h
-            eigs = _shell_spectrum(block, float(np.trace(block).real))
+        for s, lo, hi in shells:
+            cs = c[lo:hi]
+            block_gram = cs @ cs.conj().T if hi - lo <= r else cs.conj().T @ cs
+            eigs = _shell_spectrum(block_gram, float(np.vdot(cs, cs).real))
             if eigs is None:
                 continue
             per_shell[s] = entropy_from_eigenvalues(eigs)
@@ -296,8 +313,8 @@ def entropy_trace(
         rows.append(TraceRow(
             t=t,
             effective_entropy=float(per_shell.sum()),
-            global_entropy=entropy_from_eigenvalues(spectrum),
-            purity=global_purity(x),
+            global_entropy=entropy_from_eigenvalues(np.linalg.eigvalsh(gram)),
+            purity=float(np.vdot(gram, gram).real),
             effectively_pure=pure,
             shell_entropies=per_shell,
         ))

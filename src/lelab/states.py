@@ -29,14 +29,16 @@ def _readonly_complex(a) -> np.ndarray:
     return m
 
 
-def validated_spectrum(m: np.ndarray, what: str = "density matrix") -> np.ndarray:
+def validated_spectrum(m: np.ndarray, what: str = "density matrix", vectors: bool = False):
     """Eigenvalues (ascending) of ``m`` after checking it is a density matrix.
 
     This is the one statement of the density-matrix rule: raises
     StateValidationError, naming ``m`` as ``what``, unless ``m`` is
     square, Hermitian, unit trace and positive semidefinite within the
-    module tolerances.  The one ``eigvalsh`` serves both the PSD check
-    and any entropy the caller derives from the spectrum.
+    module tolerances.  The one decomposition serves both the PSD check
+    and whatever the caller derives from the spectrum: an ``eigvalsh``,
+    or with ``vectors`` an ``eigh`` whose (eigenvalues, eigenvectors)
+    pair is returned.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateValidationError(f"{what} must be square, got shape {m.shape}")
@@ -46,23 +48,52 @@ def validated_spectrum(m: np.ndarray, what: str = "density matrix") -> np.ndarra
     tr = np.trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateValidationError(f"{what} has trace {tr}, not 1")
-    eigs = np.linalg.eigvalsh(m)
+    eigs, vecs = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     if eigs[0] < -PSD_TOL:
         raise StateValidationError(
             f"{what} is not positive semidefinite: min eigenvalue {eigs[0]:.3e}"
         )
-    return eigs
+    return (eigs, vecs) if vectors else eigs
+
+
+def _psd_factor(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """n x r factor B of the matrix with this eigendecomposition: one column
+    per positive eigenvalue, scaled to unit trace ||B||_F^2 = 1, since the
+    dropped eigenvalues in [-PSD_TOL, 0] may have moved it."""
+    keep = eigs > 0
+    b = vecs[:, keep] * np.sqrt(eigs[keep])
+    return b / np.linalg.norm(b)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Complex Hermitian, unit-trace, positive-semidefinite matrix."""
+    """Complex Hermitian, unit-trace, positive-semidefinite matrix.
 
-    matrix: np.ndarray
+    Give either ``matrix``, which is checked by ``validated_spectrum``, or
+    ``factor``: an n x r matrix B that builds ``matrix = B B^dagger``.  A
+    factored state is Hermitian and PSD by construction, so only its
+    trace ||B||_F^2 is checked; ``entropy_trace`` works on the factor.
+    """
+
+    matrix: np.ndarray | None = None
+    factor: np.ndarray | None = None
 
     def __post_init__(self):
-        m = _readonly_complex(self.matrix)
-        validated_spectrum(m)
+        if (self.matrix is None) == (self.factor is None):
+            raise StateValidationError("give a density matrix or its factor, not both or neither")
+        if self.factor is None:
+            m = _readonly_complex(self.matrix)
+            validated_spectrum(m)
+        else:
+            b = _readonly_complex(self.factor)
+            if b.ndim != 2:
+                raise StateValidationError(f"factor must be an n x r matrix, got shape {b.shape}")
+            tr = float(np.vdot(b, b).real)
+            if abs(tr - 1.0) > TRACE_TOL:
+                raise StateValidationError(f"density matrix has trace {tr}, not 1")
+            m = b @ b.conj().T
+            m.setflags(write=False)
+            object.__setattr__(self, "factor", b)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -97,10 +128,18 @@ def as_matrix(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
+def state_factor(rho) -> np.ndarray:
+    """n x r factor B of ``rho`` (rho = B B^dagger): the one a DensityMatrix
+    was built from, or else one from an ``eigh`` of the matrix that keeps
+    every positive eigenvalue."""
+    if isinstance(rho, DensityMatrix) and rho.factor is not None:
+        return rho.factor
+    return _psd_factor(*np.linalg.eigh(as_matrix(rho)))
+
+
 def pure_to_density(psi: PureState) -> DensityMatrix:
-    """Rank-1 projector |psi><psi|."""
-    a = psi.amplitudes
-    return DensityMatrix(np.outer(a, a.conj()))
+    """Rank-1 projector |psi><psi|, factored as the column psi."""
+    return DensityMatrix(factor=psi.amplitudes[:, None])
 
 
 def density_to_json(rho: DensityMatrix) -> str:
@@ -120,6 +159,36 @@ def density_from_json(text: str) -> DensityMatrix:
     return DensityMatrix(arr[..., 0] + 1j * arr[..., 1])
 
 
+def _ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Complex Gaussian array: real parts drawn first, then imaginary parts."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _shell_factor(basis: MomentumBasis, shell_ids: Sequence[int],
+                  shell_vectors: Sequence[np.ndarray], l: np.ndarray) -> np.ndarray:
+    """B = Phi L, with column s of Phi the vector of shell ``shell_ids[s]``
+    embedded in the full space; checks the ids and the vectors."""
+    ids = [int(s) for s in shell_ids]
+    if len(set(ids)) != len(ids):
+        raise ValueError("shell ids must be distinct")
+    if any(not 0 <= s < basis.n_shells for s in ids):
+        raise ValueError(f"shell ids must lie in [0, {basis.n_shells})")
+    if len(shell_vectors) != len(ids):
+        raise ValueError("need exactly one vector per listed shell")
+    b = np.zeros((basis.size, l.shape[1]), dtype=complex)
+    for s, v, l_row in zip(ids, shell_vectors, l):
+        v = np.asarray(v, dtype=complex)
+        deg = len(basis.shells.members[s])
+        if v.shape != (deg,):
+            raise ValueError(f"vector for shell {s} must have length {deg}, got {v.shape}")
+        norm2 = float(np.vdot(v, v).real)
+        if abs(norm2 - 1.0) > NORM_TOL:
+            raise ValueError(f"vector for shell {s} has squared norm {norm2}, not 1")
+        # shells are disjoint, so the rows of shell s are v_s (x) L[s]
+        b[basis.shells.members[s]] = np.outer(v, l_row)
+    return b
+
+
 def effectively_pure_state(
     basis: MomentumBasis,
     shell_ids: Sequence[int],
@@ -133,42 +202,19 @@ def effectively_pure_state(
     result has rank at most one, so the state is effectively pure by
     construction; it is mixed whenever mu has rank above one with
     off-diagonal magnitudes strictly below the Cauchy-Schwarz bound.
+    The state is factored as Phi L, with mu = L L^dagger from one
+    ``eigh`` of mu, so its rank is at most len(shell_ids).
 
     ``mu`` must pass the density-matrix rule of ``validated_spectrum``
     (its StateValidationError is a ValueError naming ``mu``);
     ``shell_vectors[i]`` must be a unit vector of length equal to the
     degeneracy of shell ``shell_ids[i]``.
     """
-    ids = [int(s) for s in shell_ids]
-    if len(set(ids)) != len(ids):
-        raise ValueError("shell ids must be distinct")
-    if any(not 0 <= s < basis.n_shells for s in ids):
-        raise ValueError(f"shell ids must lie in [0, {basis.n_shells})")
-    if len(shell_vectors) != len(ids):
-        raise ValueError("need exactly one vector per listed shell")
-    vecs = []
-    for s, v in zip(ids, shell_vectors):
-        v = np.asarray(v, dtype=complex)
-        deg = len(basis.shells.members[s])
-        if v.shape != (deg,):
-            raise ValueError(f"vector for shell {s} must have length {deg}, got {v.shape}")
-        norm2 = float(np.vdot(v, v).real)
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise ValueError(f"vector for shell {s} has squared norm {norm2}, not 1")
-        vecs.append(v)
-
     mu = np.asarray(mu, dtype=complex)
-    if mu.shape != (len(ids), len(ids)):
-        raise ValueError(f"mu must be {len(ids)}x{len(ids)}, got {mu.shape}")
-    validated_spectrum(mu, "mu")
-
-    rho = np.zeros((basis.size, basis.size), dtype=complex)
-    for a, (sa, va) in enumerate(zip(ids, vecs)):
-        ma = basis.shells.members[sa]
-        for b, (sb, vb) in enumerate(zip(ids, vecs)):
-            mb = basis.shells.members[sb]
-            rho[np.ix_(ma, mb)] = mu[a, b] * np.outer(va, vb.conj())
-    return DensityMatrix(rho)
+    if mu.shape != (len(shell_ids), len(shell_ids)):
+        raise ValueError(f"mu must be {len(shell_ids)}x{len(shell_ids)}, got {mu.shape}")
+    l = _psd_factor(*validated_spectrum(mu, "mu", vectors=True))
+    return DensityMatrix(factor=_shell_factor(basis, shell_ids, shell_vectors, l))
 
 
 def entropy_from_eigenvalues(eigs: np.ndarray) -> float:
@@ -191,20 +237,19 @@ def global_purity(rho: DensityMatrix) -> float:
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
-    a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    a = _ginibre(rng, dim)
     return PureState(a / np.linalg.norm(a))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
     """Full-rank (or given-rank) Wishart-style random mixed state."""
-    r = dim if rank is None else rank
-    g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
+    g = _ginibre(rng, dim, dim if rank is None else rank)
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real)
 
 
 def random_psd_unit_trace(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    g = _ginibre(rng, n, n)
     m = g @ g.conj().T
     return m / np.trace(m).real
 
@@ -215,9 +260,14 @@ def random_effectively_pure_state(
     shell_ids: Sequence[int] | None = None,
     mu: np.ndarray | None = None,
 ) -> DensityMatrix:
-    """Seeded effectively pure mixed state over the given shells (default all)."""
+    """Seeded effectively pure mixed state over the given shells (default all).
+
+    Without ``mu`` the mixing matrix is the seeded mu = g g^dagger / tr
+    of ``random_psd_unit_trace``, whose factor L = g / ||g||_F is used as is.
+    """
     ids = list(range(basis.n_shells)) if shell_ids is None else [int(s) for s in shell_ids]
     vecs = [random_pure_state(len(basis.shells.members[s]), rng).amplitudes for s in ids]
-    if mu is None:
-        mu = random_psd_unit_trace(len(ids), rng)
-    return effectively_pure_state(basis, ids, vecs, mu)
+    if mu is not None:
+        return effectively_pure_state(basis, ids, vecs, mu)
+    g = _ginibre(rng, len(ids), len(ids))
+    return DensityMatrix(factor=_shell_factor(basis, ids, vecs, g / np.linalg.norm(g)))

@@ -5,10 +5,12 @@ section deleted or set to each of a fixed list of bad values, an unknown
 key in each section, swapped and invalid modes, and the cross-field
 cases of ``test_config.py``.  ``tests/data/config_errors.json`` holds
 the outcome of each case before shell, shells and mu were checked
-against the lattice and the output names had to be distinct plain file
-names: the ``ConfigError`` list, or the accepted config.  Every case
-must keep that outcome, except the ones in ``NEW_REFUSALS``, which the
-old validation accepted and whose run then failed or wrote elsewhere.
+against the lattice, the output names had to be distinct plain file
+names and classical grids and time grids were capped: the
+``ConfigError`` list, or the accepted config.  Every case must keep
+that outcome, except the ones in ``NEW_REFUSALS``, which the old
+validation accepted and whose run then failed, wrote elsewhere or
+would have exhausted memory.
 
 ``python tests/test_config_corpus.py`` rewrites the data file from the
 current code; do that only for an intended change of outcome.
@@ -22,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from lelab import config
-from lelab.errors import ConfigError
+from lelab.errors import ConfigError, DimensionCapError
 
 GOLDEN = Path(__file__).parent / "data" / "config_errors.json"
 
@@ -163,6 +165,26 @@ def _lattice_cases() -> dict:
     return {k: _text(v) for k, v in cases.items()}
 
 
+def _cap_cases() -> dict:
+    """Classical grids and time grids at and over their caps (2048^2 cells, 100000 steps)."""
+    q, c = BASES["cubic-shells"], BASES["classical-kick"]
+
+    def grid(nq, n_p):
+        return _with(_with(c, ("lattice", "nq"), nq), ("lattice", "np"), n_p)
+
+    cases = {
+        "caps:grid-2048x2048": grid(2048, 2048),
+        "caps:grid-2048x2050": grid(2048, 2050),
+        "caps:grid-1x4194306": grid(1, 4194306),
+        "caps:grid-100000x100000": grid(100000, 100000),
+        "caps:steps-100000": _with(q, ("time_grid", "steps"), 100000),
+        "caps:steps-100001": _with(q, ("time_grid", "steps"), 100001),
+        "caps:steps-10**12": _with(q, ("time_grid", "steps"), 10**12),
+        "caps:classical-steps-10**12": _with(c, ("time_grid", "steps"), 10**12),
+    }
+    return {k: _text(v) for k, v in cases.items()}
+
+
 def corpus() -> dict:
     """Case id -> config text."""
     cases = {}
@@ -181,6 +203,7 @@ def corpus() -> dict:
         cases[f"{base}:mode-invalid"] = _text(_with(raw, ("mode",), "hybrid"))
     cases.update(_cross_cases())
     cases.update(_lattice_cases())
+    cases.update(_cap_cases())
     return cases
 
 
@@ -211,8 +234,9 @@ def outcome(text: str) -> dict:
     return {"config": _encode(cfg)}
 
 
-# Cases the old validation accepted and whose run then failed or wrote
-# somewhere else, with the error that now refuses them.
+# Cases the old validation accepted and whose run then failed, wrote
+# somewhere else or would have run out of memory, with the ConfigError
+# list, or the DimensionCapError message, that now refuses them.
 NEW_REFUSALS = {
     "lattice:shell-9": [("initial_state.shell", "basis has only 4 shells")],
     "lattice:shell-4": [("initial_state.shell", "basis has only 4 shells")],
@@ -233,6 +257,13 @@ NEW_REFUSALS = {
         ("outputs.summary", "must be a plain file name, got 'sub/run.json'")],
     "outputs:csv=summary.json": [
         ("outputs.summary", "must differ from outputs.csv, both are 'summary.json'")],
+    "caps:grid-2048x2050": "classical grid nq * np = 4198400 exceeds cap of 4194304 cells",
+    "caps:grid-1x4194306": "classical grid nq * np = 4194306 exceeds cap of 4194304 cells",
+    "caps:grid-100000x100000":
+        "classical grid nq * np = 10000000000 exceeds cap of 4194304 cells",
+    "caps:steps-100001": "time_grid.steps = 100001 exceeds cap of 100000",
+    "caps:steps-10**12": "time_grid.steps = 1000000000000 exceeds cap of 100000",
+    "caps:classical-steps-10**12": "time_grid.steps = 1000000000000 exceeds cap of 100000",
 }
 
 CASES = corpus()
@@ -262,9 +293,15 @@ def test_outcomes_match_the_golden_corpus(group):
 @pytest.mark.parametrize("case", sorted(NEW_REFUSALS))
 def test_config_the_lattice_cannot_hold_is_now_refused(case):
     assert "config" in json.loads(GOLDEN.read_text())[case]
+    want = NEW_REFUSALS[case]
+    if isinstance(want, str):  # a grid or a time grid over its cap
+        with pytest.raises(DimensionCapError) as info:
+            config.validate_config(CASES[case])
+        assert str(info.value) == want
+        return
     with pytest.raises(ConfigError) as info:
         config.validate_config(CASES[case])
-    assert info.value.errors == NEW_REFUSALS[case]
+    assert info.value.errors == want
 
 
 if __name__ == "__main__":

@@ -36,6 +36,24 @@ def random_hamiltonian(dim, rng, scale=1.0):
     return Hamiltonian(h0_diag=rng.uniform(0, 5, dim), v=v, coupling=1.0, screening=1.0)
 
 
+def test_hamiltonian_keeps_the_dtype_of_v():
+    basis = build_basis(2, 1.0)
+    h = build_hamiltonian(basis, 0.2, 1.0)
+    assert h.v.dtype == h.matrix.dtype == h.propagator.eigenvectors.dtype == np.float64
+    # the same H held as complex runs the same code in complex arithmetic
+    hc = Hamiltonian(h0_diag=h.h0_diag, v=h.v.astype(complex), coupling=0.2, screening=1.0)
+    assert hc.v.dtype == hc.matrix.dtype == hc.propagator.eigenvectors.dtype == np.complex128
+    scale = np.abs(h.propagator.eigenvalues).max()
+    gap = np.abs(h.propagator.eigenvalues - hc.propagator.eigenvalues).max()
+    assert gap <= 1e-12 * scale
+    assert np.abs(h.propagator.unitary(1.3) - hc.propagator.unitary(1.3)).max() <= 1e-12
+    ints = Hamiltonian(h0_diag=np.zeros(2), v=np.array([[0, 1], [1, 0]]), coupling=1.0,
+                       screening=1.0)
+    assert ints.v.dtype == np.float64
+    # superoperators stay complex whatever v is
+    assert commutator_superoperator(h.v[:8, :8]).matrix.dtype == np.complex128
+
+
 def test_yukawa_fourier_closed_form():
     # 4 pi A / (mu (|k|^2 + mu^2)) at a few exact points
     assert yukawa_fourier(np.zeros(3), 1.0, 1.0) == pytest.approx(4 * np.pi)

@@ -131,6 +131,27 @@ def test_quantum_run_diagonalizes_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_quantum_run_rows_call_no_n_by_n_eigvalsh(tmp_path, monkeypatch):
+    # Rows work on the n x r factor: the one n x n eigvalsh is the final check.
+    cfg = make_config(lattice={"M": 2, "delta_k": 1.0})
+    basis = harness.build_quantum_basis(cfg)
+    n, r = harness.build_initial_state(cfg, basis).factor.shape
+    assert r == basis.n_shells < n
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    harness.run(cfg, out_dir=tmp_path)
+    assert shapes.count((n, n)) == 1
+    others = [s for s in shapes if s != (n, n)]
+    assert len(others) >= len(cfg.time_grid.times())  # at least S_global on every row
+    assert max(max(s) for s in others) <= r
+
+
 def test_bad_final_state_is_recorded_before_raising(tmp_path, monkeypatch):
     # A unitary that is off by 1e-6 leaves the trace rows alone (they use the
     # eigenbasis) but breaks the trace of the rebuilt end state.
@@ -178,6 +199,22 @@ def test_classical_demo_csv_matches_golden_bytes(tmp_path):
     golden = Path(__file__).parent / "data" / "classical-kick.csv"
     assert cli.main(["demo", "classical-kick", "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "classical-kick.csv").read_bytes() == golden.read_bytes()
+
+
+def test_quantum_demo_csv_matches_golden_values(tmp_path):
+    # tests/data/yukawa-mixing.csv is the demo output of the dense eigenbasis
+    # trace that the factored trace replaced; values may move by roundoff only
+    golden = (Path(__file__).parent / "data" / "yukawa-mixing.csv").read_text().splitlines()
+    assert cli.main(["demo", "yukawa-mixing", "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "yukawa-mixing.csv").read_text().splitlines()
+    assert lines[0] == golden[0]
+    assert len(lines) == len(golden)
+    flag = golden[0].split(",").index("effectively_pure")
+    for got, want in zip(lines[1:], golden[1:]):
+        got, want = got.split(","), want.split(",")
+        assert got[flag] == want[flag]
+        del got[flag], want[flag]
+        assert np.abs(np.array(got, dtype=float) - np.array(want, dtype=float)).max() <= 1e-12
 
 
 def test_cli_check_command(capsys):
@@ -235,6 +272,21 @@ def test_cli_dimension_cap_exit_code(tmp_path, capsys):
     big.write_text(json.dumps(dict(QUANTUM, lattice={"M": 8, "delta_k": 1.0})))
     assert cli.main(["run", "--config", str(big), "--out-dir", str(tmp_path)]) == 4
     assert "dimension cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"time_grid": {"t_max": 1.0, "steps": 100001}}, "time_grid.steps = 100001 exceeds cap"),
+    ({"mode": "classical", "lattice": {"nq": 100000, "np": 100000, "dq": 0.1, "dp": 0.1},
+      "potential": {"kick_strength": 0.3, "kick_shape": "cos"},
+      "initial_state": {"kind": "single-p-row", "p0": 1.0}}, "classical grid nq * np"),
+])
+def test_cli_refuses_grids_over_their_caps(tmp_path, capsys, change, message):
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(dict(QUANTUM, **change)))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 4
+    assert f"dimension cap: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):

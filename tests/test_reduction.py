@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,9 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lelab import harness
 from lelab.basis import build_basis, build_basis_1d
-from lelab.dynamics import build_hamiltonian, evolve
+from lelab.config import validate_config
+from lelab.dynamics import Propagator, build_hamiltonian, evolve
+from lelab.errors import StateValidationError
 from lelab.reduction import (
+    RANK_TOL,
+    TAU_LAMBDA,
     alpha_decompose,
     assemble_block_diagonal,
     effective_entropy,
@@ -23,12 +29,14 @@ from lelab.reduction import (
 from lelab.states import (
     DensityMatrix,
     PureState,
+    entropy_from_eigenvalues,
     global_entropy,
     global_purity,
     pure_to_density,
     random_density_matrix,
     random_effectively_pure_state,
     random_pure_state,
+    validated_spectrum,
 )
 
 BASIS = build_basis(1, 1.0)
@@ -266,6 +274,97 @@ def test_entropy_trace_matches_momentum_basis_oracle(lattice):
         assert row.effectively_pure == is_effectively_pure(dec)
     if lattice == "cubic":
         assert rows[-1].effective_entropy > 1e-4  # the comparison covers mixing rows
+
+
+def _dense_eigenbasis_trace(rho0, h, times, basis):
+    """The dense trace that the factored one replaced: X(t) = e^{-iwt} X0 e^{+iwt}
+    with X0 = Q^dagger rho0 Q, validated with an n x n eigvalsh per row, and
+    each multi-member shell block taken from Q[members] X(t) Q[members]^dagger.
+    Returns (t, S_eff, S_global, tr_rho2, effectively_pure, S_E) per row."""
+    w, q = h.propagator.eigenvalues, h.propagator.eigenvectors
+    x0 = q.conj().T @ rho0.matrix @ q
+    rows = []
+    for t in times:
+        phase = np.exp(-1j * w * t)
+        x = phase[:, None] * x0 * phase.conj()
+        spectrum = validated_spectrum(x)
+        per_shell = np.zeros(basis.n_shells)
+        pure = True
+        for s, mem in enumerate(basis.shells.members):
+            if len(mem) == 1:
+                continue
+            block = q[mem] @ x @ q[mem].conj().T
+            weight = float(np.trace(block).real)
+            if weight <= TAU_LAMBDA:
+                continue
+            eigs = np.linalg.eigvalsh(block / weight)
+            per_shell[s] = entropy_from_eigenvalues(eigs)
+            pure = pure and bool(eigs[-2] < RANK_TOL)
+        rows.append((t, per_shell.sum(), entropy_from_eigenvalues(spectrum),
+                     float(np.vdot(x, x).real), pure, per_shell))
+    return rows
+
+
+def _config_state(lattice, initial_state):
+    """A harness-built initial state, with its basis, for a quantum config."""
+    cfg = validate_config(json.dumps({
+        "mode": "quantum", "lattice": lattice, "potential": {"A": 0.2, "mu": 1.0},
+        "initial_state": initial_state, "time_grid": {"t_max": 5.0, "steps": 5},
+    }))
+    basis = harness.build_quantum_basis(cfg)
+    return harness.build_initial_state(cfg, basis), basis
+
+
+ORACLE_LATTICES = {"cubic-2": {"M": 2, "delta_k": 1.0}, "cubic-3": {"M": 3, "delta_k": 1.0},
+                   "line-32": {"N": 32, "delta_k": 1.0}}
+
+
+@pytest.mark.parametrize("lattice", sorted(ORACLE_LATTICES))
+@pytest.mark.parametrize("rank", ["one", "degeneracy", "shell-count", "n", "unfactored"])
+def test_factored_trace_matches_dense_eigenbasis_oracle(lattice, rank):
+    if rank == "one":
+        rho0, basis = _config_state(ORACLE_LATTICES[lattice], {"kind": "pure-random", "seed": 4})
+        want_rank = 1
+    elif rank == "degeneracy":
+        rho0, basis = _config_state(ORACLE_LATTICES[lattice], {"kind": "shell-mixed", "shell": 2})
+        want_rank = len(basis.shells.members[2])
+    elif rank == "shell-count":
+        rho0, basis = _config_state(ORACLE_LATTICES[lattice],
+                                    {"kind": "effectively-pure-mixed", "seed": 4})
+        want_rank = basis.n_shells
+    else:
+        _, basis = _config_state(ORACLE_LATTICES[lattice], {"kind": "pure-random", "seed": 4})
+        rho0 = random_density_matrix(basis.size, np.random.default_rng(4))
+        want_rank = None
+        if rank == "unfactored":  # rank shell count, factored by entropy_trace's own eigh
+            rho0 = DensityMatrix(random_effectively_pure_state(
+                basis, np.random.default_rng(4)).matrix)
+    if want_rank is not None:
+        assert rho0.factor.shape == (basis.size, want_rank)
+    coupling = 1.0 if lattice.startswith("line") else 0.2
+    h = build_hamiltonian(basis, coupling, 1.0)
+    times = np.linspace(0.0, 5.0, 6)
+    rows = entropy_trace(rho0, h, times, basis)
+    oracle = _dense_eigenbasis_trace(rho0, h, times, basis)
+    for row, (t, s_eff, s_global, purity, pure, per_shell) in zip(rows, oracle, strict=True):
+        assert row.t == t
+        assert abs(row.effective_entropy - s_eff) <= 1e-12
+        assert abs(row.global_entropy - s_global) <= 1e-12
+        assert abs(row.purity - purity) <= 1e-12
+        assert np.abs(row.shell_entropies - per_shell).max() <= 1e-12
+        assert row.effectively_pure == pure
+    if lattice.startswith("cubic") and rank != "one":
+        assert max(r.effective_entropy for r in rows) > 1e-2  # the rows cover mixing
+
+
+def test_entropy_trace_refuses_a_state_that_lost_its_trace():
+    # ||C(t)||_F = 1 holds only while Q is unitary; a Q off by 1e-6 breaks it
+    h = build_hamiltonian(BASIS, 0.2, 1.0)
+    w, q = h.propagator.eigenvalues, h.propagator.eigenvectors
+    h.__dict__["propagator"] = Propagator(w, q * (1 + 1e-6))
+    rho0 = random_effectively_pure_state(BASIS, np.random.default_rng(6))
+    with pytest.raises(StateValidationError, match="trace"):
+        entropy_trace(rho0, h, [0.0, 1.0], BASIS)
 
 
 def test_reduce_canonical_examples():

@@ -21,6 +21,7 @@ from lelab.states import (
     random_effectively_pure_state,
     random_pure_state,
     random_psd_unit_trace,
+    state_factor,
 )
 
 
@@ -35,6 +36,45 @@ def test_density_matrix_validation():
         DensityMatrix(np.ones((2, 3)))  # not square
     rho = DensityMatrix(np.diag([0.25, 0.75]))
     assert rho.dim == 2
+
+
+def test_density_matrix_from_a_factor():
+    rng = np.random.default_rng(12)
+    g = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    b = g / np.linalg.norm(g)
+    rho = DensityMatrix(factor=b)
+    np.testing.assert_array_equal(rho.matrix, b @ b.conj().T)
+    assert rho.factor.shape == (6, 2) and rho.dim == 6
+    with pytest.raises(ValueError):
+        rho.factor[0, 0] = 1.0
+    assert global_purity(rho) == pytest.approx(global_purity(DensityMatrix(rho.matrix)), abs=1e-15)
+    with pytest.raises(StateValidationError, match="trace"):
+        DensityMatrix(factor=2 * b)
+    with pytest.raises(StateValidationError):
+        DensityMatrix(factor=b[:, 0])  # a vector, not an n x r matrix
+    with pytest.raises(StateValidationError):
+        DensityMatrix(rho.matrix, factor=b)
+    with pytest.raises(StateValidationError):
+        DensityMatrix()
+
+
+def test_builders_give_their_factor_and_rank():
+    basis = build_basis(1, 1.0)
+    rng = np.random.default_rng(5)
+    psi = random_pure_state(basis.size, rng)
+    np.testing.assert_array_equal(pure_to_density(psi).factor[:, 0], psi.amplitudes)
+    rho = random_effectively_pure_state(basis, rng, shell_ids=[1, 3])
+    assert rho.factor.shape == (basis.size, 2)
+    # explicit mu of rank one: one column of Phi L survives
+    v1, v2 = np.eye(6)[0], np.eye(12)[0]
+    rho = effectively_pure_state(basis, [1, 2], [v1, v2], np.full((2, 2), 0.5))
+    assert rho.factor.shape == (basis.size, 1)
+    assert global_purity(rho) == pytest.approx(1.0, abs=1e-14)
+    # library states without a factor get one from a single eigh
+    mixed = random_density_matrix(basis.size, rng, rank=3)
+    b = state_factor(mixed)
+    assert mixed.factor is None and b.shape[1] >= 3
+    np.testing.assert_allclose(b @ b.conj().T, mixed.matrix, atol=1e-14)
 
 
 def test_density_matrix_is_immutable():
