@@ -77,7 +77,6 @@ from .states import (
     random_density_matrix,
     random_effectively_pure_state,
     random_pure_state,
-    random_psd_unit_trace,
 )
 
 __version__ = "0.1.0"

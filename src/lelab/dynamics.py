@@ -11,7 +11,8 @@ orientation and therefore equals minus the commutator element.
 
 Evolution goes through an eigendecomposition of H rather than a
 time stepper: it is exact to machine precision, so integrator error
-cannot masquerade as entropy change.
+cannot masquerade as entropy change.  ``evolved_factor`` is its one step,
+on a state's n x r factor, for ``Propagator.evolve`` and ``entropy_trace``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .basis import MomentumBasis, bohr_labels
 from .errors import DimensionCapError
-from .states import HERMITICITY_TOL, DensityMatrix
+from .states import HERMITICITY_TOL, DensityMatrix, state_factor
 
 # A dim-64 system already implies a 4096^2 superoperator; refuse beyond that.
 SUPEROP_DIM_CAP = 64
@@ -103,9 +104,20 @@ def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -
     return Hamiltonian(h0_diag=basis.energies, v=v, coupling=float(coupling), screening=float(screening))
 
 
+def evolved_factor(q: np.ndarray, w: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
+    """C(t) = q (e^{-iwt} (.) g), the factor of rho(t) = C C^dagger, for rho(0) =
+    B B^dagger, H = Q diag(w) Q^dagger, g = Q^dagger B (C-contiguous) and q = Q
+    or Q with its rows permuted.  A real q multiplies the interleaved real and
+    imaginary parts in one real product: half the flops, no complex copy of q."""
+    x = np.exp(-1j * w * t)[:, None] * g
+    if np.isrealobj(q):
+        return (q @ x.view(np.float64)).view(np.complex128)
+    return q @ x
+
+
 @dataclass(frozen=True)
 class Propagator:
-    """Eigendecomposition of H; builds U(t) and conjugates states exactly."""
+    """Eigendecomposition of H; evolves factored states, builds dense U(t)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -122,9 +134,15 @@ class Propagator:
         return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
 
     def evolve(self, rho: DensityMatrix, t: float) -> DensityMatrix:
-        u = self.unitary(t)
-        out = u @ rho.matrix @ u.conj().T
-        return DensityMatrix((out + out.conj().T) / 2)
+        """U(t) rho U(t)^dagger as ``DensityMatrix(factor=C)``, C of rho's rank.
+
+        Builds no U(t) and, for a factored ``rho``, takes no n x n spectrum:
+        only ||C||_F^2 = 1 is checked.  A full-matrix ``rho`` is factored by
+        one ``eigh`` (``states.state_factor``), which drops its eigenvalues
+        in [-PSD_TOL, 0] and rescales the factor to unit trace."""
+        q = self.eigenvectors
+        g = q.conj().T @ state_factor(rho)
+        return DensityMatrix(factor=evolved_factor(q, self.eigenvalues, g, float(t)))
 
 
 def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:

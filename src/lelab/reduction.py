@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import MomentumBasis, bohr_labels
-from .dynamics import Hamiltonian
+from .dynamics import Hamiltonian, evolved_factor
 from .errors import StateValidationError
 from .states import (
     TRACE_TOL,
@@ -249,15 +249,6 @@ class TraceRow:
     shell_entropies: np.ndarray
 
 
-def _product(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """q @ x for a C-contiguous complex128 ``x``.  A real ``q`` multiplies the
-    interleaved real and imaginary parts of ``x`` in one real product, at
-    half the flops of a complex one and with no complex copy of ``q``."""
-    if np.isrealobj(q):
-        return (q @ x.view(np.float64)).view(np.complex128)
-    return q @ x
-
-
 def entropy_trace(
     rho0: DensityMatrix,
     h: Hamiltonian,
@@ -266,20 +257,17 @@ def entropy_trace(
 ) -> list[TraceRow]:
     """Evolve exactly to each grid time, reduce, and report.
 
-    Works on an n x r factor B of rho0 = B B^dagger (``states.state_factor``)
-    and the eigenbasis of H = Q diag(w) Q^dagger, taken once from
-    ``h.propagator``: G = Q^dagger B is formed once, and each row builds
-    the factor C(t) = Q (e^{-iwt} (.) G) of rho(t) = C C^dagger, at
-    O(n^2 r).  Per row, ||C||_F^2 must be one within TRACE_TOL
-    (StateValidationError otherwise); rho(t) is Hermitian and PSD by
-    construction.  The r x r matrix C^dagger C has the nonzero spectrum of
-    rho(t), which gives S_global, and tr rho^2 = ||C^dagger C||_F^2.  The
-    shell block rho(t)[s, s] = C_s C_s^dagger (C_s the rows of shell s)
-    has weight ||C_s||_F^2 and shares its nonzero eigenvalues with the
-    smaller of C_s C_s^dagger and C_s^dagger C_s; one ``eigvalsh`` of that
-    Gram matrix gives both S_E and the rank-one test.  A Gram matrix of
-    size one (a one-member shell, or r = 1) means zero entropy and rank at
-    most one, so it needs no ``eigvalsh``.  Rows follow the grid.
+    Works on an n x r factor B of rho0 = B B^dagger (``states.state_factor``):
+    G = Q^dagger B is formed once from ``h.propagator``, and each row takes
+    the ``dynamics.evolved_factor`` step to rho(t) = C C^dagger, at O(n^2 r).
+    ||C||_F^2 must be one within TRACE_TOL (StateValidationError
+    otherwise); rho(t) is Hermitian and PSD by construction.  The r x r
+    C^dagger C has the nonzero spectrum of rho(t), which gives S_global,
+    and tr rho^2 = ||C^dagger C||_F^2.  The shell block C_s C_s^dagger (C_s
+    the rows of shell s) has weight ||C_s||_F^2 and the nonzero eigenvalues
+    of the smaller of C_s C_s^dagger and C_s^dagger C_s: one ``eigvalsh`` of
+    that Gram matrix gives S_E and the rank-one test, and one of size one
+    (a one-member shell, or r = 1) needs none.  Rows follow the grid.
     """
     prop = h.propagator
     w, q = prop.eigenvalues, prop.eigenvectors
@@ -295,7 +283,7 @@ def entropy_trace(
     rows = []
     for t in time_grid:
         t = float(t)
-        c = _product(q_shells, np.exp(-1j * w * t)[:, None] * g)
+        c = evolved_factor(q_shells, w, g, t)
         gram = c.conj().T @ c
         norm2 = float(np.trace(gram).real)
         if abs(norm2 - 1.0) > TRACE_TOL:

@@ -248,12 +248,6 @@ def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None =
     return DensityMatrix(m / np.trace(m).real)
 
 
-def random_psd_unit_trace(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = _ginibre(rng, n, n)
-    m = g @ g.conj().T
-    return m / np.trace(m).real
-
-
 def random_effectively_pure_state(
     basis: MomentumBasis,
     rng: np.random.Generator,
@@ -262,8 +256,8 @@ def random_effectively_pure_state(
 ) -> DensityMatrix:
     """Seeded effectively pure mixed state over the given shells (default all).
 
-    Without ``mu`` the mixing matrix is the seeded mu = g g^dagger / tr
-    of ``random_psd_unit_trace``, whose factor L = g / ||g||_F is used as is.
+    Without ``mu`` the mixing matrix is mu = L L^dagger, L = g / ||g||_F
+    for a seeded complex Gaussian square g, and L is the factor used.
     """
     ids = list(range(basis.n_shells)) if shell_ids is None else [int(s) for s in shell_ids]
     vecs = [random_pure_state(len(basis.shells.members[s]), rng).amplitudes for s in ids]

@@ -12,12 +12,15 @@ that outcome, except the ones in ``NEW_REFUSALS``, which the old
 validation accepted and whose run then failed, wrote elsewhere or
 would have exhausted memory.
 
-``python tests/test_config_corpus.py`` rewrites the data file from the
-current code; do that only for an intended change of outcome.
+``python tests/test_config_corpus.py [OUT]`` writes the outcomes of the
+current code to OUT (default: the data file), keeping the stored outcome
+of each ``NEW_REFUSALS`` case; rewrite the data file only for an
+intended change of outcome.
 """
 
 import copy
 import json
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -207,9 +210,14 @@ def corpus() -> dict:
     return cases
 
 
+# The name lelab.config binds each of its classes to (koopman's
+# PhaseSpaceGrid is config.ClassicalGrid), so that _decode finds it.
+CLASS_NAMES = {v: k for k, v in vars(config).items() if isinstance(v, type)}
+
+
 def _encode(x):
     if is_dataclass(x):
-        return {"class": type(x).__name__,
+        return {"class": CLASS_NAMES[type(x)],
                 "fields": {f.name: _encode(getattr(x, f.name)) for f in fields(x)}}
     if isinstance(x, tuple):
         return [_encode(v) for v in x]
@@ -304,8 +312,27 @@ def test_config_the_lattice_cannot_hold_is_now_refused(case):
     assert info.value.errors == want
 
 
-if __name__ == "__main__":
-    lines = [f"{json.dumps(k)}: {json.dumps(outcome(v), sort_keys=True)}"
+def write_golden(path) -> int:
+    """Write every case's outcome to ``path`` and return the case count.
+
+    A ``NEW_REFUSALS`` case keeps its stored outcome, the acceptance that
+    ``test_config_the_lattice_cannot_hold_is_now_refused`` asserts; every
+    other case gets the outcome of the current code.
+    """
+    stored = json.loads(GOLDEN.read_text())
+    lines = [f"{json.dumps(k)}: "
+             f"{json.dumps(stored[k] if k in NEW_REFUSALS else outcome(v), sort_keys=True)}"
              for k, v in sorted(CASES.items())]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {len(lines)} cases to {GOLDEN}")
+    Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    return len(lines)
+
+
+def test_the_writer_reproduces_the_golden_file(tmp_path):
+    out = tmp_path / GOLDEN.name
+    assert write_golden(out) == len(CASES)
+    assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+if __name__ == "__main__":
+    target = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN
+    print(f"wrote {write_golden(target)} cases to {target}")

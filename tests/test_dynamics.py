@@ -26,6 +26,7 @@ from lelab.states import (
     global_purity,
     pure_to_density,
     random_density_matrix,
+    random_effectively_pure_state,
     random_pure_state,
 )
 
@@ -244,6 +245,78 @@ def test_alpha_offblock_norm_does_not_copy_the_off_sector_part():
     # a gather of the off-sector part holds about two operator sizes, and
     # even a whole-operator abs() would hold half of one
     assert extra < op.nbytes / 8
+
+
+def _dense_conjugation(prop, rho, t):
+    """Oracle: the dense evolution, U(t) rho U(t)^dagger, symmetrized."""
+    u = prop.unitary(t)
+    out = u @ rho.matrix @ u.conj().T
+    return (out + out.conj().T) / 2
+
+
+EVOLVE_BASES = {"M2": build_basis(2, 1.0), "N32": build_basis_1d(32, 1.0)}
+
+
+def _evolve_case(lattice, kind):
+    """(propagator, state, rank of the state) at A = 0.2, mu = 1."""
+    basis = EVOLVE_BASES[lattice]
+    prop = build_hamiltonian(basis, 0.2, 1.0).propagator
+    rng = np.random.default_rng(21)
+    if kind == "pure":
+        return prop, pure_to_density(random_pure_state(basis.size, rng)), 1
+    if kind == "effectively-pure-mixed":
+        return prop, random_effectively_pure_state(basis, rng), basis.n_shells
+    return prop, random_density_matrix(basis.size, rng), basis.size
+
+
+@pytest.mark.parametrize("kind", ["pure", "effectively-pure-mixed", "dense"])
+@pytest.mark.parametrize("lattice", sorted(EVOLVE_BASES))
+def test_evolve_matches_dense_conjugation_oracle(lattice, kind):
+    prop, rho, rank = _evolve_case(lattice, kind)
+    assert (rho.factor is None) == (kind == "dense")
+    for t in (0.0, 0.7, 3.1, -2.4):
+        out = prop.evolve(rho, t)
+        assert out.factor.shape == (rho.dim, rank)
+        assert np.abs(out.matrix - _dense_conjugation(prop, rho, t)).max() <= 1e-12
+
+
+def test_evolve_of_a_factored_state_takes_no_n_by_n_spectrum_or_unitary(monkeypatch):
+    prop, rho, rank = _evolve_case("M2", "effectively-pure-mixed")
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(Propagator, "unitary", recording("unitary", Propagator.unitary))
+    out = prop.evolve(rho, 1.3)
+    assert calls == []
+    assert out.factor.shape == (rho.dim, rank)
+
+
+def test_evolve_of_a_dense_state_drops_its_negative_roundoff():
+    # One eigenvalue of -1e-11 (inside PSD_TOL) is dropped and the factor
+    # rescaled to unit trace.  Each step moves the state by the dropped
+    # weight in trace norm, on orthogonal supports, so by twice it in all.
+    basis = EVOLVE_BASES["M2"]
+    prop = build_hamiltonian(basis, 0.2, 1.0).propagator
+    rng = np.random.default_rng(8)
+    vecs, _ = np.linalg.qr(rng.normal(size=(basis.size,) * 2) + 1j * rng.normal(size=(basis.size,) * 2))
+    eigs = rng.uniform(0.5, 1.5, basis.size)
+    eigs[0] = 0.0
+    eigs *= (1 + 1e-11) / eigs.sum()
+    eigs[0] = -1e-11
+    rho = DensityMatrix((vecs * eigs) @ vecs.conj().T)
+    assert np.linalg.eigvalsh(rho.matrix)[0] == pytest.approx(-1e-11, abs=1e-14)
+    out = prop.evolve(rho, 0.9)
+    assert out.factor.shape == (basis.size, basis.size - 1)
+    assert abs(np.vdot(out.factor, out.factor).real - 1.0) <= 1e-14
+    gap = np.linalg.norm(out.matrix - _dense_conjugation(prop, rho, 0.9), "nuc")
+    assert abs(gap - 2e-11) <= 1e-13
 
 
 def test_evolve_at_time_zero_is_identity():

@@ -20,7 +20,6 @@ from lelab.states import (
     random_density_matrix,
     random_effectively_pure_state,
     random_pure_state,
-    random_psd_unit_trace,
     state_factor,
 )
 
@@ -109,15 +108,6 @@ def test_random_density_matrix_is_valid_state(dim, seed):
     assert np.linalg.eigvalsh(m).min() >= -1e-10
     assert 1.0 / dim - 1e-12 <= global_purity(rho) <= 1.0 + 1e-12
     assert -1e-12 <= global_entropy(rho) <= np.log(dim) + 1e-12
-
-
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
-def test_random_psd_unit_trace(seed):
-    mu = random_psd_unit_trace(4, np.random.default_rng(seed))
-    assert np.abs(mu - mu.conj().T).max() <= 1e-12
-    assert abs(np.trace(mu).real - 1.0) <= 1e-12
-    assert np.linalg.eigvalsh(mu).min() >= -1e-12
 
 
 def test_random_generators_are_seed_deterministic():
