@@ -6,12 +6,8 @@ from .basis import (
     MAX_POINTS,
     MomentumBasis,
     ShellTable,
-    basis_from_json,
-    basis_to_json,
     build_basis,
     build_basis_1d,
-    energy_tolerance,
-    shell_of,
 )
 from .config import ExperimentConfig, load_config, validate_config
 from .dynamics import (

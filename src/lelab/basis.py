@@ -3,14 +3,11 @@
 Points live on the cubic integer lattice k = n * delta_k with
 n in {-M..M}^3 and carry free-particle energies E_k = |k|^2
 (units where 2m = 1).  Points sharing the integer squared norm |n|^2
-form an energy shell, so the shell partition is exact bookkeeping;
-the floating-point tolerance below only guards energy comparisons
-made by callers.
+form an energy shell, so the shell partition is exact bookkeeping.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +15,6 @@ import numpy as np
 from .errors import DimensionCapError
 
 MAX_POINTS = 4096
-
-
-def energy_tolerance(delta_k: float) -> float:
-    """Guard band for comparing floating-point shell energies."""
-    return 1e-9 * delta_k**2
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -138,44 +130,9 @@ def build_basis_1d(N: int, delta_k: float, max_points: int = MAX_POINTS) -> Mome
     return _basis_from_points(points, delta_k, extent=N)
 
 
-def shell_of(basis: MomentumBasis, index: int) -> int:
-    """Shell id of the point at ``index``."""
-    if not 0 <= index < basis.size:
-        raise IndexError(f"point index {index} out of range for basis of size {basis.size}")
-    return int(basis.shell_index[index])
-
-
 def bohr_labels(basis: MomentumBasis) -> np.ndarray:
     """Integer Bohr label |n_col|^2 - |n_row|^2 of every matrix element:
     element (a, b) has alpha = E_b - E_a = label * delta_k^2, exactly."""
     n2 = basis.norms2
     return n2[None, :] - n2[:, None]
 
-
-def basis_to_json(basis: MomentumBasis) -> str:
-    """Serialize to the documented JSON schema."""
-    doc = {
-        "M": basis.extent,
-        "delta_k": basis.delta_k,
-        "points": basis.points.tolist(),
-        "shell_energies": basis.shells.energies.tolist(),
-        "shell_members": [m.tolist() for m in basis.shells.members],
-    }
-    return json.dumps(doc)
-
-
-def basis_from_json(text: str) -> MomentumBasis:
-    """Rebuild a basis from its JSON document and cross-check the shell data."""
-    doc = json.loads(text)
-    points = np.asarray(doc["points"], dtype=int)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError("points must be a list of integer 3-vectors")
-    basis = _basis_from_points(points, float(doc["delta_k"]), extent=int(doc["M"]))
-    stored_e = np.asarray(doc["shell_energies"], dtype=float)
-    stored_m = [list(map(int, m)) for m in doc["shell_members"]]
-    tol = energy_tolerance(basis.delta_k)
-    if len(stored_e) != basis.n_shells or np.abs(stored_e - basis.shells.energies).max() > tol:
-        raise ValueError("stored shell energies disagree with the point set")
-    if any(sorted(sm) != m.tolist() for sm, m in zip(stored_m, basis.shells.members)):
-        raise ValueError("stored shell members disagree with the point set")
-    return basis

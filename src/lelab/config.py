@@ -27,8 +27,9 @@ from . import koopman, states
 from .basis import MomentumBasis, build_basis, build_basis_1d
 from .errors import ConfigError, DimensionCapError, StateValidationError
 
-# A classical run holds about six float64 grids at once (48 B per cell,
-# measured at 1024^2), so this cap of 2048^2 cells bounds it near 0.2 GB.
+# A classical run holds about four float64 grids at once (32 B per cell:
+# peak RSS 63 MB at 1024^2 and 159 MB at 2048^2, measured), so this cap of
+# 2048^2 cells bounds it near 0.16 GB.
 MAX_GRID_CELLS = 1 << 22
 # Each step is one row in memory and in the CSV: under 1 KB even with the
 # 88 shells of the largest cubic lattice, so about 0.1 GB at this cap.

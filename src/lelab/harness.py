@@ -187,9 +187,9 @@ def _run_classical(cfg: ExperimentConfig, out_dir: Path) -> RunSummary:
         if kick.strength == 0.0 or t <= kick.time:
             state = koopman.classical_free_flow(rho0, t)
         else:
-            if kicked is None:
-                pre = koopman.classical_free_flow(rho0, kick.time)
-                kicked = koopman.apply_kick(pre, grad_v, kick.strength)
+            if kicked is None:  # keeps no pre-kick state alive, only the anchors
+                kicked = koopman.apply_kick(
+                    koopman.classical_free_flow(rho0, kick.time), grad_v, kick.strength)
             state = koopman.classical_free_flow(kicked, t - kick.time)
         marginal = koopman.classical_reduce(state)
         rows.append((t, koopman.classical_effective_entropy(marginal), state.mass))

@@ -13,15 +13,20 @@ Transport is semi-Lagrangian with linear interpolation: per p-row (flow)
 or per q-column (kick) the shift is constant, so the scheme preserves
 nonnegativity and conserves mass up to p-boundary truncation; the free
 flow also keeps the p-marginal.  Each kernel copies its integer shifts
-into one work buffer with at most two slices per row and blends with
+into small work blocks with at most two slices per row and blends with
 whole-array numpy, doing per element exactly the arithmetic of a
 one-row-at-a-time ``np.roll`` scheme, so the output is bit-identical
-to that scheme.
+to that scheme.  They work only on the support window, the p columns
+from the first to the last holding any bit other than +0.0 (so -0.0
+counts); outside it that arithmetic yields the +0.0 the fresh output
+holds.  They hand their output to ``PhaseSpaceDensity`` uncopied,
+through the same checks as a caller's (copied) array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,6 +34,8 @@ import numpy as np
 from .errors import StateValidationError
 
 MASS_TOL = 1e-8
+# Cells per work block of the transport kernels (512 KiB of float64).
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,29 +75,46 @@ class PhaseSpaceGrid:
 
 @dataclass(frozen=True)
 class PhaseSpaceDensity:
-    """Nonnegative unit-mass grid function; values[i, j] sits at (q_i, p_j)."""
+    """Nonnegative unit-mass grid function; values[i, j] sits at (q_i, p_j),
+    a read-only C-ordered copy of the array given."""
 
     grid: PhaseSpaceGrid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.nq, self.grid.n_p):
-            raise StateValidationError(
-                f"values must be {self.grid.nq}x{self.grid.n_p}, got {v.shape}"
-            )
-        if v.min() < 0:
+        self._take(np.array(self.values, dtype=float, order="C"))
+
+    def _take(self, v: np.ndarray) -> None:
+        """Validate ``v`` and keep it, uncopied, as ``values``."""
+        g = self.grid
+        if v.shape != (g.nq, g.n_p):
+            raise StateValidationError(f"values must be {g.nq}x{g.n_p}, got {v.shape}")
+        if not v.min() >= 0:  # written so that NaN fails too
             raise StateValidationError(f"density must be nonnegative, min is {v.min():.3e}")
-        m = v.sum() * self.grid.dq * self.grid.dp
-        if abs(m - 1.0) > MASS_TOL:
+        m = v.sum() * g.dq * g.dp
+        if not abs(m - 1.0) <= MASS_TOL:  # likewise
             raise StateValidationError(f"mass is {m}, not 1")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_mass", float(m))
 
     @property
     def mass(self) -> float:
-        return float(self.values.sum() * self.grid.dq * self.grid.dp)
+        return self._mass
+
+    @cached_property
+    def _window(self) -> tuple[int, int]:
+        """[lo, hi): the p columns holding any bit other than +0.0."""
+        cols = np.flatnonzero(self.values.view(np.int64).any(axis=0))
+        return int(cols[0]), int(cols[-1]) + 1
+
+
+def _handover(grid: PhaseSpaceGrid, v: np.ndarray) -> PhaseSpaceDensity:
+    """A density holding ``v``, a fresh C-ordered buffer no one else holds, uncopied."""
+    rho = object.__new__(PhaseSpaceDensity)
+    object.__setattr__(rho, "grid", grid)
+    rho._take(v)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -113,7 +137,8 @@ def density_from_values(grid: PhaseSpaceGrid, values: np.ndarray) -> PhaseSpaceD
     total = v.sum() * grid.dq * grid.dp
     if total <= 0:
         raise ValueError("cannot normalize a density with no mass")
-    return PhaseSpaceDensity(grid, v / total)
+    v /= total
+    return _handover(grid, np.ascontiguousarray(v))
 
 
 def gaussian_density(
@@ -141,35 +166,46 @@ def single_p_row_density(
     return density_from_values(grid, values)
 
 
+def _blocks(rows: int, width: int) -> list[slice]:
+    """Slices cutting ``rows`` rows of ``width`` cells into blocks of about ``_BLOCK_CELLS``."""
+    step = max(1, _BLOCK_CELLS // width)
+    return [slice(r, r + step) for r in range(0, rows, step)]
+
+
 def classical_free_flow(rho: PhaseSpaceDensity, t: float) -> PhaseSpaceDensity:
     """Transport along q -> q + 2 p t at fixed p (characteristics of H = p^2).
 
     The p row ``values[:, j]`` moves by ``offset = 2 p_j t / dq`` cells:
     with ``k = floor(offset)`` and ``w = offset - k`` it becomes
-    ``(1 - w) * roll(row, k) + w * roll(row, k + 1)``.  Two slice copies
-    per p row put ``roll(row, k)`` into a (n_p, nq) buffer; that buffer
-    rolled by one more cell is ``roll(row, k + 1)``, and the blend is
-    done in place.  The shift per p row is constant, so the periodic
-    linear-interpolation backtrace conserves both mass and the
-    p-marginal to machine precision.
+    ``(1 - w) * roll(row, k) + w * roll(row, k + 1)``.  Per block of
+    p rows of the support window, two slice copies per row put
+    ``roll(row, k)`` into a (rows, nq) buffer; that buffer rolled by one
+    more cell is ``roll(row, k + 1)``, and the blend is done in place.
+    The shift per p row is constant, so the periodic linear-interpolation
+    backtrace conserves both mass and the p-marginal to machine
+    precision, and keeps the support window.
     """
     grid = rho.grid
     nq = grid.nq
-    offset = 2.0 * grid.p * t / grid.dq
-    # k stays a float so that any finite t is exact (an int64 overflows
-    # past 2**63 cells); + 0.0 turns floor(-0.0) into the +0 of an integer.
-    k = np.floor(offset) + 0.0
-    w = (offset - k)[:, None]
-    a = np.empty((grid.n_p, nq))
-    for dst, src, s in zip(a, rho.values.T, (k % nq).astype(np.int64).tolist()):
-        dst[s:] = src[: nq - s]
-        dst[:s] = src[nq - s :]
-    b = np.roll(a, 1, axis=1)
-    a *= 1.0 - w
-    b *= w
-    a += b
-    del b  # at most two grid-sized arrays live while PhaseSpaceDensity copies
-    return PhaseSpaceDensity(grid, a.T)
+    lo, hi = rho._window
+    out = np.zeros((nq, grid.n_p))
+    window, p, values = out[:, lo:hi], grid.p[lo:hi], rho.values[:, lo:hi]
+    for c in _blocks(hi - lo, nq):
+        offset = 2.0 * p[c] * t / grid.dq
+        # k stays a float so that any finite t is exact (an int64 overflows
+        # past 2**63 cells); + 0.0 turns floor(-0.0) into the +0 of an integer.
+        k = np.floor(offset) + 0.0
+        w = (offset - k)[:, None]
+        a = np.empty((len(w), nq))
+        for dst, src, s in zip(a, values[:, c].T, (k % nq).astype(np.int64).tolist()):
+            dst[s:] = src[: nq - s]
+            dst[:s] = src[nq - s :]
+        b = np.roll(a, 1, axis=1)
+        a *= 1.0 - w
+        b *= w
+        a += b
+        window[:, c] = a.T
+    return _handover(grid, out)
 
 
 def apply_kick(
@@ -180,33 +216,41 @@ def apply_kick(
     The q column ``c = values[i, :]`` moves along p by
     ``offset = strength * V'(q_i) / dp`` cells: with ``k = floor(offset)``
     and ``w = offset - k``, cell j gets ``(1 - w) * c[j + k] +
-    w * c[j + k + 1]``, zero where the index leaves the grid.  One slice
-    copy per q column fills an (nq, n_p + 1) buffer whose first and last
-    n_p entries per q are the two shifted columns.
+    w * c[j + k + 1]``, zero where the index leaves the grid.  Only cells
+    that read the support window [lo, hi) can be nonzero, so the output
+    window is [lo - max k - 1, hi - min k) clipped to the grid.  For each
+    block of q columns, one slice copy per column fills a
+    (columns, window + 1) buffer whose first and last ``window`` entries
+    per q are the two shifted columns.
 
     The backtraced p must stay on the grid; mass pushed past the p
     boundary is dropped, and the resulting mass defect trips the
     unit-mass validation.  Choose the grid wide enough for the kick.
     """
     grid = rho.grid
-    n = grid.n_p
     dv = np.asarray(grad_v(grid.q), dtype=float)
     if dv.shape != (grid.nq,):
         raise ValueError(f"grad_v must return one value per q cell, got shape {dv.shape}")
     offset = strength * dv / grid.dp
     k = np.floor(offset).astype(np.int64)
     w = (offset - k)[:, None]
-    e = np.zeros((grid.nq, n + 1))
-    for dst, src, s in zip(e, rho.values, k.tolist()):
-        lo, hi = max(0, -s), min(n + 1, n - s)
-        if lo < hi:
-            dst[lo:hi] = src[lo + s : hi + s]
-    out = e[:, 1:] * w
-    a = e[:, :n]
-    a *= 1.0 - w
-    out += a
-    del a, e  # at most two grid-sized arrays live while PhaseSpaceDensity copies
-    return PhaseSpaceDensity(grid, out)
+    lo, hi = rho._window
+    out_lo = max(0, lo - int(k.max()) - 1)
+    n = max(0, min(grid.n_p, hi - int(k.min())) - out_lo)
+    out = np.zeros((grid.nq, grid.n_p))
+    window = out[:, out_lo : out_lo + n]
+    for r in _blocks(grid.nq, n + 1):
+        e = np.zeros((len(w[r]), n + 1))
+        for dst, src, s in zip(e, rho.values[r], (k[r] + out_lo).tolist()):
+            # dst[x] = src[x + s], read only inside the support window
+            x0, x1 = max(0, lo - s), min(n + 1, hi - s)
+            if x0 < x1:
+                dst[x0:x1] = src[x0 + s : x1 + s]
+        np.multiply(e[:, 1:], w[r], out=window[r])
+        a = e[:, :n]
+        a *= 1.0 - w[r]
+        window[r] += a
+    return _handover(grid, out)
 
 
 def kick_gradient(shape: str) -> Callable[[np.ndarray], np.ndarray]:

@@ -5,12 +5,8 @@ from hypothesis import strategies as st
 
 from lelab.basis import (
     MAX_POINTS,
-    basis_from_json,
-    basis_to_json,
     build_basis,
     build_basis_1d,
-    energy_tolerance,
-    shell_of,
 )
 from lelab.errors import DimensionCapError
 
@@ -61,14 +57,6 @@ def test_lexicographic_order_and_index_of():
         basis.index_of((2, 0, 0))
 
 
-def test_shell_of_matches_point_energy():
-    basis = build_basis(1, 2.0)
-    for i in range(basis.size):
-        s = shell_of(basis, i)
-        assert basis.shells.energies[s] == basis.energies[i]
-        assert i in basis.shells.members[s]
-
-
 def test_point_cap_enforced():
     with pytest.raises(DimensionCapError):
         build_basis(8, 1.0)  # 17^3 = 4913 > 4096
@@ -94,10 +82,6 @@ def test_1d_lattice_is_nondegenerate():
     np.testing.assert_array_equal(basis.shells.norms2, np.arange(1, 17) ** 2)
 
 
-def test_energy_tolerance_scales_quadratically():
-    assert energy_tolerance(2.0) == 4.0 * energy_tolerance(1.0)
-
-
 @given(m=st.integers(min_value=0, max_value=4), delta_k=st.floats(0.1, 10.0))
 @settings(max_examples=30, deadline=None)
 def test_shells_partition_the_lattice(m, delta_k):
@@ -110,22 +94,3 @@ def test_shells_partition_the_lattice(m, delta_k):
         assert np.all(basis.energies[mem] == basis.shells.energies[s])
     # shell energies strictly increase
     assert np.all(np.diff(basis.shells.energies) > 0)
-
-
-@given(m=st.integers(min_value=0, max_value=3), delta_k=st.floats(0.25, 4.0))
-@settings(max_examples=20, deadline=None)
-def test_json_round_trip(m, delta_k):
-    basis = build_basis(m, delta_k)
-    loaded = basis_from_json(basis_to_json(basis))
-    np.testing.assert_array_equal(loaded.points, basis.points)
-    assert loaded.delta_k == basis.delta_k
-    np.testing.assert_array_equal(loaded.shell_index, basis.shell_index)
-    np.testing.assert_array_equal(loaded.shells.energies, basis.shells.energies)
-
-
-def test_json_rejects_tampered_shells():
-    basis = build_basis(1, 1.0)
-    text = basis_to_json(basis)
-    broken = text.replace('"shell_energies": [0.0,', '"shell_energies": [0.5,')
-    with pytest.raises(ValueError):
-        basis_from_json(broken)

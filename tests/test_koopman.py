@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lelab import harness, koopman
+from lelab.config import validate_config
 from lelab.errors import StateValidationError
 from lelab.koopman import (
     BetaMarginal,
@@ -46,6 +50,8 @@ def test_density_validation():
         PhaseSpaceDensity(GRID, 2.0 * ok)
     with pytest.raises(StateValidationError):
         PhaseSpaceDensity(GRID, ok[:, :4])
+    with pytest.raises(StateValidationError):
+        PhaseSpaceDensity(GRID, np.where(np.arange(GRID.n_p) == 3, np.nan, ok))
 
 
 def test_xi_translation_identity():
@@ -298,3 +304,133 @@ def test_kick_past_the_grid_edge_is_caught_on_a_random_density():
     rho = _random_density(48, 30, seed=5, edge=1e-12)
     with pytest.raises(StateValidationError):
         apply_kick(rho, lambda q: np.ones_like(q), 3.5 * rho.grid.dp)
+
+
+# Sparse support: the kernels touch only the p columns that hold mass, and
+# must still reproduce the per-column oracle on every bit of the grid.
+
+SPARSE_GRID = PhaseSpaceGrid(nq=48, n_p=40, dq=2 * np.pi / 48, dp=0.1)
+
+
+def _flow_times(grid):
+    t_wrap = _wrapping_time(grid)
+    return (0.0, -0.0, 0.37, t_wrap, -t_wrap, 1e18)
+
+
+def _assert_flows_match_oracle(rho):
+    for t in _flow_times(rho.grid):
+        _assert_same_bits(classical_free_flow(rho, t).values, _oracle_free_flow(rho, t))
+
+
+def _assert_kick_matches_oracle(rho, grad_v, strength):
+    kicked = apply_kick(rho, grad_v, strength)
+    _assert_same_bits(kicked.values, _oracle_kick(rho, grad_v, strength))
+    return kicked
+
+
+def _kick_window_is_clipped(rho, grad_v, strength):
+    """True iff the kick's window [lo - max k - 1, hi - min k) leaves the p grid."""
+    cols = np.flatnonzero(rho.values.view(np.int64).any(axis=0))
+    k = np.floor(strength * grad_v(rho.grid.q) / rho.grid.dp)
+    return cols[0] - k.max() - 1 < 0 or cols[-1] + 1 - k.min() > rho.grid.n_p
+
+
+@pytest.mark.parametrize("column", [0, 17, SPARSE_GRID.n_p - 1])
+def test_single_row_flow_and_kick_match_the_oracles_bit_for_bit(column):
+    grid = SPARSE_GRID
+    rho = single_p_row_density(grid, p0=grid.p[column], q_profile=1.0 + 0.5 * np.sin(grid.q))
+    _assert_flows_match_oracle(rho)
+    if column == 17:
+        # the harness's path: flow to the kick time, kick, flow again
+        kicked = _assert_kick_matches_oracle(
+            classical_free_flow(rho, 1.1), kick_gradient("cos"), 2.5 * grid.dp
+        )
+        assert int(kicked.values.any(axis=0).sum()) > 3
+        _assert_flows_match_oracle(kicked)
+
+
+@pytest.mark.parametrize("column,sign", [(0, -1.0), (SPARSE_GRID.n_p - 1, 1.0)])
+def test_kick_window_clipped_at_a_p_edge_matches_the_oracle_bit_for_bit(column, sign):
+    # mass only where q < pi, which the kick moves into the grid; the empty
+    # q rows are pushed past the edge, so the window is clipped there
+    grid = SPARSE_GRID
+    rho = single_p_row_density(grid, p0=grid.p[column], q_profile=(grid.q < np.pi) * 1.0)
+    grad_v = lambda q: sign * 1.5 * np.sin(q)  # noqa: E731
+    assert _kick_window_is_clipped(rho, grad_v, grid.dp)
+    kicked = _assert_kick_matches_oracle(rho, grad_v, grid.dp)
+    assert abs(kicked.mass - 1.0) <= 1e-12
+    _assert_flows_match_oracle(kicked)
+
+
+def test_signed_zero_columns_match_the_oracles_bit_for_bit():
+    grid = SPARSE_GRID
+    values = np.zeros((grid.nq, grid.n_p))
+    values[:, 5:21] = np.random.default_rng(2).uniform(0.1, 1.0, (grid.nq, 16))
+    values = density_from_values(grid, values).values.copy()
+    values[:, 5] = -0.0  # the first support column holds only -0.0
+    values[:, 12] = 0.0  # an interior column holds only +0.0
+    values[::3, 20] = -0.0
+    rho = PhaseSpaceDensity(grid, values / (values.sum() * grid.dq * grid.dp))
+    assert np.signbit(rho.values[:, 5]).all() and not np.signbit(rho.values[:, 12]).any()
+    _assert_flows_match_oracle(rho)
+    for strength in (0.0, 1.7 * grid.dp, -2.2 * grid.dp):
+        _assert_flows_match_oracle(_assert_kick_matches_oracle(rho, kick_gradient("cos"), strength))
+
+
+def test_full_support_density_matches_the_oracles_bit_for_bit():
+    rho = gaussian_density(SPARSE_GRID, q0=1.0, p0=0.2, sigma_q=0.6, sigma_p=2.0)
+    assert rho.values.view(np.int64).all()
+    _assert_flows_match_oracle(rho)
+    _assert_kick_matches_oracle(rho, kick_gradient("sin"), 0.0)
+
+
+# Ownership: a density never aliases a caller's array, and the arrays the
+# module builds are read-only and C-ordered.
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("build", [PhaseSpaceDensity, density_from_values])
+def test_density_does_not_alias_the_callers_array(build, order):
+    callers = np.full((GRID.nq, GRID.n_p), 1.0 / (GRID.nq * GRID.n_p * GRID.dq * GRID.dp),
+                      order=order)
+    rho = build(GRID, callers)
+    before = rho.values.tobytes()
+    callers[3, 4] = 7.0
+    assert rho.values.tobytes() == before
+    assert rho.values.flags.c_contiguous and not rho.values.flags.writeable
+
+
+def test_every_kernel_output_is_read_only_and_c_ordered():
+    row = single_p_row_density(GRID, p0=1.0)
+    flowed = classical_free_flow(row, 0.7)
+    outputs = (
+        row,
+        flowed,
+        apply_kick(flowed, kick_gradient("cos"), 0.3),
+        gaussian_density(GRID, q0=1.0, p0=0.5, sigma_q=0.5, sigma_p=0.5),
+        density_from_values(GRID, np.ones((GRID.nq, GRID.n_p))),
+    )
+    for rho in outputs:
+        assert rho.values.flags.c_contiguous and not rho.values.flags.writeable
+        assert rho.mass == float(rho.values.sum() * GRID.dq * GRID.dp)
+
+
+def test_run_writes_the_same_csv_bytes_with_the_oracle_kernels(tmp_path, monkeypatch):
+    n = 128
+    cfg = validate_config(json.dumps({
+        "mode": "classical",
+        "lattice": {"nq": n, "np": n, "dq": 2 * np.pi / n, "dp": 6.4 / n},
+        "potential": {"kick_strength": 0.3, "kick_shape": "cos", "kick_time": 1.0},
+        "initial_state": {"kind": "single-p-row", "p0": 0.83},
+        "time_grid": {"t_max": 2.0, "steps": 10},
+        "outputs": {"csv": "trace.csv", "summary": "summary.json"},
+    }))
+    harness.run(cfg, tmp_path / "kernels")
+    monkeypatch.setattr(koopman, "classical_free_flow",
+                        lambda rho, t: PhaseSpaceDensity(rho.grid, _oracle_free_flow(rho, t)))
+    monkeypatch.setattr(koopman, "apply_kick", lambda rho, g, s: PhaseSpaceDensity(
+        rho.grid, _oracle_kick(rho, g, s)))
+    harness.run(cfg, tmp_path / "oracles")
+    kernels = (tmp_path / "kernels" / "trace.csv").read_bytes()
+    assert kernels == (tmp_path / "oracles" / "trace.csv").read_bytes()
+    assert len(kernels.splitlines()) == 12
