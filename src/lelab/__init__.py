@@ -20,7 +20,6 @@ from .dynamics import (
     build_hamiltonian,
     commutator_superoperator,
     evolve,
-    interaction_liouvillian_element,
     liouvillian_superoperator,
     yukawa_fourier,
 )
@@ -53,19 +52,15 @@ from .reduction import (
     assemble_block_diagonal,
     effective_entropy,
     entropy_trace,
-    expectation_xi_independent,
     first_order_reduced_step,
     free_phase_law,
     is_effectively_pure,
     reduce,
     shell_entropies,
-    weighted_effective_entropy,
 )
 from .states import (
     DensityMatrix,
     PureState,
-    density_from_json,
-    density_to_json,
     effectively_pure_state,
     global_entropy,
     global_purity,

@@ -49,9 +49,7 @@ class MomentumBasis:
     delta_k: float
     energies: np.ndarray     # (n,) E = |n|^2 * delta_k^2
     norms2: np.ndarray       # (n,) integer squared norms
-    shell_index: np.ndarray  # (n,) shell id per point
     shells: ShellTable
-    extent: int              # construction parameter: M (cubic) or N (1D line)
 
     @property
     def size(self) -> int:
@@ -69,11 +67,10 @@ class MomentumBasis:
         return int(hits[0])
 
 
-def _basis_from_points(points: np.ndarray, delta_k: float, extent: int) -> MomentumBasis:
+def _basis_from_points(points: np.ndarray, delta_k: float) -> MomentumBasis:
     norms2 = (points * points).sum(axis=1)
     distinct = np.unique(norms2)                      # ascending
     members = tuple(_frozen(np.flatnonzero(norms2 == m)) for m in distinct)
-    shell_index = np.searchsorted(distinct, norms2)
     dk2 = delta_k * delta_k
     shells = ShellTable(
         energies=_frozen(distinct * dk2),
@@ -85,9 +82,7 @@ def _basis_from_points(points: np.ndarray, delta_k: float, extent: int) -> Momen
         delta_k=float(delta_k),
         energies=_frozen(norms2 * dk2),
         norms2=_frozen(norms2),
-        shell_index=_frozen(shell_index),
         shells=shells,
-        extent=int(extent),
     )
 
 
@@ -110,7 +105,7 @@ def build_basis(M: int, delta_k: float, max_points: int = MAX_POINTS) -> Momentu
         raise DimensionCapError(f"(2M+1)^3 = {side**3} exceeds cap of {max_points} points")
     r = np.arange(-M, M + 1)
     points = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
-    return _basis_from_points(points, delta_k, extent=M)
+    return _basis_from_points(points, delta_k)
 
 
 def build_basis_1d(N: int, delta_k: float, max_points: int = MAX_POINTS) -> MomentumBasis:
@@ -127,7 +122,7 @@ def build_basis_1d(N: int, delta_k: float, max_points: int = MAX_POINTS) -> Mome
         raise DimensionCapError(f"N = {N} exceeds cap of {max_points} points")
     points = np.zeros((N, 3), dtype=int)
     points[:, 0] = np.arange(1, N + 1)
-    return _basis_from_points(points, delta_k, extent=N)
+    return _basis_from_points(points, delta_k)
 
 
 def bohr_labels(basis: MomentumBasis) -> np.ndarray:

@@ -6,8 +6,6 @@ and the free part acts on the elementary matrix |i><j| with eigenvalue
 E_i - E_j.  Bohr-frequency labels use the opposite orientation,
 alpha = E_col - E_row, so that the alpha component of a state picks up
 the phase exp(+i alpha t) under free evolution (see reduction).
-``interaction_liouvillian_element`` is stated in the alpha-labeling
-orientation and therefore equals minus the commutator element.
 
 Evolution goes through an eigendecomposition of H rather than a
 time stepper: it is exact to machine precision, so integrator error
@@ -24,7 +22,7 @@ import numpy as np
 
 from .basis import MomentumBasis, bohr_labels
 from .errors import DimensionCapError
-from .states import HERMITICITY_TOL, DensityMatrix, state_factor
+from .states import HERMITICITY_TOL, DensityMatrix
 
 # A dim-64 system already implies a 4096^2 superoperator; refuse beyond that.
 SUPEROP_DIM_CAP = 64
@@ -136,12 +134,11 @@ class Propagator:
     def evolve(self, rho: DensityMatrix, t: float) -> DensityMatrix:
         """U(t) rho U(t)^dagger as ``DensityMatrix(factor=C)``, C of rho's rank.
 
-        Builds no U(t) and, for a factored ``rho``, takes no n x n spectrum:
-        only ||C||_F^2 = 1 is checked.  A full-matrix ``rho`` is factored by
-        one ``eigh`` (``states.state_factor``), which drops its eigenvalues
-        in [-PSD_TOL, 0] and rescales the factor to unit trace."""
+        Builds no U(t) and takes no n x n spectrum: it reads ``rho.factor``,
+        which a full-matrix state got from the ``eigh`` that checked it, and
+        only ||C||_F^2 = 1 is checked."""
         q = self.eigenvectors
-        g = q.conj().T @ state_factor(rho)
+        g = q.conj().T @ rho.factor
         return DensityMatrix(factor=evolved_factor(q, self.eigenvalues, g, float(t)))
 
 
@@ -183,27 +180,6 @@ def liouvillian_superoperator(h: Hamiltonian, cap: int = SUPEROP_DIM_CAP) -> Sup
     free = commutator_superoperator(np.diag(h.h0_diag.astype(complex)), cap)
     inter = commutator_superoperator(h.v, cap)
     return Superoperator(free.matrix + inter.matrix, h.dim)
-
-
-def interaction_liouvillian_element(
-    basis: MomentumBasis, i1: int, i2: int, i3: int, i4: int, coupling: float, screening: float
-) -> complex:
-    """Momentum-representation element of the interaction part,
-
-        delta(i1,i3) Vt(k2 - k4) - delta(i2,i4) Vt(k1 - k3),
-
-    in the alpha-labeling orientation (the map X -> X v - v X); it equals
-    minus the matrix element of the commutator map used for evolution.
-    """
-    for i in (i1, i2, i3, i4):
-        if not 0 <= i < basis.size:
-            raise IndexError(f"point index {i} out of range for basis of size {basis.size}")
-    out = 0.0
-    if i1 == i3:
-        out += yukawa_fourier((basis.points[i2] - basis.points[i4]) * basis.delta_k, coupling, screening)
-    if i2 == i4:
-        out -= yukawa_fourier((basis.points[i1] - basis.points[i3]) * basis.delta_k, coupling, screening)
-    return complex(out)
 
 
 def alpha_offblock_norm(op, basis: MomentumBasis) -> tuple[float, float]:

@@ -183,8 +183,11 @@ def classical_free_flow(rho: PhaseSpaceDensity, t: float) -> PhaseSpaceDensity:
     more cell is ``roll(row, k + 1)``, and the blend is done in place.
     The shift per p row is constant, so the periodic linear-interpolation
     backtrace conserves both mass and the p-marginal to machine
-    precision, and keeps the support window.
+    precision, and keeps the support window.  A non-finite ``t`` raises
+    ValueError.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     grid = rho.grid
     nq = grid.nq
     lo, hi = rho._window
@@ -226,7 +229,10 @@ def apply_kick(
     The backtraced p must stay on the grid; mass pushed past the p
     boundary is dropped, and the resulting mass defect trips the
     unit-mass validation.  Choose the grid wide enough for the kick.
+    A non-finite ``strength`` raises ValueError.
     """
+    if not np.isfinite(strength):
+        raise ValueError(f"strength must be finite, got {strength}")
     grid = rho.grid
     dv = np.asarray(grad_v(grid.q), dtype=float)
     if dv.shape != (grid.nq,):

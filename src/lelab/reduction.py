@@ -29,7 +29,6 @@ from .states import (
     DensityMatrix,
     as_matrix,
     entropy_from_eigenvalues,
-    state_factor,
 )
 
 # Shells with weight at or below this are treated as empty: the normalized
@@ -180,15 +179,6 @@ def effective_entropy(dec: ShellDecomposition) -> float:
     return float(shell_entropies(dec).sum())
 
 
-def weighted_effective_entropy(dec: ShellDecomposition) -> float:
-    """Secondary statistic: sum of lambda_E * S_E.
-
-    Not used by any acceptance gate; reported for mixture-structure
-    comparisons only.
-    """
-    return float((dec.weights * shell_entropies(dec)).sum())
-
-
 def is_effectively_pure(dec: ShellDecomposition, tol_rank: float = RANK_TOL) -> bool:
     """True iff every occupied normalized block has rank one.
 
@@ -197,29 +187,6 @@ def is_effectively_pure(dec: ShellDecomposition, tol_rank: float = RANK_TOL) -> 
     """
     spectra = (_shell_spectrum(b, w) for b, w in zip(dec.blocks, dec.weights))
     return all(e is None or e[-2] < tol_rank for e in spectra)
-
-
-def expectation_xi_independent(shell_ops: Sequence[np.ndarray], rho: DensityMatrix, basis: MomentumBasis) -> float:
-    """Expectation of a shell-block-diagonal observable from the reduction.
-
-    ``shell_ops`` gives the observable as one Hermitian block per shell
-    (this is what commuting with the free Hamiltonian means structurally).
-    Returns sum_E lambda_E Tr(A_E rho_hat_E), which equals Tr(A rho).
-    """
-    if len(shell_ops) != basis.n_shells:
-        raise ValueError(
-            f"observable must supply one block per shell ({basis.n_shells}), got {len(shell_ops)}"
-        )
-    dec = reduce(rho, basis)
-    total = 0.0 + 0.0j
-    for s, (op, mem) in enumerate(zip(shell_ops, basis.shells.members)):
-        op = np.asarray(op, dtype=complex)
-        if op.shape != (len(mem), len(mem)):
-            raise ValueError(
-                f"block {s} must be {len(mem)}x{len(mem)} to be shell-block-diagonal, got {op.shape}"
-            )
-        total += np.trace(op @ dec.blocks[s])
-    return float(total.real)
 
 
 def first_order_reduced_step(
@@ -257,7 +224,7 @@ def entropy_trace(
 ) -> list[TraceRow]:
     """Evolve exactly to each grid time, reduce, and report.
 
-    Works on an n x r factor B of rho0 = B B^dagger (``states.state_factor``):
+    Works on the n x r factor B of rho0 = B B^dagger (``rho0.factor``):
     G = Q^dagger B is formed once from ``h.propagator``, and each row takes
     the ``dynamics.evolved_factor`` step to rho(t) = C C^dagger, at O(n^2 r).
     ||C||_F^2 must be one within TRACE_TOL (StateValidationError
@@ -271,7 +238,7 @@ def entropy_trace(
     """
     prop = h.propagator
     w, q = prop.eigenvalues, prop.eigenvectors
-    g = q.conj().T @ state_factor(rho0)
+    g = q.conj().T @ rho0.factor
     r = g.shape[1]
     # Rows of Q in shell order, so that each shell's rows of C are one slice.
     order = np.concatenate(basis.shells.members)

@@ -5,7 +5,6 @@ Validation tolerances are fixed so that test oracles are unambiguous.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,16 +28,15 @@ def _readonly_complex(a) -> np.ndarray:
     return m
 
 
-def validated_spectrum(m: np.ndarray, what: str = "density matrix", vectors: bool = False):
-    """Eigenvalues (ascending) of ``m`` after checking it is a density matrix.
+def validated_spectrum(m: np.ndarray, what: str = "density matrix"):
+    """(eigenvalues ascending, eigenvectors) of ``m`` after checking it is a
+    density matrix.
 
     This is the one statement of the density-matrix rule: raises
     StateValidationError, naming ``m`` as ``what``, unless ``m`` is
     square, Hermitian, unit trace and positive semidefinite within the
-    module tolerances.  The one decomposition serves both the PSD check
-    and whatever the caller derives from the spectrum: an ``eigvalsh``,
-    or with ``vectors`` an ``eigh`` whose (eigenvalues, eigenvectors)
-    pair is returned.
+    module tolerances.  The one ``eigh`` serves both the PSD check and
+    the factor the caller builds from the pair (``_psd_factor``).
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateValidationError(f"{what} must be square, got shape {m.shape}")
@@ -48,12 +46,12 @@ def validated_spectrum(m: np.ndarray, what: str = "density matrix", vectors: boo
     tr = np.trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateValidationError(f"{what} has trace {tr}, not 1")
-    eigs, vecs = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+    eigs, vecs = np.linalg.eigh(m)
     if eigs[0] < -PSD_TOL:
         raise StateValidationError(
             f"{what} is not positive semidefinite: min eigenvalue {eigs[0]:.3e}"
         )
-    return (eigs, vecs) if vectors else eigs
+    return eigs, vecs
 
 
 def _psd_factor(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -67,12 +65,14 @@ def _psd_factor(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Complex Hermitian, unit-trace, positive-semidefinite matrix.
+    """Complex Hermitian, unit-trace, positive-semidefinite matrix with its
+    n x r factor B, ``matrix = B B^dagger``.
 
-    Give either ``matrix``, which is checked by ``validated_spectrum``, or
-    ``factor``: an n x r matrix B that builds ``matrix = B B^dagger``.  A
-    factored state is Hermitian and PSD by construction, so only its
-    trace ||B||_F^2 is checked; ``entropy_trace`` works on the factor.
+    Give either ``matrix`` or ``factor``.  A matrix is checked by
+    ``validated_spectrum``, and the same ``eigh`` gives its factor
+    (``_psd_factor``: one column per positive eigenvalue).  A given factor
+    is Hermitian and PSD by construction, so only its trace ||B||_F^2 is
+    checked.  ``Propagator.evolve`` and ``entropy_trace`` work on the factor.
     """
 
     matrix: np.ndarray | None = None
@@ -83,7 +83,8 @@ class DensityMatrix:
             raise StateValidationError("give a density matrix or its factor, not both or neither")
         if self.factor is None:
             m = _readonly_complex(self.matrix)
-            validated_spectrum(m)
+            b = _psd_factor(*validated_spectrum(m))
+            b.setflags(write=False)
         else:
             b = _readonly_complex(self.factor)
             if b.ndim != 2:
@@ -93,8 +94,8 @@ class DensityMatrix:
                 raise StateValidationError(f"density matrix has trace {tr}, not 1")
             m = b @ b.conj().T
             m.setflags(write=False)
-            object.__setattr__(self, "factor", b)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "factor", b)
 
     @property
     def dim(self) -> int:
@@ -128,35 +129,9 @@ def as_matrix(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
-def state_factor(rho) -> np.ndarray:
-    """n x r factor B of ``rho`` (rho = B B^dagger): the one a DensityMatrix
-    was built from, or else one from an ``eigh`` of the matrix that keeps
-    every positive eigenvalue."""
-    if isinstance(rho, DensityMatrix) and rho.factor is not None:
-        return rho.factor
-    return _psd_factor(*np.linalg.eigh(as_matrix(rho)))
-
-
 def pure_to_density(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi|, factored as the column psi."""
     return DensityMatrix(factor=psi.amplitudes[:, None])
-
-
-def density_to_json(rho: DensityMatrix) -> str:
-    """Serialize to JSON as a square nesting of [re, im] pairs."""
-    rows = [[[float(z.real), float(z.imag)] for z in row] for row in rho.matrix]
-    return json.dumps({"matrix": rows})
-
-
-def density_from_json(text: str) -> DensityMatrix:
-    """Rebuild a density matrix from JSON; state invariants are re-checked."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "matrix" not in doc:
-        raise ValueError("expected an object with a 'matrix' field")
-    arr = np.asarray(doc["matrix"], dtype=float)
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-        raise ValueError("matrix must be a square nesting of [re, im] pairs")
-    return DensityMatrix(arr[..., 0] + 1j * arr[..., 1])
 
 
 def _ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -202,8 +177,9 @@ def effectively_pure_state(
     result has rank at most one, so the state is effectively pure by
     construction; it is mixed whenever mu has rank above one with
     off-diagonal magnitudes strictly below the Cauchy-Schwarz bound.
-    The state is factored as Phi L, with mu = L L^dagger from one
-    ``eigh`` of mu, so its rank is at most len(shell_ids).
+    The state is factored as Phi L, with L from the one ``eigh`` of mu
+    that ``validated_spectrum`` checks it with, so its rank is at most
+    len(shell_ids).
 
     ``mu`` must pass the density-matrix rule of ``validated_spectrum``
     (its StateValidationError is a ValueError naming ``mu``);
@@ -213,7 +189,7 @@ def effectively_pure_state(
     mu = np.asarray(mu, dtype=complex)
     if mu.shape != (len(shell_ids), len(shell_ids)):
         raise ValueError(f"mu must be {len(shell_ids)}x{len(shell_ids)}, got {mu.shape}")
-    l = _psd_factor(*validated_spectrum(mu, "mu", vectors=True))
+    l = _psd_factor(*validated_spectrum(mu, "mu"))
     return DensityMatrix(factor=_shell_factor(basis, shell_ids, shell_vectors, l))
 
 

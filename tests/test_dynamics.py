@@ -14,11 +14,11 @@ from lelab.dynamics import (
     build_hamiltonian,
     commutator_superoperator,
     evolve,
-    interaction_liouvillian_element,
     liouvillian_superoperator,
     yukawa_fourier,
 )
 from lelab.errors import DimensionCapError
+from lelab.reduction import entropy_trace
 from lelab.states import (
     DensityMatrix,
     PureState,
@@ -28,6 +28,7 @@ from lelab.states import (
     random_density_matrix,
     random_effectively_pure_state,
     random_pure_state,
+    _psd_factor,
 )
 
 
@@ -182,19 +183,6 @@ def test_superoperator_cap():
     assert liouvillian_superoperator(h, cap=65).dim == 65
 
 
-def test_interaction_element_matches_potential_commutator():
-    basis = build_basis(1, 1.0)
-    h = build_hamiltonian(basis, 0.8, 1.5)
-    sup = commutator_superoperator(h.v, cap=64).matrix
-    n = basis.size
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        i1, i2, i3, i4 = rng.integers(0, n, size=4)
-        element = interaction_liouvillian_element(basis, i1, i2, i3, i4, 0.8, 1.5)
-        # stated with the opposite orientation to the commutator [V, .]
-        assert element == pytest.approx(-sup[i1 * n + i2, i3 * n + i4])
-
-
 def test_free_liouvillian_is_alpha_diagonal():
     basis = build_basis(1, 1.0)
     h0 = build_hamiltonian(basis, 0.0, 1.0)
@@ -273,29 +261,53 @@ def _evolve_case(lattice, kind):
 @pytest.mark.parametrize("lattice", sorted(EVOLVE_BASES))
 def test_evolve_matches_dense_conjugation_oracle(lattice, kind):
     prop, rho, rank = _evolve_case(lattice, kind)
-    assert (rho.factor is None) == (kind == "dense")
+    assert rho.factor.shape == (rho.dim, rank)
     for t in (0.0, 0.7, 3.1, -2.4):
         out = prop.evolve(rho, t)
         assert out.factor.shape == (rho.dim, rank)
         assert np.abs(out.matrix - _dense_conjugation(prop, rho, t)).max() <= 1e-12
 
 
-def test_evolve_of_a_factored_state_takes_no_n_by_n_spectrum_or_unitary(monkeypatch):
-    prop, rho, rank = _evolve_case("M2", "effectively-pure-mixed")
+def _record_calls(monkeypatch, *targets):
+    """Patch each (owner, name) of ``targets`` to append (name, shape of its
+    first argument) to the returned list before it runs."""
     calls = []
 
     def recording(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
         return wrapper
 
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(Propagator, "unitary", recording("unitary", Propagator.unitary))
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
+    return calls
+
+
+def test_evolve_of_a_factored_state_takes_no_n_by_n_spectrum_or_unitary(monkeypatch):
+    prop, rho, rank = _evolve_case("M2", "effectively-pure-mixed")
+    calls = _record_calls(monkeypatch, (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                          (Propagator, "unitary"))
     out = prop.evolve(rho, 1.3)
     assert calls == []
     assert out.factor.shape == (rho.dim, rank)
+
+
+def test_a_dense_state_is_checked_and_factored_by_one_eigh(monkeypatch):
+    basis = EVOLVE_BASES["M2"]
+    n = basis.size
+    h = build_hamiltonian(basis, 0.2, 1.0)
+    prop = h.propagator  # the eigh of H is not the state's
+    m = random_density_matrix(n, np.random.default_rng(21), rank=3).matrix
+    calls = _record_calls(monkeypatch, (np.linalg, "eigh"), (np.linalg, "eigvalsh"))
+    rho = DensityMatrix(m)
+    assert calls == [("eigh", (n, n))]
+    calls.clear()
+    prop.evolve(rho, 1.3)
+    entropy_trace(rho, h, [0.0, 1.3], basis)
+    assert calls and all(shape != (n, n) for _, shape in calls)
+    monkeypatch.undo()
+    assert rho.factor.tobytes() == _psd_factor(*np.linalg.eigh(rho.matrix)).tobytes()
 
 
 def test_evolve_of_a_dense_state_drops_its_negative_roundoff():
@@ -354,24 +366,6 @@ def test_identity_hamiltonian_generates_nothing():
     np.testing.assert_array_equal(liouvillian_superoperator(h).matrix, np.zeros((9, 9)))
 
 
-def test_interaction_element_kronecker_structure():
-    basis = build_basis(1, 1.0)
-    i0 = basis.index_of((0, 0, 0))
-    j = basis.index_of((1, 0, 0))
-    l = basis.index_of((0, 1, 0))
-    m = basis.index_of((-1, 0, 0))
-    # both deltas fire on diagonal pairs and the self-energies cancel exactly
-    assert interaction_liouvillian_element(basis, i0, i0, i0, i0, 0.8, 1.5) == 0.0
-    assert interaction_liouvillian_element(basis, i0, j, i0, j, 0.8, 1.5) == 0.0
-    # matching row indices leave a single positive momentum-transfer term
-    el = interaction_liouvillian_element(basis, i0, j, i0, l, 0.8, 1.5)
-    transfer = (basis.points[j] - basis.points[l]) * basis.delta_k
-    assert el == complex(yukawa_fourier(transfer, 0.8, 1.5))
-    assert el.real > 0
-    # no matching index pair at all
-    assert interaction_liouvillian_element(basis, j, i0, l, m, 0.8, 1.5) == 0.0
-
-
 def test_liouvillian_splits_exactly_into_free_and_interaction():
     basis = build_basis_1d(4, 1.0)
     h = build_hamiltonian(basis, 0.8, 1.5)
@@ -379,15 +373,3 @@ def test_liouvillian_splits_exactly_into_free_and_interaction():
     free = liouvillian_superoperator(build_hamiltonian(basis, 0.0, 1.5)).matrix
     inter = commutator_superoperator(h.v).matrix
     np.testing.assert_array_equal(full, free + inter)
-    # the elementwise form assembles to minus the commutator map, exactly
-    n = basis.size
-    elements = np.array(
-        [
-            [
-                interaction_liouvillian_element(basis, r // n, r % n, c // n, c % n, 0.8, 1.5)
-                for c in range(n * n)
-            ]
-            for r in range(n * n)
-        ]
-    )
-    np.testing.assert_array_equal(elements, -inter)

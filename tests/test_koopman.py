@@ -152,6 +152,15 @@ def test_kick_off_grid_mass_loss_is_caught():
         apply_kick(rho, lambda q: -np.ones_like(q), 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_kernels_refuse_a_non_finite_time_or_strength(bad):
+    rho = single_p_row_density(GRID, p0=1.0)
+    with pytest.raises(ValueError, match="^t must be finite"):
+        classical_free_flow(rho, bad)
+    with pytest.raises(ValueError, match="^strength must be finite"):
+        apply_kick(rho, lambda q: -np.sin(q), bad)
+
+
 def test_marginal_mass_validated():
     with pytest.raises(StateValidationError):
         BetaMarginal(p=GRID.p, density=np.ones(GRID.n_p), dp=GRID.dp)

@@ -18,13 +18,11 @@ from lelab.reduction import (
     assemble_block_diagonal,
     effective_entropy,
     entropy_trace,
-    expectation_xi_independent,
     first_order_reduced_step,
     free_phase_law,
     is_effectively_pure,
     reduce,
     shell_entropies,
-    weighted_effective_entropy,
 )
 from lelab.states import (
     DensityMatrix,
@@ -157,7 +155,6 @@ def test_effective_entropy_of_shell_mixture():
     m[members, members] = 1.0 / len(members)
     dec = reduce(DensityMatrix(m), BASIS)
     assert effective_entropy(dec) == pytest.approx(np.log(6), abs=1e-12)
-    assert weighted_effective_entropy(dec) == pytest.approx(np.log(6), abs=1e-12)
     assert not is_effectively_pure(dec)
 
 
@@ -190,29 +187,6 @@ def test_empty_shells_do_not_contribute():
     assert dec.rho_hat(2) is None
     assert effective_entropy(dec) == 0.0
     assert is_effectively_pure(dec)
-
-
-def test_expectation_xi_independent_under_free_flow():
-    # shell-wise observables see only the alpha = 0 part, which free
-    # evolution multiplies by unit phases: expectations are stationary
-    rng = np.random.default_rng(31)
-    rho = random_density_matrix(BASIS.size, rng)
-    h0 = build_hamiltonian(BASIS, 0.0, 1.0)
-    ops = []
-    for members in BASIS.shells.members:
-        d = len(members)
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        ops.append((g + g.conj().T) / 2)
-    before = expectation_xi_independent(ops, rho, BASIS)
-    after = expectation_xi_independent(ops, evolve(rho, h0, 3.7), BASIS)
-    assert after == pytest.approx(before, abs=1e-10)
-
-
-def test_expectation_rejects_wrong_block_shapes():
-    ops = [np.zeros((2, 2))] * BASIS.n_shells
-    rho = random_density_matrix(BASIS.size, np.random.default_rng(1))
-    with pytest.raises(ValueError):
-        expectation_xi_independent(ops, rho, BASIS)
 
 
 def test_first_order_step_error_is_second_order():
@@ -278,7 +252,7 @@ def test_entropy_trace_matches_momentum_basis_oracle(lattice):
 
 def _dense_eigenbasis_trace(rho0, h, times, basis):
     """The dense trace that the factored one replaced: X(t) = e^{-iwt} X0 e^{+iwt}
-    with X0 = Q^dagger rho0 Q, validated with an n x n eigvalsh per row, and
+    with X0 = Q^dagger rho0 Q, validated with an n x n eigh per row, and
     each multi-member shell block taken from Q[members] X(t) Q[members]^dagger.
     Returns (t, S_eff, S_global, tr_rho2, effectively_pure, S_E) per row."""
     w, q = h.propagator.eigenvalues, h.propagator.eigenvectors
@@ -287,7 +261,7 @@ def _dense_eigenbasis_trace(rho0, h, times, basis):
     for t in times:
         phase = np.exp(-1j * w * t)
         x = phase[:, None] * x0 * phase.conj()
-        spectrum = validated_spectrum(x)
+        spectrum, _ = validated_spectrum(x)
         per_shell = np.zeros(basis.n_shells)
         pure = True
         for s, mem in enumerate(basis.shells.members):
@@ -406,9 +380,6 @@ def test_two_shell_mixture_entropies_add_unweighted():
     m[sub3, sub3] = 0.5 / 3.0
     dec = reduce(DensityMatrix(m), BASIS)
     assert effective_entropy(dec) == pytest.approx(np.log(2) + np.log(3), abs=1e-12)
-    assert weighted_effective_entropy(dec) == pytest.approx(
-        0.5 * np.log(2) + 0.5 * np.log(3), abs=1e-12
-    )
 
 
 def test_nondegenerate_shells_make_every_state_effectively_pure():
@@ -417,37 +388,6 @@ def test_nondegenerate_shells_make_every_state_effectively_pure():
     for _ in range(25):
         rho = random_density_matrix(line.size, rng)
         assert is_effectively_pure(reduce(rho, line))
-
-
-def test_expectation_identity_and_free_energy():
-    rng = np.random.default_rng(11)
-    rho = random_density_matrix(BASIS.size, rng)
-    dec = reduce(rho, BASIS)
-
-    identity_blocks = [np.eye(len(m)) for m in BASIS.shells.members]
-    assert expectation_xi_independent(identity_blocks, rho, BASIS) == pytest.approx(
-        1.0, abs=1e-12
-    )
-
-    h0_blocks = [
-        e * np.eye(len(m)) for e, m in zip(BASIS.shells.energies, BASIS.shells.members)
-    ]
-    free_energy = float((dec.weights * BASIS.shells.energies).sum())
-    assert expectation_xi_independent(h0_blocks, rho, BASIS) == pytest.approx(
-        free_energy, abs=1e-12
-    )
-
-    # random shell-block-diagonal observable against the full-trace oracle
-    full = np.zeros((BASIS.size, BASIS.size), dtype=complex)
-    blocks = []
-    for members in BASIS.shells.members:
-        g = rng.standard_normal((len(members), len(members)))
-        g = g + 1j * rng.standard_normal(g.shape)
-        block = (g + g.conj().T) / 2
-        blocks.append(block)
-        full[np.ix_(members, members)] = block
-    value = expectation_xi_independent(blocks, rho, BASIS)
-    assert value == pytest.approx(float(np.trace(full @ rho.matrix).real), abs=1e-10)
 
 
 def test_free_evolution_leaves_reduction_blocks_fixed():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +9,6 @@ from lelab.reduction import is_effectively_pure, reduce
 from lelab.states import (
     DensityMatrix,
     PureState,
-    density_from_json,
-    density_to_json,
     effectively_pure_state,
     global_entropy,
     global_purity,
@@ -20,7 +16,6 @@ from lelab.states import (
     random_density_matrix,
     random_effectively_pure_state,
     random_pure_state,
-    state_factor,
 )
 
 
@@ -69,10 +64,10 @@ def test_builders_give_their_factor_and_rank():
     rho = effectively_pure_state(basis, [1, 2], [v1, v2], np.full((2, 2), 0.5))
     assert rho.factor.shape == (basis.size, 1)
     assert global_purity(rho) == pytest.approx(1.0, abs=1e-14)
-    # library states without a factor get one from a single eigh
+    # a dense state is factored by the eigh that checks it
     mixed = random_density_matrix(basis.size, rng, rank=3)
-    b = state_factor(mixed)
-    assert mixed.factor is None and b.shape[1] >= 3
+    b = mixed.factor
+    assert b.shape[1] >= 3 and not b.flags.writeable
     np.testing.assert_allclose(b @ b.conj().T, mixed.matrix, atol=1e-14)
 
 
@@ -233,24 +228,3 @@ def test_entropy_zero_iff_purity_one(seed):
     # von Neumann entropy dominates the collision entropy -ln Tr rho^2,
     # which is strictly positive as soon as purity drops below one
     assert global_entropy(mixed) >= -np.log(global_purity(mixed)) - 1e-12
-
-
-def test_density_json_round_trip_is_exact():
-    rho = random_density_matrix(8, np.random.default_rng(3))
-    text = density_to_json(rho)
-    doc = json.loads(text)
-    assert len(doc["matrix"]) == 8
-    assert all(len(pair) == 2 for row in doc["matrix"] for pair in row)
-    back = density_from_json(text)
-    np.testing.assert_array_equal(back.matrix, rho.matrix)
-
-
-def test_density_json_rejects_bad_payloads():
-    with pytest.raises(ValueError):
-        density_from_json(json.dumps([1, 2, 3]))
-    with pytest.raises(ValueError):
-        density_from_json(json.dumps({"matrix": [[1.0, 0.0], [0.0, 0.0]]}))
-    doc = json.loads(density_to_json(DensityMatrix(np.eye(2) / 2)))
-    doc["matrix"][0][0] = [0.9, 0.0]
-    with pytest.raises(StateValidationError):
-        density_from_json(json.dumps(doc))
