@@ -183,6 +183,29 @@ def test_superoperator_cap():
     assert liouvillian_superoperator(h, cap=65).dim == 65
 
 
+def _interaction_element(basis, i1, i2, i3, i4, coupling, screening):
+    """Momentum-space element of the commutator map X -> vX - Xv of the
+    Yukawa potential: delta(i2,i4) Vt(k1 - k3) - delta(i1,i3) Vt(k2 - k4)."""
+    out = 0.0
+    if i2 == i4:
+        out += yukawa_fourier((basis.points[i1] - basis.points[i3]) * basis.delta_k, coupling, screening)
+    if i1 == i3:
+        out -= yukawa_fourier((basis.points[i2] - basis.points[i4]) * basis.delta_k, coupling, screening)
+    return complex(out)
+
+
+def test_interaction_element_matches_potential_commutator():
+    basis = build_basis(1, 1.0)
+    h = build_hamiltonian(basis, 0.8, 1.5)
+    sup = commutator_superoperator(h.v, cap=64).matrix
+    n = basis.size
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        i1, i2, i3, i4 = rng.integers(0, n, size=4)
+        element = _interaction_element(basis, i1, i2, i3, i4, 0.8, 1.5)
+        assert sup[i1 * n + i2, i3 * n + i4] == pytest.approx(element)
+
+
 def test_free_liouvillian_is_alpha_diagonal():
     basis = build_basis(1, 1.0)
     h0 = build_hamiltonian(basis, 0.0, 1.0)
@@ -364,6 +387,30 @@ def test_diagonal_hamiltonian_superoperator_is_diagonal():
 def test_identity_hamiltonian_generates_nothing():
     h = Hamiltonian(h0_diag=np.ones(3), v=np.zeros((3, 3)), coupling=0.0, screening=1.0)
     np.testing.assert_array_equal(liouvillian_superoperator(h).matrix, np.zeros((9, 9)))
+
+
+def test_interaction_element_kronecker_structure():
+    basis = build_basis(1, 1.0)
+    n = basis.size
+    sup = commutator_superoperator(build_hamiltonian(basis, 0.8, 1.5).v, cap=64).matrix
+
+    def element(i1, i2, i3, i4):
+        return sup[i1 * n + i2, i3 * n + i4]
+
+    i0 = basis.index_of((0, 0, 0))
+    j = basis.index_of((1, 0, 0))
+    l = basis.index_of((0, 1, 0))
+    m = basis.index_of((-1, 0, 0))
+    # both deltas fire on diagonal pairs and the self-energies cancel exactly
+    assert element(i0, i0, i0, i0) == 0.0
+    assert element(i0, j, i0, j) == 0.0
+    # matching row indices leave a single negative momentum-transfer term
+    el = element(i0, j, i0, l)
+    transfer = (basis.points[j] - basis.points[l]) * basis.delta_k
+    assert el == -complex(yukawa_fourier(transfer, 0.8, 1.5))
+    assert el.real < 0
+    # no matching index pair at all
+    assert element(j, i0, l, m) == 0.0
 
 
 def test_liouvillian_splits_exactly_into_free_and_interaction():

@@ -189,6 +189,29 @@ def test_empty_shells_do_not_contribute():
     assert is_effectively_pure(dec)
 
 
+def _shell_expectation(shell_ops, rho, basis):
+    """Tr(A rho) of a shell-block-diagonal A, one Hermitian block per shell,
+    read from the reduction's raw shell blocks alone."""
+    dec = reduce(rho, basis)
+    return float(sum(np.trace(op @ b) for op, b in zip(shell_ops, dec.blocks)).real)
+
+
+def test_expectation_xi_independent_under_free_flow():
+    # shell-wise observables see only the alpha = 0 part, which free
+    # evolution multiplies by unit phases: expectations are stationary
+    rng = np.random.default_rng(31)
+    rho = random_density_matrix(BASIS.size, rng)
+    h0 = build_hamiltonian(BASIS, 0.0, 1.0)
+    ops = []
+    for members in BASIS.shells.members:
+        d = len(members)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ops.append((g + g.conj().T) / 2)
+    before = _shell_expectation(ops, rho, BASIS)
+    after = _shell_expectation(ops, evolve(rho, h0, 3.7), BASIS)
+    assert after == pytest.approx(before, abs=1e-10)
+
+
 def test_first_order_step_error_is_second_order():
     h = build_hamiltonian(BASIS, 0.05, 1.0)
     rho0 = random_effectively_pure_state(BASIS, np.random.default_rng(5))
@@ -388,6 +411,33 @@ def test_nondegenerate_shells_make_every_state_effectively_pure():
     for _ in range(25):
         rho = random_density_matrix(line.size, rng)
         assert is_effectively_pure(reduce(rho, line))
+
+
+def test_expectation_identity_and_free_energy():
+    rng = np.random.default_rng(11)
+    rho = random_density_matrix(BASIS.size, rng)
+    dec = reduce(rho, BASIS)
+
+    identity_blocks = [np.eye(len(m)) for m in BASIS.shells.members]
+    assert _shell_expectation(identity_blocks, rho, BASIS) == pytest.approx(1.0, abs=1e-12)
+
+    h0_blocks = [
+        e * np.eye(len(m)) for e, m in zip(BASIS.shells.energies, BASIS.shells.members)
+    ]
+    free_energy = float((dec.weights * BASIS.shells.energies).sum())
+    assert _shell_expectation(h0_blocks, rho, BASIS) == pytest.approx(free_energy, abs=1e-12)
+
+    # random shell-block-diagonal observable against the full-trace oracle
+    full = np.zeros((BASIS.size, BASIS.size), dtype=complex)
+    blocks = []
+    for members in BASIS.shells.members:
+        g = rng.standard_normal((len(members), len(members)))
+        g = g + 1j * rng.standard_normal(g.shape)
+        block = (g + g.conj().T) / 2
+        blocks.append(block)
+        full[np.ix_(members, members)] = block
+    value = _shell_expectation(blocks, rho, BASIS)
+    assert value == pytest.approx(float(np.trace(full @ rho.matrix).real), abs=1e-10)
 
 
 def test_free_evolution_leaves_reduction_blocks_fixed():
