@@ -91,35 +91,35 @@ def _check_spacing(delta_k: float) -> None:
         raise ValueError(f"delta_k must be positive and finite, got {delta_k}")
 
 
-def build_basis(M: int, delta_k: float, max_points: int = MAX_POINTS) -> MomentumBasis:
+def build_basis(M: int, delta_k: float) -> MomentumBasis:
     """Cubic lattice {-M..M}^3 in deterministic lexicographic order.
 
-    Raises DimensionCapError when (2M+1)^3 exceeds ``max_points``.
+    Raises DimensionCapError when (2M+1)^3 exceeds ``MAX_POINTS``.
     """
     if M != int(M) or M < 0:
         raise ValueError(f"M must be a nonnegative integer, got {M}")
     M = int(M)
     _check_spacing(delta_k)
     side = 2 * M + 1
-    if side**3 > max_points:
-        raise DimensionCapError(f"(2M+1)^3 = {side**3} exceeds cap of {max_points} points")
+    if side**3 > MAX_POINTS:
+        raise DimensionCapError(f"(2M+1)^3 = {side**3} exceeds cap of {MAX_POINTS} points")
     r = np.arange(-M, M + 1)
     points = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
     return _basis_from_points(points, delta_k)
 
 
-def build_basis_1d(N: int, delta_k: float, max_points: int = MAX_POINTS) -> MomentumBasis:
+def build_basis_1d(N: int, delta_k: float) -> MomentumBasis:
     """Line lattice k = n * delta_k, n in {1..N}, embedded on the x axis.
 
     All energies n^2 * delta_k^2 are distinct, so every shell has
-    degeneracy one.
+    degeneracy one.  Raises DimensionCapError when N exceeds ``MAX_POINTS``.
     """
     if N != int(N) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     N = int(N)
     _check_spacing(delta_k)
-    if N > max_points:
-        raise DimensionCapError(f"N = {N} exceeds cap of {max_points} points")
+    if N > MAX_POINTS:
+        raise DimensionCapError(f"N = {N} exceeds cap of {MAX_POINTS} points")
     points = np.zeros((N, 3), dtype=int)
     points[:, 0] = np.arange(1, N + 1)
     return _basis_from_points(points, delta_k)

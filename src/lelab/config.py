@@ -6,7 +6,9 @@ parameter fails loudly instead of silently running the wrong experiment.
 Validation collects all errors before raising, so a bad config is fixed
 in one round trip.  Once the fields parse, the size caps are checked (a
 classical grid over ``MAX_GRID_CELLS`` cells or more than ``MAX_STEPS``
-time steps raises DimensionCapError), then the cross-field rules run:
+time steps raises DimensionCapError), then the scales the run derives
+from finite inputs must be finite floats (``_check_scales``), then the
+cross-field rules run:
 ``initial_state.shell``, ``shells`` and ``mu`` must fit the lattice's
 shells (the basis is built only when one of them is given, so a lattice
 over the point cap raises DimensionCapError), a classical start row and
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import koopman, states
-from .basis import MomentumBasis, build_basis, build_basis_1d
+from .basis import MAX_POINTS, MomentumBasis, build_basis, build_basis_1d
 from .errors import ConfigError, DimensionCapError, StateValidationError
 
 # A classical run holds about four float64 grids at once (32 B per cell:
@@ -336,6 +338,39 @@ def _check_caps(lattice, time_grid: TimeGridConfig):
         raise DimensionCapError(f"time_grid.steps = {time_grid.steps} exceeds cap of {MAX_STEPS}")
 
 
+def _check_scales(lattice, potential, t_max: float, chk: _Collector):
+    """Refuse finite inputs whose derived scales overflow, naming the field of
+    the first such scale.  The scales are Python float products, which
+    overflow to inf: ``**`` would raise OverflowError and numpy would warn.
+    A quantum lattice over the point cap is left to its basis's
+    DimensionCapError.
+    """
+    if isinstance(lattice, ClassicalGrid):
+        scales = [("time_grid.t_max", "the largest free-flow shift 2 (np dp / 2) t_max / dq",
+                   2 * (lattice.n_p * lattice.dp / 2) * t_max / lattice.dq)]
+    else:
+        cubic = isinstance(lattice, CubicLattice)
+        n = (2 * lattice.extent + 1) ** 3 if cubic else lattice.n_points
+        if n > MAX_POINTS:
+            return
+        mu = potential.screening
+        mu3 = mu * mu * mu
+        v_max = 4 * math.pi * potential.coupling / mu3 if mu3 > 0 else math.inf
+        e_max = (3 * lattice.extent**2 if cubic else n * n) * (lattice.delta_k * lattice.delta_k)
+        scales = [
+            ("potential.mu", "the largest Yukawa element 4 pi A / mu^3", v_max),
+            # |k - k'|^2 <= 4 max|k|^2 bounds every transfer build_hamiltonian forms
+            ("lattice.delta_k", "the largest squared momentum transfer, at most "
+             "4 max|n|^2 delta_k^2,", 4 * e_max),
+            ("time_grid.t_max", "the bound t_max (max|n|^2 delta_k^2 + n 4 pi A / mu^3) "
+             "on |E| t", t_max * (e_max + n * v_max)),
+        ]
+    for path, what, value in scales:
+        if not math.isfinite(value):
+            chk.error(path, f"{what} overflows")
+            return
+
+
 def _check_basis_fit(lattice, st: InitialStateConfig, chk: _Collector):
     """Refuse a shell, shells or a mu that the lattice's shells cannot hold.
 
@@ -409,6 +444,8 @@ def validate_config(text: str) -> ExperimentConfig:
     outputs = _parse_outputs(work, chk)
     chk.raise_if_any()
     _check_caps(lattice, time_grid)
+    _check_scales(lattice, potential, time_grid.t_max, chk)
+    chk.raise_if_any()
     if mode == "classical":
         _check_classical_fit(lattice, potential, initial_state, time_grid.t_max, chk)
     else:

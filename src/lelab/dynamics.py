@@ -37,15 +37,10 @@ class Hamiltonian:
     ``v`` keeps its dtype (integers become float): a real symmetric v,
     such as the Yukawa matrix, gives a real H whose ``eigh`` runs in real
     arithmetic, and a complex v runs the same code in complex.
-    ``coupling`` and ``screening`` record the Yukawa parameters used to
-    build ``v``; they are informational for hand-assembled operators.
-    All box-normalization constants are absorbed into the coupling.
     """
 
     h0_diag: np.ndarray
     v: np.ndarray
-    coupling: float
-    screening: float
 
     def __post_init__(self):
         h0 = np.asarray(self.h0_diag, dtype=float)
@@ -56,7 +51,7 @@ class Hamiltonian:
         if v.shape != (len(h0), len(h0)):
             raise ValueError(f"v must be {len(h0)}x{len(h0)}, got {v.shape}")
         herm = np.abs(v - v.conj().T).max() if v.size else 0.0
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:  # written so that NaN fails too
             raise ValueError(f"v is not Hermitian: max deviation {herm:.3e}")
         for a in (h0, v):
             a.setflags(write=False)
@@ -77,29 +72,21 @@ class Hamiltonian:
         return Propagator.from_hamiltonian(self)
 
 
-def _yukawa(k2, coupling: float, screening: float):
-    """4 pi A / (mu (k^2 + mu^2)) at squared momentum transfer ``k2`` (scalar or array)."""
+def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -> Hamiltonian:
+    """Free energies plus the full Yukawa matrix v[i,j] = Vt(k_i - k_j), with the
+    momentum-space screened-Coulomb amplitude Vt(k) = 4 pi A / (mu (|k|^2 + mu^2)).
+
+    Vt is real and even, so v is real symmetric and so is H.  All
+    box-normalization constants are absorbed into the coupling A.
+    """
     if not screening > 0:
         raise ValueError(f"screening must be positive, got {screening}")
-    return 4.0 * np.pi * coupling / (screening * (k2 + screening * screening))
-
-
-def yukawa_fourier(k, coupling: float, screening: float) -> float:
-    """Momentum-space screened-Coulomb amplitude 4 pi A / (mu (|k|^2 + mu^2))."""
-    k = np.asarray(k, dtype=float)
-    return _yukawa(float(k @ k), coupling, screening)
-
-
-def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -> Hamiltonian:
-    """Free energies plus the full Yukawa matrix v[i,j] = Vt(k_i - k_j).
-
-    Vt is real and even, so v is real symmetric and so is H.
-    """
     # |n_i - n_j|^2 in exact integers, without an (n, n, 3) difference array
     p = basis.points
     d2 = basis.norms2[:, None] + basis.norms2[None, :] - 2 * (p @ p.T)
-    v = _yukawa(d2 * basis.delta_k**2, coupling, screening)
-    return Hamiltonian(h0_diag=basis.energies, v=v, coupling=float(coupling), screening=float(screening))
+    k2 = d2 * basis.delta_k**2
+    v = 4.0 * np.pi * coupling / (screening * (k2 + screening * screening))
+    return Hamiltonian(h0_diag=basis.energies, v=v)
 
 
 def evolved_factor(q: np.ndarray, w: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,20 +61,11 @@ class RunSummary:
         return all(self.invariant_checks.values())
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "config": self.config,
-            # file name only: the summary must not depend on where it was run
-            "csv": Path(self.csv_path).name,
-            "wall_time_s": self.wall_time_s,
-            "final_effective_entropy": self.final_effective_entropy,
-            "final_purity": self.final_purity,
-            "final_mass": self.final_mass,
-            "effectively_pure_initial": self.effectively_pure_initial,
-            "effectively_pure_final": self.effectively_pure_final,
-            "invariant_checks": dict(self.invariant_checks),
-            "all_checks_pass": self.all_checks_pass,
-        }
+        d = asdict(self)
+        # file name only: the summary must not depend on where it was run
+        d["csv"] = Path(d.pop("csv_path")).name
+        d["all_checks_pass"] = self.all_checks_pass
+        return d
 
 
 def build_quantum_basis(cfg: ExperimentConfig) -> MomentumBasis:

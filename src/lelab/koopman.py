@@ -229,15 +229,15 @@ def apply_kick(
     The backtraced p must stay on the grid; mass pushed past the p
     boundary is dropped, and the resulting mass defect trips the
     unit-mass validation.  Choose the grid wide enough for the kick.
-    A non-finite ``strength`` raises ValueError.
+    A non-finite ``strength`` or offset raises ValueError.
     """
     if not np.isfinite(strength):
         raise ValueError(f"strength must be finite, got {strength}")
     grid = rho.grid
-    dv = np.asarray(grad_v(grid.q), dtype=float)
-    if dv.shape != (grid.nq,):
-        raise ValueError(f"grad_v must return one value per q cell, got shape {dv.shape}")
-    offset = strength * dv / grid.dp
+    offset = _kick_offset(grid, grad_v, strength)
+    if not np.isfinite(offset).all():
+        raise ValueError("kick offset strength * V'(q) / dp must be finite, got "
+                         f"{offset[~np.isfinite(offset)][0]} cells")
     k = np.floor(offset).astype(np.int64)
     w = (offset - k)[:, None]
     lo, hi = rho._window
@@ -259,6 +259,18 @@ def apply_kick(
     return _handover(grid, out)
 
 
+def _kick_offset(
+    grid: PhaseSpaceGrid, grad_v: Callable[[np.ndarray], np.ndarray], strength: float
+) -> np.ndarray:
+    """strength * V'(q) / dp per q cell, in p cells; inf or nan, without a
+    RuntimeWarning, where that overflows or V' is not finite."""
+    dv = np.asarray(grad_v(grid.q), dtype=float)
+    if dv.shape != (grid.nq,):
+        raise ValueError(f"grad_v must return one value per q cell, got shape {dv.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return strength * dv / grid.dp
+
+
 def kick_gradient(shape: str) -> Callable[[np.ndarray], np.ndarray]:
     """V'(q) for the named kick potential V(q) = cos q or sin q."""
     if shape == "cos":
@@ -275,8 +287,9 @@ def kick_keeps_row_on_grid(
 
     In column q the kick carries that mass to the fractional row
     ``row - strength * V'(q) / dp``, split between the two rows around it.
+    A non-finite offset keeps nothing on the grid.
     """
-    offset = strength * np.asarray(grad_v(grid.q), dtype=float) / grid.dp
+    offset = _kick_offset(grid, grad_v, strength)
     return bool(offset.max() <= row and offset.min() >= row - (grid.n_p - 1))
 
 

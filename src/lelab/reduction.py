@@ -179,14 +179,14 @@ def effective_entropy(dec: ShellDecomposition) -> float:
     return float(shell_entropies(dec).sum())
 
 
-def is_effectively_pure(dec: ShellDecomposition, tol_rank: float = RANK_TOL) -> bool:
+def is_effectively_pure(dec: ShellDecomposition) -> bool:
     """True iff every occupied normalized block has rank one.
 
     Rank is judged by the second-largest eigenvalue of the normalized
-    block, so ``tol_rank`` is scale-free.
+    block, so ``RANK_TOL`` is scale-free.
     """
     spectra = (_shell_spectrum(b, w) for b, w in zip(dec.blocks, dec.weights))
-    return all(e is None or e[-2] < tol_rank for e in spectra)
+    return all(e is None or e[-2] < RANK_TOL for e in spectra)
 
 
 def first_order_reduced_step(
@@ -253,7 +253,7 @@ def entropy_trace(
         c = evolved_factor(q_shells, w, g, t)
         gram = c.conj().T @ c
         norm2 = float(np.trace(gram).real)
-        if abs(norm2 - 1.0) > TRACE_TOL:
+        if not abs(norm2 - 1.0) <= TRACE_TOL:  # written so that NaN fails too
             raise StateValidationError(f"state at t = {t} has trace {norm2}, not 1")
         per_shell = np.zeros(basis.n_shells)
         pure = True

@@ -40,14 +40,15 @@ def validated_spectrum(m: np.ndarray, what: str = "density matrix"):
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateValidationError(f"{what} must be square, got shape {m.shape}")
+    # Each comparison is written so that NaN fails it too.
     herm = np.abs(m - m.conj().T).max()
-    if herm > HERMITICITY_TOL:
+    if not herm <= HERMITICITY_TOL:
         raise StateValidationError(f"{what} is not Hermitian: max deviation {herm:.3e}")
     tr = np.trace(m)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise StateValidationError(f"{what} has trace {tr}, not 1")
     eigs, vecs = np.linalg.eigh(m)
-    if eigs[0] < -PSD_TOL:
+    if not eigs[0] >= -PSD_TOL:
         raise StateValidationError(
             f"{what} is not positive semidefinite: min eigenvalue {eigs[0]:.3e}"
         )
@@ -90,7 +91,7 @@ class DensityMatrix:
             if b.ndim != 2:
                 raise StateValidationError(f"factor must be an n x r matrix, got shape {b.shape}")
             tr = float(np.vdot(b, b).real)
-            if abs(tr - 1.0) > TRACE_TOL:
+            if not abs(tr - 1.0) <= TRACE_TOL:  # written so that NaN fails too
                 raise StateValidationError(f"density matrix has trace {tr}, not 1")
             m = b @ b.conj().T
             m.setflags(write=False)

@@ -58,8 +58,7 @@ def _verdict(number: int, name: str, ok: bool, detail: str = ""):
 
 def _random_hamiltonian(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return Hamiltonian(h0_diag=rng.uniform(0.0, 5.0, dim), v=(g + g.conj().T) / 2,
-                       coupling=1.0, screening=1.0)
+    return Hamiltonian(h0_diag=rng.uniform(0.0, 5.0, dim), v=(g + g.conj().T) / 2)
 
 
 def test_01_unitarity_conservation():

@@ -15,7 +15,6 @@ from lelab.dynamics import (
     commutator_superoperator,
     evolve,
     liouvillian_superoperator,
-    yukawa_fourier,
 )
 from lelab.errors import DimensionCapError
 from lelab.reduction import entropy_trace
@@ -35,7 +34,7 @@ from lelab.states import (
 def random_hamiltonian(dim, rng, scale=1.0):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     v = scale * (g + g.conj().T) / 2
-    return Hamiltonian(h0_diag=rng.uniform(0, 5, dim), v=v, coupling=1.0, screening=1.0)
+    return Hamiltonian(h0_diag=rng.uniform(0, 5, dim), v=v)
 
 
 def test_hamiltonian_keeps_the_dtype_of_v():
@@ -43,35 +42,47 @@ def test_hamiltonian_keeps_the_dtype_of_v():
     h = build_hamiltonian(basis, 0.2, 1.0)
     assert h.v.dtype == h.matrix.dtype == h.propagator.eigenvectors.dtype == np.float64
     # the same H held as complex runs the same code in complex arithmetic
-    hc = Hamiltonian(h0_diag=h.h0_diag, v=h.v.astype(complex), coupling=0.2, screening=1.0)
+    hc = Hamiltonian(h0_diag=h.h0_diag, v=h.v.astype(complex))
     assert hc.v.dtype == hc.matrix.dtype == hc.propagator.eigenvectors.dtype == np.complex128
     scale = np.abs(h.propagator.eigenvalues).max()
     gap = np.abs(h.propagator.eigenvalues - hc.propagator.eigenvalues).max()
     assert gap <= 1e-12 * scale
     assert np.abs(h.propagator.unitary(1.3) - hc.propagator.unitary(1.3)).max() <= 1e-12
-    ints = Hamiltonian(h0_diag=np.zeros(2), v=np.array([[0, 1], [1, 0]]), coupling=1.0,
-                       screening=1.0)
+    ints = Hamiltonian(h0_diag=np.zeros(2), v=np.array([[0, 1], [1, 0]]))
     assert ints.v.dtype == np.float64
     # superoperators stay complex whatever v is
     assert commutator_superoperator(h.v[:8, :8]).matrix.dtype == np.complex128
 
 
+def _yukawa_fourier(k, coupling, screening):
+    """Closed form of the momentum-space Yukawa amplitude 4 pi A / (mu (|k|^2 + mu^2)):
+    the oracle for the entries v[i, j] = Vt(k_i - k_j) of ``build_hamiltonian``."""
+    k = np.asarray(k, dtype=float)
+    return 4.0 * np.pi * coupling / (screening * (float(k @ k) + screening * screening))
+
+
 def test_yukawa_fourier_closed_form():
-    # 4 pi A / (mu (|k|^2 + mu^2)) at a few exact points
-    assert yukawa_fourier(np.zeros(3), 1.0, 1.0) == pytest.approx(4 * np.pi)
-    assert yukawa_fourier(np.array([1.0, 0, 0]), 1.0, 1.0) == pytest.approx(2 * np.pi)
-    assert yukawa_fourier(np.array([1.0, 1.0, 1.0]), 2.0, 1.0) == pytest.approx(2 * np.pi)
-    assert yukawa_fourier(np.zeros(3), 1.0, 2.0) == pytest.approx(np.pi / 2)
-    assert yukawa_fourier(np.array([1.0, 1.0, 0]), 0.5, 2.0) == pytest.approx(
-        4 * np.pi * 0.5 / (2.0 * (2.0 + 4.0))
-    )
+    # v[i, j] at a few exact momentum transfers n_i - n_j (delta_k = 1)
+    basis = build_basis(1, 1.0)
+    i0 = basis.index_of((0, 0, 0))
+
+    def v(coupling, screening, n):
+        return build_hamiltonian(basis, coupling, screening).v[basis.index_of(n), i0]
+
+    assert v(1.0, 1.0, (0, 0, 0)) == pytest.approx(4 * np.pi)
+    assert v(1.0, 1.0, (1, 0, 0)) == pytest.approx(2 * np.pi)
+    assert v(2.0, 1.0, (1, 1, 1)) == pytest.approx(2 * np.pi)
+    assert v(1.0, 2.0, (0, 0, 0)) == pytest.approx(np.pi / 2)
+    assert v(0.5, 2.0, (1, 1, 0)) == pytest.approx(4 * np.pi * 0.5 / (2.0 * (2.0 + 4.0)))
 
 
 def test_yukawa_fourier_positive_and_decaying():
-    ks = [np.array([n, 0.0, 0.0]) for n in range(6)]
-    vals = [yukawa_fourier(k, 0.7, 1.3) for k in ks]
+    # on the line n = 1..6, v[j, 0] is the amplitude at momentum transfer j * delta_k
+    basis = build_basis_1d(6, 0.9)
+    vals = build_hamiltonian(basis, 0.7, 1.3).v[:, 0]
     assert all(v > 0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
+    assert list(vals) == pytest.approx([_yukawa_fourier([0.9 * j, 0, 0], 0.7, 1.3) for j in range(6)])
 
 
 def test_build_hamiltonian_structure():
@@ -81,14 +92,14 @@ def test_build_hamiltonian_structure():
     assert np.abs(m - m.conj().T).max() < 1e-14
     # kinetic part sits on the diagonal along with the constant self-term
     np.testing.assert_allclose(
-        np.diag(m).real, basis.energies + yukawa_fourier(np.zeros(3), 0.5, 2.0)
+        np.diag(m).real, basis.energies + _yukawa_fourier(np.zeros(3), 0.5, 2.0)
     )
     # off-diagonal elements depend only on the momentum transfer
     i = basis.index_of((0, 0, 0))
     j = basis.index_of((1, 0, 0))
     l = basis.index_of((0, 1, 0))
     assert m[i, j] == m[i, l]
-    assert m[i, j] == pytest.approx(yukawa_fourier(np.array([1.0, 0, 0]), 0.5, 2.0))
+    assert m[i, j] == pytest.approx(_yukawa_fourier(np.array([1.0, 0, 0]), 0.5, 2.0))
 
 
 @pytest.mark.parametrize("lattice, extent, dk", [("cubic", 3, 0.7), ("cubic", 2, 1.3),
@@ -105,8 +116,6 @@ def test_build_hamiltonian_matches_difference_array_formula(lattice, extent, dk)
 @pytest.mark.parametrize("screening", [0.0, -1.0, float("nan")])
 def test_yukawa_rejects_non_positive_screening(screening):
     with pytest.raises(ValueError, match="screening"):
-        yukawa_fourier(np.zeros(3), 1.0, screening)
-    with pytest.raises(ValueError, match="screening"):
         build_hamiltonian(build_basis(1, 1.0), 1.0, screening)
 
 
@@ -118,8 +127,12 @@ def test_coupling_zero_gives_free_hamiltonian():
 
 def test_hamiltonian_rejects_non_hermitian_potential():
     with pytest.raises(ValueError):
-        Hamiltonian(h0_diag=np.zeros(2), v=np.array([[0, 1], [0, 0]], dtype=complex),
-                    coupling=1.0, screening=1.0)
+        Hamiltonian(h0_diag=np.zeros(2), v=np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_hamiltonian_refuses_a_nan_potential():
+    with pytest.raises(ValueError, match="Hermitian"):
+        Hamiltonian(np.zeros(2), np.full((2, 2), np.nan))
 
 
 def test_propagator_unitary():
@@ -139,8 +152,7 @@ def test_evolution_composes():
 
 
 def test_diagonal_hamiltonian_evolves_phases_only():
-    h = Hamiltonian(h0_diag=np.array([0.0, 1.0, 3.0]), v=np.zeros((3, 3)),
-                    coupling=0.0, screening=1.0)
+    h = Hamiltonian(h0_diag=np.array([0.0, 1.0, 3.0]), v=np.zeros((3, 3)))
     psi = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
     rho = pure_to_density(PureState(psi))
     t = 0.4
@@ -176,8 +188,7 @@ def test_superoperator_matches_commutator(seed, dim):
 
 
 def test_superoperator_cap():
-    h = Hamiltonian(h0_diag=np.arange(65, dtype=float), v=np.zeros((65, 65)),
-                    coupling=0.0, screening=1.0)
+    h = Hamiltonian(h0_diag=np.arange(65, dtype=float), v=np.zeros((65, 65)))
     with pytest.raises(DimensionCapError):
         liouvillian_superoperator(h)
     assert liouvillian_superoperator(h, cap=65).dim == 65
@@ -188,9 +199,9 @@ def _interaction_element(basis, i1, i2, i3, i4, coupling, screening):
     Yukawa potential: delta(i2,i4) Vt(k1 - k3) - delta(i1,i3) Vt(k2 - k4)."""
     out = 0.0
     if i2 == i4:
-        out += yukawa_fourier((basis.points[i1] - basis.points[i3]) * basis.delta_k, coupling, screening)
+        out += _yukawa_fourier((basis.points[i1] - basis.points[i3]) * basis.delta_k, coupling, screening)
     if i1 == i3:
-        out -= yukawa_fourier((basis.points[i2] - basis.points[i4]) * basis.delta_k, coupling, screening)
+        out -= _yukawa_fourier((basis.points[i2] - basis.points[i4]) * basis.delta_k, coupling, screening)
     return complex(out)
 
 
@@ -364,12 +375,7 @@ def test_evolve_at_time_zero_is_identity():
 def test_two_level_quarter_period_transfer():
     # H = [[0, 1], [1, 0]] rotates population as cos^2(t); at t = pi/4
     # exactly half the population has moved to the other level.
-    h = Hamiltonian(
-        h0_diag=np.zeros(2),
-        v=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        coupling=1.0,
-        screening=1.0,
-    )
+    h = Hamiltonian(h0_diag=np.zeros(2), v=np.array([[0.0, 1.0], [1.0, 0.0]]))
     out = evolve(DensityMatrix(np.diag([1.0, 0.0])), h, np.pi / 4).matrix
     assert out[0, 0].real == pytest.approx(0.5, abs=1e-12)
     assert out[1, 1].real == pytest.approx(0.5, abs=1e-12)
@@ -378,14 +384,14 @@ def test_two_level_quarter_period_transfer():
 def test_diagonal_hamiltonian_superoperator_is_diagonal():
     # on vec(|i><j|) the commutator map with diag(e) acts by e_i - e_j
     e = np.array([0.0, 1.0, 3.0])
-    h = Hamiltonian(h0_diag=e, v=np.zeros((3, 3)), coupling=0.0, screening=1.0)
+    h = Hamiltonian(h0_diag=e, v=np.zeros((3, 3)))
     sup = liouvillian_superoperator(h).matrix
     expected = np.diag((e[:, None] - e[None, :]).reshape(-1).astype(complex))
     np.testing.assert_array_equal(sup, expected)
 
 
 def test_identity_hamiltonian_generates_nothing():
-    h = Hamiltonian(h0_diag=np.ones(3), v=np.zeros((3, 3)), coupling=0.0, screening=1.0)
+    h = Hamiltonian(h0_diag=np.ones(3), v=np.zeros((3, 3)))
     np.testing.assert_array_equal(liouvillian_superoperator(h).matrix, np.zeros((9, 9)))
 
 
@@ -407,7 +413,7 @@ def test_interaction_element_kronecker_structure():
     # matching row indices leave a single negative momentum-transfer term
     el = element(i0, j, i0, l)
     transfer = (basis.points[j] - basis.points[l]) * basis.delta_k
-    assert el == -complex(yukawa_fourier(transfer, 0.8, 1.5))
+    assert el == -complex(_yukawa_fourier(transfer, 0.8, 1.5))
     assert el.real < 0
     # no matching index pair at all
     assert element(j, i0, l, m) == 0.0

@@ -249,6 +249,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("outputs.csv", {"outputs": {"csv": ".."}}),
     ("outputs.summary", {"outputs": {"summary": "../summary.json"}}),
     ("outputs.summary", {"outputs": {"csv": "summary.json"}}),
+    # valid finite inputs whose derived scales overflow: each used to end in a
+    # LinAlgError, an OverflowError or "density must be nonnegative, min is nan"
+    ("time_grid.t_max", {"time_grid": {"t_max": 1e308, "steps": 5}}),
+    ("potential.mu", {"potential": {"A": 0.2, "mu": 1e-200}}),
+    ("lattice.delta_k", {"lattice": {"M": 1, "delta_k": 1e200}}),
+    # the largest energy 3 delta_k^2 is finite, the largest transfer 12 delta_k^2 is not
+    ("lattice.delta_k", {"lattice": {"M": 1, "delta_k": 4e153}}),
+    ("time_grid.t_max", {
+        "mode": "classical",
+        "lattice": {"nq": 16, "np": 16, "dq": 0.1, "dp": 0.1},
+        "potential": {"kick_strength": 0.0, "kick_shape": "cos"},
+        "initial_state": {"kind": "single-p-row", "p0": 0.75},
+        "time_grid": {"t_max": 1e308, "steps": 4},
+    }),
 ])
 def test_cli_refuses_what_used_to_fail_mid_run(tmp_path, capsys, field, change):
     cfg_path = tmp_path / "exp.json"
@@ -269,9 +283,10 @@ def test_cli_unreadable_config_is_config_error(tmp_path, capsys):
 
 def test_cli_dimension_cap_exit_code(tmp_path, capsys):
     big = tmp_path / "big.json"
-    big.write_text(json.dumps(dict(QUANTUM, lattice={"M": 8, "delta_k": 1.0})))
-    assert cli.main(["run", "--config", str(big), "--out-dir", str(tmp_path)]) == 4
-    assert "dimension cap" in capsys.readouterr().err
+    for m in (8, 10**200):  # the scale checks leave a lattice over the cap to its basis
+        big.write_text(json.dumps(dict(QUANTUM, lattice={"M": m, "delta_k": 1.0})))
+        assert cli.main(["run", "--config", str(big), "--out-dir", str(tmp_path)]) == 4
+        assert "dimension cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change,message", [

@@ -161,6 +161,16 @@ def test_kernels_refuse_a_non_finite_time_or_strength(bad):
         apply_kick(rho, lambda q: -np.sin(q), bad)
 
 
+@pytest.mark.parametrize("grad_v,strength", [
+    (lambda q: np.full_like(q, np.nan), 0.3),  # used to raise OverflowError in the int cast
+    (lambda q: -np.sin(q), 1e308),  # used to end in "density must be nonnegative, min is nan"
+], ids=["nan-gradient", "huge-strength"])
+def test_kick_refuses_a_non_finite_offset(grad_v, strength):
+    rho = single_p_row_density(GRID, p0=1.0)
+    with pytest.raises(ValueError, match="^kick offset strength \\* V'\\(q\\) / dp must be finite"):
+        apply_kick(rho, grad_v, strength)
+
+
 def test_marginal_mass_validated():
     with pytest.raises(StateValidationError):
         BetaMarginal(p=GRID.p, density=np.ones(GRID.n_p), dp=GRID.dp)

@@ -364,6 +364,14 @@ def test_entropy_trace_refuses_a_state_that_lost_its_trace():
         entropy_trace(rho0, h, [0.0, 1.0], BASIS)
 
 
+def test_entropy_trace_refuses_a_nan_row():
+    # a NaN time gives a NaN C(t), whose trace check must fail before any eigvalsh
+    h = build_hamiltonian(BASIS, 0.2, 1.0)
+    rho0 = random_effectively_pure_state(BASIS, np.random.default_rng(6))
+    with pytest.raises(StateValidationError, match="trace nan"):
+        entropy_trace(rho0, h, [0.0, np.nan], BASIS)
+
+
 def test_reduce_canonical_examples():
     # all population on the nondegenerate zero-momentum shell
     amp = np.zeros(BASIS.size, dtype=complex)

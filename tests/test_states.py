@@ -32,6 +32,16 @@ def test_density_matrix_validation():
     assert rho.dim == 2
 
 
+@pytest.mark.parametrize("given,message", [
+    ({"matrix": np.array([[0.5, np.nan], [np.nan, 0.5]])}, "Hermitian"),
+    ({"factor": np.full((3, 1), np.nan)}, "trace"),
+], ids=["matrix", "factor"])
+def test_density_matrix_refuses_nan(given, message):
+    # each check is written so that NaN fails it: NaN > tol is False
+    with pytest.raises(StateValidationError, match=message):
+        DensityMatrix(**given)
+
+
 def test_density_matrix_from_a_factor():
     rng = np.random.default_rng(12)
     g = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
