@@ -48,6 +48,8 @@ class Hamiltonian:
         v = np.asarray(v, dtype=np.result_type(v, np.float64))
         if h0.ndim != 1:
             raise ValueError("h0_diag must be a vector")
+        if not np.isfinite(h0).all():
+            raise ValueError(f"h0_diag must be finite, got {h0[~np.isfinite(h0)][0]}")
         if v.shape != (len(h0), len(h0)):
             raise ValueError(f"v must be {len(h0)}x{len(h0)}, got {v.shape}")
         herm = np.abs(v - v.conj().T).max() if v.size else 0.0
@@ -93,7 +95,12 @@ def evolved_factor(q: np.ndarray, w: np.ndarray, g: np.ndarray, t: float) -> np.
     """C(t) = q (e^{-iwt} (.) g), the factor of rho(t) = C C^dagger, for rho(0) =
     B B^dagger, H = Q diag(w) Q^dagger, g = Q^dagger B (C-contiguous) and q = Q
     or Q with its rows permuted.  A real q multiplies the interleaved real and
-    imaginary parts in one real product: half the flops, no complex copy of q."""
+    imaginary parts in one real product: half the flops, no complex copy of q.
+
+    An infinite ``t`` raises ValueError before the phases are taken; a NaN
+    ``t`` gives a NaN C, which the caller's trace check refuses."""
+    if np.isinf(t):
+        raise ValueError(f"t must be finite, got {t}")
     x = np.exp(-1j * w * t)[:, None] * g
     if np.isrealobj(q):
         return (q @ x.view(np.float64)).view(np.complex128)

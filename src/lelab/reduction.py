@@ -91,7 +91,9 @@ def alpha_decompose(matrix, basis: MomentumBasis) -> AlphaDecomposition:
     if m.shape != (basis.size, basis.size):
         raise ValueError(f"matrix shape {m.shape} does not match basis of size {basis.size}")
     labels = bohr_labels(basis)
-    sector_labels = np.unique(labels[m != 0])
+    lo = labels.min()
+    # one count per label in [lo, max] instead of a sort of the n^2 labels
+    sector_labels = (np.flatnonzero(np.bincount((labels - lo)[m != 0])) + lo).astype(labels.dtype)
     if not sector_labels.size:  # zero matrix: keep a single empty alpha = 0 sector
         sector_labels = np.zeros(1, dtype=labels.dtype)
     alphas = sector_labels * basis.delta_k**2
@@ -101,9 +103,14 @@ def alpha_decompose(matrix, basis: MomentumBasis) -> AlphaDecomposition:
 
 
 def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
-    """Free evolution in decomposed form: each component gains exp(+i alpha t)."""
-    alpha = decomp.labels * decomp.delta_k**2
-    return np.exp(1j * alpha * t) * decomp.matrix
+    """Free evolution in decomposed form: each component gains exp(+i alpha t).
+
+    One phase per integer label in [min, max], gathered by ``labels``: the
+    same elementwise formula as on the n^2 alphas, evaluated once per label."""
+    labels = decomp.labels
+    lo = labels.min()
+    alpha = np.arange(lo, labels.max() + 1) * decomp.delta_k**2
+    return np.exp(1j * alpha * t)[labels - lo] * decomp.matrix
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,21 @@ def _readonly_complex(a) -> np.ndarray:
     return m
 
 
+def _check_hermitian_unit_trace(m: np.ndarray, what: str) -> None:
+    """The density-matrix rule short of positivity: raises
+    StateValidationError, naming ``m`` as ``what``, unless ``m`` is square,
+    Hermitian and unit trace within the module tolerances."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise StateValidationError(f"{what} must be square, got shape {m.shape}")
+    # Each comparison is written so that NaN fails it too.
+    herm = np.abs(m - m.conj().T).max()
+    if not herm <= HERMITICITY_TOL:
+        raise StateValidationError(f"{what} is not Hermitian: max deviation {herm:.3e}")
+    tr = np.trace(m)
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise StateValidationError(f"{what} has trace {tr}, not 1")
+
+
 def validated_spectrum(m: np.ndarray, what: str = "density matrix"):
     """(eigenvalues ascending, eigenvectors) of ``m`` after checking it is a
     density matrix.
@@ -38,15 +53,7 @@ def validated_spectrum(m: np.ndarray, what: str = "density matrix"):
     module tolerances.  The one ``eigh`` serves both the PSD check and
     the factor the caller builds from the pair (``_psd_factor``).
     """
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise StateValidationError(f"{what} must be square, got shape {m.shape}")
-    # Each comparison is written so that NaN fails it too.
-    herm = np.abs(m - m.conj().T).max()
-    if not herm <= HERMITICITY_TOL:
-        raise StateValidationError(f"{what} is not Hermitian: max deviation {herm:.3e}")
-    tr = np.trace(m)
-    if not abs(tr - 1.0) <= TRACE_TOL:
-        raise StateValidationError(f"{what} has trace {tr}, not 1")
+    _check_hermitian_unit_trace(m, what)
     eigs, vecs = np.linalg.eigh(m)
     if not eigs[0] >= -PSD_TOL:
         raise StateValidationError(
@@ -64,16 +71,55 @@ def _psd_factor(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return b / np.linalg.norm(b)
 
 
+def _certified_factor(m: np.ndarray) -> np.ndarray | None:
+    """n x r factor B of a Hermitian, unit-trace ``m`` at its numerical rank,
+    or None when B B^dagger is not within PSD_TOL of ``m``.
+
+    Pivoted Cholesky: each column is the Schur-complement column of the
+    largest remaining diagonal d, and the pivots stop once max d is at or
+    below PSD_TOL / n, so that a PSD remainder has ||.||_F <= tr <= PSD_TOL.
+    B is kept only if ||m - B B^dagger||_F <= PSD_TOL; by Weyl's inequality
+    the Hermitian part of ``m`` then has no eigenvalue below -PSD_TOL, the
+    positivity rule of ``validated_spectrum``.  A non-PSD ``m``, or one
+    whose negative roundoff stays in the residual, gets None.  B is scaled
+    to unit trace, as in ``_psd_factor``.
+    """
+    n = m.shape[0]
+    d = m.diagonal().real.copy()
+    cut = PSD_TOL / n
+    bt = np.empty((n, n), dtype=complex)  # row k is column k of B; r is not known in advance
+    k = 0
+    while k < n:
+        p = int(np.argmax(d))
+        if not d[p] > cut:
+            break
+        col = m[:, p] - bt[:k].T @ bt[:k, p].conj()
+        col /= np.sqrt(d[p])
+        bt[k] = col
+        d -= col.real**2 + col.imag**2
+        k += 1
+    b = bt[:k].T.copy()
+    e = b @ b.conj().T
+    e -= m
+    if not np.sqrt(np.vdot(e, e).real) <= PSD_TOL:
+        return None
+    return b / np.linalg.norm(b)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Complex Hermitian, unit-trace, positive-semidefinite matrix with its
     n x r factor B, ``matrix = B B^dagger``.
 
-    Give either ``matrix`` or ``factor``.  A matrix is checked by
-    ``validated_spectrum``, and the same ``eigh`` gives its factor
-    (``_psd_factor``: one column per positive eigenvalue).  A given factor
-    is Hermitian and PSD by construction, so only its trace ||B||_F^2 is
-    checked.  ``Propagator.evolve`` and ``entropy_trace`` work on the factor.
+    Give either ``matrix`` or ``factor``.  A matrix must be square,
+    Hermitian and unit trace; its factor is the pivoted Cholesky factor of
+    its numerical rank (``_certified_factor``), kept when B B^dagger is
+    within PSD_TOL of it in Frobenius norm, which also certifies it PSD.
+    Otherwise the matrix is checked by ``validated_spectrum``, whose
+    ``eigh`` gives the factor (``_psd_factor``: one column per positive
+    eigenvalue) or refuses it as not PSD.  A given factor is Hermitian and
+    PSD by construction, so only its trace ||B||_F^2 is checked.
+    ``Propagator.evolve`` and ``entropy_trace`` work on the factor.
     """
 
     matrix: np.ndarray | None = None
@@ -84,7 +130,10 @@ class DensityMatrix:
             raise StateValidationError("give a density matrix or its factor, not both or neither")
         if self.factor is None:
             m = _readonly_complex(self.matrix)
-            b = _psd_factor(*validated_spectrum(m))
+            _check_hermitian_unit_trace(m, "density matrix")
+            b = _certified_factor(m)
+            if b is None:
+                b = _psd_factor(*validated_spectrum(m))
             b.setflags(write=False)
         else:
             b = _readonly_complex(self.factor)

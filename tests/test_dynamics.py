@@ -27,7 +27,6 @@ from lelab.states import (
     random_density_matrix,
     random_effectively_pure_state,
     random_pure_state,
-    _psd_factor,
 )
 
 
@@ -133,6 +132,11 @@ def test_hamiltonian_rejects_non_hermitian_potential():
 def test_hamiltonian_refuses_a_nan_potential():
     with pytest.raises(ValueError, match="Hermitian"):
         Hamiltonian(np.zeros(2), np.full((2, 2), np.nan))
+
+
+def test_hamiltonian_refuses_a_nan_h0():
+    with pytest.raises(ValueError, match="h0_diag"):
+        Hamiltonian(np.array([np.nan, 0.0]), np.zeros((2, 2)))
 
 
 def test_propagator_unitary():
@@ -327,7 +331,7 @@ def test_evolve_of_a_factored_state_takes_no_n_by_n_spectrum_or_unitary(monkeypa
     assert out.factor.shape == (rho.dim, rank)
 
 
-def test_a_dense_state_is_checked_and_factored_by_one_eigh(monkeypatch):
+def test_a_dense_state_is_factored_at_its_rank_without_an_n_by_n_eigh(monkeypatch):
     basis = EVOLVE_BASES["M2"]
     n = basis.size
     h = build_hamiltonian(basis, 0.2, 1.0)
@@ -335,13 +339,24 @@ def test_a_dense_state_is_checked_and_factored_by_one_eigh(monkeypatch):
     m = random_density_matrix(n, np.random.default_rng(21), rank=3).matrix
     calls = _record_calls(monkeypatch, (np.linalg, "eigh"), (np.linalg, "eigvalsh"))
     rho = DensityMatrix(m)
-    assert calls == [("eigh", (n, n))]
-    calls.clear()
+    assert calls == []
+    assert rho.factor.shape == (n, 3)
+    assert np.abs(rho.factor @ rho.factor.conj().T - m).max() <= 1e-14
     prop.evolve(rho, 1.3)
     entropy_trace(rho, h, [0.0, 1.3], basis)
     assert calls and all(shape != (n, n) for _, shape in calls)
-    monkeypatch.undo()
-    assert rho.factor.tobytes() == _psd_factor(*np.linalg.eigh(rho.matrix)).tobytes()
+
+
+@pytest.mark.parametrize("extent, rank", [(1, 4), (3, 19)])
+def test_an_evolved_dense_state_is_factored_at_its_rank(extent, rank):
+    # The dense matrix of an evolved effectively pure state, as the Bohr-sector
+    # driver builds it; an eigh factor kept ~n/2 roundoff columns here.
+    basis = build_basis(extent, 1.0)
+    prop = build_hamiltonian(basis, 0.2, 1.0).propagator
+    m = prop.evolve(random_effectively_pure_state(basis, np.random.default_rng(11)), 5.0).matrix
+    rho = DensityMatrix(m)
+    assert rho.factor.shape == (basis.size, rank)
+    assert np.abs(rho.factor @ rho.factor.conj().T - m).max() <= 1e-14
 
 
 def test_evolve_of_a_dense_state_drops_its_negative_roundoff():
@@ -363,6 +378,19 @@ def test_evolve_of_a_dense_state_drops_its_negative_roundoff():
     assert abs(np.vdot(out.factor, out.factor).real - 1.0) <= 1e-14
     gap = np.linalg.norm(out.matrix - _dense_conjugation(prop, rho, 0.9), "nuc")
     assert abs(gap - 2e-11) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf])
+def test_an_infinite_time_is_refused_before_its_phases_are_taken(t):
+    # RuntimeWarnings are errors under the test settings, so numpy's
+    # "invalid value" from exp(-i w t) would fail this test before the check
+    basis = build_basis(1, 1.0)
+    h = build_hamiltonian(basis, 0.2, 1.0)
+    rho = random_effectively_pure_state(basis, np.random.default_rng(6))
+    with pytest.raises(ValueError, match="t must be finite"):
+        h.propagator.evolve(rho, t)
+    with pytest.raises(ValueError, match="t must be finite"):
+        entropy_trace(rho, h, [0.0, t], basis)
 
 
 def test_evolve_at_time_zero_is_identity():

@@ -117,6 +117,30 @@ def test_alpha_zero_component_is_shell_block_diagonal():
     np.testing.assert_array_equal(dec.component(0.0), block_diag)
 
 
+LABEL_BASES = {"M1": BASIS, "M2": build_basis(2, 0.7), "N16": build_basis_1d(16, 1.3)}
+
+
+@pytest.mark.parametrize("lattice", sorted(LABEL_BASES))
+def test_sector_labels_are_the_distinct_labels_of_the_nonzero_elements(lattice):
+    basis = LABEL_BASES[lattice]
+    rho = random_density_matrix(basis.size, np.random.default_rng(3))
+    zero = np.zeros((basis.size, basis.size))
+    for m in (zero, rho.matrix, assemble_block_diagonal(reduce(rho, basis), basis)):
+        dec = alpha_decompose(m, basis)
+        expected = np.unique(dec.labels[m != 0]) if m.any() else np.zeros(1, dtype=dec.labels.dtype)
+        assert dec.sector_labels.dtype == expected.dtype
+        np.testing.assert_array_equal(dec.sector_labels, expected)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, -2.5, 1e6])
+@pytest.mark.parametrize("lattice", sorted(LABEL_BASES))
+def test_free_phase_law_is_the_elementwise_formula(lattice, t):
+    basis = LABEL_BASES[lattice]
+    dec = alpha_decompose(random_density_matrix(basis.size, np.random.default_rng(1)).matrix, basis)
+    elementwise = np.exp(1j * (dec.labels * dec.delta_k**2) * t) * dec.matrix
+    assert free_phase_law(dec, t).tobytes() == elementwise.tobytes()
+
+
 @given(seed=st.integers(0, 10_000), t=st.floats(-10.0, 10.0))
 @settings(max_examples=30, deadline=None)
 def test_free_phase_law_matches_exact_evolution(seed, t):

@@ -7,6 +7,8 @@ from lelab.basis import build_basis, build_basis_1d
 from lelab.errors import StateValidationError
 from lelab.reduction import is_effectively_pure, reduce
 from lelab.states import (
+    PSD_TOL,
+    TRACE_TOL,
     DensityMatrix,
     PureState,
     effectively_pure_state,
@@ -16,6 +18,8 @@ from lelab.states import (
     random_density_matrix,
     random_effectively_pure_state,
     random_pure_state,
+    validated_spectrum,
+    _certified_factor,
 )
 
 
@@ -40,6 +44,32 @@ def test_density_matrix_refuses_nan(given, message):
     # each check is written so that NaN fails it: NaN > tol is False
     with pytest.raises(StateValidationError, match=message):
         DensityMatrix(**given)
+
+
+@pytest.mark.parametrize("low", [0.0, -1e-12, -5e-11, -2e-10])
+@pytest.mark.parametrize("dim, rank", [(27, 4), (64, 63)])
+def test_a_certified_factor_passes_the_eigh_rule(dim, rank, low):
+    # rank eigenvalues in [0.5, 1.5], one at ``low``, trace one
+    rng = np.random.default_rng(dim + rank)
+    vecs, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    eigs = np.zeros(dim)
+    eigs[:rank] = rng.uniform(0.5, 1.5, rank)
+    eigs *= (1 - low) / eigs.sum()
+    eigs[-1] = low
+    m = (vecs * eigs) @ vecs.conj().T
+    m = (m + m.conj().T) / 2
+    b = _certified_factor(m)
+    if low == 0.0:
+        assert b is not None
+    if b is not None:
+        assert validated_spectrum(m)[0][0] >= -PSD_TOL
+        assert b.shape == (dim, rank)
+        assert abs(np.trace(m - b @ b.conj().T)) <= TRACE_TOL
+        assert np.linalg.norm(m - b @ b.conj().T) <= PSD_TOL
+    if low < -PSD_TOL:
+        assert b is None
+        with pytest.raises(StateValidationError, match="positive semidefinite"):
+            DensityMatrix(m)
 
 
 def test_density_matrix_from_a_factor():
