@@ -96,10 +96,8 @@ def evolved_factor(q: np.ndarray, w: np.ndarray, g: np.ndarray, t: float) -> np.
     B B^dagger, H = Q diag(w) Q^dagger, g = Q^dagger B (C-contiguous) and q = Q
     or Q with its rows permuted.  A real q multiplies the interleaved real and
     imaginary parts in one real product: half the flops, no complex copy of q.
-
-    An infinite ``t`` raises ValueError before the phases are taken; a NaN
-    ``t`` gives a NaN C, which the caller's trace check refuses."""
-    if np.isinf(t):
+    A ``t`` that is not finite raises ValueError before the phases are taken."""
+    if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     x = np.exp(-1j * w * t)[:, None] * g
     if np.isrealobj(q):
@@ -109,7 +107,7 @@ def evolved_factor(q: np.ndarray, w: np.ndarray, g: np.ndarray, t: float) -> np.
 
 @dataclass(frozen=True)
 class Propagator:
-    """Eigendecomposition of H; evolves factored states, builds dense U(t)."""
+    """Eigendecomposition of H; evolves factored states.  ``unitary`` is the tests' dense U(t)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -129,8 +127,8 @@ class Propagator:
         """U(t) rho U(t)^dagger as ``DensityMatrix(factor=C)``, C of rho's rank.
 
         Builds no U(t) and takes no n x n spectrum: it reads ``rho.factor``,
-        which a full-matrix state got from the ``eigh`` that checked it, and
-        only ||C||_F^2 = 1 is checked."""
+        which a full-matrix state got from the pivoted Cholesky (or ``eigh``)
+        that checked it; only ||C||_F^2 = 1 is checked."""
         q = self.eigenvectors
         g = q.conj().T @ rho.factor
         return DensityMatrix(factor=evolved_factor(q, self.eigenvalues, g, float(t)))

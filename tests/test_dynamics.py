@@ -380,7 +380,7 @@ def test_evolve_of_a_dense_state_drops_its_negative_roundoff():
     assert abs(gap - 2e-11) <= 1e-13
 
 
-@pytest.mark.parametrize("t", [np.inf, -np.inf])
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
 def test_an_infinite_time_is_refused_before_its_phases_are_taken(t):
     # RuntimeWarnings are errors under the test settings, so numpy's
     # "invalid value" from exp(-i w t) would fail this test before the check

@@ -44,7 +44,7 @@ def test_quantum_run_writes_csv_and_summary(tmp_path):
     assert loaded["mode"] == "quantum"
     assert loaded["config"] == QUANTUM
     assert loaded["all_checks_pass"] is True
-    assert set(loaded["invariant_checks"]) >= {"hermitian", "unit_trace", "psd",
+    assert set(loaded["invariant_checks"]) == {"eigenbasis_orthonormal", "eigenbasis_residual",
                                                "purity_constant"}
 
 
@@ -131,8 +131,8 @@ def test_quantum_run_diagonalizes_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_quantum_run_rows_call_no_n_by_n_eigvalsh(tmp_path, monkeypatch):
-    # Rows work on the n x r factor: the one n x n eigvalsh is the final check.
+def test_quantum_run_takes_no_n_by_n_eigvalsh_and_no_unitary(tmp_path, monkeypatch):
+    # Rows work on the n x r factor, and the final check reads the eigenpairs.
     cfg = make_config(lattice={"M": 2, "delta_k": 1.0})
     basis = harness.build_quantum_basis(cfg)
     n, r = harness.build_initial_state(cfg, basis).factor.shape
@@ -144,27 +144,37 @@ def test_quantum_run_rows_call_no_n_by_n_eigvalsh(tmp_path, monkeypatch):
         shapes.append(np.shape(a))
         return eigvalsh(a, *args, **kwargs)
 
+    def no_unitary(self, t):
+        raise AssertionError("the run built a dense U(t)")
+
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(dynamics.Propagator, "unitary", no_unitary)
     harness.run(cfg, out_dir=tmp_path)
-    assert shapes.count((n, n)) == 1
-    others = [s for s in shapes if s != (n, n)]
-    assert len(others) >= len(cfg.time_grid.times())  # at least S_global on every row
-    assert max(max(s) for s in others) <= r
+    assert len(shapes) >= len(cfg.time_grid.times())  # at least S_global on every row
+    assert max(max(s) for s in shapes) <= r
 
 
 def test_bad_final_state_is_recorded_before_raising(tmp_path, monkeypatch):
-    # A unitary that is off by 1e-6 leaves the trace rows alone (they use the
-    # eigenbasis) but breaks the trace of the rebuilt end state.
-    unitary = dynamics.Propagator.unitary
-    monkeypatch.setattr(dynamics.Propagator, "unitary",
-                        lambda self, t: unitary(self, t) * (1 + 1e-6))
-    with pytest.raises(InvariantViolation, match="unit_trace"):
-        harness.run(make_config(), out_dir=tmp_path)
-    loaded = json.loads((tmp_path / "summary.json").read_text())
-    assert loaded["invariant_checks"]["unit_trace"] is False
-    assert loaded["invariant_checks"]["hermitian"] is True
-    assert loaded["all_checks_pass"] is False
-    assert (tmp_path / "trace.csv").exists()
+    # Eigenpairs of another H (A = 0.5 instead of 0.2) are unitary, so every
+    # row is a valid state, but they are not the decomposition of the run's H.
+    build = dynamics.build_hamiltonian
+    other = build(harness.build_quantum_basis(make_config()), 0.5, 1.0).propagator
+    for case in ("eigenpairs", "eigenvalues"):
+        def wrong_eigenpairs(basis, coupling, screening):
+            h = build(basis, coupling, screening)
+            q = other.eigenvectors if case == "eigenpairs" else h.propagator.eigenvectors
+            h.__dict__["propagator"] = dynamics.Propagator(other.eigenvalues, q)
+            return h
+
+        monkeypatch.setattr(dynamics, "build_hamiltonian", wrong_eigenpairs)
+        out = tmp_path / case
+        with pytest.raises(InvariantViolation, match="eigenbasis_residual"):
+            harness.run(make_config(), out_dir=out)
+        loaded = json.loads((out / "summary.json").read_text())
+        assert loaded["invariant_checks"]["eigenbasis_residual"] is False
+        assert loaded["invariant_checks"]["eigenbasis_orthonormal"] is True
+        assert loaded["all_checks_pass"] is False
+        assert (out / "trace.csv").exists()
 
 
 def test_demo_configs_all_validate():

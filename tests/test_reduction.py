@@ -389,11 +389,14 @@ def test_entropy_trace_refuses_a_state_that_lost_its_trace():
 
 
 def test_entropy_trace_refuses_a_nan_row():
-    # a NaN time gives a NaN C(t), whose trace check must fail before any eigvalsh
+    # a NaN eigenvalue gives a NaN C(t), whose trace check must fail before any eigvalsh
     h = build_hamiltonian(BASIS, 0.2, 1.0)
+    w = h.propagator.eigenvalues.copy()
+    w[3] = np.nan
+    h.__dict__["propagator"] = Propagator(w, h.propagator.eigenvectors)
     rho0 = random_effectively_pure_state(BASIS, np.random.default_rng(6))
     with pytest.raises(StateValidationError, match="trace nan"):
-        entropy_trace(rho0, h, [0.0, np.nan], BASIS)
+        entropy_trace(rho0, h, [0.0, 1.0], BASIS)
 
 
 def test_reduce_canonical_examples():
