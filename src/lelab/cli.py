@@ -58,7 +58,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "check":
-            results = run_invariant_checks(verbose=True)
+            results = run_invariant_checks()
+            for name, ok in results.items():
+                print(f"{'ok  ' if ok else 'FAIL'} {name}")
             return 0 if all(results.values()) else EXIT_INVARIANT
         if args.command == "demo":
             cfg = demo_config(args.name)

@@ -150,27 +150,27 @@ class Superoperator:
         return (self.matrix @ np.asarray(m, dtype=complex).reshape(-1)).reshape(self.dim, self.dim)
 
 
-def commutator_superoperator(m, cap: int = SUPEROP_DIM_CAP) -> Superoperator:
+def commutator_superoperator(m) -> Superoperator:
     """Superoperator of X -> m X - X m on row-major vec(X)."""
     m = np.asarray(m, dtype=complex)
     dim = m.shape[0]
     if m.shape != (dim, dim):
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if dim > cap:
-        raise DimensionCapError(f"dimension {dim} exceeds superoperator cap {cap}")
+    if dim > SUPEROP_DIM_CAP:
+        raise DimensionCapError(f"dimension {dim} exceeds superoperator cap {SUPEROP_DIM_CAP}")
     eye = np.eye(dim)
     return Superoperator(np.kron(m, eye) - np.kron(eye, m.T), dim)
 
 
-def liouvillian_superoperator(h: Hamiltonian, cap: int = SUPEROP_DIM_CAP) -> Superoperator:
+def liouvillian_superoperator(h: Hamiltonian) -> Superoperator:
     """Commutator map with the full H; spectrum is real since H is Hermitian.
 
     Assembled as the float sum of the free part and the interaction part,
     so the split into the commutator maps of diag(h0) and v carries no
     floating-point residue.
     """
-    free = commutator_superoperator(np.diag(h.h0_diag.astype(complex)), cap)
-    inter = commutator_superoperator(h.v, cap)
+    free = commutator_superoperator(np.diag(h.h0_diag.astype(complex)))
+    inter = commutator_superoperator(h.v)
     return Superoperator(free.matrix + inter.matrix, h.dim)
 
 
@@ -195,9 +195,9 @@ def alpha_offblock_norm(op, basis: MomentumBasis) -> tuple[float, float]:
     return max_off, float(np.sqrt(sum_sq))
 
 
-def alpha_diagonality_test(op, basis: MomentumBasis, tol: float = 1e-10) -> bool:
+def alpha_diagonality_test(op, basis: MomentumBasis) -> bool:
     """True iff ``op`` never maps one Bohr-frequency sector into another
-    beyond ``tol`` (elementwise), i.e. it commutes with the free-part
+    beyond 1e-10 (elementwise), i.e. it commutes with the free-part
     eigenspace projections."""
     max_off, _ = alpha_offblock_norm(op, basis)
-    return max_off <= tol
+    return max_off <= 1e-10

@@ -45,18 +45,19 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Run outcome; identical across reruns except for wall_time_s."""
+    """Run outcome; identical across reruns except for wall_time_s.  A final
+    value is None where the mode has none, or when no row ran."""
 
     mode: str
     config: dict
     csv_path: str
     wall_time_s: float
-    final_effective_entropy: float
-    final_purity: float | None
-    final_mass: float | None
-    effectively_pure_initial: bool | None
-    effectively_pure_final: bool | None
     invariant_checks: dict
+    final_effective_entropy: float | None = None
+    final_purity: float | None = None
+    final_mass: float | None = None
+    effectively_pure_initial: bool | None = None
+    effectively_pure_final: bool | None = None
 
     @property
     def all_checks_pass(self) -> bool:
@@ -95,53 +96,39 @@ def build_initial_state(cfg: ExperimentConfig, basis: MomentumBasis) -> DensityM
     return DensityMatrix(factor=b)
 
 
-def _write_quantum_csv(path: Path, rows, basis: MomentumBasis):
-    header = ["t", "S_eff", "S_global", "tr_rho2", "effectively_pure"]
-    header += [f"S_E_{e:g}" for e in basis.shells.energies]
+def _write_csv(path: Path, header: list[str], rows: list[list[str]]):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in rows:
-            cells = [
-                _fmt(r.t),
-                _fmt(r.effective_entropy),
-                _fmt(r.global_entropy),
-                _fmt(r.purity),
-                str(int(r.effectively_pure)),
-            ]
-            cells += [_fmt(s) for s in r.shell_entropies]
+        for cells in [header, *rows]:
             fh.write(",".join(cells) + "\n")
 
 
-def _write_classical_csv(path: Path, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,S_classical,mass\n")
-        for t, s, mass in rows:
-            fh.write(f"{_fmt(t)},{_fmt(s)},{_fmt(mass)}\n")
-
-
-def _run_quantum(cfg: ExperimentConfig, out_dir: Path) -> RunSummary:
-    t_start = time.perf_counter()
+def _run_quantum(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]], dict, dict]:
     basis = build_quantum_basis(cfg)
     pot = cfg.potential
     h = dynamics.build_hamiltonian(basis, pot.coupling, pot.screening)
-    rho0 = build_initial_state(cfg, basis)
-    times = cfg.time_grid.times()
-    rows = reduction.entropy_trace(rho0, h, times, basis)
+    header = ["t", "S_eff", "S_global", "tr_rho2", "effectively_pure"]
+    header += [f"S_E_{e:g}" for e in basis.shells.energies]
 
     # Each row holds rho(t) = C C^dagger, Hermitian and PSD by construction,
     # and refuses a trace off by more than TRACE_TOL; what every row trusts
-    # is H = Q diag(w) Q^dagger, so that is checked, in H's own arithmetic.
+    # is H = Q diag(w) Q^dagger, so that is checked first, in H's own
+    # arithmetic, and a decomposition that fails it computes no row.
     hm, q, w = h.matrix, h.propagator.eigenvectors, h.propagator.eigenvalues
     gram = q.conj().T @ q
     gram[np.diag_indices_from(gram)] -= 1.0
     residual = np.abs(hm @ q - q * w).max()
-    s_eff = np.array([r.effective_entropy for r in rows])
-    purity = np.array([r.purity for r in rows])
     checks = {
         "eigenbasis_orthonormal": bool(np.abs(gram).max() <= EIGENBASIS_ORTHONORMAL_TOL),
         "eigenbasis_residual": bool(residual <= EIGENBASIS_RESIDUAL_TOL * np.abs(hm).max()),
-        "purity_constant": bool(np.abs(purity - purity[0]).max() <= PURITY_DRIFT_TOL),
     }
+    if not all(checks.values()):
+        return header, [], checks, {}
+
+    rho0 = build_initial_state(cfg, basis)
+    rows = reduction.entropy_trace(rho0, h, cfg.time_grid.times(), basis)
+    s_eff = np.array([r.effective_entropy for r in rows])
+    purity = np.array([r.purity for r in rows])
+    checks["purity_constant"] = bool(np.abs(purity - purity[0]).max() <= PURITY_DRIFT_TOL)
     if pot.coupling == 0.0:
         checks["free_entropy_constant"] = bool(
             np.abs(s_eff - s_eff[0]).max() <= FREE_ENTROPY_TOL
@@ -149,24 +136,17 @@ def _run_quantum(cfg: ExperimentConfig, out_dir: Path) -> RunSummary:
     if isinstance(cfg.lattice, LineLattice):
         checks["nondegenerate_no_mixing"] = bool(s_eff.max() <= NO_MIXING_TOL)
 
-    csv_path = out_dir / cfg.outputs.csv
-    _write_quantum_csv(csv_path, rows, basis)
-    return RunSummary(
-        mode="quantum",
-        config=cfg.echo,
-        csv_path=str(csv_path),
-        wall_time_s=time.perf_counter() - t_start,
-        final_effective_entropy=rows[-1].effective_entropy,
-        final_purity=rows[-1].purity,
-        final_mass=None,
-        effectively_pure_initial=rows[0].effectively_pure,
-        effectively_pure_final=rows[-1].effectively_pure,
-        invariant_checks=checks,
-    )
+    cells = [[_fmt(r.t), _fmt(r.effective_entropy), _fmt(r.global_entropy), _fmt(r.purity),
+              str(int(r.effectively_pure)), *map(_fmt, r.shell_entropies)] for r in rows]
+    return header, cells, checks, {
+        "final_effective_entropy": rows[-1].effective_entropy,
+        "final_purity": rows[-1].purity,
+        "effectively_pure_initial": rows[0].effectively_pure,
+        "effectively_pure_final": rows[-1].effectively_pure,
+    }
 
 
-def _run_classical(cfg: ExperimentConfig, out_dir: Path) -> RunSummary:
-    t_start = time.perf_counter()
+def _run_classical(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]], dict, dict]:
     rho0 = koopman.single_p_row_density(cfg.lattice, cfg.initial_state.p0)
     kick = cfg.potential
     grad_v = koopman.kick_gradient(kick.shape)
@@ -189,41 +169,37 @@ def _run_classical(cfg: ExperimentConfig, out_dir: Path) -> RunSummary:
 
     masses = np.array([m for _, _, m in rows])
     checks = {"mass_conserved": bool(np.abs(masses - 1.0).max() <= MASS_TOL)}
-    csv_path = out_dir / cfg.outputs.csv
-    _write_classical_csv(csv_path, rows)
-    return RunSummary(
-        mode="classical",
-        config=cfg.echo,
-        csv_path=str(csv_path),
-        wall_time_s=time.perf_counter() - t_start,
-        final_effective_entropy=rows[-1][1],
-        final_purity=None,
-        final_mass=rows[-1][2],
-        effectively_pure_initial=None,
-        effectively_pure_final=None,
-        invariant_checks=checks,
-    )
+    cells = [[_fmt(x) for x in row] for row in rows]
+    return ["t", "S_classical", "mass"], cells, checks, {
+        "final_effective_entropy": rows[-1][1], "final_mass": rows[-1][2]}
 
 
 def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunSummary:
     """Run the experiment, write CSV + summary JSON, re-assert invariants.
 
     ``cfg`` must come from ``validate_config`` or ``demo_config``; it is
-    not checked again here.  Artifacts are written even when an invariant
-    check fails; the failure is then raised as InvariantViolation so
-    callers can exit nonzero.
+    not checked again here.  A quantum run checks the eigendecomposition
+    of H before it builds the initial state; if that check fails, no row
+    is computed, the CSV holds only its header and the summary holds the
+    two eigenbasis checks with null final values.  Artifacts are written
+    even when an invariant check fails; the failure is then raised as
+    InvariantViolation so callers can exit nonzero.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.mode == "quantum":
-        summary = _run_quantum(cfg, out_dir)
-    else:
-        summary = _run_classical(cfg, out_dir)
+    t_start = time.perf_counter()
+    mode_run = _run_quantum if cfg.mode == "quantum" else _run_classical
+    header, rows, checks, finals = mode_run(cfg)
+    csv_path = out_dir / cfg.outputs.csv
+    _write_csv(csv_path, header, rows)
+    summary = RunSummary(mode=cfg.mode, config=cfg.echo, csv_path=str(csv_path),
+                         wall_time_s=time.perf_counter() - t_start,
+                         invariant_checks=checks, **finals)
     with open(out_dir / cfg.outputs.summary, "w", encoding="utf-8") as fh:
         json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if not summary.all_checks_pass:
-        failed = sorted(k for k, ok in summary.invariant_checks.items() if not ok)
+        failed = sorted(k for k, ok in checks.items() if not ok)
         raise InvariantViolation(f"invariant checks failed: {', '.join(failed)}")
     return summary
 
@@ -272,7 +248,7 @@ def demo_config(name: str) -> ExperimentConfig:
     return validate_config(json.dumps(DEMO_CONFIGS[name]))
 
 
-def run_invariant_checks(verbose: bool = True) -> dict:
+def run_invariant_checks() -> dict:
     """Fast standalone battery of the library's core invariants.
 
     Backs the ``check`` CLI subcommand: a handful of seeded spot checks
@@ -319,8 +295,4 @@ def run_invariant_checks(verbose: bool = True) -> dict:
     results["classical_marginal_invariant"] = bool(
         np.abs(g1.density - g0.density).max() <= MASS_TOL
     )
-
-    if verbose:
-        for name, ok in results.items():
-            print(f"{'ok  ' if ok else 'FAIL'} {name}")
     return results

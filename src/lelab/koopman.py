@@ -156,13 +156,10 @@ def nearest_p_row(grid: PhaseSpaceGrid, p0: float) -> int:
     return int(np.argmin(np.abs(grid.p - p0)))
 
 
-def single_p_row_density(
-    grid: PhaseSpaceGrid, p0: float, q_profile: np.ndarray | None = None
-) -> PhaseSpaceDensity:
-    """All mass on the p row nearest ``p0``, uniform in q unless a profile is given."""
-    j = nearest_p_row(grid, p0)
+def single_p_row_density(grid: PhaseSpaceGrid, p0: float) -> PhaseSpaceDensity:
+    """All mass on the p row nearest ``p0``, uniform in q."""
     values = np.zeros((grid.nq, grid.n_p))
-    values[:, j] = 1.0 if q_profile is None else np.asarray(q_profile, dtype=float)
+    values[:, nearest_p_row(grid, p0)] = 1.0
     return density_from_values(grid, values)
 
 

@@ -122,13 +122,8 @@ class ShellDecomposition:
     :meth:`rho_hat` for occupied shells only.
     """
 
-    shell_energies: np.ndarray
     weights: np.ndarray
     blocks: tuple[np.ndarray, ...]
-
-    @property
-    def n_shells(self) -> int:
-        return len(self.weights)
 
     @property
     def occupied(self) -> np.ndarray:
@@ -152,9 +147,7 @@ def reduce(rho, basis: MomentumBasis) -> ShellDecomposition:
         raise ValueError(f"matrix shape {m.shape} does not match basis of size {basis.size}")
     blocks = tuple(m[np.ix_(mem, mem)].copy() for mem in basis.shells.members)
     weights = np.array([float(np.trace(b).real) for b in blocks])
-    return ShellDecomposition(
-        shell_energies=basis.shells.energies, weights=weights, blocks=blocks
-    )
+    return ShellDecomposition(weights=weights, blocks=blocks)
 
 
 def assemble_block_diagonal(dec: ShellDecomposition, basis: MomentumBasis) -> np.ndarray:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lelab import cli, dynamics, harness
+from lelab import cli, dynamics, harness, reduction
 from lelab.config import validate_config
 from lelab.errors import ConfigError, InvariantViolation
 
@@ -15,6 +15,8 @@ QUANTUM = {
     "initial_state": {"kind": "effectively-pure-mixed", "seed": 7},
     "time_grid": {"t_max": 1.0, "steps": 5},
 }
+
+QUANTUM_HEADER = "t,S_eff,S_global,tr_rho2,effectively_pure,S_E_0,S_E_1,S_E_2,S_E_3"
 
 
 def make_config(**overrides):
@@ -174,7 +176,50 @@ def test_bad_final_state_is_recorded_before_raising(tmp_path, monkeypatch):
         assert loaded["invariant_checks"]["eigenbasis_residual"] is False
         assert loaded["invariant_checks"]["eigenbasis_orthonormal"] is True
         assert loaded["all_checks_pass"] is False
-        assert (out / "trace.csv").exists()
+        assert loaded["final_purity"] is None
+        assert (out / "trace.csv").read_text() == QUANTUM_HEADER + "\n"
+
+
+def _scale_eigenvectors(monkeypatch):
+    """Make every Hamiltonian the run builds carry Q scaled by 1 + 1e-6: the
+    residual HQ - Q diag(w) stays at roundoff, but Q^dagger Q = I breaks."""
+    build = dynamics.build_hamiltonian
+
+    def scaled(basis, coupling, screening):
+        h = build(basis, coupling, screening)
+        p = h.propagator
+        h.__dict__["propagator"] = dynamics.Propagator(p.eigenvalues, p.eigenvectors * (1.0 + 1e-6))
+        return h
+
+    monkeypatch.setattr(dynamics, "build_hamiltonian", scaled)
+
+
+def test_a_non_orthonormal_eigenbasis_is_recorded_before_any_row(tmp_path, monkeypatch):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("a row was computed from a decomposition that failed its check")
+
+    _scale_eigenvectors(monkeypatch)
+    monkeypatch.setattr(reduction, "entropy_trace", no_trace)
+    with pytest.raises(InvariantViolation, match="eigenbasis_orthonormal"):
+        harness.run(make_config(), out_dir=tmp_path)
+    loaded = json.loads((tmp_path / "summary.json").read_text())
+    assert loaded["invariant_checks"] == {"eigenbasis_orthonormal": False,
+                                          "eigenbasis_residual": True}
+    assert loaded["all_checks_pass"] is False
+    finals = ("final_effective_entropy", "final_purity", "final_mass",
+              "effectively_pure_initial", "effectively_pure_final")
+    assert all(loaded[k] is None for k in finals)
+    assert (tmp_path / "trace.csv").read_text() == QUANTUM_HEADER + "\n"
+
+
+def test_cli_exits_3_on_a_non_orthonormal_eigenbasis(tmp_path, monkeypatch, capsys):
+    _scale_eigenvectors(monkeypatch)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(QUANTUM))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 3
+    assert "eigenbasis_orthonormal" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trace.csv"]
 
 
 def test_demo_configs_all_validate():
@@ -186,7 +231,7 @@ def test_demo_configs_all_validate():
 
 
 def test_invariant_check_battery_passes():
-    results = harness.run_invariant_checks(verbose=False)
+    results = harness.run_invariant_checks()
     assert results and all(results.values())
 
 

@@ -26,6 +26,13 @@ from lelab.koopman import (
 GRID = PhaseSpaceGrid(nq=64, n_p=64, dq=2 * np.pi / 64, dp=0.1)
 
 
+def _p_row_density(grid, column, q_profile):
+    """All mass on p column ``column``, distributed in q by ``q_profile``."""
+    values = np.zeros((grid.nq, grid.n_p))
+    values[:, column] = q_profile
+    return density_from_values(grid, values)
+
+
 def test_grid_excludes_zero_momentum():
     assert 0.0 not in GRID.p
     assert np.abs(GRID.p).min() == pytest.approx(GRID.dp / 2)
@@ -203,7 +210,7 @@ def test_product_density_reduces_to_momentum_factor():
 def test_fixed_row_spreads_reduce_identically():
     # any q profile on one p row reduces to the same delta-like marginal
     flat = single_p_row_density(GRID, p0=1.0)
-    bumpy = single_p_row_density(GRID, p0=1.0, q_profile=1.0 + 0.9 * np.sin(GRID.q))
+    bumpy = _p_row_density(GRID, koopman.nearest_p_row(GRID, 1.0), 1.0 + 0.9 * np.sin(GRID.q))
     np.testing.assert_allclose(
         classical_reduce(flat).density, classical_reduce(bumpy).density, atol=1e-14
     )
@@ -357,7 +364,7 @@ def _kick_window_is_clipped(rho, grad_v, strength):
 @pytest.mark.parametrize("column", [0, 17, SPARSE_GRID.n_p - 1])
 def test_single_row_flow_and_kick_match_the_oracles_bit_for_bit(column):
     grid = SPARSE_GRID
-    rho = single_p_row_density(grid, p0=grid.p[column], q_profile=1.0 + 0.5 * np.sin(grid.q))
+    rho = _p_row_density(grid, column, 1.0 + 0.5 * np.sin(grid.q))
     _assert_flows_match_oracle(rho)
     if column == 17:
         # the harness's path: flow to the kick time, kick, flow again
@@ -373,7 +380,7 @@ def test_kick_window_clipped_at_a_p_edge_matches_the_oracle_bit_for_bit(column, 
     # mass only where q < pi, which the kick moves into the grid; the empty
     # q rows are pushed past the edge, so the window is clipped there
     grid = SPARSE_GRID
-    rho = single_p_row_density(grid, p0=grid.p[column], q_profile=(grid.q < np.pi) * 1.0)
+    rho = _p_row_density(grid, column, (grid.q < np.pi) * 1.0)
     grad_v = lambda q: sign * 1.5 * np.sin(q)  # noqa: E731
     assert _kick_window_is_clipped(rho, grad_v, grid.dp)
     kicked = _assert_kick_matches_oracle(rho, grad_v, grid.dp)
