@@ -4,17 +4,17 @@ The schema is closed: unknown fields are errors, and every problem is
 reported with its field path (``potential.mu``), so a typo in a physics
 parameter fails loudly instead of silently running the wrong experiment.
 Validation collects all errors before raising, so a bad config is fixed
-in one round trip.  Once the fields parse, the size caps are checked (a
-classical grid over ``MAX_GRID_CELLS`` cells or more than ``MAX_STEPS``
-time steps raises DimensionCapError), then the scales the run derives
-from finite inputs must be finite floats (``_check_scales``), then the
-cross-field rules run:
-``initial_state.shell``, ``shells`` and ``mu`` must fit the lattice's
-shells (the basis is built only when one of them is given, so a lattice
-over the point cap raises DimensionCapError), a classical start row and
-kick must stay on the p grid, and the output names must be two distinct
-plain file names.  ``harness.run`` trusts the ExperimentConfig returned
-here and checks none of this again.
+in one round trip.  Once the fields parse, the size caps are checked by
+what the run will hold (a classical grid over ``MAX_GRID_CELLS`` cells, a
+quantum basis over ``MAX_POINTS`` points, more than ``MAX_STEPS`` time
+steps or a quantum trace over ``MAX_TRACE_CELLS`` CSV cells raises
+DimensionCapError), then the scales the run derives from finite inputs
+must be finite floats (``_check_scales``), then the cross-field rules
+run: ``initial_state.shell``, ``shells`` and ``mu`` must fit the
+lattice's shells, a classical start row and kick must stay on the p
+grid, and the output names must be two distinct plain file names.
+``harness.run`` trusts the ExperimentConfig returned here and checks
+none of this again.
 """
 
 from __future__ import annotations
@@ -26,16 +26,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import koopman, states
-from .basis import MAX_POINTS, MomentumBasis, build_basis, build_basis_1d
+from .basis import MomentumBasis, build_basis, build_basis_1d
 from .errors import ConfigError, DimensionCapError, StateValidationError
 
 # A classical run holds about four float64 grids at once (32 B per cell:
 # peak RSS 63 MB at 1024^2 and 159 MB at 2048^2, measured), so this cap of
 # 2048^2 cells bounds it near 0.16 GB.
 MAX_GRID_CELLS = 1 << 22
-# Each step is one row in memory and in the CSV: under 1 KB even with the
-# 88 shells of the largest cubic lattice, so about 0.1 GB at this cap.
+# Each step is one row in memory and in the CSV.  A quantum run holds its rows
+# and their string cells at once, 62-79 B per cell (measured), so the 93
+# columns of M = 7 hold about 0.7 GB at MAX_STEPS, and any quantum trace of
+# (steps + 1) * (5 + n_shells) cells at most about 0.8 GB at MAX_TRACE_CELLS.
 MAX_STEPS = 100_000
+MAX_TRACE_CELLS = 10_000_000
 
 QUANTUM_STATE_KINDS = ("pure-random", "effectively-pure-mixed", "shell-mixed")
 CLASSICAL_STATE_KINDS = ("single-p-row",)
@@ -329,21 +332,29 @@ def _parse_outputs(raw: dict, chk: _Collector):
     return OutputsConfig(**names)
 
 
-def _check_caps(lattice, time_grid: TimeGridConfig):
-    """Refuse, with DimensionCapError, a classical grid or a time grid over its cap."""
-    if isinstance(lattice, ClassicalGrid) and lattice.nq * lattice.n_p > MAX_GRID_CELLS:
+def _check_caps(lattice, time_grid: TimeGridConfig) -> MomentumBasis | None:
+    """Refuse, with DimensionCapError, a classical grid, a quantum basis, a time
+    grid or a quantum trace over its cap; returns the quantum basis, whose
+    energies may overflow (``_check_scales`` refuses that next)."""
+    classical = isinstance(lattice, ClassicalGrid)
+    if classical and lattice.nq * lattice.n_p > MAX_GRID_CELLS:
         raise DimensionCapError(f"classical grid nq * np = {lattice.nq * lattice.n_p} "
                                 f"exceeds cap of {MAX_GRID_CELLS} cells")
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = None if classical else quantum_basis(lattice)
     if time_grid.steps > MAX_STEPS:
         raise DimensionCapError(f"time_grid.steps = {time_grid.steps} exceeds cap of {MAX_STEPS}")
+    cells = 0 if classical else (time_grid.steps + 1) * (5 + basis.n_shells)
+    if cells > MAX_TRACE_CELLS:
+        raise DimensionCapError(f"time_grid.steps = {time_grid.steps} gives a trace of {cells} "
+                                f"cells, over the cap of {MAX_TRACE_CELLS}")
+    return basis
 
 
 def _check_scales(lattice, potential, t_max: float, chk: _Collector):
     """Refuse finite inputs whose derived scales overflow, naming the field of
     the first such scale.  The scales are Python float products, which
     overflow to inf: ``**`` would raise OverflowError and numpy would warn.
-    A quantum lattice over the point cap is left to its basis's
-    DimensionCapError.
     """
     if isinstance(lattice, ClassicalGrid):
         scales = [("time_grid.t_max", "the largest free-flow shift 2 (np dp / 2) t_max / dq",
@@ -351,8 +362,6 @@ def _check_scales(lattice, potential, t_max: float, chk: _Collector):
     else:
         cubic = isinstance(lattice, CubicLattice)
         n = (2 * lattice.extent + 1) ** 3 if cubic else lattice.n_points
-        if n > MAX_POINTS:
-            return
         mu = potential.screening
         mu3 = mu * mu * mu
         v_max = 4 * math.pi * potential.coupling / mu3 if mu3 > 0 else math.inf
@@ -371,14 +380,9 @@ def _check_scales(lattice, potential, t_max: float, chk: _Collector):
             return
 
 
-def _check_basis_fit(lattice, st: InitialStateConfig, chk: _Collector):
-    """Refuse a shell, shells or a mu that the lattice's shells cannot hold.
-
-    The basis is built only when one of them is given.
-    """
-    if st.shell is None and st.shells is None and st.mu is None:
-        return
-    n_shells = quantum_basis(lattice).n_shells
+def _check_basis_fit(basis: MomentumBasis, st: InitialStateConfig, chk: _Collector):
+    """Refuse a shell, shells or a mu that the lattice's shells cannot hold."""
+    n_shells = basis.n_shells
     if st.shell is not None and st.shell >= n_shells:
         chk.error("initial_state.shell", f"basis has only {n_shells} shells")
     if st.shells is not None and max(st.shells) >= n_shells:
@@ -416,9 +420,9 @@ def validate_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON config, collecting every field error.
 
     Raises ConfigError whose ``errors`` lists (field path, message) pairs,
-    or DimensionCapError when a classical grid or the time grid is over its
-    cap (checked once every field parses) or a shell check needs a basis
-    over the point cap.
+    or DimensionCapError when a classical grid, a quantum basis, the time
+    grid or a quantum trace is over its cap (checked once every field
+    parses).
     """
     if not text.strip():
         raw = {}
@@ -443,13 +447,13 @@ def validate_config(text: str) -> ExperimentConfig:
     initial_state = _parse_initial_state(work, mode, chk)
     outputs = _parse_outputs(work, chk)
     chk.raise_if_any()
-    _check_caps(lattice, time_grid)
+    basis = _check_caps(lattice, time_grid)
     _check_scales(lattice, potential, time_grid.t_max, chk)
     chk.raise_if_any()
     if mode == "classical":
         _check_classical_fit(lattice, potential, initial_state, time_grid.t_max, chk)
     else:
-        _check_basis_fit(lattice, initial_state, chk)
+        _check_basis_fit(basis, initial_state, chk)
     chk.raise_if_any()
 
     return ExperimentConfig(

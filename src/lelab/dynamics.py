@@ -9,14 +9,15 @@ the phase exp(+i alpha t) under free evolution (see reduction).
 
 Evolution goes through an eigendecomposition of H rather than a
 time stepper: it is exact to machine precision, so integrator error
-cannot masquerade as entropy change.  ``evolved_factor`` is its one step,
-on a state's n x r factor, for ``Propagator.evolve`` and ``entropy_trace``.
+cannot masquerade as entropy change.  ``Propagator`` alone reads it:
+``evolved_factors`` is its one step and ``eigenbasis_errors`` its check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -43,6 +44,8 @@ class Hamiltonian:
     v: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.h0_diag):
+            raise ValueError("h0_diag must be real, got a complex array")
         h0 = np.asarray(self.h0_diag, dtype=float)
         v = np.asarray(self.v)
         v = np.asarray(v, dtype=np.result_type(v, np.float64))
@@ -91,23 +94,9 @@ def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -
     return Hamiltonian(h0_diag=basis.energies, v=v)
 
 
-def evolved_factor(q: np.ndarray, w: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
-    """C(t) = q (e^{-iwt} (.) g), the factor of rho(t) = C C^dagger, for rho(0) =
-    B B^dagger, H = Q diag(w) Q^dagger, g = Q^dagger B (C-contiguous) and q = Q
-    or Q with its rows permuted.  A real q multiplies the interleaved real and
-    imaginary parts in one real product: half the flops, no complex copy of q.
-    A ``t`` that is not finite raises ValueError before the phases are taken."""
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    x = np.exp(-1j * w * t)[:, None] * g
-    if np.isrealobj(q):
-        return (q @ x.view(np.float64)).view(np.complex128)
-    return q @ x
-
-
 @dataclass(frozen=True)
 class Propagator:
-    """Eigendecomposition of H; evolves factored states.  ``unitary`` is the tests' dense U(t)."""
+    """H = Q diag(w) Q^dagger; no other code reads Q or w.  ``unitary`` is the tests' U(t)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -123,15 +112,34 @@ class Propagator:
         phases = np.exp(-1j * self.eigenvalues * t)
         return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
 
+    def evolved_factors(self, b: np.ndarray, times: Iterable[float]) -> Iterator[np.ndarray]:
+        """C(t) = Q (e^{-iwt} (.) G) for each t in ``times``, rho(t) = C C^dagger for
+        rho(0) = B B^dagger, with G = Q^dagger B formed once.  With a real Q each C(t)
+        is one real product with the interleaved real and imaginary parts: half the
+        flops.  A ``t`` that is not finite raises ValueError before its phases are taken."""
+        w, q = self.eigenvalues, self.eigenvectors
+        g = q.conj().T @ b
+        for t in map(float, times):
+            if not np.isfinite(t):
+                raise ValueError(f"t must be finite, got {t}")
+            x = np.exp(-1j * w * t)[:, None] * g
+            yield (q @ x.view(np.float64)).view(np.complex128) if np.isrealobj(q) else q @ x
+
     def evolve(self, rho: DensityMatrix, t: float) -> DensityMatrix:
         """U(t) rho U(t)^dagger as ``DensityMatrix(factor=C)``, C of rho's rank.
 
         Builds no U(t) and takes no n x n spectrum: it reads ``rho.factor``,
         which a full-matrix state got from the pivoted Cholesky (or ``eigh``)
         that checked it; only ||C||_F^2 = 1 is checked."""
-        q = self.eigenvectors
-        g = q.conj().T @ rho.factor
-        return DensityMatrix(factor=evolved_factor(q, self.eigenvalues, g, float(t)))
+        (c,) = self.evolved_factors(rho.factor, [t])
+        return DensityMatrix(factor=c)
+
+    def eigenbasis_errors(self, h_matrix: np.ndarray) -> tuple[float, float]:
+        """(max|Q^dagger Q - I|, max|H Q - Q diag(w)|), in the arithmetic of H = ``h_matrix``."""
+        w, q = self.eigenvalues, self.eigenvectors
+        gram = q.conj().T @ q
+        gram[np.diag_indices_from(gram)] -= 1.0
+        return float(np.abs(gram).max()), float(np.abs(h_matrix @ q - q * w).max())
 
 
 def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:

@@ -13,8 +13,6 @@ class ConfigError(ValueError):
     """Config text failed validation.  Carries a list of (field_path, message) pairs."""
 
     def __init__(self, errors):
-        if isinstance(errors, str):
-            errors = [("", errors)]
         self.errors = list(errors)
         super().__init__("; ".join(f"{path or '<config>'}: {msg}" for path, msg in self.errors))
 

@@ -113,12 +113,10 @@ def _run_quantum(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]], dic
     # and refuses a trace off by more than TRACE_TOL; what every row trusts
     # is H = Q diag(w) Q^dagger, so that is checked first, in H's own
     # arithmetic, and a decomposition that fails it computes no row.
-    hm, q, w = h.matrix, h.propagator.eigenvectors, h.propagator.eigenvalues
-    gram = q.conj().T @ q
-    gram[np.diag_indices_from(gram)] -= 1.0
-    residual = np.abs(hm @ q - q * w).max()
+    hm = h.matrix
+    orthonormality, residual = h.propagator.eigenbasis_errors(hm)
     checks = {
-        "eigenbasis_orthonormal": bool(np.abs(gram).max() <= EIGENBASIS_ORTHONORMAL_TOL),
+        "eigenbasis_orthonormal": orthonormality <= EIGENBASIS_ORTHONORMAL_TOL,
         "eigenbasis_residual": bool(residual <= EIGENBASIS_RESIDUAL_TOL * np.abs(hm).max()),
     }
     if not all(checks.values()):

@@ -82,6 +82,8 @@ class PhaseSpaceDensity:
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise StateValidationError("values must be real, got a complex array")
         self._take(np.array(self.values, dtype=float, order="C"))
 
     def _take(self, v: np.ndarray) -> None:
@@ -133,6 +135,8 @@ class BetaMarginal:
 
 def density_from_values(grid: PhaseSpaceGrid, values: np.ndarray) -> PhaseSpaceDensity:
     """Clip tiny negatives and normalize to unit mass."""
+    if np.iscomplexobj(values):
+        raise StateValidationError("values must be real, got a complex array")
     v = np.clip(np.asarray(values, dtype=float), 0.0, None)
     total = v.sum() * grid.dq * grid.dp
     if total <= 0:
@@ -261,7 +265,10 @@ def _kick_offset(
 ) -> np.ndarray:
     """strength * V'(q) / dp per q cell, in p cells; inf or nan, without a
     RuntimeWarning, where that overflows or V' is not finite."""
-    dv = np.asarray(grad_v(grid.q), dtype=float)
+    dv = grad_v(grid.q)
+    if np.iscomplexobj(dv):
+        raise ValueError("grad_v must return real values, got a complex array")
+    dv = np.asarray(dv, dtype=float)
     if dv.shape != (grid.nq,):
         raise ValueError(f"grad_v must return one value per q cell, got shape {dv.shape}")
     with np.errstate(over="ignore", invalid="ignore"):

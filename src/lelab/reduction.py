@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import MomentumBasis, bohr_labels
-from .dynamics import Hamiltonian, evolved_factor
+from .dynamics import Hamiltonian
 from .errors import StateValidationError
 from .states import (
     TRACE_TOL,
@@ -158,20 +158,21 @@ def assemble_block_diagonal(dec: ShellDecomposition, basis: MomentumBasis) -> np
     return out
 
 
-def _shell_spectrum(gram: np.ndarray, weight: float) -> np.ndarray | None:
-    """Eigenvalues of ``gram / weight``, where ``gram`` is a shell block or a
-    Gram matrix with the same nonzero eigenvalues and ``weight`` is the
-    block's trace; None for an empty shell (weight <= TAU_LAMBDA) and for
-    a 1 x 1 ``gram``, whose block has zero entropy and rank at most one."""
+def _shell_stats(gram: np.ndarray, weight: float) -> tuple[float, bool]:
+    """(S_E, rank one) of a shell block from ``gram``, the block or a Gram
+    matrix with the same nonzero eigenvalues, and ``weight``, the block's
+    trace.  An empty shell (weight <= TAU_LAMBDA) and a 1 x 1 ``gram``
+    give (0.0, True) with no ``eigvalsh``.  Rank is judged by the
+    second-largest eigenvalue of gram / weight, so ``RANK_TOL`` is scale-free."""
     if weight <= TAU_LAMBDA or gram.shape[0] == 1:
-        return None
-    return np.linalg.eigvalsh(gram / weight)
+        return 0.0, True
+    eigs = np.linalg.eigvalsh(gram / weight)
+    return entropy_from_eigenvalues(eigs), bool(eigs[-2] < RANK_TOL)
 
 
 def shell_entropies(dec: ShellDecomposition) -> np.ndarray:
     """Per-shell S_E = -Tr rho_hat_E ln rho_hat_E; zero on empty shells."""
-    spectra = (_shell_spectrum(b, w) for b, w in zip(dec.blocks, dec.weights))
-    return np.array([0.0 if e is None else entropy_from_eigenvalues(e) for e in spectra])
+    return np.array([_shell_stats(b, w)[0] for b, w in zip(dec.blocks, dec.weights)])
 
 
 def effective_entropy(dec: ShellDecomposition) -> float:
@@ -180,13 +181,8 @@ def effective_entropy(dec: ShellDecomposition) -> float:
 
 
 def is_effectively_pure(dec: ShellDecomposition) -> bool:
-    """True iff every occupied normalized block has rank one.
-
-    Rank is judged by the second-largest eigenvalue of the normalized
-    block, so ``RANK_TOL`` is scale-free.
-    """
-    spectra = (_shell_spectrum(b, w) for b, w in zip(dec.blocks, dec.weights))
-    return all(e is None or e[-2] < RANK_TOL for e in spectra)
+    """True iff every occupied normalized block has rank one (``_shell_stats``)."""
+    return all(_shell_stats(b, w)[1] for b, w in zip(dec.blocks, dec.weights))
 
 
 def first_order_reduced_step(
@@ -225,32 +221,28 @@ def entropy_trace(
     """Evolve exactly to each grid time, reduce, and report.
 
     Works on the n x r factor B of rho0 = B B^dagger (``rho0.factor``):
-    G = Q^dagger B is formed once from ``h.propagator``, and each row takes
-    the ``dynamics.evolved_factor`` step to rho(t) = C C^dagger, at O(n^2 r).
-    ||C||_F^2 must be one within TRACE_TOL (StateValidationError
+    each row takes the ``Propagator.evolved_factors`` step of ``h.propagator``
+    to rho(t) = C C^dagger, at O(n^2 r), and gathers C's rows into shell
+    order.  ||C||_F^2 must be one within TRACE_TOL (StateValidationError
     otherwise); rho(t) is Hermitian and PSD by construction.  The r x r
     C^dagger C has the nonzero spectrum of rho(t), which gives S_global,
     and tr rho^2 = ||C^dagger C||_F^2.  The shell block C_s C_s^dagger (C_s
     the rows of shell s) has weight ||C_s||_F^2 and the nonzero eigenvalues
-    of the smaller of C_s C_s^dagger and C_s^dagger C_s: one ``eigvalsh`` of
-    that Gram matrix gives S_E and the rank-one test, and one of size one
-    (a one-member shell, or r = 1) needs none.  Rows follow the grid.
+    of the smaller of C_s C_s^dagger and C_s^dagger C_s: ``_shell_stats``
+    of that Gram matrix gives S_E and the rank-one test, and one of size
+    one (a one-member shell, or r = 1) is skipped.  Rows follow the grid.
     """
-    prop = h.propagator
-    w, q = prop.eigenvalues, prop.eigenvectors
-    g = q.conj().T @ rho0.factor
-    r = g.shape[1]
-    # Rows of Q in shell order, so that each shell's rows of C are one slice.
+    r = rho0.factor.shape[1]
+    # C's rows in shell order, so that each shell's rows are one slice.
     order = np.concatenate(basis.shells.members)
-    q_shells = q[order]
     bounds = np.cumsum([0] + [len(mem) for mem in basis.shells.members])
     shells = [(s, lo, hi) for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
               if min(hi - lo, r) > 1]
 
     rows = []
-    for t in time_grid:
+    for t, c in zip(time_grid, h.propagator.evolved_factors(rho0.factor, time_grid)):
         t = float(t)
-        c = evolved_factor(q_shells, w, g, t)
+        c = c[order]
         gram = c.conj().T @ c
         norm2 = float(np.trace(gram).real)
         if not abs(norm2 - 1.0) <= TRACE_TOL:  # written so that NaN fails too
@@ -260,11 +252,8 @@ def entropy_trace(
         for s, lo, hi in shells:
             cs = c[lo:hi]
             block_gram = cs @ cs.conj().T if hi - lo <= r else cs.conj().T @ cs
-            eigs = _shell_spectrum(block_gram, float(np.vdot(cs, cs).real))
-            if eigs is None:
-                continue
-            per_shell[s] = entropy_from_eigenvalues(eigs)
-            pure = pure and bool(eigs[-2] < RANK_TOL)
+            per_shell[s], rank_one = _shell_stats(block_gram, float(np.vdot(cs, cs).real))
+            pure = pure and rank_one
         rows.append(TraceRow(
             t=t,
             effective_entropy=float(per_shell.sum()),

@@ -167,10 +167,6 @@ class PureState:
             raise StateValidationError(f"squared norm is {norm2}, not 1")
         object.__setattr__(self, "amplitudes", a)
 
-    @property
-    def dim(self) -> int:
-        return len(self.amplitudes)
-
 
 def as_matrix(rho) -> np.ndarray:
     """Underlying ndarray of a DensityMatrix, or the array itself."""

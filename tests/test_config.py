@@ -5,13 +5,16 @@ import pytest
 
 from lelab.basis import build_basis
 from lelab.config import (
+    MAX_STEPS,
+    MAX_TRACE_CELLS,
     ClassicalGrid,
     CubicLattice,
     LineLattice,
     YukawaConfig,
+    quantum_basis,
     validate_config,
 )
-from lelab.errors import ConfigError, StateValidationError
+from lelab.errors import ConfigError, DimensionCapError, StateValidationError
 from lelab.koopman import PhaseSpaceGrid
 from lelab.states import DensityMatrix, effectively_pure_state
 
@@ -242,3 +245,34 @@ def test_p0_off_the_p_grid_is_config_error():
                    potential=dict(CLASSICAL["potential"], kick_strength=0.0),
                    initial_state={"kind": "single-p-row", "p0": p0})
         assert set(errors_of(raw)) == {"initial_state.p0"}
+
+
+@pytest.mark.parametrize("lattice,message", [
+    ({"M": 8, "delta_k": 1.0}, "(2M+1)^3 = 4913 exceeds cap of 4096 points"),
+    ({"N": 4097, "delta_k": 1.0}, "N = 4097 exceeds cap of 4096 points"),
+])
+def test_a_lattice_over_the_point_cap_is_refused_without_shell_fields(lattice, message):
+    # used to pass validation and fail only once the run had started
+    with pytest.raises(DimensionCapError) as info:
+        validate_config(json.dumps(dict(QUANTUM, lattice=lattice)))
+    assert str(info.value) == message
+
+
+def test_a_quantum_trace_is_capped_by_its_cells():
+    # N = 1024 has 1029 columns: 9718 rows are 9,999,822 cells, 9719 rows 10,000,851
+    raw = dict(QUANTUM, lattice={"N": 1024, "delta_k": 0.05})
+    cfg = validate_config(json.dumps(dict(raw, time_grid={"t_max": 1.0, "steps": 9717})))
+    assert cfg.time_grid.steps == 9717
+    with pytest.raises(DimensionCapError) as info:
+        validate_config(json.dumps(dict(raw, time_grid={"t_max": 1.0, "steps": 9718})))
+    assert str(info.value) == ("time_grid.steps = 9718 gives a trace of 10000851 cells, "
+                               f"over the cap of {MAX_TRACE_CELLS}")
+
+
+def test_the_largest_cubic_lattice_keeps_the_full_step_cap():
+    # validation only: this trace holds about 0.7 GB, so it is never run here
+    raw = dict(QUANTUM, lattice={"M": 7, "delta_k": 1.0},
+               time_grid={"t_max": 1.0, "steps": MAX_STEPS})
+    cfg = validate_config(json.dumps(raw))
+    assert cfg.time_grid.steps == MAX_STEPS
+    assert (MAX_STEPS + 1) * (5 + quantum_basis(cfg.lattice).n_shells) == 9_300_093

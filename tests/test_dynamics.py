@@ -139,6 +139,40 @@ def test_hamiltonian_refuses_a_nan_h0():
         Hamiltonian(np.array([np.nan, 0.0]), np.zeros((2, 2)))
 
 
+def test_hamiltonian_refuses_a_complex_h0():
+    # its imaginary part used to be dropped with only a ComplexWarning
+    with pytest.raises(ValueError, match="h0_diag must be real"):
+        Hamiltonian(h0_diag=np.array([1 + 1j, 0.0]), v=np.zeros((2, 2)))
+
+
+def test_eigenbasis_errors_of_the_yukawa_decomposition_are_roundoff():
+    h = build_hamiltonian(build_basis(2, 1.0), 0.2, 1.0)
+    orthonormality, residual = h.propagator.eigenbasis_errors(h.matrix)
+    assert orthonormality <= 1e-13 and residual <= 1e-13
+
+
+def test_eigenbasis_errors_catch_the_eigenpairs_of_another_hamiltonian():
+    basis = build_basis(2, 1.0)
+    h = build_hamiltonian(basis, 0.2, 1.0)
+    other = build_hamiltonian(basis, 0.5, 1.0).propagator
+    orthonormality, residual = other.eigenbasis_errors(h.matrix)
+    assert orthonormality <= 1e-13  # they are unitary, so only the residual sees them
+    assert residual > 1e-10 * np.abs(h.matrix).max()
+
+
+@pytest.mark.parametrize("basis", [build_basis(2, 1.0), build_basis_1d(16, 1.0)],
+                         ids=["M2", "N16"])
+def test_evolved_factors_are_the_factors_evolve_returns(basis):
+    prop = build_hamiltonian(basis, 0.2, 1.0).propagator
+    rho0 = random_effectively_pure_state(basis, np.random.default_rng(5))
+    times = np.linspace(0.0, 5.0, 11)
+    factors = list(prop.evolved_factors(rho0.factor, times))
+    assert len(factors) == len(times)
+    for t, c in zip(times, factors):
+        f = prop.evolve(rho0, t).factor
+        assert c.shape == f.shape and c.tobytes() == f.tobytes()
+
+
 def test_propagator_unitary():
     rng = np.random.default_rng(0)
     h = random_hamiltonian(6, rng)

@@ -338,10 +338,21 @@ def test_cli_unreadable_config_is_config_error(tmp_path, capsys):
 
 def test_cli_dimension_cap_exit_code(tmp_path, capsys):
     big = tmp_path / "big.json"
-    for m in (8, 10**200):  # the scale checks leave a lattice over the cap to its basis
+    for m in (8, 10**200):  # the caps build the basis, which refuses both before any scale
         big.write_text(json.dumps(dict(QUANTUM, lattice={"M": m, "delta_k": 1.0})))
         assert cli.main(["run", "--config", str(big), "--out-dir", str(tmp_path)]) == 4
         assert "dimension cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lattice", [{"M": 8, "delta_k": 1.0}, {"N": 4097, "delta_k": 1.0}])
+def test_cli_refuses_a_lattice_over_the_point_cap_before_writing(tmp_path, capsys, lattice):
+    # used to create --out-dir and only then fail in the run's basis build
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(dict(QUANTUM, lattice=lattice)))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 4
+    assert "exceeds cap of 4096 points" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("change,message", [

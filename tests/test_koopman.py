@@ -178,6 +178,24 @@ def test_kick_refuses_a_non_finite_offset(grad_v, strength):
         apply_kick(rho, grad_v, strength)
 
 
+def test_density_refuses_complex_values():
+    # the imaginary part used to be dropped with only a ComplexWarning
+    ok = np.full((GRID.nq, GRID.n_p), 1.0 / (GRID.nq * GRID.n_p * GRID.dq * GRID.dp))
+    with pytest.raises(StateValidationError, match="values must be real"):
+        PhaseSpaceDensity(GRID, ok + 0j)
+
+
+def test_density_from_values_refuses_complex_values():
+    with pytest.raises(StateValidationError, match="values must be real"):
+        density_from_values(GRID, np.ones((GRID.nq, GRID.n_p), dtype=complex))
+
+
+def test_kick_refuses_a_complex_gradient():
+    rho = single_p_row_density(GRID, p0=1.0)
+    with pytest.raises(ValueError, match="grad_v must return real values"):
+        apply_kick(rho, lambda q: np.exp(1j * q), 0.1)
+
+
 def test_marginal_mass_validated():
     with pytest.raises(StateValidationError):
         BetaMarginal(p=GRID.p, density=np.ones(GRID.n_p), dp=GRID.dp)
