@@ -11,13 +11,22 @@ Evolution goes through an eigendecomposition of H rather than a
 time stepper: it is exact to machine precision, so integrator error
 cannot masquerade as entropy change.  ``Propagator`` alone reads it:
 ``evolved_factors`` is its one step and ``eigenbasis_errors`` its check.
+
+Symmetry blocks.  A sign flip of a lattice coordinate changes neither
+|n|^2 nor |n_i - n_j|^2, so the flips that map the basis point set onto
+itself commute with H.  In the basis of their characters, P^T H P is
+block diagonal with one block per character, where P (``OrbitMap``) is
+orthogonal with at most eight nonzeros per row and column.  The cubic
+lattice has the eight blocks of Z2^3; the line lattice and a hand-built
+``Hamiltonian(h0_diag, v)`` have one block and P = I.  Every H goes
+through the same blocked code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -30,25 +39,134 @@ SUPEROP_DIM_CAP = 64
 # Elements of the superoperator that ``alpha_offblock_norm`` reads per chunk.
 OFFBLOCK_CHUNK_ELEMENTS = 1 << 16
 
+# Sign flips and characters are bit masks over the three coordinates:
+# bit i set flips (or, for a character, is odd under the flip of) axis i.
+_BITS = 1 << np.arange(3)
+_POPCOUNT = np.array([bin(m).count("1") for m in range(8)])
 
-@dataclass(frozen=True)
-class Hamiltonian:
-    """H = diag(h0) + v with v Hermitian.
 
-    ``v`` keeps its dtype (integers become float): a real symmetric v,
-    such as the Yukawa matrix, gives a real H whose ``eigh`` runs in real
-    arithmetic, and a complex v runs the same code in complex.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _subsets(mask: int) -> np.ndarray:
+    """The bit masks inside ``mask``, ascending (0 first)."""
+    return np.array([m for m in range(8) if m & mask == m])
+
+
+class OrbitMap:
+    """The orthogonal n x n map P from the symmetry-adapted basis, blocks
+    stacked in ``Hamiltonian.blocks`` order, to the lattice basis.
+
+    Column (character e, orbit a) is chi_e(p) / sqrt(|orbit a|) on each
+    point p of the orbit.  ``groups`` hold the orbits that share one set of
+    flipped axes, s = 2^k points each: (points (o, s) lattice rows,
+    slots (o, s) stacked rows, chi (s, s)), with chi symmetric and its own
+    inverse, so that P and P^T are one small product per group.  No
+    groups means P = I, applied without a copy.
     """
 
-    h0_diag: np.ndarray
-    v: np.ndarray
+    def __init__(self, groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = ()):
+        self.groups = groups
 
-    def __post_init__(self):
-        if np.iscomplexobj(self.h0_diag):
+    def to_lattice(self, z: np.ndarray) -> np.ndarray:
+        """P z for stacked rows ``z`` (n x r)."""
+        if not self.groups:
+            return z
+        out = np.empty_like(z)
+        for points, slots, chi in self.groups:
+            out[points] = chi @ z[slots]
+        return out
+
+    def from_lattice(self, b: np.ndarray) -> np.ndarray:
+        """P^T b for lattice rows ``b`` (n x r)."""
+        if not self.groups:
+            return b
+        out = np.empty_like(b)
+        for points, slots, chi in self.groups:
+            out[slots] = chi @ b[points]
+        return out
+
+
+def _sign_flips(points: np.ndarray):
+    """The sign-flip symmetry of ``points`` as (group, reps, first, sizes,
+    blocks, orbits):
+
+    - group: the flip masks, 0 (the identity) first;
+    - reps (r, 3): one point per orbit, |n_i| on the flipped axes;
+    - first (r,): the lattice row of each rep;
+    - sizes (r,): points per orbit, 2^(nonzero flipped coordinates);
+    - blocks: (character mask, orbits) per block, in stacked order;
+    - orbits: the ``OrbitMap``.
+
+    A flip that moves no point acts as the identity and is left out, so a
+    line along x has the trivial group.  Blocks are stacked with the
+    trivial character last (see ``build_hamiltonian``)."""
+    side = 2 * int(np.abs(points).max()) + 1
+
+    def keys(p):  # one integer per point, in the lexicographic order of the points
+        return (p[:, 0] * side + p[:, 1]) * side + p[:, 2]
+
+    rows = np.sort(keys(points))
+    axes = 0
+    for i in range(3):
+        flipped = points.copy()
+        flipped[:, i] *= -1
+        if points[:, i].any() and np.array_equal(np.sort(keys(flipped)), rows):
+            axes |= 1 << i
+    flip = (axes & _BITS) > 0
+    folded = np.where(flip, np.abs(points), points)
+    _, first, orbit = np.unique(keys(folded), return_index=True, return_inverse=True)
+    reps = folded[first]
+    support = ((reps != 0) & flip) @ _BITS
+    blocks = tuple((int(e), np.flatnonzero(support & e == e)) for e in _subsets(axes)[::-1])
+
+    slot = np.full((8, len(reps)), -1)  # stacked row of (character, orbit)
+    offset = 0
+    for e, members in blocks:
+        slot[e, members] = offset + np.arange(len(members))
+        offset += len(members)
+    negative = ((points < 0) & flip) @ _BITS
+    groups = []
+    for sigma in np.unique(support):
+        sub = _subsets(int(sigma))
+        s = len(sub)
+        mine = np.flatnonzero(support == sigma)
+        rank = np.zeros(len(reps), dtype=int)
+        rank[mine] = np.arange(len(mine))
+        position = np.zeros(8, dtype=int)
+        position[sub] = np.arange(s)
+        sel = np.flatnonzero(support[orbit] == sigma)
+        # at[i, j]: lattice row of the point that flips sub[j] make of rep mine[i]
+        at = np.empty((len(mine), s), dtype=int)
+        at[rank[orbit[sel]], position[negative[sel]]] = sel
+        chi = (-1.0) ** _POPCOUNT[sub[:, None] & sub[None, :]] / np.sqrt(s)
+        groups.append(tuple(map(_frozen, (at, slot[sub][:, mine].T, chi))))
+    if not axes and np.array_equal(orbit, np.arange(len(points))):
+        groups = []  # the trivial group, orbits in lattice order: P = I
+    return _subsets(axes), reps, first, 2 ** _POPCOUNT[support], blocks, OrbitMap(tuple(groups))
+
+
+class Hamiltonian:
+    """H = diag(h0) + v with v Hermitian, held as ``blocks``, the diagonal
+    blocks of P^T H P for the orbit map P = ``orbits``.
+
+    ``Hamiltonian(h0_diag, v)`` takes a dense v and holds diag(h0) + v as
+    one block with P = I.  ``v`` keeps its dtype (integers become float):
+    a real symmetric v, such as the Yukawa matrix, gives a real H whose
+    ``eigh`` runs in real arithmetic, and a complex v runs the same code
+    in complex.  ``build_hamiltonian`` builds the blocks straight from the
+    kernel; the dense ``v`` and ``matrix`` are then formed on first read,
+    and kept.
+    """
+
+    def __init__(self, h0_diag, v):
+        if np.iscomplexobj(h0_diag):
             raise ValueError("h0_diag must be real, got a complex array")
-        h0 = np.asarray(self.h0_diag, dtype=float)
-        v = np.asarray(self.v)
-        v = np.asarray(v, dtype=np.result_type(v, np.float64))
+        h0 = np.asarray(h0_diag, dtype=float)
+        v = np.asarray(v)
+        v = np.array(v, dtype=np.result_type(v, np.float64))  # a copy the caller cannot write
         if h0.ndim != 1:
             raise ValueError("h0_diag must be a vector")
         if not np.isfinite(h0).all():
@@ -58,18 +176,33 @@ class Hamiltonian:
         herm = np.abs(v - v.conj().T).max() if v.size else 0.0
         if not herm <= HERMITICITY_TOL:  # written so that NaN fails too
             raise ValueError(f"v is not Hermitian: max deviation {herm:.3e}")
-        for a in (h0, v):
-            a.setflags(write=False)
-        object.__setattr__(self, "h0_diag", h0)
-        object.__setattr__(self, "v", v)
+        _frozen(v)
+        self._hold(h0, (_frozen(np.diag(h0) + v),), OrbitMap(), lambda: v)
+
+    @classmethod
+    def _from_blocks(cls, h0_diag: np.ndarray, blocks: tuple[np.ndarray, ...],
+                     orbits: OrbitMap, dense_v: Callable[[], np.ndarray]) -> "Hamiltonian":
+        h = object.__new__(cls)
+        h._hold(h0_diag, blocks, orbits, dense_v)
+        return h
+
+    def _hold(self, h0_diag, blocks, orbits, dense_v) -> None:
+        self.h0_diag = _frozen(h0_diag)
+        self.blocks = blocks
+        self.orbits = orbits
+        self._dense_v = dense_v
 
     @property
     def dim(self) -> int:
         return len(self.h0_diag)
 
-    @property
+    @cached_property
+    def v(self) -> np.ndarray:
+        return _frozen(self._dense_v())
+
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return np.diag(self.h0_diag) + self.v
+        return _frozen(np.diag(self.h0_diag) + self.v)
 
     @cached_property
     def propagator(self) -> "Propagator":
@@ -77,53 +210,101 @@ class Hamiltonian:
         return Propagator.from_hamiltonian(self)
 
 
+def _yukawa(d2: np.ndarray, delta_k: float, coupling: float, screening: float) -> np.ndarray:
+    """Vt(k) = 4 pi A / (mu (|k|^2 + mu^2)) at |k|^2 = ``d2`` delta_k^2, d2 integer."""
+    k2 = d2 * delta_k**2
+    return 4.0 * np.pi * coupling / (screening * (k2 + screening * screening))
+
+
+def _difference_norms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """|p_i - q_j|^2 in exact integers, without an (n, m, 3) difference array."""
+    return (p * p).sum(axis=1)[:, None] + (q * q).sum(axis=1)[None, :] - 2 * (p @ q.T)
+
+
 def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -> Hamiltonian:
-    """Free energies plus the full Yukawa matrix v[i,j] = Vt(k_i - k_j), with the
+    """Free energies plus the Yukawa potential v[i,j] = Vt(k_i - k_j), with the
     momentum-space screened-Coulomb amplitude Vt(k) = 4 pi A / (mu (|k|^2 + mu^2)).
 
     Vt is real and even, so v is real symmetric and so is H.  All
     box-normalization constants are absorbed into the coupling A.
+
+    H is built as its symmetry blocks (module docstring), never as a dense
+    n x n matrix.  With R_a the representative of orbit a, N_a its size and
+    G the flip group, the block of character e is
+
+        H_e[a, b] = delta_ab E_a + sqrt(N_a N_b) / |G| sum_{u in G} chi_e(u) Vt(R_a - u R_b)
+
+    over the orbits on which chi_e is defined (no flipped coordinate of
+    R_a that e is odd under is zero).  The sum runs in the same order for
+    [a, b] and [b, a], so each block is exactly symmetric; with the
+    trivial group it is diag(E) + v bit for bit.
     """
     if not screening > 0:
         raise ValueError(f"screening must be positive, got {screening}")
-    # |n_i - n_j|^2 in exact integers, without an (n, n, 3) difference array
-    p = basis.points
-    d2 = basis.norms2[:, None] + basis.norms2[None, :] - 2 * (p @ p.T)
-    k2 = d2 * basis.delta_k**2
-    v = 4.0 * np.pi * coupling / (screening * (k2 + screening * screening))
-    return Hamiltonian(h0_diag=basis.energies, v=v)
+    dk = basis.delta_k
+    group, reps, first, sizes, characters, orbits = _sign_flips(basis.points)
+    signs = [np.where((int(u) & _BITS) > 0, -1, 1) for u in group]
+    kernels = [_yukawa(_difference_norms(reps, reps * s), dk, coupling, screening) for s in signs]
+    root = np.sqrt(sizes)  # 1 or 2^j sqrt(2): the two scalings below commute exactly
+    energies = basis.energies[first]
+    blocks = []
+    for e, members in characters:
+        # The trivial character, last, holds every orbit: its block is summed
+        # in place into the identity's kernel, which no other block reads then.
+        ix = np.ix_(members, members) if e else np.s_[:, :]
+        hb = kernels[0][ix]
+        for u, k in zip(group[1:], kernels[1:]):
+            if _POPCOUNT[u & e] % 2:
+                hb -= k[ix]
+            else:
+                hb += k[ix]
+        hb *= root[members, None]
+        hb *= root[None, members] / len(group)
+        hb[np.diag_indices_from(hb)] += energies[members]
+        blocks.append(_frozen(hb))
+
+    def dense_v() -> np.ndarray:
+        p = basis.points
+        return _yukawa(_difference_norms(p, p), dk, coupling, screening)
+
+    return Hamiltonian._from_blocks(basis.energies, tuple(blocks), orbits, dense_v)
 
 
 @dataclass(frozen=True)
 class Propagator:
-    """H = Q diag(w) Q^dagger; no other code reads Q or w.  ``unitary`` is the tests' U(t)."""
+    """H = P blockdiag(Q_b diag(w_b) Q_b^dagger) P^T; no other code reads the
+    pairs (w_b, Q_b).  ``unitary`` is the tests' U(t)."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]  # (w_b, Q_b) per block of H
+    orbits: OrbitMap
 
     @classmethod
     def from_hamiltonian(cls, h: Hamiltonian) -> "Propagator":
-        w, q = np.linalg.eigh(h.matrix)
-        w.setflags(write=False)
-        q.setflags(write=False)
-        return cls(eigenvalues=w, eigenvectors=q)
+        return cls(tuple(tuple(map(_frozen, np.linalg.eigh(hb))) for hb in h.blocks), h.orbits)
 
     def unitary(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
+        """The dense U(t): C(t) of B = I."""
+        n = sum(len(w) for w, _ in self.blocks)
+        (u,) = self.evolved_factors(np.eye(n, dtype=complex), [t])
+        return u
 
     def evolved_factors(self, b: np.ndarray, times: Iterable[float]) -> Iterator[np.ndarray]:
-        """C(t) = Q (e^{-iwt} (.) G) for each t in ``times``, rho(t) = C C^dagger for
-        rho(0) = B B^dagger, with G = Q^dagger B formed once.  With a real Q each C(t)
-        is one real product with the interleaved real and imaginary parts: half the
-        flops.  A ``t`` that is not finite raises ValueError before its phases are taken."""
-        w, q = self.eigenvalues, self.eigenvectors
-        g = q.conj().T @ b
+        """C(t) = P [Q_b (e^{-i w_b t} (.) G_b)]_b for each t in ``times``, rho(t) = C C^dagger
+        for rho(0) = B B^dagger, with G_b = Q_b^dagger (P^T B)_b formed once.  With a real
+        Q_b, G_b and each C(t) block are one real product with the interleaved real and
+        imaginary parts: half the flops, and no complex copy of Q_b.  A ``t`` that is
+        not finite raises ValueError before its phases are taken."""
+        z = self.orbits.from_lattice(np.ascontiguousarray(b, dtype=np.complex128))
+        bounds = np.cumsum([0] + [len(w) for w, _ in self.blocks])
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        g = [_product(q, z[lo:hi], adjoint=True) for (_, q), (lo, hi) in zip(self.blocks, spans)]
         for t in map(float, times):
             if not np.isfinite(t):
                 raise ValueError(f"t must be finite, got {t}")
-            x = np.exp(-1j * w * t)[:, None] * g
-            yield (q @ x.view(np.float64)).view(np.complex128) if np.isrealobj(q) else q @ x
+            c = np.empty_like(z)
+            for (w, q), gb, (lo, hi) in zip(self.blocks, g, spans):
+                _product(q, np.exp(-1j * w * t)[:, None] * gb, out=c[lo:hi])
+            yield self.orbits.to_lattice(c)
 
     def evolve(self, rho: DensityMatrix, t: float) -> DensityMatrix:
         """U(t) rho U(t)^dagger as ``DensityMatrix(factor=C)``, C of rho's rank.
@@ -134,12 +315,30 @@ class Propagator:
         (c,) = self.evolved_factors(rho.factor, [t])
         return DensityMatrix(factor=c)
 
-    def eigenbasis_errors(self, h_matrix: np.ndarray) -> tuple[float, float]:
-        """(max|Q^dagger Q - I|, max|H Q - Q diag(w)|), in the arithmetic of H = ``h_matrix``."""
-        w, q = self.eigenvalues, self.eigenvectors
-        gram = q.conj().T @ q
-        gram[np.diag_indices_from(gram)] -= 1.0
-        return float(np.abs(gram).max()), float(np.abs(h_matrix @ q - q * w).max())
+    def eigenbasis_errors(self, h: Hamiltonian) -> tuple[float, float]:
+        """(max_b max|Q_b^dagger Q_b - I|, max_b max|H_b Q_b - Q_b diag(w_b)| / max_b max|H_b|)
+        against the blocks of ``h``, in their own arithmetic.  The residual is
+        relative to the largest block element (to 1 for a zero H); P is
+        orthogonal by construction, so max_b max|H_b| is the scale of P^T H P."""
+        orthonormality = residual = scale = 0.0
+        for (w, q), hb in zip(self.blocks, h.blocks, strict=True):
+            gram = q.conj().T @ q
+            gram[np.diag_indices_from(gram)] -= 1.0
+            orthonormality = max(orthonormality, float(np.abs(gram).max()))
+            residual = max(residual, float(np.abs(hb @ q - q * w).max()))
+            scale = max(scale, float(np.abs(hb).max()))
+        return orthonormality, residual / (scale or 1.0)
+
+
+def _product(q: np.ndarray, x: np.ndarray, adjoint: bool = False, out=None) -> np.ndarray:
+    """q @ x, or q^dagger @ x, for a complex x.  A real q multiplies the
+    interleaved real and imaginary parts of x in one real product."""
+    if np.iscomplexobj(q):
+        return np.matmul(q.conj().T if adjoint else q, x, out=out)
+    x = np.ascontiguousarray(x)
+    y = np.matmul(q.T if adjoint else q, x.view(np.float64),
+                  out=None if out is None else out.view(np.float64))
+    return y.view(np.complex128)
 
 
 def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:

@@ -24,9 +24,10 @@ from .errors import ConfigError, InvariantViolation
 from .states import DensityMatrix
 
 PURITY_DRIFT_TOL = 1e-10
-EIGENBASIS_ORTHONORMAL_TOL = 1e-10  # max |Q^dagger Q - I|
-EIGENBASIS_RESIDUAL_TOL = 1e-10  # max |H Q - Q diag(w)| / max |H|
+EIGENBASIS_ORTHONORMAL_TOL = 1e-10  # max_b max |Q_b^dagger Q_b - I|
+EIGENBASIS_RESIDUAL_TOL = 1e-10  # max_b max |H_b Q_b - Q_b diag(w_b)| / max_b max |H_b|
 FREE_ENTROPY_TOL = 1e-9
+FREE_PERIOD_TOL = 1e-12  # max |rho(2 pi / delta_k^2) - rho(0)| under free evolution
 NO_MIXING_TOL = 1e-9
 MASS_TOL = 1e-6
 
@@ -111,13 +112,13 @@ def _run_quantum(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]], dic
 
     # Each row holds rho(t) = C C^dagger, Hermitian and PSD by construction,
     # and refuses a trace off by more than TRACE_TOL; what every row trusts
-    # is H = Q diag(w) Q^dagger, so that is checked first, in H's own
-    # arithmetic, and a decomposition that fails it computes no row.
-    hm = h.matrix
-    orthonormality, residual = h.propagator.eigenbasis_errors(hm)
+    # is H_b = Q_b diag(w_b) Q_b^dagger on each symmetry block, so that is
+    # checked first, in H's own arithmetic, and a decomposition that fails
+    # it computes no row.
+    orthonormality, residual = h.propagator.eigenbasis_errors(h)
     checks = {
         "eigenbasis_orthonormal": orthonormality <= EIGENBASIS_ORTHONORMAL_TOL,
-        "eigenbasis_residual": bool(residual <= EIGENBASIS_RESIDUAL_TOL * np.abs(hm).max()),
+        "eigenbasis_residual": residual <= EIGENBASIS_RESIDUAL_TOL,
     }
     if not all(checks.values()):
         return header, [], checks, {}
@@ -292,5 +293,16 @@ def run_invariant_checks() -> dict:
     results["classical_mass_conserved"] = bool(abs(f1.mass - 1.0) <= MASS_TOL)
     results["classical_marginal_invariant"] = bool(
         np.abs(g1.density - g0.density).max() <= MASS_TOL
+    )
+
+    # Every Bohr frequency is an integer times delta_k^2, so free evolution
+    # returns every state at T = 2 pi / delta_k^2; one step there tests the
+    # blocks' eigenpairs, their phases and the orbit map together.
+    cubic = build_basis(2, 0.7)
+    rho0 = states.random_effectively_pure_state(cubic, rng)
+    free = dynamics.build_hamiltonian(cubic, 0.0, 1.0)
+    rho_t = dynamics.evolve(rho0, free, 2 * np.pi / cubic.delta_k**2)
+    results["free_period_returns_the_state"] = bool(
+        np.abs(rho_t.matrix - rho0.matrix).max() <= FREE_PERIOD_TOL
     )
     return results

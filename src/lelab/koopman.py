@@ -86,8 +86,10 @@ class PhaseSpaceDensity:
             raise StateValidationError("values must be real, got a complex array")
         self._take(np.array(self.values, dtype=float, order="C"))
 
-    def _take(self, v: np.ndarray) -> None:
-        """Validate ``v`` and keep it, uncopied, as ``values``."""
+    def _take(self, v: np.ndarray, span: tuple[int, int] | None = None) -> None:
+        """Validate ``v`` and keep it, uncopied, as ``values``.  ``span`` is
+        [lo, hi) of p columns outside which ``v`` holds only +0.0, when the
+        caller knows it; the whole grid otherwise."""
         g = self.grid
         if v.shape != (g.nq, g.n_p):
             raise StateValidationError(f"values must be {g.nq}x{g.n_p}, got {v.shape}")
@@ -99,6 +101,7 @@ class PhaseSpaceDensity:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_mass", float(m))
+        object.__setattr__(self, "_span", span or (0, g.n_p))
 
     @property
     def mass(self) -> float:
@@ -106,16 +109,20 @@ class PhaseSpaceDensity:
 
     @cached_property
     def _window(self) -> tuple[int, int]:
-        """[lo, hi): the p columns holding any bit other than +0.0."""
-        cols = np.flatnonzero(self.values.view(np.int64).any(axis=0))
+        """[lo, hi): the p columns holding any bit other than +0.0, found
+        inside ``_span``."""
+        a, b = self._span
+        cols = a + np.flatnonzero(self.values[:, a:b].view(np.int64).any(axis=0))
         return int(cols[0]), int(cols[-1]) + 1
 
 
-def _handover(grid: PhaseSpaceGrid, v: np.ndarray) -> PhaseSpaceDensity:
-    """A density holding ``v``, a fresh C-ordered buffer no one else holds, uncopied."""
+def _handover(grid: PhaseSpaceGrid, v: np.ndarray,
+              span: tuple[int, int] | None = None) -> PhaseSpaceDensity:
+    """A density holding ``v``, a fresh C-ordered buffer no one else holds,
+    uncopied; ``span`` as in ``PhaseSpaceDensity._take``."""
     rho = object.__new__(PhaseSpaceDensity)
     object.__setattr__(rho, "grid", grid)
-    rho._take(v)
+    rho._take(v, span)
     return rho
 
 
@@ -209,7 +216,7 @@ def classical_free_flow(rho: PhaseSpaceDensity, t: float) -> PhaseSpaceDensity:
         b *= w
         a += b
         window[:, c] = a.T
-    return _handover(grid, out)
+    return _handover(grid, out, (lo, hi))
 
 
 def apply_kick(
@@ -257,7 +264,7 @@ def apply_kick(
         a = e[:, :n]
         a *= 1.0 - w[r]
         window[r] += a
-    return _handover(grid, out)
+    return _handover(grid, out, (out_lo, out_lo + n))
 
 
 def _kick_offset(
@@ -318,8 +325,20 @@ def classical_reduce(rho: PhaseSpaceDensity) -> BetaMarginal:
 
     At fixed p the xi integral is proportional to the q integral, so this
     is the p-marginal with the normalization restored explicitly.
+
+    Only the columns of ``_span`` are summed, which the transport kernels
+    know without a scan; the other columns hold +0.0 and sum to it.  numpy
+    sums each column of a span of two or more columns row by row, as it
+    does on the whole grid, but a lone column pairwise, so a one-column
+    span takes a neighbour along: the result is bit for bit
+    ``values.sum(axis=0)``.
     """
-    g = rho.values.sum(axis=0) * rho.grid.dq
+    lo, hi = rho._span
+    if hi - lo == 1:
+        lo, hi = (lo, hi + 1) if hi < rho.grid.n_p else (lo - 1, hi)
+    g = np.zeros(rho.grid.n_p)
+    g[lo:hi] = rho.values[:, lo:hi].sum(axis=0)
+    g *= rho.grid.dq
     total = g.sum() * rho.grid.dp
     return BetaMarginal(p=rho.grid.p.copy(), density=g / total, dp=rho.grid.dp)
 

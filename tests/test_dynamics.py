@@ -36,15 +36,23 @@ def random_hamiltonian(dim, rng, scale=1.0):
     return Hamiltonian(h0_diag=rng.uniform(0, 5, dim), v=v)
 
 
+def _eigenvalues(prop):
+    """Every eigenvalue of the propagator's blocks, ascending."""
+    return np.sort(np.concatenate([w for w, _ in prop.blocks]))
+
+
 def test_hamiltonian_keeps_the_dtype_of_v():
     basis = build_basis(2, 1.0)
     h = build_hamiltonian(basis, 0.2, 1.0)
-    assert h.v.dtype == h.matrix.dtype == h.propagator.eigenvectors.dtype == np.float64
+    assert h.v.dtype == h.matrix.dtype == np.float64
+    assert {hb.dtype for hb in h.blocks} == {q.dtype for _, q in h.propagator.blocks} == {np.dtype(float)}
     # the same H held as complex runs the same code in complex arithmetic
     hc = Hamiltonian(h0_diag=h.h0_diag, v=h.v.astype(complex))
-    assert hc.v.dtype == hc.matrix.dtype == hc.propagator.eigenvectors.dtype == np.complex128
-    scale = np.abs(h.propagator.eigenvalues).max()
-    gap = np.abs(h.propagator.eigenvalues - hc.propagator.eigenvalues).max()
+    assert hc.v.dtype == hc.matrix.dtype == np.complex128
+    ((_, qc),) = hc.propagator.blocks
+    assert qc.dtype == np.complex128
+    scale = np.abs(_eigenvalues(h.propagator)).max()
+    gap = np.abs(_eigenvalues(h.propagator) - _eigenvalues(hc.propagator)).max()
     assert gap <= 1e-12 * scale
     assert np.abs(h.propagator.unitary(1.3) - hc.propagator.unitary(1.3)).max() <= 1e-12
     ints = Hamiltonian(h0_diag=np.zeros(2), v=np.array([[0, 1], [1, 0]]))
@@ -147,17 +155,91 @@ def test_hamiltonian_refuses_a_complex_h0():
 
 def test_eigenbasis_errors_of_the_yukawa_decomposition_are_roundoff():
     h = build_hamiltonian(build_basis(2, 1.0), 0.2, 1.0)
-    orthonormality, residual = h.propagator.eigenbasis_errors(h.matrix)
-    assert orthonormality <= 1e-13 and residual <= 1e-13
+    orthonormality, residual = h.propagator.eigenbasis_errors(h)
+    scale = max(np.abs(hb).max() for hb in h.blocks)  # the residual comes divided by it
+    assert orthonormality <= 1e-13 and residual * scale <= 1e-13
+
+
+ORACLE_BASES = {"M1": build_basis(1, 0.7), "M2": build_basis(2, 0.7), "M3": build_basis(3, 0.7),
+                "N16": build_basis_1d(16, 0.7)}
 
 
 def test_eigenbasis_errors_catch_the_eigenpairs_of_another_hamiltonian():
-    basis = build_basis(2, 1.0)
+    for basis in ORACLE_BASES.values():
+        h = build_hamiltonian(basis, 0.2, 1.0)
+        other = build_hamiltonian(basis, 0.5, 1.0).propagator
+        orthonormality, residual = other.eigenbasis_errors(h)
+        assert orthonormality <= 1e-13  # they are unitary, so only the residual sees them
+        assert residual > 1e-10
+        # its eigenvalues alone, with the run's own eigenvectors, are refused too
+        pairs = tuple((w, q) for (w, _), (_, q) in zip(other.blocks, h.propagator.blocks))
+        assert Propagator(pairs, h.orbits).eigenbasis_errors(h)[1] > 1e-10
+
+
+def _dense_unitary(h, t):
+    """Oracle: U(t) from a dense eigh of the n x n H."""
+    w, q = np.linalg.eigh(h.matrix)
+    return (q * np.exp(-1j * w * t)) @ q.conj().T
+
+
+@pytest.mark.parametrize("lattice", sorted(ORACLE_BASES))
+def test_symmetry_blocks_match_the_dense_oracle(lattice):
+    basis = ORACLE_BASES[lattice]
     h = build_hamiltonian(basis, 0.2, 1.0)
-    other = build_hamiltonian(basis, 0.5, 1.0).propagator
-    orthonormality, residual = other.eigenbasis_errors(h.matrix)
-    assert orthonormality <= 1e-13  # they are unitary, so only the residual sees them
-    assert residual > 1e-10 * np.abs(h.matrix).max()
+    n, hm = basis.size, h.matrix
+    scale = np.abs(hm).max()
+    sizes = [len(hb) for hb in h.blocks]
+    assert sum(sizes) == n
+    assert all(np.array_equal(hb, hb.T) for hb in h.blocks)  # exactly symmetric
+    if lattice.startswith("M"):
+        m = int(lattice[1:])
+        assert len(sizes) == 8 and min(sizes) == m**3 and max(sizes) == (m + 1) ** 3
+    else:
+        assert sizes == [n] and h.orbits.groups == ()
+    # P is orthogonal with at most eight nonzeros per row, and P^T H P is
+    # block diagonal with the blocks of H on its diagonal
+    p = h.orbits.to_lattice(np.eye(n))
+    assert np.abs(p.T @ p - np.eye(n)).max() <= 1e-15
+    assert (np.count_nonzero(p, axis=1) <= 8).all()
+    stacked = p.T @ hm @ p
+    bounds = np.cumsum([0] + sizes)
+    for hb, lo, hi in zip(h.blocks, bounds[:-1], bounds[1:]):
+        assert np.abs(stacked[lo:hi, lo:hi] - hb).max() <= 1e-14 * scale
+        stacked[lo:hi, lo:hi] = 0.0
+    assert np.abs(stacked).max() <= 1e-14 * scale
+    # the eigenvalues of the blocks are those of the dense H
+    dense = np.linalg.eigvalsh(hm)
+    assert np.abs(_eigenvalues(h.propagator) - dense).max() <= 1e-12 * np.abs(dense).max()
+    rho = random_effectively_pure_state(basis, np.random.default_rng(3))
+    for t in (0.7, -2.4, 5.0):
+        assert np.abs(h.propagator.unitary(t) - _dense_unitary(h, t)).max() <= 1e-12
+        out = h.propagator.evolve(rho, t).matrix
+        assert np.abs(out - _dense_conjugation(h, rho, t)).max() <= 1e-12
+
+
+def test_the_line_block_is_the_dense_hamiltonian_bit_for_bit():
+    h = build_hamiltonian(build_basis_1d(64, 0.37), 0.3, 1.1)
+    ((block,),) = (h.blocks,)
+    assert block.tobytes() == h.matrix.tobytes()
+    assert h.orbits.to_lattice(h.matrix) is h.matrix  # P = I, applied without a copy
+
+
+def test_a_cubic_run_forms_no_dense_matrix():
+    # M = 4, n = 729: the Hamiltonian's blocks, their eigh and the eigenbasis
+    # check together stay below one dense real n x n matrix
+    basis = build_basis(4, 0.7)
+    n = basis.size
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        h = build_hamiltonian(basis, 0.2, 1.0)
+        orthonormality, residual = h.propagator.eigenbasis_errors(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orthonormality <= 1e-13 and residual <= 1e-14
+    assert "v" not in vars(h) and "matrix" not in vars(h)
+    assert peak < n * n * 8
 
 
 @pytest.mark.parametrize("basis", [build_basis(2, 1.0), build_basis_1d(16, 1.0)],
@@ -325,9 +407,9 @@ def test_alpha_offblock_norm_does_not_copy_the_off_sector_part():
     assert extra < op.nbytes / 8
 
 
-def _dense_conjugation(prop, rho, t):
-    """Oracle: the dense evolution, U(t) rho U(t)^dagger, symmetrized."""
-    u = prop.unitary(t)
+def _dense_conjugation(h, rho, t):
+    """Oracle: the dense evolution, U(t) rho U(t)^dagger from a dense eigh of H, symmetrized."""
+    u = _dense_unitary(h, t)
     out = u @ rho.matrix @ u.conj().T
     return (out + out.conj().T) / 2
 
@@ -336,26 +418,26 @@ EVOLVE_BASES = {"M2": build_basis(2, 1.0), "N32": build_basis_1d(32, 1.0)}
 
 
 def _evolve_case(lattice, kind):
-    """(propagator, state, rank of the state) at A = 0.2, mu = 1."""
+    """(Hamiltonian, state, rank of the state) at A = 0.2, mu = 1."""
     basis = EVOLVE_BASES[lattice]
-    prop = build_hamiltonian(basis, 0.2, 1.0).propagator
+    h = build_hamiltonian(basis, 0.2, 1.0)
     rng = np.random.default_rng(21)
     if kind == "pure":
-        return prop, pure_to_density(random_pure_state(basis.size, rng)), 1
+        return h, pure_to_density(random_pure_state(basis.size, rng)), 1
     if kind == "effectively-pure-mixed":
-        return prop, random_effectively_pure_state(basis, rng), basis.n_shells
-    return prop, random_density_matrix(basis.size, rng), basis.size
+        return h, random_effectively_pure_state(basis, rng), basis.n_shells
+    return h, random_density_matrix(basis.size, rng), basis.size
 
 
 @pytest.mark.parametrize("kind", ["pure", "effectively-pure-mixed", "dense"])
 @pytest.mark.parametrize("lattice", sorted(EVOLVE_BASES))
 def test_evolve_matches_dense_conjugation_oracle(lattice, kind):
-    prop, rho, rank = _evolve_case(lattice, kind)
+    h, rho, rank = _evolve_case(lattice, kind)
     assert rho.factor.shape == (rho.dim, rank)
     for t in (0.0, 0.7, 3.1, -2.4):
-        out = prop.evolve(rho, t)
+        out = h.propagator.evolve(rho, t)
         assert out.factor.shape == (rho.dim, rank)
-        assert np.abs(out.matrix - _dense_conjugation(prop, rho, t)).max() <= 1e-12
+        assert np.abs(out.matrix - _dense_conjugation(h, rho, t)).max() <= 1e-12
 
 
 def _record_calls(monkeypatch, *targets):
@@ -375,7 +457,8 @@ def _record_calls(monkeypatch, *targets):
 
 
 def test_evolve_of_a_factored_state_takes_no_n_by_n_spectrum_or_unitary(monkeypatch):
-    prop, rho, rank = _evolve_case("M2", "effectively-pure-mixed")
+    h, rho, rank = _evolve_case("M2", "effectively-pure-mixed")
+    prop = h.propagator
     calls = _record_calls(monkeypatch, (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
                           (Propagator, "unitary"))
     out = prop.evolve(rho, 1.3)
@@ -416,7 +499,8 @@ def test_evolve_of_a_dense_state_drops_its_negative_roundoff():
     # rescaled to unit trace.  Each step moves the state by the dropped
     # weight in trace norm, on orthogonal supports, so by twice it in all.
     basis = EVOLVE_BASES["M2"]
-    prop = build_hamiltonian(basis, 0.2, 1.0).propagator
+    h = build_hamiltonian(basis, 0.2, 1.0)
+    prop = h.propagator
     rng = np.random.default_rng(8)
     vecs, _ = np.linalg.qr(rng.normal(size=(basis.size,) * 2) + 1j * rng.normal(size=(basis.size,) * 2))
     eigs = rng.uniform(0.5, 1.5, basis.size)
@@ -428,7 +512,7 @@ def test_evolve_of_a_dense_state_drops_its_negative_roundoff():
     out = prop.evolve(rho, 0.9)
     assert out.factor.shape == (basis.size, basis.size - 1)
     assert abs(np.vdot(out.factor, out.factor).real - 1.0) <= 1e-14
-    gap = np.linalg.norm(out.matrix - _dense_conjugation(prop, rho, 0.9), "nuc")
+    gap = np.linalg.norm(out.matrix - _dense_conjugation(h, rho, 0.9), "nuc")
     assert abs(gap - 2e-11) <= 1e-13
 
 

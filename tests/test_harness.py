@@ -121,16 +121,36 @@ def test_shell_index_out_of_range_is_config_error(tmp_path, monkeypatch, capsys)
 
 
 def test_quantum_run_diagonalizes_once(tmp_path, monkeypatch):
-    calls = []
+    # once means one eigh per symmetry block of H, and none of size n
+    cfg = make_config()
+    basis = harness.build_quantum_basis(cfg)
+    blocks = dynamics.build_hamiltonian(basis, 0.2, 1.0).blocks
+    shapes = []
     eigh = np.linalg.eigh
 
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    harness.run(make_config(), out_dir=tmp_path)
-    assert len(calls) == 1
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    harness.run(cfg, out_dir=tmp_path)
+    assert shapes == [hb.shape for hb in blocks]
+    assert len(shapes) == 8 and sum(s[0] for s in shapes) == basis.size
+
+
+def test_a_cubic_run_reads_no_dense_hamiltonian(tmp_path, monkeypatch):
+    built = []
+    build = dynamics.build_hamiltonian
+
+    def keep(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(dynamics, "build_hamiltonian", keep)
+    harness.run(make_config(lattice={"M": 2, "delta_k": 1.0}), out_dir=tmp_path)
+    (h,) = built
+    assert "v" not in vars(h) and "matrix" not in vars(h)  # formed only when read
+    assert max(len(hb) for hb in h.blocks) == 27 < h.dim
 
 
 def test_quantum_run_takes_no_n_by_n_eigvalsh_and_no_unitary(tmp_path, monkeypatch):
@@ -164,8 +184,9 @@ def test_bad_final_state_is_recorded_before_raising(tmp_path, monkeypatch):
     for case in ("eigenpairs", "eigenvalues"):
         def wrong_eigenpairs(basis, coupling, screening):
             h = build(basis, coupling, screening)
-            q = other.eigenvectors if case == "eigenpairs" else h.propagator.eigenvectors
-            h.__dict__["propagator"] = dynamics.Propagator(other.eigenvalues, q)
+            own = other if case == "eigenpairs" else h.propagator
+            pairs = tuple((w, q) for (w, _), (_, q) in zip(other.blocks, own.blocks))
+            h.__dict__["propagator"] = dynamics.Propagator(pairs, h.orbits)
             return h
 
         monkeypatch.setattr(dynamics, "build_hamiltonian", wrong_eigenpairs)
@@ -187,8 +208,8 @@ def _scale_eigenvectors(monkeypatch):
 
     def scaled(basis, coupling, screening):
         h = build(basis, coupling, screening)
-        p = h.propagator
-        h.__dict__["propagator"] = dynamics.Propagator(p.eigenvalues, p.eigenvectors * (1.0 + 1e-6))
+        pairs = tuple((w, q * (1.0 + 1e-6)) for w, q in h.propagator.blocks)
+        h.__dict__["propagator"] = dynamics.Propagator(pairs, h.orbits)
         return h
 
     monkeypatch.setattr(dynamics, "build_hamiltonian", scaled)
@@ -233,6 +254,21 @@ def test_demo_configs_all_validate():
 def test_invariant_check_battery_passes():
     results = harness.run_invariant_checks()
     assert results and all(results.values())
+    assert "free_period_returns_the_state" in results
+
+
+def test_check_battery_sees_eigenvalues_off_the_free_period(monkeypatch):
+    # eigenvalues detuned by 1e-6 still give a unitary, shell-preserving free
+    # evolution; only the return after one free period sees them
+    from_h = dynamics.Propagator.from_hamiltonian.__func__
+
+    def detuned(cls, h):
+        p = from_h(cls, h)
+        return cls(tuple((w * (1 + 1e-6), q) for w, q in p.blocks), p.orbits)
+
+    monkeypatch.setattr(dynamics.Propagator, "from_hamiltonian", classmethod(detuned))
+    results = harness.run_invariant_checks()
+    assert [k for k, ok in results.items() if not ok] == ["free_period_returns_the_state"]
 
 
 def test_cli_run_and_demo(tmp_path, capsys):

@@ -428,6 +428,45 @@ def test_full_support_density_matches_the_oracles_bit_for_bit():
     _assert_kick_matches_oracle(rho, kick_gradient("sin"), 0.0)
 
 
+def _oracle_reduce(rho):
+    """Reference: the p-marginal summed over every p column of the grid."""
+    g = rho.values.sum(axis=0) * rho.grid.dq
+    return g / (g.sum() * rho.grid.dp)
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+@pytest.mark.parametrize("edge", ["low", "high"])
+def test_reduce_sums_the_window_bit_for_bit_at_both_p_edges(edge, width):
+    # a single p row flowed in q (the pre-kick rows of a run) has a one-column
+    # span, which numpy would sum pairwise on its own
+    grid = PhaseSpaceGrid(nq=256, n_p=256, dq=2 * np.pi / 256, dp=0.05)
+    lo = 0 if edge == "low" else grid.n_p - width
+    values = np.zeros((grid.nq, grid.n_p))
+    values[:, lo : lo + width] = np.random.default_rng(width).exponential(size=(grid.nq, width))
+    rho = density_from_values(grid, values)
+    for t in (0.0, 0.1, 1.7, 3.0):
+        flowed = classical_free_flow(rho, t)
+        assert flowed._span == flowed._window == (lo, lo + width)
+        _assert_same_bits(classical_reduce(flowed).density, _oracle_reduce(flowed))
+
+
+def test_reduce_sums_the_window_bit_for_bit_on_random_windows():
+    rng = np.random.default_rng(9)
+    for i in range(50):
+        nq, n_p = int(rng.integers(1, 200)), 2 * int(rng.integers(4, 80))
+        grid = PhaseSpaceGrid(nq=nq, n_p=n_p, dq=2 * np.pi / nq, dp=0.1)
+        width = int(rng.integers(1, 3 if i % 2 else n_p - 6))
+        lo = int(rng.integers(3, n_p - width - 2))  # the kick moves up to three columns
+        values = np.zeros((nq, n_p))
+        values[:, lo : lo + width] = rng.exponential(size=(nq, width))
+        rho = density_from_values(grid, values)
+        flowed = classical_free_flow(rho, float(rng.uniform(0.0, 3.0)))
+        kicked = apply_kick(flowed, kick_gradient("cos"), float(rng.uniform(0.0, 2.0)) * grid.dp)
+        for state in (rho, flowed, kicked):
+            _assert_same_bits(classical_reduce(state).density, _oracle_reduce(state))
+        assert flowed._span == (lo, lo + width)
+
+
 # Ownership: a density never aliases a caller's array, and the arrays the
 # module builds are read-only and C-ordered.
 

@@ -301,8 +301,9 @@ def _dense_eigenbasis_trace(rho0, h, times, basis):
     """The dense trace that the factored one replaced: X(t) = e^{-iwt} X0 e^{+iwt}
     with X0 = Q^dagger rho0 Q, validated with an n x n eigh per row, and
     each multi-member shell block taken from Q[members] X(t) Q[members]^dagger.
+    Q and w are a dense eigh of the n x n H, not the propagator's blocks.
     Returns (t, S_eff, S_global, tr_rho2, effectively_pure, S_E) per row."""
-    w, q = h.propagator.eigenvalues, h.propagator.eigenvectors
+    w, q = np.linalg.eigh(h.matrix)
     x0 = q.conj().T @ rho0.matrix @ q
     rows = []
     for t in times:
@@ -381,8 +382,8 @@ def test_factored_trace_matches_dense_eigenbasis_oracle(lattice, rank):
 def test_entropy_trace_refuses_a_state_that_lost_its_trace():
     # ||C(t)||_F = 1 holds only while Q is unitary; a Q off by 1e-6 breaks it
     h = build_hamiltonian(BASIS, 0.2, 1.0)
-    w, q = h.propagator.eigenvalues, h.propagator.eigenvectors
-    h.__dict__["propagator"] = Propagator(w, q * (1 + 1e-6))
+    pairs = tuple((w, q * (1 + 1e-6)) for w, q in h.propagator.blocks)
+    h.__dict__["propagator"] = Propagator(pairs, h.orbits)
     rho0 = random_effectively_pure_state(BASIS, np.random.default_rng(6))
     with pytest.raises(StateValidationError, match="trace"):
         entropy_trace(rho0, h, [0.0, 1.0], BASIS)
@@ -391,9 +392,10 @@ def test_entropy_trace_refuses_a_state_that_lost_its_trace():
 def test_entropy_trace_refuses_a_nan_row():
     # a NaN eigenvalue gives a NaN C(t), whose trace check must fail before any eigvalsh
     h = build_hamiltonian(BASIS, 0.2, 1.0)
-    w = h.propagator.eigenvalues.copy()
-    w[3] = np.nan
-    h.__dict__["propagator"] = Propagator(w, h.propagator.eigenvectors)
+    (w, q), *rest = h.propagator.blocks
+    w = w.copy()
+    w[0] = np.nan
+    h.__dict__["propagator"] = Propagator(((w, q), *rest), h.orbits)
     rho0 = random_effectively_pure_state(BASIS, np.random.default_rng(6))
     with pytest.raises(StateValidationError, match="trace nan"):
         entropy_trace(rho0, h, [0.0, 1.0], BASIS)
