@@ -43,7 +43,8 @@ def main():
             s = np.array([r.effective_entropy for r in rows])
             purity = np.array([r.purity for r in rows])
             drift = float(np.abs(purity - purity[0]).max())
-            fh.write(f"{coupling!r},{s.max()!r},{s[-1]!r},{drift!r}\n")
+            # repr of a numpy scalar reads np.float64(...) under numpy 2
+            fh.write(",".join(repr(float(x)) for x in (coupling, s.max(), s[-1], drift)) + "\n")
             print(f"{coupling:6.2f} {s.max():12.6f} {s[-1]:12.6f} {drift:13.2e}")
     print(f"wrote {args.out}")
 

@@ -14,7 +14,12 @@ import numpy as np
 
 from .errors import DimensionCapError
 
-MAX_POINTS = 4096
+# Point caps, one per lattice.  A cubic run holds H as its eight sign-flip
+# blocks and the state as an n x r factor, so M = 10 (9261 points) peaks
+# near 0.44 GB.  The line is one dense block: N = 4096 already peaks near
+# 0.69 GB while H is built and diagonalized.
+MAX_CUBIC_POINTS = 21**3
+MAX_LINE_POINTS = 4096
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -69,8 +74,12 @@ class MomentumBasis:
 
 def _basis_from_points(points: np.ndarray, delta_k: float) -> MomentumBasis:
     norms2 = (points * points).sum(axis=1)
-    distinct = np.unique(norms2)                      # ascending
-    members = tuple(_frozen(np.flatnonzero(norms2 == m)) for m in distinct)
+    # One stable sort groups the shells, each one's members ascending;
+    # np.unique would do it too, but numpy 2.4's imports numpy.ma.
+    order = np.argsort(norms2, kind="stable")
+    starts = np.flatnonzero(np.diff(norms2[order])) + 1
+    distinct = norms2[order[np.concatenate(([0], starts))]]  # ascending
+    members = tuple(map(_frozen, np.split(order, starts)))
     dk2 = delta_k * delta_k
     shells = ShellTable(
         energies=_frozen(distinct * dk2),
@@ -94,15 +103,15 @@ def _check_spacing(delta_k: float) -> None:
 def build_basis(M: int, delta_k: float) -> MomentumBasis:
     """Cubic lattice {-M..M}^3 in deterministic lexicographic order.
 
-    Raises DimensionCapError when (2M+1)^3 exceeds ``MAX_POINTS``.
+    Raises DimensionCapError when (2M+1)^3 exceeds ``MAX_CUBIC_POINTS``.
     """
     if M != int(M) or M < 0:
         raise ValueError(f"M must be a nonnegative integer, got {M}")
     M = int(M)
     _check_spacing(delta_k)
     side = 2 * M + 1
-    if side**3 > MAX_POINTS:
-        raise DimensionCapError(f"(2M+1)^3 = {side**3} exceeds cap of {MAX_POINTS} points")
+    if side**3 > MAX_CUBIC_POINTS:
+        raise DimensionCapError(f"(2M+1)^3 = {side**3} exceeds cap of {MAX_CUBIC_POINTS} points")
     r = np.arange(-M, M + 1)
     points = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
     return _basis_from_points(points, delta_k)
@@ -112,14 +121,14 @@ def build_basis_1d(N: int, delta_k: float) -> MomentumBasis:
     """Line lattice k = n * delta_k, n in {1..N}, embedded on the x axis.
 
     All energies n^2 * delta_k^2 are distinct, so every shell has
-    degeneracy one.  Raises DimensionCapError when N exceeds ``MAX_POINTS``.
+    degeneracy one.  Raises DimensionCapError when N exceeds ``MAX_LINE_POINTS``.
     """
     if N != int(N) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     N = int(N)
     _check_spacing(delta_k)
-    if N > MAX_POINTS:
-        raise DimensionCapError(f"N = {N} exceeds cap of {MAX_POINTS} points")
+    if N > MAX_LINE_POINTS:
+        raise DimensionCapError(f"N = {N} exceeds cap of {MAX_LINE_POINTS} points")
     points = np.zeros((N, 3), dtype=int)
     points[:, 0] = np.arange(1, N + 1)
     return _basis_from_points(points, delta_k)

@@ -6,7 +6,8 @@ parameter fails loudly instead of silently running the wrong experiment.
 Validation collects all errors before raising, so a bad config is fixed
 in one round trip.  Once the fields parse, the size caps are checked by
 what the run will hold (a classical grid over ``MAX_GRID_CELLS`` cells, a
-quantum basis over ``MAX_POINTS`` points, more than ``MAX_STEPS`` time
+quantum basis over its lattice's point cap (``basis.MAX_CUBIC_POINTS``,
+``basis.MAX_LINE_POINTS``), more than ``MAX_STEPS`` time
 steps or a quantum trace over ``MAX_TRACE_CELLS`` CSV cells raises
 DimensionCapError), then the scales the run derives from finite inputs
 must be finite floats (``_check_scales``), then the cross-field rules

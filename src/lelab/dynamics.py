@@ -117,7 +117,14 @@ def _sign_flips(points: np.ndarray):
             axes |= 1 << i
     flip = (axes & _BITS) > 0
     folded = np.where(flip, np.abs(points), points)
-    _, first, orbit = np.unique(keys(folded), return_index=True, return_inverse=True)
+    # Orbits by one stable sort of the folded keys (numpy 2.4's np.unique
+    # imports numpy.ma): first is the lowest lattice row of each orbit.
+    k = keys(folded)
+    order = np.argsort(k, kind="stable")
+    new = np.concatenate(([True], np.diff(k[order]) != 0))
+    first = order[new]
+    orbit = np.empty_like(order)
+    orbit[order] = np.cumsum(new) - 1
     reps = folded[first]
     support = ((reps != 0) & flip) @ _BITS
     blocks = tuple((int(e), np.flatnonzero(support & e == e)) for e in _subsets(axes)[::-1])
@@ -129,7 +136,7 @@ def _sign_flips(points: np.ndarray):
         offset += len(members)
     negative = ((points < 0) & flip) @ _BITS
     groups = []
-    for sigma in np.unique(support):
+    for sigma in np.flatnonzero(np.bincount(support, minlength=8)):
         sub = _subsets(int(sigma))
         s = len(sub)
         mine = np.flatnonzero(support == sigma)

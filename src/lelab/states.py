@@ -5,7 +5,7 @@ Validation tolerances are fixed so that test oracles are unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -106,6 +106,26 @@ def _certified_factor(m: np.ndarray) -> np.ndarray | None:
     return b / np.linalg.norm(b)
 
 
+class _DenseOnDemand:
+    """The ``matrix`` field of DensityMatrix: the matrix it was given, or else
+    B B^dagger of its factor, formed on first read and kept read-only."""
+
+    def __get__(self, rho, owner=None):
+        if rho is None:
+            return self
+        m = rho.__dict__["_matrix"]
+        if m is None:
+            b = rho.factor
+            m = b @ b.conj().T
+            m.setflags(write=False)
+            rho.__dict__["_matrix"] = m
+        return m
+
+    def __set__(self, rho, m):  # reached only from __init__ and __post_init__
+        # __init__ passes the field's default, this descriptor, when no matrix is given
+        rho.__dict__["_matrix"] = None if m is self else m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Complex Hermitian, unit-trace, positive-semidefinite matrix with its
@@ -118,23 +138,28 @@ class DensityMatrix:
     Otherwise the matrix is checked by ``validated_spectrum``, whose
     ``eigh`` gives the factor (``_psd_factor``: one column per positive
     eigenvalue) or refuses it as not PSD.  A given factor is Hermitian and
-    PSD by construction, so only its trace ||B||_F^2 is checked.
-    ``Propagator.evolve`` and ``entropy_trace`` work on the factor.
+    PSD by construction, so only its trace ||B||_F^2 is checked, and no
+    n x n array is formed: ``matrix`` is then built on first read.
+    ``Propagator.evolve``, ``entropy_trace`` and the global statistics work
+    on the factor.
     """
 
-    matrix: np.ndarray | None = None
+    # repr and == would read the field and so build the dense matrix
+    matrix: np.ndarray | None = field(default=_DenseOnDemand(), repr=False, compare=False)
     factor: np.ndarray | None = None
 
     def __post_init__(self):
-        if (self.matrix is None) == (self.factor is None):
+        given = self.__dict__["_matrix"]
+        if (given is None) == (self.factor is None):
             raise StateValidationError("give a density matrix or its factor, not both or neither")
         if self.factor is None:
-            m = _readonly_complex(self.matrix)
+            m = _readonly_complex(given)
             _check_hermitian_unit_trace(m, "density matrix")
             b = _certified_factor(m)
             if b is None:
                 b = _psd_factor(*validated_spectrum(m))
             b.setflags(write=False)
+            object.__setattr__(self, "matrix", m)
         else:
             b = _readonly_complex(self.factor)
             if b.ndim != 2:
@@ -142,14 +167,11 @@ class DensityMatrix:
             tr = float(np.vdot(b, b).real)
             if not abs(tr - 1.0) <= TRACE_TOL:  # written so that NaN fails too
                 raise StateValidationError(f"density matrix has trace {tr}, not 1")
-            m = b @ b.conj().T
-            m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "factor", b)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.factor.shape[0]
 
 
 @dataclass(frozen=True)
@@ -247,15 +269,26 @@ def entropy_from_eigenvalues(eigs: np.ndarray) -> float:
     return float(-(kept * np.log(kept)).sum())
 
 
+def _gram(rho) -> np.ndarray:
+    """B^dagger B (r x r) of a DensityMatrix, which has the nonzero spectrum
+    of rho = B B^dagger, or the matrix of a raw ndarray."""
+    if isinstance(rho, DensityMatrix):
+        b = rho.factor
+        return b.conj().T @ b
+    return as_matrix(rho)
+
+
 def global_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy -Tr rho ln rho."""
-    return entropy_from_eigenvalues(np.linalg.eigvalsh(as_matrix(rho)))
+    """Von Neumann entropy -Tr rho ln rho, from the r x r Gram matrix of a
+    DensityMatrix's factor."""
+    return entropy_from_eigenvalues(np.linalg.eigvalsh(_gram(rho)))
 
 
 def global_purity(rho: DensityMatrix) -> float:
-    """Tr rho^2; equals 1 exactly for rank-1 states."""
-    m = as_matrix(rho)
-    return float(np.vdot(m, m).real)
+    """Tr rho^2 = ||B^dagger B||_F^2 for a DensityMatrix; equals 1 exactly for
+    rank-1 states."""
+    g = _gram(rho)
+    return float(np.vdot(g, g).real)
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lelab.basis import (
-    MAX_POINTS,
+    MAX_CUBIC_POINTS,
+    MAX_LINE_POINTS,
     build_basis,
     build_basis_1d,
 )
@@ -58,11 +59,30 @@ def test_lexicographic_order_and_index_of():
 
 
 def test_point_cap_enforced():
+    # each lattice has its own cap: cubic M <= 10, line N <= 4096
     with pytest.raises(DimensionCapError):
-        build_basis(8, 1.0)  # 17^3 = 4913 > 4096
-    assert build_basis(7, 1.0).size == 3375
+        build_basis(11, 1.0)  # 23^3 = 12167 > 9261
+    assert build_basis(10, 1.0).size == MAX_CUBIC_POINTS == 9261
+    assert build_basis_1d(MAX_LINE_POINTS, 1.0).size == 4096
     with pytest.raises(DimensionCapError):
-        build_basis_1d(MAX_POINTS + 1, 1.0)
+        build_basis_1d(MAX_LINE_POINTS + 1, 1.0)
+
+
+@pytest.mark.parametrize("lattice", [("M", m) for m in range(5)] + [("N", n) for n in range(1, 65)],
+                         ids=lambda lat: f"{lat[0]}{lat[1]}")
+def test_shells_match_the_unique_oracle(lattice):
+    kind, size = lattice
+    basis = build_basis(size, 0.7) if kind == "M" else build_basis_1d(size, 0.7)
+    # the oracle: np.unique and one flatnonzero per shell
+    distinct = np.unique(basis.norms2)
+    members = [np.flatnonzero(basis.norms2 == m) for m in distinct]
+    np.testing.assert_array_equal(basis.shells.norms2, distinct)
+    assert basis.shells.norms2.dtype == distinct.dtype
+    np.testing.assert_array_equal(basis.shells.energies, distinct * (0.7 * 0.7))
+    assert len(basis.shells.members) == len(members)
+    for got, want in zip(basis.shells.members, members):
+        np.testing.assert_array_equal(got, want)  # ascending, as flatnonzero lists them
+        assert got.dtype == want.dtype and not got.flags.writeable
 
 
 def test_invalid_arguments_rejected():

@@ -248,7 +248,7 @@ def test_p0_off_the_p_grid_is_config_error():
 
 
 @pytest.mark.parametrize("lattice,message", [
-    ({"M": 8, "delta_k": 1.0}, "(2M+1)^3 = 4913 exceeds cap of 4096 points"),
+    ({"M": 11, "delta_k": 1.0}, "(2M+1)^3 = 12167 exceeds cap of 9261 points"),
     ({"N": 4097, "delta_k": 1.0}, "N = 4097 exceeds cap of 4096 points"),
 ])
 def test_a_lattice_over_the_point_cap_is_refused_without_shell_fields(lattice, message):
@@ -276,3 +276,10 @@ def test_the_largest_cubic_lattice_keeps_the_full_step_cap():
     cfg = validate_config(json.dumps(raw))
     assert cfg.time_grid.steps == MAX_STEPS
     assert (MAX_STEPS + 1) * (5 + quantum_basis(cfg.lattice).n_shells) == 9_300_093
+    # from M = 8 on the trace cells cap the steps: M = 10 (179 shells) keeps 54346
+    for m, steps in ((8, 82643), (10, 54346)):
+        raw = dict(raw, lattice={"M": m, "delta_k": 1.0})
+        ok = validate_config(json.dumps(dict(raw, time_grid={"t_max": 1.0, "steps": steps})))
+        assert ok.time_grid.steps == steps
+        with pytest.raises(DimensionCapError, match="over the cap of 10000000"):
+            validate_config(json.dumps(dict(raw, time_grid={"t_max": 1.0, "steps": steps + 1})))

@@ -7,10 +7,12 @@ cases of ``test_config.py``.  ``tests/data/config_errors.json`` holds
 the outcome of each case before shell, shells and mu were checked
 against the lattice, the output names had to be distinct plain file
 names and classical grids and time grids were capped: the
-``ConfigError`` list, or the accepted config.  Every case must keep
-that outcome, except the ones in ``NEW_REFUSALS``, which the old
-validation accepted and whose run then failed, wrote elsewhere or
-would have exhausted memory.
+``ConfigError`` list, the ``DimensionCapError`` message, or the accepted
+config.  Every case must keep that outcome, except the ones in
+``NEW_REFUSALS``, which the old validation accepted and whose run then
+failed, wrote elsewhere or would have exhausted memory.  The lattice
+cases at and over the point caps (cubic M = 8 to 11, line N = 4096 and
+4097) came with the per-lattice caps.
 
 ``python tests/test_config_corpus.py [OUT]`` writes the outcomes of the
 current code to OUT (default: the data file), keeping the stored outcome
@@ -169,7 +171,8 @@ def _lattice_cases() -> dict:
 
 
 def _cap_cases() -> dict:
-    """Classical grids and time grids at and over their caps (2048^2 cells, 100000 steps)."""
+    """Classical grids, time grids and lattices at and over their caps (2048^2
+    cells, 100000 steps, cubic M = 10, line N = 4096)."""
     q, c = BASES["cubic-shells"], BASES["classical-kick"]
 
     def grid(nq, n_p):
@@ -184,7 +187,11 @@ def _cap_cases() -> dict:
         "caps:steps-100001": _with(q, ("time_grid", "steps"), 100001),
         "caps:steps-10**12": _with(q, ("time_grid", "steps"), 10**12),
         "caps:classical-steps-10**12": _with(c, ("time_grid", "steps"), 10**12),
+        "caps:line-N=4096": _with(BASES["line-random"], ("lattice", "N"), 4096),
+        "caps:line-N=4097": _with(BASES["line-random"], ("lattice", "N"), 4097),
     }
+    for m in (8, 9, 10, 11):
+        cases[f"caps:cubic-M={m}"] = _with(q, ("lattice", "M"), m)
     return {k: _text(v) for k, v in cases.items()}
 
 
@@ -239,6 +246,8 @@ def outcome(text: str) -> dict:
         cfg = config.validate_config(text)
     except ConfigError as err:
         return {"errors": [list(e) for e in err.errors]}
+    except DimensionCapError as err:
+        return {"cap": str(err)}
     return {"config": _encode(cfg)}
 
 
@@ -294,6 +303,10 @@ def test_outcomes_match_the_golden_corpus(group):
             with pytest.raises(ConfigError) as info:
                 config.validate_config(text)
             assert info.value.errors == [tuple(e) for e in want["errors"]], case
+        elif "cap" in want:
+            with pytest.raises(DimensionCapError) as info:
+                config.validate_config(text)
+            assert str(info.value) == want["cap"], case
         else:
             assert config.validate_config(text) == _decode(want["config"]), case
 

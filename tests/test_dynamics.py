@@ -9,6 +9,7 @@ from lelab.basis import bohr_labels, build_basis, build_basis_1d
 from lelab.dynamics import (
     Hamiltonian,
     Propagator,
+    _sign_flips,
     alpha_diagonality_test,
     alpha_offblock_norm,
     build_hamiltonian,
@@ -180,6 +181,18 @@ def _dense_unitary(h, t):
     """Oracle: U(t) from a dense eigh of the n x n H."""
     w, q = np.linalg.eigh(h.matrix)
     return (q * np.exp(-1j * w * t)) @ q.conj().T
+
+
+@pytest.mark.parametrize("basis", [build_basis(m, 1.0) for m in range(5)] + [build_basis_1d(16, 1.0)],
+                         ids=[f"M{m}" for m in range(5)] + ["N16"])
+def test_sign_flip_orbits_match_the_unique_oracle(basis):
+    group, reps, first, sizes, _, _ = _sign_flips(basis.points)
+    flipped = np.bitwise_or.reduce(group) & (1 << np.arange(3)) > 0
+    folded = np.where(flipped, np.abs(basis.points), basis.points)
+    rows, index, counts = np.unique(folded, axis=0, return_index=True, return_counts=True)
+    np.testing.assert_array_equal(reps, rows)
+    np.testing.assert_array_equal(first, index)  # the lowest lattice row of each orbit
+    np.testing.assert_array_equal(sizes, counts)
 
 
 @pytest.mark.parametrize("lattice", sorted(ORACLE_BASES))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -374,20 +378,22 @@ def test_cli_unreadable_config_is_config_error(tmp_path, capsys):
 
 def test_cli_dimension_cap_exit_code(tmp_path, capsys):
     big = tmp_path / "big.json"
-    for m in (8, 10**200):  # the caps build the basis, which refuses both before any scale
+    for m in (11, 10**200):  # the caps build the basis, which refuses both before any scale
         big.write_text(json.dumps(dict(QUANTUM, lattice={"M": m, "delta_k": 1.0})))
         assert cli.main(["run", "--config", str(big), "--out-dir", str(tmp_path)]) == 4
         assert "dimension cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("lattice", [{"M": 8, "delta_k": 1.0}, {"N": 4097, "delta_k": 1.0}])
-def test_cli_refuses_a_lattice_over_the_point_cap_before_writing(tmp_path, capsys, lattice):
+@pytest.mark.parametrize("lattice,cap", [({"M": 11, "delta_k": 1.0}, 9261),
+                                         ({"N": 4097, "delta_k": 1.0}, 4096)],
+                         ids=["lattice0", "lattice1"])
+def test_cli_refuses_a_lattice_over_the_point_cap_before_writing(tmp_path, capsys, lattice, cap):
     # used to create --out-dir and only then fail in the run's basis build
     cfg_path = tmp_path / "big.json"
     cfg_path.write_text(json.dumps(dict(QUANTUM, lattice=lattice)))
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 4
-    assert "exceeds cap of 4096 points" in capsys.readouterr().err
+    assert f"exceeds cap of {cap} points" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -415,3 +421,36 @@ def test_cli_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
     cfg_path.write_text(json.dumps(QUANTUM))
     assert cli.main(["run", "--config", str(cfg_path)]) == 3
     assert "purity drifted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state", [{"kind": "effectively-pure-mixed", "seed": 11},
+                                   {"kind": "shell-mixed", "shell": 20}],
+                         ids=["effectively-pure-mixed", "shell-mixed"])
+def test_a_quantum_run_forms_no_dense_state(tmp_path, state):
+    # M = 4, n = 729: the whole run, H's blocks included, stays below one
+    # dense complex n x n matrix, which a built rho(0) or rho(t) would take
+    cfg = make_config(lattice={"M": 4, "delta_k": 0.7}, initial_state=state)
+    n = harness.build_quantum_basis(cfg).size
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        harness.run(cfg, out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16
+
+
+def test_a_quantum_run_never_imports_numpy_ma(tmp_path):
+    # numpy 2.4's np.unique imports numpy.ma; the run groups without it
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(dict(QUANTUM, lattice={"M": 2, "delta_k": 0.7})))
+    code = ("import sys\n"
+            "from lelab import cli\n"
+            f"assert cli.main(['run', '--config', {str(cfg_path)!r}, "
+            f"'--out-dir', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(harness.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.splitlines()[-1] == "False"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,3 +270,47 @@ def test_entropy_zero_iff_purity_one(seed):
     # von Neumann entropy dominates the collision entropy -ln Tr rho^2,
     # which is strictly positive as soon as purity drops below one
     assert global_entropy(mixed) >= -np.log(global_purity(mixed)) - 1e-12
+
+
+def test_a_factored_state_forms_its_matrix_only_when_read():
+    n = 1500
+    b = random_pure_state(n, np.random.default_rng(4)).amplitudes[:, None]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rho = DensityMatrix(factor=b)
+        assert rho.dim == n
+        assert "matrix" not in repr(rho) and rho == rho
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16 // 10  # a dense complex n x n matrix is 36 MB
+    m = rho.matrix
+    assert m is rho.matrix and not m.flags.writeable
+    assert m.tobytes() == (rho.factor @ rho.factor.conj().T).tobytes()
+    with pytest.raises(AttributeError):
+        rho.matrix = np.eye(n)
+    with pytest.raises(AttributeError):
+        rho.factor = b
+
+
+def _dense_purity_and_entropy(m: np.ndarray) -> tuple[float, float]:
+    eigs = np.linalg.eigvalsh(m)
+    kept = eigs[eigs > 1e-12]
+    return float(np.vdot(m, m).real), float(-(kept * np.log(kept)).sum())
+
+
+@pytest.mark.parametrize("rank", [1, 5, 40])
+def test_global_statistics_read_the_factor(rank):
+    # rank 1, rank r and full rank (n = 40) against the dense formulas
+    rng = np.random.default_rng(rank)
+    g = rng.normal(size=(40, rank)) + 1j * rng.normal(size=(40, rank))
+    rho = DensityMatrix(factor=g / np.linalg.norm(g))
+    got = global_purity(rho), global_entropy(rho)
+    assert vars(rho)["_matrix"] is None  # neither formed the dense matrix
+    purity, entropy = _dense_purity_and_entropy(rho.matrix)
+    assert abs(got[0] - purity) <= 1e-12
+    assert abs(got[1] - entropy) <= 1e-12
+    # a raw ndarray keeps the dense path
+    assert abs(global_purity(rho.matrix) - purity) <= 1e-12
+    assert abs(global_entropy(rho.matrix) - entropy) <= 1e-12
