@@ -27,7 +27,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShellTable:
     """Distinct energies in ascending order with their member point indices."""
 
@@ -43,7 +43,7 @@ class ShellTable:
         return len(self.energies)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentumBasis:
     """Ordered momentum lattice with per-point energies and shell assignment.
 

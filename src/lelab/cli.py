@@ -5,8 +5,9 @@ Subcommands:
   check                                  run the standalone invariant battery
   demo  NAME [--out-dir PATH]            run a named built-in config
 
-Exit codes: 0 success, 2 config error, 3 invariant violation,
-4 dimension cap exceeded.
+Exit codes: 0 success, 2 config error (an unreadable ``--config``, or an
+``--out-dir`` where the outputs cannot be created or written: one
+"output error" line), 3 invariant violation, 4 dimension cap exceeded.
 """
 
 from __future__ import annotations
@@ -70,7 +71,12 @@ def main(argv=None) -> int:
             except (OSError, UnicodeDecodeError) as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-        _print_summary(run(cfg, out_dir=args.out_dir))
+        try:
+            summary = run(cfg, out_dir=args.out_dir)
+        except OSError as exc:  # creating --out-dir or writing into it
+            print(f"output error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        _print_summary(summary)
         return 0
     except ConfigError as exc:
         for path, message in exc.errors:

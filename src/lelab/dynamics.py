@@ -13,13 +13,14 @@ cannot masquerade as entropy change.  ``Propagator`` alone reads it:
 ``evolved_factors`` is its one step and ``eigenbasis_errors`` its check.
 
 Symmetry blocks.  A sign flip of a lattice coordinate changes neither
-|n|^2 nor |n_i - n_j|^2, so the flips that map the basis point set onto
-itself commute with H.  In the basis of their characters, P^T H P is
-block diagonal with one block per character, where P (``OrbitMap``) is
-orthogonal with at most eight nonzeros per row and column.  The cubic
-lattice has the eight blocks of Z2^3; the line lattice and a hand-built
-``Hamiltonian(h0_diag, v)`` have one block and P = I.  Every H goes
-through the same blocked code.
+|n|^2 nor |n_i - n_j|^2, and the eight flips of Z2^3 map the cube
+{-M..M}^3 of ``build_basis`` onto itself, so they commute with its H.
+In the basis of their characters, P^T H P is block diagonal with one
+block per character, where P (``OrbitMap``) is orthogonal with at most
+eight nonzeros per row and column.  The cube's orbits are written down,
+not searched for (``_sign_flips``); any other point set (the line
+lattice, M = 0) and a hand-built ``Hamiltonian(h0_diag, v)`` have one
+block and P = I.  Every H goes through the same blocked code.
 """
 
 from __future__ import annotations
@@ -95,64 +96,45 @@ def _sign_flips(points: np.ndarray):
 
     - group: the flip masks, 0 (the identity) first;
     - reps (r, 3): one point per orbit, |n_i| on the flipped axes;
-    - first (r,): the lattice row of each rep;
+    - first (r,): the lowest lattice row of each orbit (-rep on the cube);
     - sizes (r,): points per orbit, 2^(nonzero flipped coordinates);
     - blocks: (character mask, orbits) per block, in stacked order;
     - orbits: the ``OrbitMap``.
 
-    A flip that moves no point acts as the identity and is left out, so a
-    line along x has the trivial group.  Blocks are stacked with the
-    trivial character last (see ``build_hamiltonian``)."""
-    side = 2 * int(np.abs(points).max()) + 1
+    The cube {-M..M}^3 in lexicographic order, as ``build_basis`` makes it
+    for M >= 1, is written down: all eight flips, reps {0..M}^3 in
+    lexicographic order, and lattice row ((x + M) L + y + M) L + z + M
+    with L = 2M + 1 for the point (x, y, z).  Any other point set (the
+    line, M = 0) gets the trivial group: one block and P = I.  Blocks are
+    stacked with the trivial character last (see ``build_hamiltonian``)."""
+    n = len(points)
+    m = int(points.max())
+    side = 2 * m + 1
 
-    def keys(p):  # one integer per point, in the lexicographic order of the points
-        return (p[:, 0] * side + p[:, 1]) * side + p[:, 2]
+    def row(p):  # lattice row of each cube point p (..., 3)
+        return ((p[..., 0] + m) * side + p[..., 1] + m) * side + p[..., 2] + m
 
-    rows = np.sort(keys(points))
-    axes = 0
-    for i in range(3):
-        flipped = points.copy()
-        flipped[:, i] *= -1
-        if points[:, i].any() and np.array_equal(np.sort(keys(flipped)), rows):
-            axes |= 1 << i
-    flip = (axes & _BITS) > 0
-    folded = np.where(flip, np.abs(points), points)
-    # Orbits by one stable sort of the folded keys (numpy 2.4's np.unique
-    # imports numpy.ma): first is the lowest lattice row of each orbit.
-    k = keys(folded)
-    order = np.argsort(k, kind="stable")
-    new = np.concatenate(([True], np.diff(k[order]) != 0))
-    first = order[new]
-    orbit = np.empty_like(order)
-    orbit[order] = np.cumsum(new) - 1
-    reps = folded[first]
-    support = ((reps != 0) & flip) @ _BITS
-    blocks = tuple((int(e), np.flatnonzero(support & e == e)) for e in _subsets(axes)[::-1])
-
+    if m == 0 or n != side**3 or points.min() < -m or not np.array_equal(row(points), np.arange(n)):
+        rows = np.arange(n)
+        return np.zeros(1, dtype=int), points, rows, np.ones(n, dtype=int), ((0, rows),), OrbitMap()
+    r = np.arange(m + 1)
+    reps = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    support = (reps != 0) @ _BITS
+    blocks = tuple((e, np.flatnonzero(support & e == e)) for e in range(7, -1, -1))
     slot = np.full((8, len(reps)), -1)  # stacked row of (character, orbit)
     offset = 0
     for e, members in blocks:
         slot[e, members] = offset + np.arange(len(members))
         offset += len(members)
-    negative = ((points < 0) & flip) @ _BITS
     groups = []
-    for sigma in np.flatnonzero(np.bincount(support, minlength=8)):
-        sub = _subsets(int(sigma))
-        s = len(sub)
+    for sigma in range(8):  # the orbits whose nonzero coordinates are the axes of sigma
+        sub = _subsets(sigma)
         mine = np.flatnonzero(support == sigma)
-        rank = np.zeros(len(reps), dtype=int)
-        rank[mine] = np.arange(len(mine))
-        position = np.zeros(8, dtype=int)
-        position[sub] = np.arange(s)
-        sel = np.flatnonzero(support[orbit] == sigma)
-        # at[i, j]: lattice row of the point that flips sub[j] make of rep mine[i]
-        at = np.empty((len(mine), s), dtype=int)
-        at[rank[orbit[sel]], position[negative[sel]]] = sel
-        chi = (-1.0) ** _POPCOUNT[sub[:, None] & sub[None, :]] / np.sqrt(s)
+        signs = np.where(sub[:, None] & _BITS > 0, -1, 1)
+        at = row(reps[mine, None, :] * signs)  # at[i, j]: the flips sub[j] of rep mine[i]
+        chi = (-1.0) ** _POPCOUNT[sub[:, None] & sub[None, :]] / np.sqrt(len(sub))
         groups.append(tuple(map(_frozen, (at, slot[sub][:, mine].T, chi))))
-    if not axes and np.array_equal(orbit, np.arange(len(points))):
-        groups = []  # the trivial group, orbits in lattice order: P = I
-    return _subsets(axes), reps, first, 2 ** _POPCOUNT[support], blocks, OrbitMap(tuple(groups))
+    return np.arange(8), reps, row(-reps), 2 ** _POPCOUNT[support], blocks, OrbitMap(tuple(groups))
 
 
 class Hamiltonian:
@@ -277,7 +259,7 @@ def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -
     return Hamiltonian._from_blocks(basis.energies, tuple(blocks), orbits, dense_v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Propagator:
     """H = P blockdiag(Q_b diag(w_b) Q_b^dagger) P^T; no other code reads the
     pairs (w_b, Q_b).  ``unitary`` is the tests' U(t)."""
@@ -353,7 +335,7 @@ def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
     return h.propagator.evolve(rho, t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """dim^2 x dim^2 matrix acting on row-major vectorized dim x dim matrices."""
 

@@ -16,17 +16,21 @@ flow also keeps the p-marginal.  Each kernel copies its integer shifts
 into small work blocks with at most two slices per row and blends with
 whole-array numpy, doing per element exactly the arithmetic of a
 one-row-at-a-time ``np.roll`` scheme, so the output is bit-identical
-to that scheme.  They work only on the support window, the p columns
-from the first to the last holding any bit other than +0.0 (so -0.0
-counts); outside it that arithmetic yields the +0.0 the fresh output
-holds.  They hand their output to ``PhaseSpaceDensity`` uncopied,
-through the same checks as a caller's (copied) array.
+to that scheme.  They work only on the density's support span, the p
+columns outside which it holds only +0.0: for a caller's array, the
+columns from the first to the last holding any bit other than +0.0 (so
+-0.0 counts), found by one scan at construction; for a kernel's output,
+the columns the kernel wrote, which it knows without a scan.  Outside
+the span that arithmetic yields the +0.0 the fresh output holds, and a
+column holding only +0.0 inside it yields +0.0 too, so the output does
+not depend on how tight the span is.  The kernels hand their output to
+``PhaseSpaceDensity`` uncopied, through the same checks as a caller's
+(copied) array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -73,7 +77,7 @@ class PhaseSpaceGrid:
         return self.dp / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseSpaceDensity:
     """Nonnegative unit-mass grid function; values[i, j] sits at (q_i, p_j),
     a read-only C-ordered copy of the array given."""
@@ -87,9 +91,11 @@ class PhaseSpaceDensity:
         self._take(np.array(self.values, dtype=float, order="C"))
 
     def _take(self, v: np.ndarray, span: tuple[int, int] | None = None) -> None:
-        """Validate ``v`` and keep it, uncopied, as ``values``.  ``span`` is
-        [lo, hi) of p columns outside which ``v`` holds only +0.0, when the
-        caller knows it; the whole grid otherwise."""
+        """Validate ``v`` and keep it, uncopied, as ``values``, with its
+        support span ``_span``: [lo, hi) of p columns outside which ``v``
+        holds only +0.0.  A kernel passes the span it wrote; otherwise the
+        columns from the first to the last holding any bit other than +0.0
+        are found by one scan."""
         g = self.grid
         if v.shape != (g.nq, g.n_p):
             raise StateValidationError(f"values must be {g.nq}x{g.n_p}, got {v.shape}")
@@ -98,22 +104,17 @@ class PhaseSpaceDensity:
         m = v.sum() * g.dq * g.dp
         if not abs(m - 1.0) <= MASS_TOL:  # likewise
             raise StateValidationError(f"mass is {m}, not 1")
+        if span is None:  # unit mass: some column holds a nonzero bit
+            cols = np.flatnonzero(v.view(np.int64).any(axis=0))
+            span = int(cols[0]), int(cols[-1]) + 1
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_mass", float(m))
-        object.__setattr__(self, "_span", span or (0, g.n_p))
+        object.__setattr__(self, "_span", span)
 
     @property
     def mass(self) -> float:
         return self._mass
-
-    @cached_property
-    def _window(self) -> tuple[int, int]:
-        """[lo, hi): the p columns holding any bit other than +0.0, found
-        inside ``_span``."""
-        a, b = self._span
-        cols = a + np.flatnonzero(self.values[:, a:b].view(np.int64).any(axis=0))
-        return int(cols[0]), int(cols[-1]) + 1
 
 
 def _handover(grid: PhaseSpaceGrid, v: np.ndarray,
@@ -126,7 +127,7 @@ def _handover(grid: PhaseSpaceGrid, v: np.ndarray,
     return rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaMarginal:
     """Unit-mass density over beta = p."""
 
@@ -186,19 +187,19 @@ def classical_free_flow(rho: PhaseSpaceDensity, t: float) -> PhaseSpaceDensity:
     The p row ``values[:, j]`` moves by ``offset = 2 p_j t / dq`` cells:
     with ``k = floor(offset)`` and ``w = offset - k`` it becomes
     ``(1 - w) * roll(row, k) + w * roll(row, k + 1)``.  Per block of
-    p rows of the support window, two slice copies per row put
+    p rows of the support span, two slice copies per row put
     ``roll(row, k)`` into a (rows, nq) buffer; that buffer rolled by one
     more cell is ``roll(row, k + 1)``, and the blend is done in place.
     The shift per p row is constant, so the periodic linear-interpolation
     backtrace conserves both mass and the p-marginal to machine
-    precision, and keeps the support window.  A non-finite ``t`` raises
+    precision, and keeps the support span.  A non-finite ``t`` raises
     ValueError.
     """
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     grid = rho.grid
     nq = grid.nq
-    lo, hi = rho._window
+    lo, hi = rho._span
     out = np.zeros((nq, grid.n_p))
     window, p, values = out[:, lo:hi], grid.p[lo:hi], rho.values[:, lo:hi]
     for c in _blocks(hi - lo, nq):
@@ -228,15 +229,16 @@ def apply_kick(
     ``offset = strength * V'(q_i) / dp`` cells: with ``k = floor(offset)``
     and ``w = offset - k``, cell j gets ``(1 - w) * c[j + k] +
     w * c[j + k + 1]``, zero where the index leaves the grid.  Only cells
-    that read the support window [lo, hi) can be nonzero, so the output
-    window is [lo - max k - 1, hi - min k) clipped to the grid.  For each
+    that read the support span [lo, hi) can be nonzero, so the output
+    span is [lo - max k - 1, hi - min k) clipped to the grid.  For each
     block of q columns, one slice copy per column fills a
     (columns, window + 1) buffer whose first and last ``window`` entries
     per q are the two shifted columns.
 
     The backtraced p must stay on the grid; mass pushed past the p
     boundary is dropped, and the resulting mass defect trips the
-    unit-mass validation.  Choose the grid wide enough for the kick.
+    unit-mass validation: StateValidationError names the kick's strength
+    and the mass it carried off.  Choose the grid wide enough for the kick.
     A non-finite ``strength`` or offset raises ValueError.
     """
     if not np.isfinite(strength):
@@ -248,7 +250,7 @@ def apply_kick(
                          f"{offset[~np.isfinite(offset)][0]} cells")
     k = np.floor(offset).astype(np.int64)
     w = (offset - k)[:, None]
-    lo, hi = rho._window
+    lo, hi = rho._span
     out_lo = max(0, lo - int(k.max()) - 1)
     n = max(0, min(grid.n_p, hi - int(k.min())) - out_lo)
     out = np.zeros((grid.nq, grid.n_p))
@@ -256,7 +258,7 @@ def apply_kick(
     for r in _blocks(grid.nq, n + 1):
         e = np.zeros((len(w[r]), n + 1))
         for dst, src, s in zip(e, rho.values[r], (k[r] + out_lo).tolist()):
-            # dst[x] = src[x + s], read only inside the support window
+            # dst[x] = src[x + s], read only inside the support span
             x0, x1 = max(0, lo - s), min(n + 1, hi - s)
             if x0 < x1:
                 dst[x0:x1] = src[x0 + s : x1 + s]
@@ -264,7 +266,13 @@ def apply_kick(
         a = e[:, :n]
         a *= 1.0 - w[r]
         window[r] += a
-    return _handover(grid, out, (out_lo, out_lo + n))
+    try:
+        return _handover(grid, out, (out_lo, out_lo + n))
+    except StateValidationError as err:  # a kick keeps values >= 0: only mass is lost
+        lost = rho.mass - out.sum() * grid.dq * grid.dp
+        raise StateValidationError(
+            f"the kick of strength {strength} carried mass {lost:.3g} past the p grid ({err})"
+        ) from None
 
 
 def _kick_offset(
@@ -326,12 +334,11 @@ def classical_reduce(rho: PhaseSpaceDensity) -> BetaMarginal:
     At fixed p the xi integral is proportional to the q integral, so this
     is the p-marginal with the normalization restored explicitly.
 
-    Only the columns of ``_span`` are summed, which the transport kernels
-    know without a scan; the other columns hold +0.0 and sum to it.  numpy
-    sums each column of a span of two or more columns row by row, as it
-    does on the whole grid, but a lone column pairwise, so a one-column
-    span takes a neighbour along: the result is bit for bit
-    ``values.sum(axis=0)``.
+    Only the columns of the support span ``_span`` are summed; the other
+    columns hold +0.0 and sum to it.  numpy sums each column of a span of
+    two or more columns row by row, as it does on the whole grid, but a
+    lone column pairwise, so a one-column span takes a neighbour along:
+    the result is bit for bit ``values.sum(axis=0)``.
     """
     lo, hi = rho._span
     if hi - lo == 1:

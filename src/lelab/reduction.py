@@ -37,7 +37,7 @@ TAU_LAMBDA = 1e-12
 RANK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlphaDecomposition:
     """Partition of a matrix into disjointly supported Bohr-frequency parts.
 
@@ -67,7 +67,7 @@ class AlphaDecomposition:
         return self.components[int(hits[0])]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Components(Sequence):
     """Read-only sequence of the sector matrices of an AlphaDecomposition."""
 
@@ -113,7 +113,7 @@ def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
     return np.exp(1j * alpha * t)[labels - lo] * decomp.matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShellDecomposition:
     """Raw shell blocks of a matrix with their weights.
 
@@ -200,7 +200,7 @@ def first_order_reduced_step(
     return reduce(corrected, basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceRow:
     """One time point of an entropy trace."""
 

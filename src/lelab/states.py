@@ -126,7 +126,7 @@ class _DenseOnDemand:
         rho.__dict__["_matrix"] = None if m is self else m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Complex Hermitian, unit-trace, positive-semidefinite matrix with its
     n x r factor B, ``matrix = B B^dagger``.
@@ -144,8 +144,8 @@ class DensityMatrix:
     on the factor.
     """
 
-    # repr and == would read the field and so build the dense matrix
-    matrix: np.ndarray | None = field(default=_DenseOnDemand(), repr=False, compare=False)
+    # repr would read the field and so build the dense matrix
+    matrix: np.ndarray | None = field(default=_DenseOnDemand(), repr=False)
     factor: np.ndarray | None = None
 
     def __post_init__(self):
@@ -174,7 +174,7 @@ class DensityMatrix:
         return self.factor.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm complex amplitude vector."""
 

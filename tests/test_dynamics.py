@@ -186,13 +186,36 @@ def _dense_unitary(h, t):
 @pytest.mark.parametrize("basis", [build_basis(m, 1.0) for m in range(5)] + [build_basis_1d(16, 1.0)],
                          ids=[f"M{m}" for m in range(5)] + ["N16"])
 def test_sign_flip_orbits_match_the_unique_oracle(basis):
-    group, reps, first, sizes, _, _ = _sign_flips(basis.points)
-    flipped = np.bitwise_or.reduce(group) & (1 << np.arange(3)) > 0
+    group, reps, first, sizes, blocks, orbits = _sign_flips(basis.points)
+    axes = int(np.bitwise_or.reduce(group))
+    bits = 1 << np.arange(3)
+    flipped = axes & bits > 0
     folded = np.where(flipped, np.abs(basis.points), basis.points)
     rows, index, counts = np.unique(folded, axis=0, return_index=True, return_counts=True)
     np.testing.assert_array_equal(reps, rows)
     np.testing.assert_array_equal(first, index)  # the lowest lattice row of each orbit
     np.testing.assert_array_equal(sizes, counts)
+    # block e holds the orbits that are nonzero on every axis e is odd under,
+    # characters descending (the trivial one last)
+    characters = [e for e in range(7, -1, -1) if e & axes == e]
+    assert [e for e, _ in blocks] == characters
+    for e, members in blocks:
+        np.testing.assert_array_equal(members, np.flatnonzero((rows[:, e & bits > 0] != 0).all(axis=1)))
+    if axes == 0:
+        assert orbits.groups == ()  # P = I
+        return
+    # one orbit group per set of nonzero flipped axes sigma; at[i, j] is the
+    # lattice row of the flips sub[j] (the subsets of sigma, ascending) of rep i
+    row_of = {tuple(p): i for i, p in enumerate(basis.points.tolist())}
+    support = ((rows != 0) & flipped) @ bits
+    expected = []
+    for sigma in sorted(set(support.tolist())):
+        sub = [u for u in range(8) if u & sigma == u]
+        expected.append([[row_of[tuple(np.where(u & bits > 0, -r, r).tolist())] for u in sub]
+                         for r in rows[support == sigma]])
+    assert len(orbits.groups) == len(expected)
+    for (at, _, _), oracle in zip(orbits.groups, expected):
+        np.testing.assert_array_equal(at, oracle)
 
 
 @pytest.mark.parametrize("lattice", sorted(ORACLE_BASES))

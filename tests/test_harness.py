@@ -376,6 +376,25 @@ def test_cli_unreadable_config_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["out-dir-under-a-file", "csv-path-is-a-directory"])
+@pytest.mark.parametrize("command", ["demo", "run"])
+def test_cli_unusable_out_dir_is_one_output_error(tmp_path, capsys, command, where):
+    cfg = harness.DEMO_CONFIGS["yukawa-mixing"]
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    if where == "out-dir-under-a-file":
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "x"  # NotADirectoryError when it is made
+    else:
+        out_dir = tmp_path / "out"
+        (out_dir / cfg["outputs"]["csv"]).mkdir(parents=True)  # IsADirectoryError on the write
+    argv = ["demo", "yukawa-mixing"] if command == "demo" else ["run", "--config", str(cfg_path)]
+    assert cli.main([*argv, "--out-dir", str(out_dir)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("output error: ") and out.err.count("\n") == 1
+    assert out.out == ""
+
+
 def test_cli_dimension_cap_exit_code(tmp_path, capsys):
     big = tmp_path / "big.json"
     for m in (11, 10**200):  # the caps build the basis, which refuses both before any scale

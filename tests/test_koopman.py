@@ -154,9 +154,16 @@ def test_kick_spreads_single_row_and_raises_entropy():
 
 def test_kick_off_grid_mass_loss_is_caught():
     rho = single_p_row_density(GRID, p0=3.0)  # near the p boundary
-    with pytest.raises(StateValidationError):
-        # p -> p + 1 overshoots the top of the grid and the mass defect trips
+    # p -> p + 1 overshoots the top of the grid and the mass defect trips
+    with pytest.raises(StateValidationError,
+                       match=r"^the kick of strength 1.0 carried mass 1 past the p grid \(mass is 0"):
         apply_kick(rho, lambda q: -np.ones_like(q), 1.0)
+    # a Gaussian whose upper tail the kick pushes past the top edge
+    grid = PhaseSpaceGrid(nq=32, n_p=32, dq=2 * np.pi / 32, dp=0.2)
+    rho = gaussian_density(grid, q0=np.pi, p0=2.6, sigma_q=0.7, sigma_p=0.4)
+    with pytest.raises(StateValidationError, match=r"^the kick of strength 0.5 carried mass "
+                       r"0.0718 past the p grid \(mass is 0.928185"):
+        apply_kick(rho, kick_gradient("cos"), 0.5)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -444,9 +451,10 @@ def test_reduce_sums_the_window_bit_for_bit_at_both_p_edges(edge, width):
     values = np.zeros((grid.nq, grid.n_p))
     values[:, lo : lo + width] = np.random.default_rng(width).exponential(size=(grid.nq, width))
     rho = density_from_values(grid, values)
+    assert rho._span == (lo, lo + width)  # a caller's array: exact, from one scan
     for t in (0.0, 0.1, 1.7, 3.0):
         flowed = classical_free_flow(rho, t)
-        assert flowed._span == flowed._window == (lo, lo + width)
+        assert flowed._span == (lo, lo + width)
         _assert_same_bits(classical_reduce(flowed).density, _oracle_reduce(flowed))
 
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lelab import harness
+from lelab import harness, koopman
 from lelab.basis import build_basis, build_basis_1d
 from lelab.config import validate_config
-from lelab.dynamics import Propagator, build_hamiltonian, evolve
+from lelab.dynamics import Propagator, build_hamiltonian, commutator_superoperator, evolve
 from lelab.errors import StateValidationError
 from lelab.reduction import (
     RANK_TOL,
@@ -494,3 +494,36 @@ def test_pure_initial_state_keeps_global_entropy_zero():
     for row in entropy_trace(rho0, h, np.linspace(0.0, 2.0, 5), BASIS):
         assert abs(row.global_entropy) <= 1e-8
         assert row.purity == pytest.approx(1.0, abs=1e-10)
+
+
+def _array_holders():
+    """One fresh instance of every frozen value type that holds arrays."""
+    rng = np.random.default_rng(8)
+    rho = random_effectively_pure_state(BASIS, rng)
+    h = build_hamiltonian(BASIS, 0.2, 1.0)
+    grid = koopman.PhaseSpaceGrid(nq=8, n_p=8, dq=2 * np.pi / 8, dp=0.5)
+    density = koopman.gaussian_density(grid, q0=1.0, p0=0.5, sigma_q=0.7, sigma_p=0.6)
+    alpha = alpha_decompose(rho.matrix, BASIS)
+    return {
+        "MomentumBasis": build_basis(1, 1.0),
+        "ShellTable": build_basis(1, 1.0).shells,
+        "DensityMatrix": random_density_matrix(4, rng),
+        "PureState": random_pure_state(4, rng),
+        "Propagator": h.propagator,
+        "Superoperator": commutator_superoperator(np.eye(2)),
+        "AlphaDecomposition": alpha,
+        "_Components": alpha.components,
+        "ShellDecomposition": reduce(rho, BASIS),
+        "TraceRow": entropy_trace(rho, h, [0.0], BASIS)[0],
+        "PhaseSpaceDensity": density,
+        "BetaMarginal": koopman.classical_reduce(density),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_holders()))
+def test_value_types_holding_arrays_compare_by_identity(name):
+    # elementwise == on their arrays used to make == raise ValueError
+    x, y = _array_holders()[name], _array_holders()[name]
+    assert type(x).__name__ == name and x is not y
+    assert x == x and not x != x
+    assert x != y and not x == y
