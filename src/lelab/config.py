@@ -30,9 +30,13 @@ from . import koopman, states
 from .basis import MomentumBasis, build_basis, build_basis_1d
 from .errors import ConfigError, DimensionCapError, StateValidationError
 
-# A classical run holds about four float64 grids at once (32 B per cell:
-# peak RSS 63 MB at 1024^2 and 159 MB at 2048^2, measured), so this cap of
-# 2048^2 cells bounds it near 0.16 GB.
+# A classical run holds about four densities at once (the two anchors, the
+# last row's state and the one being built), each only its support window:
+# nq x w float64 cells, w the p columns the kick spreads a row over.  Peak RSS
+# measured, of which 28 MB is Python with numpy and lelab: 33 MB at 1024^2 and
+# 40 MB at 2048^2 for a 0.3 kick (w about n_p / 10), 121 MB at 2048^2 for a 3.0
+# kick that spreads a row over most of the grid.  Whole-grid windows take
+# 32 B per cell, so this cap of 2048^2 cells bounds a run near 0.16 GB.
 MAX_GRID_CELLS = 1 << 22
 # Each step is one row in memory and in the CSV.  A quantum run holds its rows
 # and their string cells at once, 62-79 B per cell (measured), so the 93

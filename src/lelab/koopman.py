@@ -16,26 +16,31 @@ flow also keeps the p-marginal.  Each kernel copies its integer shifts
 into small work blocks with at most two slices per row and blends with
 whole-array numpy, doing per element exactly the arithmetic of a
 one-row-at-a-time ``np.roll`` scheme, so the output is bit-identical
-to that scheme.  They work only on the density's support span, the p
-columns outside which it holds only +0.0: for a caller's array, the
-columns from the first to the last holding any bit other than +0.0 (so
--0.0 counts), found by one scan at construction; for a kernel's output,
-the columns the kernel wrote, which it knows without a scan.  Outside
-the span that arithmetic yields the +0.0 the fresh output holds, and a
-column holding only +0.0 inside it yields +0.0 too, so the output does
-not depend on how tight the span is.  The kernels hand their output to
-``PhaseSpaceDensity`` uncopied, through the same checks as a caller's
-(copied) array.
+to that scheme.
+
+A density holds only its support window: the p columns [lo, hi) from
+the first to the last holding any bit other than +0.0 (so -0.0
+counts), as a C-ordered nq x (hi - lo) array; every cell outside it is
++0.0.  A caller's full array is scanned once for that span and only its
+window is copied.  The kernels read their input's window and allocate
+and write only their output's, the columns that can hold mass, and
+trim it to its exact span by testing its edge columns.  Outside the span
+the per-row arithmetic yields +0.0, and a column of +0.0 inside it comes
+out +0.0 too, so the outputs match the full-grid scheme.  The window
+goes through the same nonnegativity and unit-mass checks as a caller's,
+and ``mass`` is its sum, so it does not depend on how the density was
+made.  The full grid, ``values``, is formed only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import StateValidationError
+from .states import _DenseOnDemand
 
 MASS_TOL = 1e-8
 # Cells per work block of the transport kernels (512 KiB of float64).
@@ -77,53 +82,79 @@ class PhaseSpaceGrid:
         return self.dp / 2
 
 
+def _full_grid(rho: PhaseSpaceDensity) -> np.ndarray:
+    """The nq x n_p grid of ``rho``: its window, +0.0 elsewhere."""
+    g = rho.grid
+    lo, hi = rho._span
+    v = np.zeros((g.nq, g.n_p))
+    v[:, lo:hi] = rho._window
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseSpaceDensity:
-    """Nonnegative unit-mass grid function; values[i, j] sits at (q_i, p_j),
-    a read-only C-ordered copy of the array given."""
+    """Nonnegative unit-mass grid function; values[i, j] sits at (q_i, p_j).
+
+    Built from a caller's nq x n_p array, which is scanned once for its
+    support span ``_span`` = [lo, hi), the p columns from the first to the
+    last holding any bit other than +0.0; only that window is copied and
+    kept, as ``_window``, read-only and C-ordered.  ``values``, the full
+    grid, is formed on first read and kept read-only.
+    """
 
     grid: PhaseSpaceGrid
-    values: np.ndarray
+    # repr would read the field and so build the full grid
+    values: np.ndarray = field(default=_DenseOnDemand(_full_grid), repr=False)
 
     def __post_init__(self):
-        if np.iscomplexobj(self.values):
+        v = self.__dict__["_values"]
+        if v is None:
+            raise TypeError("PhaseSpaceDensity needs its values")
+        if np.iscomplexobj(v):
             raise StateValidationError("values must be real, got a complex array")
-        self._take(np.array(self.values, dtype=float, order="C"))
-
-    def _take(self, v: np.ndarray, span: tuple[int, int] | None = None) -> None:
-        """Validate ``v`` and keep it, uncopied, as ``values``, with its
-        support span ``_span``: [lo, hi) of p columns outside which ``v``
-        holds only +0.0.  A kernel passes the span it wrote; otherwise the
-        columns from the first to the last holding any bit other than +0.0
-        are found by one scan."""
+        v = np.asarray(v, dtype=float)
         g = self.grid
         if v.shape != (g.nq, g.n_p):
             raise StateValidationError(f"values must be {g.nq}x{g.n_p}, got {v.shape}")
-        if not v.min() >= 0:  # written so that NaN fails too
-            raise StateValidationError(f"density must be nonnegative, min is {v.min():.3e}")
-        m = v.sum() * g.dq * g.dp
+        cols = np.flatnonzero(v.view(np.int64).any(axis=0))
+        lo, hi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+        self._take(np.array(v[:, lo:hi], order="C"), lo)
+
+    def _take(self, w: np.ndarray, lo: int) -> None:
+        """Keep ``w``, a fresh C-ordered window of p columns lo, lo + 1, ...
+        that no one else holds, trimmed to its exact span, after checking it:
+        StateValidationError unless it is nonnegative with unit mass."""
+        bits = w.view(np.int64)
+        a, b = 0, w.shape[1]
+        while a < b and not bits[:, a].any():
+            a += 1
+        while b > a and not bits[:, b - 1].any():
+            b -= 1
+        if (a, b) != (0, w.shape[1]):
+            w = np.ascontiguousarray(w[:, a:b])
+        g = self.grid
+        if w.size and not w.min() >= 0:  # written so that NaN fails too
+            raise StateValidationError(f"density must be nonnegative, min is {w.min():.3e}")
+        m = w.sum() * g.dq * g.dp
         if not abs(m - 1.0) <= MASS_TOL:  # likewise
             raise StateValidationError(f"mass is {m}, not 1")
-        if span is None:  # unit mass: some column holds a nonzero bit
-            cols = np.flatnonzero(v.view(np.int64).any(axis=0))
-            span = int(cols[0]), int(cols[-1]) + 1
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        w.setflags(write=False)
+        self.__dict__["_values"] = None
+        object.__setattr__(self, "_window", w)
+        object.__setattr__(self, "_span", (lo + a, lo + b))
         object.__setattr__(self, "_mass", float(m))
-        object.__setattr__(self, "_span", span)
 
     @property
     def mass(self) -> float:
         return self._mass
 
 
-def _handover(grid: PhaseSpaceGrid, v: np.ndarray,
-              span: tuple[int, int] | None = None) -> PhaseSpaceDensity:
-    """A density holding ``v``, a fresh C-ordered buffer no one else holds,
-    uncopied; ``span`` as in ``PhaseSpaceDensity._take``."""
+def _handover(grid: PhaseSpaceGrid, w: np.ndarray, lo: int) -> PhaseSpaceDensity:
+    """A density holding ``w`` as in ``PhaseSpaceDensity._take``, uncopied
+    unless trimmed."""
     rho = object.__new__(PhaseSpaceDensity)
     object.__setattr__(rho, "grid", grid)
-    rho._take(v, span)
+    rho._take(w, lo)
     return rho
 
 
@@ -150,7 +181,7 @@ def density_from_values(grid: PhaseSpaceGrid, values: np.ndarray) -> PhaseSpaceD
     if total <= 0:
         raise ValueError("cannot normalize a density with no mass")
     v /= total
-    return _handover(grid, np.ascontiguousarray(v))
+    return PhaseSpaceDensity(grid, v)
 
 
 def gaussian_density(
@@ -170,9 +201,8 @@ def nearest_p_row(grid: PhaseSpaceGrid, p0: float) -> int:
 
 def single_p_row_density(grid: PhaseSpaceGrid, p0: float) -> PhaseSpaceDensity:
     """All mass on the p row nearest ``p0``, uniform in q."""
-    values = np.zeros((grid.nq, grid.n_p))
-    values[:, nearest_p_row(grid, p0)] = 1.0
-    return density_from_values(grid, values)
+    column = np.full((grid.nq, 1), 1.0 / (grid.nq * grid.dq * grid.dp))
+    return _handover(grid, column, nearest_p_row(grid, p0))
 
 
 def _blocks(rows: int, width: int) -> list[slice]:
@@ -187,27 +217,32 @@ def classical_free_flow(rho: PhaseSpaceDensity, t: float) -> PhaseSpaceDensity:
     The p row ``values[:, j]`` moves by ``offset = 2 p_j t / dq`` cells:
     with ``k = floor(offset)`` and ``w = offset - k`` it becomes
     ``(1 - w) * roll(row, k) + w * roll(row, k + 1)``.  Per block of
-    p rows of the support span, two slice copies per row put
+    p rows of the support window, two slice copies per row put
     ``roll(row, k)`` into a (rows, nq) buffer; that buffer rolled by one
     more cell is ``roll(row, k + 1)``, and the blend is done in place.
     The shift per p row is constant, so the periodic linear-interpolation
     backtrace conserves both mass and the p-marginal to machine
-    precision, and keeps the support span.  A non-finite ``t`` raises
-    ValueError.
+    precision, and keeps the support span.  A non-finite ``t``, or a
+    finite one whose offset overflows, raises ValueError.
     """
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     grid = rho.grid
     nq = grid.nq
     lo, hi = rho._span
-    out = np.zeros((nq, grid.n_p))
-    window, p, values = out[:, lo:hi], grid.p[lo:hi], rho.values[:, lo:hi]
+    with np.errstate(over="ignore"):
+        offset = 2.0 * grid.p[lo:hi] * t / grid.dq
+    if not np.isfinite(offset).all():
+        raise ValueError(f"free-flow offset 2 * p * t / dq at t = {t} must be finite, got "
+                         f"{offset[~np.isfinite(offset)][0]} cells")
+    values = rho._window
+    out = np.empty((nq, hi - lo))
     for c in _blocks(hi - lo, nq):
-        offset = 2.0 * p[c] * t / grid.dq
-        # k stays a float so that any finite t is exact (an int64 overflows
-        # past 2**63 cells); + 0.0 turns floor(-0.0) into the +0 of an integer.
-        k = np.floor(offset) + 0.0
-        w = (offset - k)[:, None]
+        # k stays a float so that any finite offset is exact (an int64
+        # overflows past 2**63 cells); + 0.0 turns floor(-0.0) into the +0 of
+        # an integer.
+        k = np.floor(offset[c]) + 0.0
+        w = (offset[c] - k)[:, None]
         a = np.empty((len(w), nq))
         for dst, src, s in zip(a, values[:, c].T, (k % nq).astype(np.int64).tolist()):
             dst[s:] = src[: nq - s]
@@ -216,8 +251,8 @@ def classical_free_flow(rho: PhaseSpaceDensity, t: float) -> PhaseSpaceDensity:
         a *= 1.0 - w
         b *= w
         a += b
-        window[:, c] = a.T
-    return _handover(grid, out, (lo, hi))
+        out[:, c] = a.T
+    return _handover(grid, out, lo)
 
 
 def apply_kick(
@@ -229,11 +264,11 @@ def apply_kick(
     ``offset = strength * V'(q_i) / dp`` cells: with ``k = floor(offset)``
     and ``w = offset - k``, cell j gets ``(1 - w) * c[j + k] +
     w * c[j + k + 1]``, zero where the index leaves the grid.  Only cells
-    that read the support span [lo, hi) can be nonzero, so the output
-    span is [lo - max k - 1, hi - min k) clipped to the grid.  For each
-    block of q columns, one slice copy per column fills a
-    (columns, window + 1) buffer whose first and last ``window`` entries
-    per q are the two shifted columns.
+    that read the support span [lo, hi) can be nonzero, so only the output
+    window [lo - max k - 1, hi - min k), clipped to the grid, is
+    allocated and written.  For each block of q columns, one slice copy
+    per column fills a (columns, window + 1) buffer whose first and last
+    ``window`` entries per q are the two shifted columns.
 
     The backtraced p must stay on the grid; mass pushed past the p
     boundary is dropped, and the resulting mass defect trips the
@@ -253,21 +288,20 @@ def apply_kick(
     lo, hi = rho._span
     out_lo = max(0, lo - int(k.max()) - 1)
     n = max(0, min(grid.n_p, hi - int(k.min())) - out_lo)
-    out = np.zeros((grid.nq, grid.n_p))
-    window = out[:, out_lo : out_lo + n]
+    out = np.empty((grid.nq, n))
     for r in _blocks(grid.nq, n + 1):
         e = np.zeros((len(w[r]), n + 1))
-        for dst, src, s in zip(e, rho.values[r], (k[r] + out_lo).tolist()):
-            # dst[x] = src[x + s], read only inside the support span
+        for dst, src, s in zip(e, rho._window[r], (k[r] + out_lo).tolist()):
+            # dst[x] = values[i, x + s], read only inside the support span
             x0, x1 = max(0, lo - s), min(n + 1, hi - s)
             if x0 < x1:
-                dst[x0:x1] = src[x0 + s : x1 + s]
-        np.multiply(e[:, 1:], w[r], out=window[r])
+                dst[x0:x1] = src[x0 + s - lo : x1 + s - lo]
+        np.multiply(e[:, 1:], w[r], out=out[r])
         a = e[:, :n]
         a *= 1.0 - w[r]
-        window[r] += a
+        out[r] += a
     try:
-        return _handover(grid, out, (out_lo, out_lo + n))
+        return _handover(grid, out, out_lo)
     except StateValidationError as err:  # a kick keeps values >= 0: only mass is lost
         lost = rho.mass - out.sum() * grid.dq * grid.dp
         raise StateValidationError(
@@ -334,17 +368,16 @@ def classical_reduce(rho: PhaseSpaceDensity) -> BetaMarginal:
     At fixed p the xi integral is proportional to the q integral, so this
     is the p-marginal with the normalization restored explicitly.
 
-    Only the columns of the support span ``_span`` are summed; the other
-    columns hold +0.0 and sum to it.  numpy sums each column of a span of
-    two or more columns row by row, as it does on the whole grid, but a
-    lone column pairwise, so a one-column span takes a neighbour along:
-    the result is bit for bit ``values.sum(axis=0)``.
+    Only the window is summed; the other columns hold +0.0 and sum to it.
+    numpy sums each column of a window of two or more columns row by row,
+    as it does on the whole grid, but a lone column pairwise, so that one
+    is accumulated in order: the result is bit for bit
+    ``values.sum(axis=0)``.
     """
     lo, hi = rho._span
-    if hi - lo == 1:
-        lo, hi = (lo, hi + 1) if hi < rho.grid.n_p else (lo - 1, hi)
+    w = rho._window
     g = np.zeros(rho.grid.n_p)
-    g[lo:hi] = rho.values[:, lo:hi].sum(axis=0)
+    g[lo:hi] = w.sum(axis=0) if hi - lo > 1 else np.add.accumulate(w[:, 0])[-1]
     g *= rho.grid.dq
     total = g.sum() * rho.grid.dp
     return BetaMarginal(p=rho.grid.p.copy(), density=g / total, dp=rho.grid.dp)

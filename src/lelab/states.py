@@ -107,23 +107,31 @@ def _certified_factor(m: np.ndarray) -> np.ndarray | None:
 
 
 class _DenseOnDemand:
-    """The ``matrix`` field of DensityMatrix: the matrix it was given, or else
-    B B^dagger of its factor, formed on first read and kept read-only."""
+    """A dataclass field holding the array it was given, or else
+    ``build(instance)``, formed on first read and kept read-only: the
+    ``matrix`` of DensityMatrix and the ``values`` of
+    ``koopman.PhaseSpaceDensity``.  The array lives in the instance's
+    ``__dict__`` under the field's name with a leading underscore."""
 
-    def __get__(self, rho, owner=None):
-        if rho is None:
+    def __init__(self, build):
+        self._build = build
+
+    def __set_name__(self, owner, name):
+        self._key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
             return self
-        m = rho.__dict__["_matrix"]
+        m = obj.__dict__[self._key]
         if m is None:
-            b = rho.factor
-            m = b @ b.conj().T
+            m = self._build(obj)
             m.setflags(write=False)
-            rho.__dict__["_matrix"] = m
+            obj.__dict__[self._key] = m
         return m
 
-    def __set__(self, rho, m):  # reached only from __init__ and __post_init__
-        # __init__ passes the field's default, this descriptor, when no matrix is given
-        rho.__dict__["_matrix"] = None if m is self else m
+    def __set__(self, obj, m):  # reached only from __init__ and __post_init__
+        # __init__ passes the field's default, this descriptor, when no array is given
+        obj.__dict__[self._key] = None if m is self else m
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +153,8 @@ class DensityMatrix:
     """
 
     # repr would read the field and so build the dense matrix
-    matrix: np.ndarray | None = field(default=_DenseOnDemand(), repr=False)
+    matrix: np.ndarray | None = field(
+        default=_DenseOnDemand(lambda rho: rho.factor @ rho.factor.conj().T), repr=False)
     factor: np.ndarray | None = None
 
     def __post_init__(self):

@@ -289,8 +289,9 @@ def test_cli_run_and_demo(tmp_path, capsys):
 
 
 def test_classical_demo_csv_matches_golden_bytes(tmp_path):
-    # tests/data/classical-kick.csv is the demo output of the per-column
-    # transport kernels that the whole-array kernels replaced
+    # tests/data/classical-kick.csv is the demo output: its t and S_classical
+    # are those of the per-column transport kernels that the whole-array
+    # kernels replaced, its mass the sums over the support windows
     golden = Path(__file__).parent / "data" / "classical-kick.csv"
     assert cli.main(["demo", "classical-kick", "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "classical-kick.csv").read_bytes() == golden.read_bytes()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,21 @@ def test_kick_refuses_a_non_finite_offset(grad_v, strength):
         apply_kick(rho, grad_v, strength)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p0", [1.0, -1.0])
+def test_free_flow_refuses_an_overflowing_offset(p0):
+    # used to warn "invalid value encountered in remainder" and end in
+    # "density must be nonnegative, min is nan"
+    grid = PhaseSpaceGrid(nq=8, n_p=8, dq=np.pi / 4, dp=0.5)
+    rho = single_p_row_density(grid, p0=p0)
+    sign = "" if p0 > 0 else "-"
+    with pytest.raises(ValueError, match=r"^free-flow offset 2 \* p \* t / dq at t = 1\.7e\+308 "
+                       f"must be finite, got {sign}inf cells"):
+        classical_free_flow(rho, 1.7e308)
+    # a huge time whose offsets stay finite still flows
+    assert classical_free_flow(rho, 1e307).mass == rho.mass
+
+
 def test_density_refuses_complex_values():
     # the imaginary part used to be dropped with only a ComplexWarning
     ok = np.full((GRID.nq, GRID.n_p), 1.0 / (GRID.nq * GRID.n_p * GRID.dq * GRID.dp))
@@ -368,14 +384,23 @@ def _flow_times(grid):
     return (0.0, -0.0, 0.37, t_wrap, -t_wrap, 1e18)
 
 
+def _exact_span(values):
+    """[first, last + 1) of the p columns holding any bit other than +0.0."""
+    cols = np.flatnonzero(values.view(np.int64).any(axis=0))
+    return int(cols[0]), int(cols[-1]) + 1
+
+
 def _assert_flows_match_oracle(rho):
     for t in _flow_times(rho.grid):
-        _assert_same_bits(classical_free_flow(rho, t).values, _oracle_free_flow(rho, t))
+        flowed = classical_free_flow(rho, t)
+        _assert_same_bits(flowed.values, _oracle_free_flow(rho, t))
+        assert flowed._span == _exact_span(flowed.values)
 
 
 def _assert_kick_matches_oracle(rho, grad_v, strength):
     kicked = apply_kick(rho, grad_v, strength)
     _assert_same_bits(kicked.values, _oracle_kick(rho, grad_v, strength))
+    assert kicked._span == _exact_span(kicked.values)  # the kick's window, trimmed
     return kicked
 
 
@@ -503,7 +528,44 @@ def test_every_kernel_output_is_read_only_and_c_ordered():
     )
     for rho in outputs:
         assert rho.values.flags.c_contiguous and not rho.values.flags.writeable
-        assert rho.mass == float(rho.values.sum() * GRID.dq * GRID.dp)
+        assert rho._window.flags.c_contiguous and not rho._window.flags.writeable
+        # mass is the sum over the window of the exact span, however the
+        # density was made
+        lo, hi = rho._span
+        assert (lo, hi) == _exact_span(rho.values)
+        _assert_same_bits(rho._window, rho.values[:, lo:hi])
+        assert rho.mass == float(rho._window.sum() * GRID.dq * GRID.dp)
+        again = PhaseSpaceDensity(GRID, rho.values)
+        assert again._span == (lo, hi) and again.mass == rho.mass
+
+
+def test_a_run_forms_no_full_grid_until_values_is_read():
+    # the classical-kick benchmark's path at 1024^2: a one-column start,
+    # 97 columns after the kick
+    n = 1024
+    grid = PhaseSpaceGrid(nq=n, n_p=n, dq=2 * np.pi / n, dp=6.4 / n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        row = single_p_row_density(grid, p0=0.83)
+        kicked = apply_kick(classical_free_flow(row, 1.0), kick_gradient("cos"), 0.3)
+        rho = classical_free_flow(kicked, 1.0)
+        marginal = classical_reduce(rho)
+        assert "values" not in repr(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8  # one float64 grid is 8 MB
+    assert row._span[1] - row._span[0] == 1 and rho._span[1] - rho._span[0] < n // 8
+    v = rho.values
+    assert v is rho.values and not v.flags.writeable and v.flags.c_contiguous
+    assert v.shape == (n, n)
+    lo, hi = rho._span
+    _assert_same_bits(v[:, lo:hi], rho._window)
+    assert not v[:, :lo].view(np.int64).any() and not v[:, hi:].view(np.int64).any()
+    _assert_same_bits(marginal.density, _oracle_reduce(rho))
+    with pytest.raises(AttributeError):
+        rho.values = v
 
 
 def test_run_writes_the_same_csv_bytes_with_the_oracle_kernels(tmp_path, monkeypatch):
