@@ -8,10 +8,9 @@ form an energy shell, so the shell partition is exact bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .errors import DimensionCapError
 
 # Point caps, one per lattice.  A cubic run holds H as its eight sign-flip
@@ -27,7 +26,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ShellTable:
     """Distinct energies in ascending order with their member point indices."""
 
@@ -43,7 +42,7 @@ class ShellTable:
         return len(self.energies)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class MomentumBasis:
     """Ordered momentum lattice with per-point energies and shell assignment.
 

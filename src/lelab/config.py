@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import koopman, states
+from ._record import record
 from .basis import MomentumBasis, build_basis, build_basis_1d
 from .errors import ConfigError, DimensionCapError, StateValidationError
 
@@ -50,7 +50,7 @@ CLASSICAL_STATE_KINDS = ("single-p-row",)
 KICK_SHAPES = ("cos", "sin")
 
 
-@dataclass(frozen=True)
+@record(by_value=True)
 class CubicLattice:
     """Cubic momentum lattice {-M..M}^3 with spacing delta_k."""
 
@@ -58,7 +58,7 @@ class CubicLattice:
     delta_k: float
 
 
-@dataclass(frozen=True)
+@record(by_value=True)
 class LineLattice:
     """1D lattice n = 1..N (all squared norms distinct)."""
 
@@ -76,20 +76,20 @@ def quantum_basis(lattice: CubicLattice | LineLattice) -> MomentumBasis:
     return build_basis_1d(lattice.n_points, lattice.delta_k)
 
 
-@dataclass(frozen=True)
+@record(by_value=True)
 class YukawaConfig:
     coupling: float
     screening: float
 
 
-@dataclass(frozen=True)
+@record(by_value=True)
 class KickConfig:
     strength: float
     shape: str
     time: float
 
 
-@dataclass(frozen=True)
+@record(by_value=True)
 class InitialStateConfig:
     kind: str
     seed: int | None = None
@@ -99,7 +99,7 @@ class InitialStateConfig:
     p0: float | None = None
 
 
-@dataclass(frozen=True)
+@record(by_value=True)
 class TimeGridConfig:
     t_max: float
     steps: int
@@ -109,13 +109,13 @@ class TimeGridConfig:
         return np.linspace(0.0, self.t_max, self.steps + 1)
 
 
-@dataclass(frozen=True)
+@record(by_value=True)
 class OutputsConfig:
     csv: str = "trace.csv"
     summary: str = "summary.json"
 
 
-@dataclass(frozen=True)
+@record(by_value=True, hide=("echo",))
 class ExperimentConfig:
     mode: str
     lattice: CubicLattice | LineLattice | ClassicalGrid
@@ -123,7 +123,7 @@ class ExperimentConfig:
     initial_state: InitialStateConfig
     time_grid: TimeGridConfig
     outputs: OutputsConfig
-    echo: dict = field(repr=False)
+    echo: dict
 
 
 def _is_number(v) -> bool:

@@ -25,12 +25,12 @@ block and P = I.  Every H goes through the same blocked code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from ._record import record
 from .basis import MomentumBasis, bohr_labels
 from .errors import DimensionCapError
 from .states import HERMITICITY_TOL, DensityMatrix
@@ -259,7 +259,7 @@ def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -
     return Hamiltonian._from_blocks(basis.energies, tuple(blocks), orbits, dense_v)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Propagator:
     """H = P blockdiag(Q_b diag(w_b) Q_b^dagger) P^T; no other code reads the
     pairs (w_b, Q_b).  ``unitary`` is the tests' U(t)."""
@@ -335,7 +335,7 @@ def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
     return h.propagator.evolve(rho, t)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Superoperator:
     """dim^2 x dim^2 matrix acting on row-major vectorized dim x dim matrices."""
 

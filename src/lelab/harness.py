@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, koopman, reduction, states
+from ._record import asdict, record
 from .basis import MomentumBasis, build_basis, build_basis_1d
 from .config import ExperimentConfig, LineLattice, quantum_basis, validate_config
 from .errors import ConfigError, InvariantViolation
@@ -44,7 +44,7 @@ def _fmt(x: float) -> str:
     return repr(float(x) + 0.0)  # + 0.0 normalizes -0.0
 
 
-@dataclass(frozen=True)
+@record(by_value=True)
 class RunSummary:
     """Run outcome; identical across reruns except for wall_time_s.  A final
     value is None where the mode has none, or when no row ran."""

@@ -34,20 +34,19 @@ made.  The full grid, ``values``, is formed only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from ._record import _DenseOnDemand, record
 from .errors import StateValidationError
-from .states import _DenseOnDemand
 
 MASS_TOL = 1e-8
 # Cells per work block of the transport kernels (512 KiB of float64).
 _BLOCK_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
+@record(by_value=True)
 class PhaseSpaceGrid:
     """Periodic q cells crossed with an even, half-offset p grid."""
 
@@ -91,7 +90,7 @@ def _full_grid(rho: PhaseSpaceDensity) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PhaseSpaceDensity:
     """Nonnegative unit-mass grid function; values[i, j] sits at (q_i, p_j).
 
@@ -99,12 +98,12 @@ class PhaseSpaceDensity:
     support span ``_span`` = [lo, hi), the p columns from the first to the
     last holding any bit other than +0.0; only that window is copied and
     kept, as ``_window``, read-only and C-ordered.  ``values``, the full
-    grid, is formed on first read and kept read-only.
+    grid, is a ``_DenseOnDemand`` field: formed on first read, kept
+    read-only, and not read by ``repr``.
     """
 
     grid: PhaseSpaceGrid
-    # repr would read the field and so build the full grid
-    values: np.ndarray = field(default=_DenseOnDemand(_full_grid), repr=False)
+    values: np.ndarray = _DenseOnDemand(_full_grid)
 
     def __post_init__(self):
         v = self.__dict__["_values"]
@@ -158,7 +157,7 @@ def _handover(grid: PhaseSpaceGrid, w: np.ndarray, lo: int) -> PhaseSpaceDensity
     return rho
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class BetaMarginal:
     """Unit-mass density over beta = p."""
 
@@ -273,8 +272,9 @@ def apply_kick(
     The backtraced p must stay on the grid; mass pushed past the p
     boundary is dropped, and the resulting mass defect trips the
     unit-mass validation: StateValidationError names the kick's strength
-    and the mass it carried off.  Choose the grid wide enough for the kick.
-    A non-finite ``strength`` or offset raises ValueError.
+    and the mass it carried off, also for a finite offset past the int64
+    range.  Choose the grid wide enough for the kick.  A non-finite
+    ``strength`` or offset raises ValueError.
     """
     if not np.isfinite(strength):
         raise ValueError(f"strength must be finite, got {strength}")
@@ -283,6 +283,10 @@ def apply_kick(
     if not np.isfinite(offset).all():
         raise ValueError("kick offset strength * V'(q) / dp must be finite, got "
                          f"{offset[~np.isfinite(offset)][0]} cells")
+    # A shift of n_p + 1 cells either way reads only zero fill, as does any
+    # longer one, so clipping changes no output bit and keeps the int64 cast
+    # in range.
+    offset = np.clip(offset, -(grid.n_p + 1), grid.n_p + 1)
     k = np.floor(offset).astype(np.int64)
     w = (offset - k)[:, None]
     lo, hi = rho._span

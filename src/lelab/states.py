@@ -5,11 +5,11 @@ Validation tolerances are fixed so that test oracles are unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from ._record import _DenseOnDemand, record
 from .basis import MomentumBasis
 from .errors import StateValidationError
 
@@ -106,35 +106,7 @@ def _certified_factor(m: np.ndarray) -> np.ndarray | None:
     return b / np.linalg.norm(b)
 
 
-class _DenseOnDemand:
-    """A dataclass field holding the array it was given, or else
-    ``build(instance)``, formed on first read and kept read-only: the
-    ``matrix`` of DensityMatrix and the ``values`` of
-    ``koopman.PhaseSpaceDensity``.  The array lives in the instance's
-    ``__dict__`` under the field's name with a leading underscore."""
-
-    def __init__(self, build):
-        self._build = build
-
-    def __set_name__(self, owner, name):
-        self._key = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        m = obj.__dict__[self._key]
-        if m is None:
-            m = self._build(obj)
-            m.setflags(write=False)
-            obj.__dict__[self._key] = m
-        return m
-
-    def __set__(self, obj, m):  # reached only from __init__ and __post_init__
-        # __init__ passes the field's default, this descriptor, when no array is given
-        obj.__dict__[self._key] = None if m is self else m
-
-
-@dataclass(frozen=True, eq=False)
+@record
 class DensityMatrix:
     """Complex Hermitian, unit-trace, positive-semidefinite matrix with its
     n x r factor B, ``matrix = B B^dagger``.
@@ -147,14 +119,13 @@ class DensityMatrix:
     ``eigh`` gives the factor (``_psd_factor``: one column per positive
     eigenvalue) or refuses it as not PSD.  A given factor is Hermitian and
     PSD by construction, so only its trace ||B||_F^2 is checked, and no
-    n x n array is formed: ``matrix`` is then built on first read.
+    n x n array is formed: ``matrix``, a ``_DenseOnDemand`` field, is then
+    built on first read, and ``repr`` does not read it.
     ``Propagator.evolve``, ``entropy_trace`` and the global statistics work
     on the factor.
     """
 
-    # repr would read the field and so build the dense matrix
-    matrix: np.ndarray | None = field(
-        default=_DenseOnDemand(lambda rho: rho.factor @ rho.factor.conj().T), repr=False)
+    matrix: np.ndarray | None = _DenseOnDemand(lambda rho: rho.factor @ rho.factor.conj().T)
     factor: np.ndarray | None = None
 
     def __post_init__(self):
@@ -183,7 +154,7 @@ class DensityMatrix:
         return self.factor.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PureState:
     """Unit-norm complex amplitude vector."""
 

@@ -23,7 +23,6 @@ intended change of outcome.
 import copy
 import json
 import sys
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -223,9 +222,10 @@ CLASS_NAMES = {v: k for k, v in vars(config).items() if isinstance(v, type)}
 
 
 def _encode(x):
-    if is_dataclass(x):
+    names = getattr(type(x), "_fields", None)  # a record's fields, in order
+    if names is not None:
         return {"class": CLASS_NAMES[type(x)],
-                "fields": {f.name: _encode(getattr(x, f.name)) for f in fields(x)}}
+                "fields": {name: _encode(getattr(x, name)) for name in names}}
     if isinstance(x, tuple):
         return [_encode(v) for v in x]
     return x

@@ -461,6 +461,21 @@ def test_a_quantum_run_forms_no_dense_state(tmp_path, state):
     assert peak < n * n * 16
 
 
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses writes and compiles each class's methods at import, about
+    # 0.75 ms a class: most of what importing lelab.cli used to cost
+    code = ("import json, sys\n"
+            "import numpy\n"
+            "before = set(sys.modules)\n"
+            "import lelab.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    src = str(Path(harness.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    added = json.loads(done.stdout.splitlines()[-1])
+    assert "lelab.cli" in added and "dataclasses" not in added
+
+
 def test_a_quantum_run_never_imports_numpy_ma(tmp_path):
     # numpy 2.4's np.unique imports numpy.ma; the run groups without it
     cfg_path = tmp_path / "run.json"

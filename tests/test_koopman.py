@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -365,6 +366,25 @@ def test_kick_matches_per_column_oracle_bit_for_bit(nq, n_p, shape):
         _assert_same_bits(
             apply_kick(rho, grad_v, strength).values, _oracle_kick(rho, grad_v, strength)
         )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("strength", [1e300, -1e300])
+def test_kick_past_the_int64_range_is_refused_as_lost_mass(strength):
+    # used to warn "invalid value encountered in cast" and then raise
+    # OverflowError: the offsets are finite but beyond 2**63 cells
+    grid = PhaseSpaceGrid(nq=8, n_p=8, dq=np.pi / 4, dp=0.5)
+    rho = single_p_row_density(grid, p0=0.25)
+    message = f"the kick of strength {strength} carried mass 1 past the p grid (mass is 0"
+    with pytest.raises(StateValidationError, match="^" + re.escape(message)):
+        apply_kick(rho, kick_gradient("sin"), strength)
+    # q columns that hold no mass may move that far too: the rest still
+    # match the per-column oracle bit for bit
+    values = np.zeros((grid.nq, grid.n_p))
+    values[: grid.nq // 2, 3:5] = 1.0
+    rho = density_from_values(grid, values)
+    grad_v = lambda q: np.where(q < np.pi, 0.0, 1.0)
+    _assert_same_bits(apply_kick(rho, grad_v, strength).values, _oracle_kick(rho, grad_v, strength))
 
 
 def test_kick_past_the_grid_edge_is_caught_on_a_random_density():

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lelab import harness, koopman
+from lelab import config, harness, koopman
+from lelab._record import _DenseOnDemand
 from lelab.basis import build_basis, build_basis_1d
 from lelab.config import validate_config
 from lelab.dynamics import Propagator, build_hamiltonian, commutator_superoperator, evolve
@@ -527,3 +529,72 @@ def test_value_types_holding_arrays_compare_by_identity(name):
     assert type(x).__name__ == name and x is not y
     assert x == x and not x != x
     assert x != y and not x == y
+
+
+def _value_records():
+    """One fresh instance of every frozen value type compared by value."""
+    quantum, classical = harness.demo_config("yukawa-mixing"), harness.demo_config("classical-kick")
+    return {
+        "CubicLattice": quantum.lattice,
+        "LineLattice": config.LineLattice(n_points=4, delta_k=0.5),
+        "PhaseSpaceGrid": classical.lattice,
+        "YukawaConfig": quantum.potential,
+        "KickConfig": classical.potential,
+        "InitialStateConfig": quantum.initial_state,
+        "TimeGridConfig": quantum.time_grid,
+        "OutputsConfig": quantum.outputs,
+        "ExperimentConfig": quantum,
+        "RunSummary": harness.RunSummary(mode="quantum", config=quantum.echo, csv_path="t.csv",
+                                         wall_time_s=0.5, invariant_checks={"check": True}),
+    }
+
+
+def _records():
+    """One fresh instance of each of the 22 frozen value types, with every
+    array a ``_DenseOnDemand`` field would build still unbuilt."""
+    factored = pure_to_density(random_pure_state(4, np.random.default_rng(9)))
+    return {**_array_holders(), **_value_records(), "DensityMatrix": factored}
+
+
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_every_value_type_is_frozen_and_compares_as_declared(name):
+    x, y = _records()[name], _records()[name]
+    names = type(x)._fields
+    assert type(x).__name__ == name and x is not y and names
+    for field in (*names, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(x, field, None)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    # repr reads no lazy field, which would build its dense array
+    lazy = [f for f in names if isinstance(vars(type(x)).get(f), _DenseOnDemand)]
+    assert repr(x).startswith(f"{name}(") and "echo=" not in repr(x)
+    assert all(x.__dict__["_" + f] is None for f in lazy)
+    assert bool(lazy) == (name in ("DensityMatrix", "PhaseSpaceDensity"))
+    if name not in _value_records():
+        assert x == x and x != y
+        return
+    assert x == y and not x != y and x != tuple(getattr(x, f) for f in names)
+    assert type(x)(*(getattr(x, f) for f in names)) == type(x)(**{f: getattr(x, f) for f in names}) == x
+    if name in ("ExperimentConfig", "RunSummary"):  # they hold dicts
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(x)
+    else:
+        assert hash(x) == hash(y) and len({x, y}) == 1
+
+
+def test_a_value_record_equals_only_its_own_type():
+    cubic = config.CubicLattice(1, 1.0)
+    assert cubic == config.CubicLattice(extent=1, delta_k=1.0)
+    assert cubic != config.LineLattice(1, 1.0) and cubic != (1, 1.0)
+
+
+def test_a_record_takes_each_field_once_positionally_or_by_keyword():
+    assert config.InitialStateConfig("pure-random").seed is None
+    assert config.InitialStateConfig("pure-random", 3) == config.InitialStateConfig("pure-random", seed=3)
+    for args, kwargs in [((0.1,), {}), ((0.1, 1.0, 2.0), {}), ((0.1,), {"coupling": 0.2}),
+                         ((0.1, 1.0), {"bogus": 1})]:
+        message = (f"YukawaConfig() takes (coupling, screening), each once, "
+                   f"got {len(args)} positional and {sorted(kwargs)} by keyword")
+        with pytest.raises(TypeError, match="^" + re.escape(message) + "$"):
+            config.YukawaConfig(*args, **kwargs)
