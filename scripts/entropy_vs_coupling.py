@@ -14,6 +14,7 @@ import argparse
 
 import numpy as np
 
+from lelab._rng import default_rng
 from lelab.basis import build_basis
 from lelab.dynamics import build_hamiltonian
 from lelab.reduction import entropy_trace
@@ -30,7 +31,7 @@ def main():
     args = parser.parse_args()
 
     basis = build_basis(1, 1.0)
-    rho0 = random_effectively_pure_state(basis, np.random.default_rng(args.seed))
+    rho0 = random_effectively_pure_state(basis, default_rng(args.seed))
     times = np.linspace(0.0, args.t_max, args.steps + 1)
     couplings = [0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0]
 

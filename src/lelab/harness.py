@@ -18,6 +18,7 @@ import numpy as np
 
 from . import dynamics, koopman, reduction, states
 from ._record import asdict, record
+from ._rng import default_rng
 from .basis import MomentumBasis, build_basis, build_basis_1d
 from .config import ExperimentConfig, LineLattice, quantum_basis, validate_config
 from .errors import ConfigError, InvariantViolation
@@ -85,10 +86,10 @@ def build_initial_state(cfg: ExperimentConfig, basis: MomentumBasis) -> DensityM
     """
     st = cfg.initial_state
     if st.kind == "pure-random":
-        rng = np.random.default_rng(st.seed)
+        rng = default_rng(st.seed)
         return states.pure_to_density(states.random_pure_state(basis.size, rng))
     if st.kind == "effectively-pure-mixed":
-        rng = np.random.default_rng(st.seed)
+        rng = default_rng(st.seed)
         mu = None if st.mu is None else np.array(st.mu, dtype=float)
         return states.random_effectively_pure_state(basis, rng, shell_ids=st.shells, mu=mu)
     members = basis.shells.members[st.shell]  # shell-mixed: I / deg on the shell
@@ -254,7 +255,7 @@ def run_invariant_checks() -> dict:
     across evolution, reduction and the classical transport, each one a
     scaled-down version of an acceptance property.
     """
-    rng = np.random.default_rng(2024)
+    rng = default_rng(2024)
     results = {}
 
     basis = build_basis(1, 1.0)

@@ -5,7 +5,7 @@ Validation tolerances are fixed so that test oracles are unambiguous.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -20,6 +20,13 @@ NORM_TOL = 1e-12
 # Below this an eigenvalue contributes < 3e-11 to -x ln x; dropping it also
 # avoids log of roundoff negatives.
 EIGENVALUE_CLIP = 1e-12
+
+
+class NormalStream(Protocol):
+    """What the ``random_*`` states draw from: ``lelab._rng.default_rng(seed)``
+    in every lelab run, or a numpy Generator, which gives the same numbers."""
+
+    def normal(self, size: tuple[int, ...]) -> np.ndarray: ...
 
 
 def _readonly_complex(a) -> np.ndarray:
@@ -182,7 +189,7 @@ def pure_to_density(psi: PureState) -> DensityMatrix:
     return DensityMatrix(factor=psi.amplitudes[:, None])
 
 
-def _ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
+def _ginibre(rng: NormalStream, *shape: int) -> np.ndarray:
     """Complex Gaussian array: real parts drawn first, then imaginary parts."""
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
@@ -271,12 +278,13 @@ def global_purity(rho: DensityMatrix) -> float:
     return float(np.vdot(g, g).real)
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
+def random_pure_state(dim: int, rng: NormalStream) -> PureState:
+    """Unit vector along a complex Gaussian draw of ``dim`` amplitudes."""
     a = _ginibre(rng, dim)
     return PureState(a / np.linalg.norm(a))
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
+def random_density_matrix(dim: int, rng: NormalStream, rank: int | None = None) -> DensityMatrix:
     """Full-rank (or given-rank) Wishart-style random mixed state."""
     g = _ginibre(rng, dim, dim if rank is None else rank)
     m = g @ g.conj().T
@@ -285,7 +293,7 @@ def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None =
 
 def random_effectively_pure_state(
     basis: MomentumBasis,
-    rng: np.random.Generator,
+    rng: NormalStream,
     shell_ids: Sequence[int] | None = None,
     mu: np.ndarray | None = None,
 ) -> DensityMatrix:

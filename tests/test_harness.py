@@ -489,3 +489,25 @@ def test_a_quantum_run_never_imports_numpy_ma(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_seeded_runs_and_the_check_never_import_numpy_random(tmp_path):
+    # numpy.random loads mtrand, four bit generators and secrets -> hashlib
+    # -> OpenSSL; lelab._rng draws the same normals without it
+    steps = []
+    for kind in ("pure-random", "effectively-pure-mixed"):
+        cfg_path = tmp_path / f"{kind}.json"
+        cfg_path.write_text(json.dumps(dict(QUANTUM, initial_state={"kind": kind, "seed": 5})))
+        steps.append(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / kind)])
+    steps.append(["check"])
+    code = ("import json, sys\n"
+            "from lelab import cli\n"
+            "loaded = []\n"
+            f"for argv in {steps!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    loaded.append(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))\n"
+            "print(json.dumps(loaded))\n")
+    src = str(Path(harness.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], [], []]
