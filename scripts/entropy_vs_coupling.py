@@ -7,7 +7,7 @@ mixture on the M=1 momentum basis; we evolve to t_max, reduce at each grid
 time, and record the largest and the final effective entropy.  Global
 purity is carried along as a sanity column — it must stay constant.
 
-Usage: python scripts/entropy_vs_coupling.py [--out entropy_vs_coupling.csv]
+Usage: python scripts/entropy_vs_coupling.py [--steps 100] [--out entropy_vs_coupling.csv]
 """
 
 import argparse
@@ -20,26 +20,27 @@ from lelab.dynamics import build_hamiltonian
 from lelab.reduction import entropy_trace
 from lelab.states import random_effectively_pure_state
 
+SEED = 11
+T_MAX = 5.0
+SCREENING = 1.0
+COUPLINGS = [0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0]
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="entropy_vs_coupling.csv")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--t-max", type=float, default=5.0)
     parser.add_argument("--steps", type=int, default=100)
-    parser.add_argument("--screening", type=float, default=1.0)
     args = parser.parse_args()
 
     basis = build_basis(1, 1.0)
-    rho0 = random_effectively_pure_state(basis, default_rng(args.seed))
-    times = np.linspace(0.0, args.t_max, args.steps + 1)
-    couplings = [0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0]
+    rho0 = random_effectively_pure_state(basis, default_rng(SEED))
+    times = np.linspace(0.0, T_MAX, args.steps + 1)
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("A,max_S_eff,final_S_eff,purity_drift\n")
         print(f"{'A':>6} {'max S_eff':>12} {'final S_eff':>12} {'purity drift':>13}")
-        for coupling in couplings:
-            h = build_hamiltonian(basis, coupling, args.screening)
+        for coupling in COUPLINGS:
+            h = build_hamiltonian(basis, coupling, SCREENING)
             rows = entropy_trace(rho0, h, times, basis)
             s = np.array([r.effective_entropy for r in rows])
             purity = np.array([r.purity for r in rows])

@@ -9,6 +9,12 @@ arrays is elementwise.
 """
 
 
+def _frozen(a):
+    """Mark ``a`` read-only in place and return it."""
+    a.setflags(write=False)
+    return a
+
+
 class _DenseOnDemand:
     """A record field's default that holds the array it was given, or else
     ``build(instance)``, formed on first read and kept read-only (the
@@ -27,8 +33,7 @@ class _DenseOnDemand:
             return self
         m = obj.__dict__[self._key]
         if m is None:
-            m = self._build(obj)
-            m.setflags(write=False)
+            m = _frozen(self._build(obj))
             obj.__dict__[self._key] = m
         return m
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._record import record
+from ._record import _frozen, record
 from .errors import DimensionCapError
 
 # Point caps, one per lattice.  A cubic run holds H as its eight sign-flip
@@ -21,11 +21,6 @@ MAX_CUBIC_POINTS = 21**3
 MAX_LINE_POINTS = 4096
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @record
 class ShellTable:
     """Distinct energies in ascending order with their member point indices."""
@@ -33,10 +28,6 @@ class ShellTable:
     energies: np.ndarray            # (n_shells,) strictly increasing
     members: tuple[np.ndarray, ...] # per-shell point indices
     norms2: np.ndarray              # (n_shells,) integer squared norm of each shell
-
-    @property
-    def degeneracies(self) -> np.ndarray:
-        return np.array([len(m) for m in self.members])
 
     def __len__(self) -> int:
         return len(self.energies)

@@ -13,7 +13,8 @@ DimensionCapError), then the scales the run derives from finite inputs
 must be finite floats (``_check_scales``), then the cross-field rules
 run: ``initial_state.shell``, ``shells`` and ``mu`` must fit the
 lattice's shells, a classical start row and kick must stay on the p
-grid, and the output names must be two distinct plain file names.
+grid, its start density must be a float of unit mass, and the output
+names must be two distinct plain file names.
 ``harness.run`` trusts the ExperimentConfig returned here and checks
 none of this again.
 """
@@ -356,21 +357,22 @@ def _check_caps(lattice, time_grid: TimeGridConfig) -> MomentumBasis | None:
     return basis
 
 
-def _check_scales(lattice, potential, t_max: float, chk: _Collector):
+def _check_scales(lattice, basis: MomentumBasis | None, potential, t_max: float,
+                  chk: _Collector):
     """Refuse finite inputs whose derived scales overflow, naming the field of
-    the first such scale.  The scales are Python float products, which
-    overflow to inf: ``**`` would raise OverflowError and numpy would warn.
+    the first such scale; a quantum run's size n and largest energy are read
+    from ``basis``.  The scales are Python float products, which overflow to
+    inf: ``**`` would raise OverflowError and numpy would warn.
     """
-    if isinstance(lattice, ClassicalGrid):
+    if basis is None:
         scales = [("time_grid.t_max", "the largest free-flow shift 2 (np dp / 2) t_max / dq",
                    2 * (lattice.n_p * lattice.dp / 2) * t_max / lattice.dq)]
     else:
-        cubic = isinstance(lattice, CubicLattice)
-        n = (2 * lattice.extent + 1) ** 3 if cubic else lattice.n_points
+        n = basis.size
         mu = potential.screening
         mu3 = mu * mu * mu
         v_max = 4 * math.pi * potential.coupling / mu3 if mu3 > 0 else math.inf
-        e_max = (3 * lattice.extent**2 if cubic else n * n) * (lattice.delta_k * lattice.delta_k)
+        e_max = float(basis.shells.energies[-1])  # max|n|^2 delta_k^2, inf if it overflowed
         scales = [
             ("potential.mu", "the largest Yukawa element 4 pi A / mu^3", v_max),
             # |k - k'|^2 <= 4 max|k|^2 bounds every transfer build_hamiltonian forms
@@ -399,7 +401,9 @@ def _check_basis_fit(basis: MomentumBasis, st: InitialStateConfig, chk: _Collect
 
 def _check_classical_fit(grid: ClassicalGrid, potential, initial_state, t_max: float,
                          chk: _Collector):
-    """Refuse classical runs whose mass would start or be kicked off the p grid.
+    """Refuse classical runs whose mass would start or be kicked off the p grid,
+    or whose start density, built here by ``koopman.single_p_row_density``,
+    is not a float of unit mass.
 
     The free flow keeps every p row; the kick, applied when
     ``kick_time < t_max``, moves the start row by up to strength * max|V'|.
@@ -408,6 +412,14 @@ def _check_classical_fit(grid: ClassicalGrid, potential, initial_state, t_max: f
     p0 = initial_state.p0
     if abs(p0) > edge:
         chk.error("initial_state.p0", f"{p0} lies outside the p grid [{-edge:g}, {edge:g}]")
+        return
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            koopman.single_p_row_density(grid, p0)
+    except (ZeroDivisionError, StateValidationError) as err:
+        reason = "nq dq dp underflows to 0" if isinstance(err, ZeroDivisionError) else err
+        chk.error("lattice.dp",
+                  f"the start density 1 / (nq dq dp) is not a float of unit mass: {reason}")
         return
     if potential.strength == 0.0 or t_max <= potential.time:
         return
@@ -436,6 +448,8 @@ def validate_config(text: str) -> ExperimentConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError([("", f"invalid JSON: {exc}")]) from exc
+        except RecursionError:
+            raise ConfigError([("", "invalid JSON: nested too deeply to parse")]) from None
     if not isinstance(raw, dict):
         raise ConfigError([("", f"top level must be an object, got {type(raw).__name__}")])
 
@@ -453,7 +467,7 @@ def validate_config(text: str) -> ExperimentConfig:
     outputs = _parse_outputs(work, chk)
     chk.raise_if_any()
     basis = _check_caps(lattice, time_grid)
-    _check_scales(lattice, potential, time_grid.t_max, chk)
+    _check_scales(lattice, basis, potential, time_grid.t_max, chk)
     chk.raise_if_any()
     if mode == "classical":
         _check_classical_fit(lattice, potential, initial_state, time_grid.t_max, chk)

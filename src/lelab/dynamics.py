@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._record import record
+from ._record import _frozen, record
 from .basis import MomentumBasis, bohr_labels
 from .errors import DimensionCapError
 from .states import HERMITICITY_TOL, DensityMatrix
@@ -44,11 +44,6 @@ OFFBLOCK_CHUNK_ELEMENTS = 1 << 16
 # bit i set flips (or, for a character, is odd under the flip of) axis i.
 _BITS = 1 << np.arange(3)
 _POPCOUNT = np.array([bin(m).count("1") for m in range(8)])
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def _subsets(mask: int) -> np.ndarray:
@@ -390,10 +385,3 @@ def alpha_offblock_norm(op, basis: MomentumBasis) -> tuple[float, float]:
         sum_sq += float(np.vdot(mags, mags))
     return max_off, float(np.sqrt(sum_sq))
 
-
-def alpha_diagonality_test(op, basis: MomentumBasis) -> bool:
-    """True iff ``op`` never maps one Bohr-frequency sector into another
-    beyond 1e-10 (elementwise), i.e. it commutes with the free-part
-    eigenspace projections."""
-    max_off, _ = alpha_offblock_norm(op, basis)
-    return max_off <= 1e-10

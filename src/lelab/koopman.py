@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._record import _DenseOnDemand, record
+from ._record import _DenseOnDemand, _frozen, record
 from .errors import StateValidationError
 
 MASS_TOL = 1e-8
@@ -74,11 +74,6 @@ class PhaseSpaceGrid:
     @property
     def q_period(self) -> float:
         return self.nq * self.dq
-
-    @property
-    def p_min(self) -> float:
-        """Half spacing: the excluded band around the p = 0 singularity."""
-        return self.dp / 2
 
 
 def _full_grid(rho: PhaseSpaceDensity) -> np.ndarray:
@@ -137,9 +132,8 @@ class PhaseSpaceDensity:
         m = w.sum() * g.dq * g.dp
         if not abs(m - 1.0) <= MASS_TOL:  # likewise
             raise StateValidationError(f"mass is {m}, not 1")
-        w.setflags(write=False)
         self.__dict__["_values"] = None
-        object.__setattr__(self, "_window", w)
+        object.__setattr__(self, "_window", _frozen(w))
         object.__setattr__(self, "_span", (lo + a, lo + b))
         object.__setattr__(self, "_mass", float(m))
 
@@ -159,9 +153,8 @@ def _handover(grid: PhaseSpaceGrid, w: np.ndarray, lo: int) -> PhaseSpaceDensity
 
 @record
 class BetaMarginal:
-    """Unit-mass density over beta = p."""
+    """Unit-mass density over beta = p, on the p grid."""
 
-    p: np.ndarray
     density: np.ndarray
     dp: float
 
@@ -384,7 +377,7 @@ def classical_reduce(rho: PhaseSpaceDensity) -> BetaMarginal:
     g[lo:hi] = w.sum(axis=0) if hi - lo > 1 else np.add.accumulate(w[:, 0])[-1]
     g *= rho.grid.dq
     total = g.sum() * rho.grid.dp
-    return BetaMarginal(p=rho.grid.p.copy(), density=g / total, dp=rho.grid.dp)
+    return BetaMarginal(density=g / total, dp=rho.grid.dp)
 
 
 def classical_effective_entropy(marginal: BetaMarginal) -> float:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._record import record
+from ._record import _frozen, record
 from .basis import MomentumBasis, bohr_labels
 from .dynamics import Hamiltonian
 from .errors import StateValidationError
@@ -60,12 +60,6 @@ class AlphaDecomposition:
         """Sum of all components; exact, because their supports are disjoint."""
         return np.where(np.isin(self.labels, self.sector_labels), self.matrix, 0)
 
-    def component(self, alpha: float) -> np.ndarray:
-        hits = np.flatnonzero(self.alphas == alpha)
-        if len(hits) != 1:
-            raise KeyError(f"no component at alpha = {alpha}; have {self.alphas}")
-        return self.components[int(hits[0])]
-
 
 @record
 class _Components(Sequence):
@@ -97,9 +91,7 @@ def alpha_decompose(matrix, basis: MomentumBasis) -> AlphaDecomposition:
     if not sector_labels.size:  # zero matrix: keep a single empty alpha = 0 sector
         sector_labels = np.zeros(1, dtype=labels.dtype)
     alphas = sector_labels * basis.delta_k**2
-    for a in (m, labels, sector_labels, alphas):
-        a.setflags(write=False)
-    return AlphaDecomposition(m, labels, sector_labels, alphas, basis.delta_k)
+    return AlphaDecomposition(*map(_frozen, (m, labels, sector_labels, alphas)), basis.delta_k)
 
 
 def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
@@ -117,23 +109,13 @@ def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
 class ShellDecomposition:
     """Raw shell blocks of a matrix with their weights.
 
-    ``blocks[s]`` is the untouched submatrix on shell s (trace
-    ``weights[s]``); normalized blocks are exposed through
-    :meth:`rho_hat` for occupied shells only.
+    ``blocks[s]`` is the untouched submatrix on shell s, of trace
+    ``weights[s]``; a shell of weight above TAU_LAMBDA has the
+    normalized block rho_hat_s = ``blocks[s] / weights[s]``.
     """
 
     weights: np.ndarray
     blocks: tuple[np.ndarray, ...]
-
-    @property
-    def occupied(self) -> np.ndarray:
-        return self.weights > TAU_LAMBDA
-
-    def rho_hat(self, s: int) -> np.ndarray | None:
-        """Unit-trace block of shell s, or None if the shell is empty."""
-        if self.weights[s] <= TAU_LAMBDA:
-            return None
-        return self.blocks[s] / self.weights[s]
 
 
 def reduce(rho, basis: MomentumBasis) -> ShellDecomposition:

@@ -9,7 +9,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ._record import _DenseOnDemand, record
+from ._record import _DenseOnDemand, _frozen, record
 from .basis import MomentumBasis
 from .errors import StateValidationError
 
@@ -30,9 +30,7 @@ class NormalStream(Protocol):
 
 
 def _readonly_complex(a) -> np.ndarray:
-    m = np.array(a, dtype=complex)
-    m.setflags(write=False)
-    return m
+    return _frozen(np.array(a, dtype=complex))
 
 
 def _check_hermitian_unit_trace(m: np.ndarray, what: str) -> None:
@@ -155,10 +153,6 @@ class DensityMatrix:
             if not abs(tr - 1.0) <= TRACE_TOL:  # written so that NaN fails too
                 raise StateValidationError(f"density matrix has trace {tr}, not 1")
         object.__setattr__(self, "factor", b)
-
-    @property
-    def dim(self) -> int:
-        return self.factor.shape[0]
 
 
 @record

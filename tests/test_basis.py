@@ -17,7 +17,7 @@ def test_cubic_m1_size_and_shells():
     assert basis.size == 27
     assert basis.n_shells == 4
     np.testing.assert_array_equal(basis.shells.norms2, [0, 1, 2, 3])
-    np.testing.assert_array_equal(basis.shells.degeneracies, [1, 6, 12, 8])
+    np.testing.assert_array_equal([len(m) for m in basis.shells.members], [1, 6, 12, 8])
     np.testing.assert_allclose(basis.shells.energies, [0.0, 1.0, 2.0, 3.0])
 
 
@@ -98,7 +98,7 @@ def test_1d_lattice_is_nondegenerate():
     basis = build_basis_1d(16, 1.0)
     assert basis.size == 16
     assert basis.n_shells == 16
-    np.testing.assert_array_equal(basis.shells.degeneracies, np.ones(16, dtype=int))
+    np.testing.assert_array_equal([len(m) for m in basis.shells.members], np.ones(16, dtype=int))
     np.testing.assert_array_equal(basis.shells.norms2, np.arange(1, 17) ** 2)
 
 

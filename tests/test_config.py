@@ -220,6 +220,8 @@ def test_invalid_json_reported():
     assert "" in errs and "invalid JSON" in errs[""]
     errs = errors_of("[1, 2]")
     assert "top level" in errs[""]
+    errs = errors_of("[" * 200_000 + "]" * 200_000)  # deeper than the parser's recursion limit
+    assert errs == {"": "invalid JSON: nested too deeply to parse"}
 
 
 # p rows at +-0.05 .. +-3.15; cells span [-3.2, 3.2].

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from lelab import config
+from lelab import cli, config
 from lelab.errors import ConfigError, DimensionCapError
 
 GOLDEN = Path(__file__).parent / "data" / "config_errors.json"
@@ -143,6 +143,13 @@ def _cross_cases() -> dict:
             raw["lattice"] = dict(EDGE_GRID)
             raw["initial_state"] = {"kind": "single-p-row", "p0": p0}
             cases[f"cross:{name}-p0={p0}"] = _text(raw)
+    # grids whose start density 1 / (nq dq dp) is not a float of unit mass
+    for name, dq, dp in (("dq=dp=1e-200", 1e-200, 1e-200), ("dp=1e-310", 1.0, 1e-310),
+                         ("dq=dp=1e200", 1e200, 1e200)):
+        raw = _with(c, ("potential",), dict(kick, kick_strength=0.0))
+        raw["lattice"] = {"nq": 4, "np": 4, "dq": dq, "dp": dp}
+        raw["initial_state"] = {"kind": "single-p-row", "p0": 0.0}
+        cases[f"cross:start-density-{name}"] = _text(raw)
     return cases
 
 
@@ -281,6 +288,12 @@ NEW_REFUSALS = {
     "caps:steps-100001": "time_grid.steps = 100001 exceeds cap of 100000",
     "caps:steps-10**12": "time_grid.steps = 1000000000000 exceeds cap of 100000",
     "caps:classical-steps-10**12": "time_grid.steps = 1000000000000 exceeds cap of 100000",
+    "cross:start-density-dq=dp=1e-200": [("lattice.dp", "the start density 1 / (nq dq dp) is "
+                                          "not a float of unit mass: nq dq dp underflows to 0")],
+    "cross:start-density-dp=1e-310": [("lattice.dp", "the start density 1 / (nq dq dp) is "
+                                       "not a float of unit mass: mass is inf, not 1")],
+    "cross:start-density-dq=dp=1e200": [("lattice.dp", "the start density 1 / (nq dq dp) is "
+                                         "not a float of unit mass: mass is 0.0, not 1")],
 }
 
 CASES = corpus()
@@ -323,6 +336,37 @@ def test_config_the_lattice_cannot_hold_is_now_refused(case):
     with pytest.raises(ConfigError) as info:
         config.validate_config(CASES[case])
     assert info.value.errors == want
+
+
+def _refusal(case: str, golden: dict):
+    """The outcome the current code gives a case: the errors list, the cap
+    message, or None for an accepted config."""
+    want = NEW_REFUSALS.get(case)
+    if want is not None:
+        return {"cap": want} if isinstance(want, str) else {"errors": [list(e) for e in want]}
+    return None if "config" in golden[case] else golden[case]
+
+
+@pytest.mark.parametrize("group", sorted({k.split(":")[0] for k in CASES}))
+def test_cli_exit_code_of_every_refused_case(group, tmp_path, capsys):
+    """``lelab run`` exits 2 with one ``config error`` line per ConfigError
+    entry, or 4 with the one ``dimension cap`` line, and writes nothing."""
+    golden = json.loads(GOLDEN.read_text())
+    path, out = tmp_path / "exp.json", tmp_path / "out"
+    for case, text in CASES.items():
+        want = _refusal(case, golden) if case.split(":")[0] == group else None
+        if want is None:
+            continue
+        path.write_text(text, encoding="utf-8")
+        code = cli.main(["run", "--config", str(path), "--out-dir", str(out)])
+        printed = capsys.readouterr()
+        if "errors" in want:
+            lines = [f"config error: {field or 'config'}: {message}\n"
+                     for field, message in want["errors"]]
+            assert (code, printed.err) == (2, "".join(lines)), case
+        else:
+            assert (code, printed.err) == (4, f"dimension cap: {want['cap']}\n"), case
+        assert printed.out == "" and not out.exists(), case
 
 
 def write_golden(path) -> int:

@@ -23,6 +23,17 @@ QUANTUM = {
 QUANTUM_HEADER = "t,S_eff,S_global,tr_rho2,effectively_pure,S_E_0,S_E_1,S_E_2,S_E_3"
 
 
+def _single_row(dq: float, dp: float) -> dict:
+    """An unkicked classical config on a 4 x 4 grid, all mass on the row nearest p = 0."""
+    return {
+        "mode": "classical",
+        "lattice": {"nq": 4, "np": 4, "dq": dq, "dp": dp},
+        "potential": {"kick_strength": 0.0, "kick_shape": "cos"},
+        "initial_state": {"kind": "single-p-row", "p0": 0.0},
+        "time_grid": {"t_max": 1.0, "steps": 2},
+    }
+
+
 def make_config(**overrides):
     return validate_config(json.dumps(dict(QUANTUM, **overrides)))
 
@@ -359,6 +370,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         "initial_state": {"kind": "single-p-row", "p0": 0.75},
         "time_grid": {"t_max": 1e308, "steps": 4},
     }),
+    # a start density 1 / (nq dq dp) that is not a float of unit mass: each
+    # used to end in a ZeroDivisionError, "mass is inf, not 1" or "mass is 0.0, not 1"
+    ("lattice.dp", _single_row(1e-200, 1e-200)),
+    ("lattice.dp", _single_row(1.0, 1e-310)),
+    ("lattice.dp", _single_row(1e200, 1e200)),
 ])
 def test_cli_refuses_what_used_to_fail_mid_run(tmp_path, capsys, field, change):
     cfg_path = tmp_path / "exp.json"
@@ -368,6 +384,15 @@ def test_cli_refuses_what_used_to_fail_mid_run(tmp_path, capsys, field, change):
     assert f"config error: {field}: " in capsys.readouterr().err
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
+
+def test_cli_refuses_deeply_nested_json(tmp_path, capsys):
+    # json.loads raises RecursionError here, which used to end in a traceback
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text("[" * 200_000 + "]" * 200_000)
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config: invalid JSON: nested too deeply to parse\n"
 
 
 def test_cli_unreadable_config_is_config_error(tmp_path, capsys):

@@ -222,7 +222,7 @@ def test_kick_refuses_a_complex_gradient():
 
 def test_marginal_mass_validated():
     with pytest.raises(StateValidationError):
-        BetaMarginal(p=GRID.p, density=np.ones(GRID.n_p), dp=GRID.dp)
+        BetaMarginal(density=np.ones(GRID.n_p), dp=GRID.dp)
 
 
 def test_xi_beta_chart_point_values():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lelab import config, harness, koopman
 from lelab._record import _DenseOnDemand
-from lelab.basis import build_basis, build_basis_1d
+from lelab.basis import bohr_labels, build_basis, build_basis_1d
 from lelab.config import validate_config
 from lelab.dynamics import Propagator, build_hamiltonian, commutator_superoperator, evolve
 from lelab.errors import StateValidationError
@@ -62,7 +62,8 @@ def test_alpha_components_are_disjoint_and_sum_to_the_input():
         covered += comp != 0
     assert covered.max() == 1  # every element sits in at most one sector
     np.testing.assert_array_equal(total, rho.matrix)
-    np.testing.assert_array_equal(dec.components[-1], dec.component(dec.alphas[-1]))
+    np.testing.assert_array_equal(dec.components[-1],
+                                  np.where(bohr_labels(BASIS) == dec.sector_labels[-1], rho.matrix, 0))
     with pytest.raises(IndexError):
         dec.components[len(dec.alphas)]
 
@@ -116,7 +117,7 @@ def test_alpha_zero_component_is_shell_block_diagonal():
     rho = random_density_matrix(BASIS.size, np.random.default_rng(2))
     dec = alpha_decompose(rho.matrix, BASIS)
     block_diag = assemble_block_diagonal(reduce(rho, BASIS), BASIS)
-    np.testing.assert_array_equal(dec.component(0.0), block_diag)
+    np.testing.assert_array_equal(dec.components[dec.alphas.tolist().index(0.0)], block_diag)
 
 
 LABEL_BASES = {"M1": BASIS, "M2": build_basis(2, 0.7), "N16": build_basis_1d(16, 1.3)}
@@ -161,7 +162,7 @@ def test_reduce_weights_are_shell_traces():
     for s, members in enumerate(BASIS.shells.members):
         block = rho.matrix[np.ix_(members, members)]
         assert dec.weights[s] == pytest.approx(np.trace(block).real, abs=1e-14)
-        normalized = dec.rho_hat(s)
+        normalized = dec.blocks[s] / dec.weights[s]
         np.testing.assert_allclose(normalized * dec.weights[s], block, atol=1e-14)
 
 
@@ -209,8 +210,7 @@ def test_empty_shells_do_not_contribute():
     i = BASIS.index_of((0, 0, 0))
     m[i, i] = 1.0
     dec = reduce(DensityMatrix(m), BASIS)
-    np.testing.assert_array_equal(dec.occupied, [True, False, False, False])
-    assert dec.rho_hat(2) is None
+    np.testing.assert_array_equal(dec.weights > TAU_LAMBDA, [True, False, False, False])
     assert effective_entropy(dec) == 0.0
     assert is_effectively_pure(dec)
 
@@ -409,8 +409,8 @@ def test_reduce_canonical_examples():
     amp[BASIS.index_of((0, 0, 0))] = 1.0
     dec = reduce(pure_to_density(PureState(amp)), BASIS)
     assert dec.weights[0] == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(dec.rho_hat(0), [[1.0]], atol=1e-14)
-    assert not dec.occupied[1:].any()
+    np.testing.assert_allclose(dec.blocks[0] / dec.weights[0], [[1.0]], atol=1e-14)
+    assert not (dec.weights[1:] > TAU_LAMBDA).any()
 
     # equal superposition across two shells: half weight each, rank-1 blocks,
     # and the cross-shell coherence is dropped by the reduction
@@ -419,7 +419,7 @@ def test_reduce_canonical_examples():
     dec = reduce(pure_to_density(PureState(amp)), BASIS)
     np.testing.assert_allclose(dec.weights[:2], [0.5, 0.5], atol=1e-14)
     for s in (0, 1):
-        eigs = np.linalg.eigvalsh(dec.rho_hat(s))
+        eigs = np.linalg.eigvalsh(dec.blocks[s] / dec.weights[s])
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
     assert is_effectively_pure(dec)
 
@@ -429,7 +429,7 @@ def test_reduce_canonical_examples():
     m[members, members] = 1.0 / 6.0
     dec = reduce(DensityMatrix(m), BASIS)
     assert dec.weights[1] == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(dec.rho_hat(1), np.eye(6) / 6.0, atol=1e-14)
+    np.testing.assert_allclose(dec.blocks[1] / dec.weights[1], np.eye(6) / 6.0, atol=1e-14)
 
 
 def test_two_shell_mixture_entropies_add_unweighted():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lelab.basis import build_basis, build_basis_1d
 from lelab.errors import StateValidationError
-from lelab.reduction import is_effectively_pure, reduce
+from lelab.reduction import TAU_LAMBDA, is_effectively_pure, reduce
 from lelab.states import (
     PSD_TOL,
     TRACE_TOL,
@@ -35,7 +35,7 @@ def test_density_matrix_validation():
     with pytest.raises(StateValidationError):
         DensityMatrix(np.ones((2, 3)))  # not square
     rho = DensityMatrix(np.diag([0.25, 0.75]))
-    assert rho.dim == 2
+    assert rho.factor.shape[0] == 2
 
 
 @pytest.mark.parametrize("given,message", [
@@ -80,7 +80,7 @@ def test_density_matrix_from_a_factor():
     b = g / np.linalg.norm(g)
     rho = DensityMatrix(factor=b)
     np.testing.assert_array_equal(rho.matrix, b @ b.conj().T)
-    assert rho.factor.shape == (6, 2) and rho.dim == 6
+    assert rho.factor.shape == (6, 2)
     with pytest.raises(ValueError):
         rho.factor[0, 0] = 1.0
     assert global_purity(rho) == pytest.approx(global_purity(DensityMatrix(rho.matrix)), abs=1e-15)
@@ -163,10 +163,9 @@ def test_effectively_pure_state_structure():
     dec = reduce(rho, basis)
     assert is_effectively_pure(dec)
     for s in range(basis.n_shells):
-        block = dec.rho_hat(s)
-        if block is None:
+        if dec.weights[s] <= TAU_LAMBDA:
             continue
-        eigs = np.linalg.eigvalsh(block)
+        eigs = np.linalg.eigvalsh(dec.blocks[s] / dec.weights[s])
         assert eigs[-1] > 0.99
         if len(eigs) > 1:
             assert np.abs(eigs[:-1]).max() < 1e-12
@@ -279,7 +278,7 @@ def test_a_factored_state_forms_its_matrix_only_when_read():
     try:
         tracemalloc.reset_peak()
         rho = DensityMatrix(factor=b)
-        assert rho.dim == n
+        assert rho.factor.shape[0] == n
         assert "matrix" not in repr(rho) and rho == rho
         peak = tracemalloc.get_traced_memory()[1]
     finally:
