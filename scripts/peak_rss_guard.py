@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Run two configs through ``lelab run``, each in its own child process, and
-fail if a child's peak RSS is over its limit:
+"""Run three configs through ``lelab run``, each in its own child process,
+and fail if a child's peak RSS is over its limit:
 
 - a cubic M = 8 lattice for 4 steps, limit 256 MB.  The state is the seeded
   effectively pure mixture over every shell, the state of largest rank, so
   the run holds its largest n x r factor;
+- a line lattice at its cap, N = 4096 (``basis.MAX_LINE_POINTS``), for 4
+  steps, limit 800 MB.  It is one dense block, so the run holds the dense
+  H and its eigenvectors; it peaked at 688.6 MB on a 2-CPU Xeon, in 52 s;
 - a 2048 x 2048 classical grid (the ``MAX_GRID_CELLS`` cap) kicked from a
   single p row, for 4 steps, limit 64 MB.  A density holds only its support
   window, so this run must not hold a full grid.
@@ -24,9 +27,11 @@ import tempfile
 from pathlib import Path
 
 M = 8
+LINE_N = 4096
 GRID_SIDE = 2048
 STEPS = 4
 LIMIT_MB = 256
+LINE_LIMIT_MB = 800
 CLASSICAL_LIMIT_MB = 64
 
 QUANTUM = {
@@ -34,6 +39,13 @@ QUANTUM = {
     "lattice": {"M": M, "delta_k": 1.0},
     "potential": {"A": 0.2, "mu": 1.0},
     "initial_state": {"kind": "effectively-pure-mixed", "seed": 11},
+    "time_grid": {"t_max": 5.0, "steps": STEPS},
+}
+LINE = {
+    "mode": "quantum",
+    "lattice": {"N": LINE_N, "delta_k": 1.0},
+    "potential": {"A": 1.0, "mu": 1.0},
+    "initial_state": {"kind": "pure-random", "seed": 3},
     "time_grid": {"t_max": 5.0, "steps": STEPS},
 }
 CLASSICAL = {
@@ -62,6 +74,7 @@ def peak_mb(config: dict, tmp: Path) -> float:
 def main() -> int:
     ok = True
     for name, config, limit in ((f"cubic M = {M}", QUANTUM, LIMIT_MB),
+                                (f"line N = {LINE_N}", LINE, LINE_LIMIT_MB),
                                 (f"classical {GRID_SIDE}^2", CLASSICAL, CLASSICAL_LIMIT_MB)):
         with tempfile.TemporaryDirectory() as tmp:
             mb = peak_mb(config, Path(tmp))

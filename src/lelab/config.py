@@ -10,7 +10,8 @@ quantum basis over its lattice's point cap (``basis.MAX_CUBIC_POINTS``,
 ``basis.MAX_LINE_POINTS``), more than ``MAX_STEPS`` time
 steps or a quantum trace over ``MAX_TRACE_CELLS`` CSV cells raises
 DimensionCapError), then the scales the run derives from finite inputs
-must be finite floats (``_check_scales``), then the cross-field rules
+must be finite floats and the shell energies distinct
+(``_check_scales``), then the cross-field rules
 run: ``initial_state.shell``, ``shells`` and ``mu`` must fit the
 lattice's shells, a classical start row and kick must stay on the p
 grid, its start density must be a float of unit mass, and the output
@@ -362,7 +363,8 @@ def _check_scales(lattice, basis: MomentumBasis | None, potential, t_max: float,
     """Refuse finite inputs whose derived scales overflow, naming the field of
     the first such scale; a quantum run's size n and largest energy are read
     from ``basis``.  The scales are Python float products, which overflow to
-    inf: ``**`` would raise OverflowError and numpy would warn.
+    inf: ``**`` would raise OverflowError and numpy would warn.  Then refuse
+    a delta_k whose shell energies |n|^2 delta_k^2 underflow to equal floats.
     """
     if basis is None:
         scales = [("time_grid.t_max", "the largest free-flow shift 2 (np dp / 2) t_max / dq",
@@ -385,6 +387,9 @@ def _check_scales(lattice, basis: MomentumBasis | None, potential, t_max: float,
         if not math.isfinite(value):
             chk.error(path, f"{what} overflows")
             return
+    if basis is not None and not (np.diff(basis.shells.energies) > 0).all():
+        chk.error("lattice.delta_k", "the shell energies |n|^2 delta_k^2 underflow: "
+                  "they are not distinct floats")
 
 
 def _check_basis_fit(basis: MomentumBasis, st: InitialStateConfig, chk: _Collector):

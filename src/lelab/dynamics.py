@@ -257,7 +257,7 @@ def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -
 @record
 class Propagator:
     """H = P blockdiag(Q_b diag(w_b) Q_b^dagger) P^T; no other code reads the
-    pairs (w_b, Q_b).  ``unitary`` is the tests' U(t)."""
+    pairs (w_b, Q_b)."""
 
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]  # (w_b, Q_b) per block of H
     orbits: OrbitMap
@@ -265,12 +265,6 @@ class Propagator:
     @classmethod
     def from_hamiltonian(cls, h: Hamiltonian) -> "Propagator":
         return cls(tuple(tuple(map(_frozen, np.linalg.eigh(hb))) for hb in h.blocks), h.orbits)
-
-    def unitary(self, t: float) -> np.ndarray:
-        """The dense U(t): C(t) of B = I."""
-        n = sum(len(w) for w, _ in self.blocks)
-        (u,) = self.evolved_factors(np.eye(n, dtype=complex), [t])
-        return u
 
     def evolved_factors(self, b: np.ndarray, times: Iterable[float]) -> Iterator[np.ndarray]:
         """C(t) = P [Q_b (e^{-i w_b t} (.) G_b)]_b for each t in ``times``, rho(t) = C C^dagger
@@ -365,10 +359,10 @@ def liouvillian_superoperator(h: Hamiltonian) -> Superoperator:
     return Superoperator(free.matrix + inter.matrix, h.dim)
 
 
-def alpha_offblock_norm(op, basis: MomentumBasis) -> tuple[float, float]:
-    """(max element, Frobenius norm) of the part of ``op`` coupling
-    different Bohr-frequency sectors."""
-    s = op.matrix if isinstance(op, Superoperator) else np.asarray(op)
+def alpha_offblock_norm(s: np.ndarray, basis: MomentumBasis) -> tuple[float, float]:
+    """(max element, Frobenius norm) of the part of the superoperator
+    matrix ``s`` coupling different Bohr-frequency sectors."""
+    s = np.asarray(s)
     labels = bohr_labels(basis).reshape(-1)
     if s.shape != (len(labels), len(labels)):
         raise ValueError(f"operator shape {s.shape} does not match basis of size {basis.size}")

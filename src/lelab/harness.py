@@ -267,11 +267,8 @@ def run_invariant_checks() -> dict:
     )
 
     h0 = dynamics.build_hamiltonian(basis, 0.0, 1.0)
-    s0 = reduction.effective_entropy(reduction.reduce(rho, basis))
-    drift = max(
-        abs(reduction.effective_entropy(reduction.reduce(dynamics.evolve(rho, h0, t), basis)) - s0)
-        for t in (0.9, 2.3, 4.1)
-    )
+    rows = reduction.entropy_trace(rho, h0, (0.0, 0.9, 2.3, 4.1), basis)
+    drift = max(abs(row.effective_entropy - rows[0].effective_entropy) for row in rows[1:])
     results["free_entropy_invariant"] = bool(drift <= FREE_ENTROPY_TOL)
 
     dec = reduction.alpha_decompose(rho.matrix, basis)

@@ -160,7 +160,7 @@ class BetaMarginal:
 
     def __post_init__(self):
         m = float(self.density.sum() * self.dp)
-        if abs(m - 1.0) > MASS_TOL:
+        if not abs(m - 1.0) <= MASS_TOL:  # written so that NaN fails too
             raise StateValidationError(f"marginal mass is {m}, not 1")
 
 

@@ -127,7 +127,7 @@ def reduce(rho, basis: MomentumBasis) -> ShellDecomposition:
     m = as_matrix(rho)
     if m.shape != (basis.size, basis.size):
         raise ValueError(f"matrix shape {m.shape} does not match basis of size {basis.size}")
-    blocks = tuple(m[np.ix_(mem, mem)].copy() for mem in basis.shells.members)
+    blocks = tuple(m[np.ix_(mem, mem)] for mem in basis.shells.members)  # fancy indexing copies
     weights = np.array([float(np.trace(b).real) for b in blocks])
     return ShellDecomposition(weights=weights, blocks=blocks)
 

@@ -166,7 +166,7 @@ class PureState:
         if a.ndim != 1:
             raise StateValidationError("amplitudes must be a vector")
         norm2 = float(np.vdot(a, a).real)
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # written so that NaN fails too
             raise StateValidationError(f"squared norm is {norm2}, not 1")
         object.__setattr__(self, "amplitudes", a)
 
@@ -206,7 +206,7 @@ def _shell_factor(basis: MomentumBasis, shell_ids: Sequence[int],
         if v.shape != (deg,):
             raise ValueError(f"vector for shell {s} must have length {deg}, got {v.shape}")
         norm2 = float(np.vdot(v, v).real)
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # written so that NaN fails too
             raise ValueError(f"vector for shell {s} has squared norm {norm2}, not 1")
         # shells are disjoint, so the rows of shell s are v_s (x) L[s]
         b[basis.shells.members[s]] = np.outer(v, l_row)
@@ -245,18 +245,13 @@ def effectively_pure_state(
 def entropy_from_eigenvalues(eigs: np.ndarray) -> float:
     """-sum(x ln x) over eigenvalues, dropping those at or below the clip."""
     kept = eigs[eigs > EIGENVALUE_CLIP]
-    if kept.size == 0:
-        return 0.0
-    return float(-(kept * np.log(kept)).sum())
+    return float(-(kept * np.log(kept)).sum()) + 0.0  # + 0.0: an empty sum is -0.0
 
 
-def _gram(rho) -> np.ndarray:
-    """B^dagger B (r x r) of a DensityMatrix, which has the nonzero spectrum
-    of rho = B B^dagger, or the matrix of a raw ndarray."""
-    if isinstance(rho, DensityMatrix):
-        b = rho.factor
-        return b.conj().T @ b
-    return as_matrix(rho)
+def _gram(rho: DensityMatrix) -> np.ndarray:
+    """B^dagger B (r x r), which has the nonzero spectrum of rho = B B^dagger."""
+    b = rho.factor
+    return b.conj().T @ b
 
 
 def global_entropy(rho: DensityMatrix) -> float:

@@ -150,6 +150,9 @@ def _cross_cases() -> dict:
         raw["lattice"] = {"nq": 4, "np": 4, "dq": dq, "dp": dp}
         raw["initial_state"] = {"kind": "single-p-row", "p0": 0.0}
         cases[f"cross:start-density-{name}"] = _text(raw)
+    # a delta_k whose shell energies |n|^2 delta_k^2 all underflow to 0.0
+    for name, raw in (("cubic", q), ("line", BASES["line-random"])):
+        cases[f"cross:delta_k-underflow-{name}"] = _text(_with(raw, ("lattice", "delta_k"), 1e-170))
     return cases
 
 
@@ -294,6 +297,10 @@ NEW_REFUSALS = {
                                        "not a float of unit mass: mass is inf, not 1")],
     "cross:start-density-dq=dp=1e200": [("lattice.dp", "the start density 1 / (nq dq dp) is "
                                          "not a float of unit mass: mass is 0.0, not 1")],
+    "cross:delta_k-underflow-cubic": [("lattice.delta_k", "the shell energies |n|^2 delta_k^2 "
+                                       "underflow: they are not distinct floats")],
+    "cross:delta_k-underflow-line": [("lattice.delta_k", "the shell energies |n|^2 delta_k^2 "
+                                      "underflow: they are not distinct floats")],
 }
 
 CASES = corpus()

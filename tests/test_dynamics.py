@@ -54,7 +54,7 @@ def test_hamiltonian_keeps_the_dtype_of_v():
     scale = np.abs(_eigenvalues(h.propagator)).max()
     gap = np.abs(_eigenvalues(h.propagator) - _eigenvalues(hc.propagator)).max()
     assert gap <= 1e-12 * scale
-    assert np.abs(h.propagator.unitary(1.3) - hc.propagator.unitary(1.3)).max() <= 1e-12
+    assert np.abs(_unitary(h.propagator, 1.3) - _unitary(hc.propagator, 1.3)).max() <= 1e-12
     ints = Hamiltonian(h0_diag=np.zeros(2), v=np.array([[0, 1], [1, 0]]))
     assert ints.v.dtype == np.float64
     # superoperators stay complex whatever v is
@@ -153,6 +153,21 @@ def test_hamiltonian_refuses_a_complex_h0():
         Hamiltonian(h0_diag=np.array([1 + 1j, 0.0]), v=np.zeros((2, 2)))
 
 
+_M1 = build_basis(1, 1.0)
+
+
+@pytest.mark.parametrize("refused, match", [
+    (lambda: Hamiltonian(h0_diag=np.zeros((2, 2)), v=np.zeros((2, 2))), "h0_diag must be a vector"),
+    (lambda: Hamiltonian(h0_diag=np.zeros(2), v=np.zeros((3, 3))), r"v must be 2x2, got \(3, 3\)"),
+    (lambda: commutator_superoperator(np.zeros((2, 3))), "expected a square matrix"),
+    (lambda: alpha_offblock_norm(np.zeros((27, 27)), _M1),
+     r"operator shape \(27, 27\) does not match basis of size 27"),
+], ids=["h0-not-a-vector", "v-shape", "not-square", "offblock-shape"])
+def test_operator_constructors_refuse_malformed_input(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()
+
+
 def test_eigenbasis_errors_of_the_yukawa_decomposition_are_roundoff():
     h = build_hamiltonian(build_basis(2, 1.0), 0.2, 1.0)
     orthonormality, residual = h.propagator.eigenbasis_errors(h)
@@ -174,6 +189,12 @@ def test_eigenbasis_errors_catch_the_eigenpairs_of_another_hamiltonian():
         # its eigenvalues alone, with the run's own eigenvectors, are refused too
         pairs = tuple((w, q) for (w, _), (_, q) in zip(other.blocks, h.propagator.blocks))
         assert Propagator(pairs, h.orbits).eigenbasis_errors(h)[1] > 1e-10
+
+
+def _unitary(prop, t):
+    """U(t) from the propagator: the evolved factor of B = I."""
+    n = sum(len(w) for w, _ in prop.blocks)
+    return next(prop.evolved_factors(np.eye(n, dtype=complex), [t]))
 
 
 def _dense_unitary(h, t):
@@ -247,7 +268,7 @@ def test_symmetry_blocks_match_the_dense_oracle(lattice):
     assert np.abs(_eigenvalues(h.propagator) - dense).max() <= 1e-12 * np.abs(dense).max()
     rho = random_effectively_pure_state(basis, np.random.default_rng(3))
     for t in (0.7, -2.4, 5.0):
-        assert np.abs(h.propagator.unitary(t) - _dense_unitary(h, t)).max() <= 1e-12
+        assert np.abs(_unitary(h.propagator, t) - _dense_unitary(h, t)).max() <= 1e-12
         out = h.propagator.evolve(rho, t).matrix
         assert np.abs(out - _dense_conjugation(h, rho, t)).max() <= 1e-12
 
@@ -293,7 +314,7 @@ def test_evolved_factors_are_the_factors_evolve_returns(basis):
 def test_propagator_unitary():
     rng = np.random.default_rng(0)
     h = random_hamiltonian(6, rng)
-    u = Propagator.from_hamiltonian(h).unitary(1.7)
+    u = _unitary(Propagator.from_hamiltonian(h), 1.7)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-12)
 
 
@@ -491,11 +512,27 @@ def _record_calls(monkeypatch, *targets):
     return calls
 
 
+def _refuse_dense_unitary(monkeypatch, n):
+    """Make ``Propagator.evolved_factors`` fail on a B of n columns: the step
+    of B = I is the one way to form the dense U(t)."""
+    step = Propagator.evolved_factors
+
+    def guarded(self, b, times):
+        if np.shape(b)[1] == n:
+            raise AssertionError("formed the dense U(t)")
+        return step(self, b, times)
+
+    monkeypatch.setattr(Propagator, "evolved_factors", guarded)
+
+
 def test_evolve_of_a_factored_state_takes_no_n_by_n_spectrum_or_unitary(monkeypatch):
     h, rho, rank = _evolve_case("M2", "effectively-pure-mixed")
     prop = h.propagator
-    calls = _record_calls(monkeypatch, (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-                          (Propagator, "unitary"))
+    n = rho.factor.shape[0]
+    calls = _record_calls(monkeypatch, (np.linalg, "eigh"), (np.linalg, "eigvalsh"))
+    _refuse_dense_unitary(monkeypatch, n)
+    with pytest.raises(AssertionError, match="dense U"):
+        _unitary(prop, 1.3)
     out = prop.evolve(rho, 1.3)
     assert calls == []
     assert out.factor.shape == (rho.factor.shape[0], rank)

@@ -181,11 +181,17 @@ def test_quantum_run_takes_no_n_by_n_eigvalsh_and_no_unitary(tmp_path, monkeypat
         shapes.append(np.shape(a))
         return eigvalsh(a, *args, **kwargs)
 
-    def no_unitary(self, t):
-        raise AssertionError("the run built a dense U(t)")
+    step = dynamics.Propagator.evolved_factors
+
+    def no_unitary(self, b, times):  # the step of B = I is the dense U(t)
+        if np.shape(b)[1] == n:
+            raise AssertionError("the run built a dense U(t)")
+        return step(self, b, times)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-    monkeypatch.setattr(dynamics.Propagator, "unitary", no_unitary)
+    monkeypatch.setattr(dynamics.Propagator, "evolved_factors", no_unitary)
+    with pytest.raises(AssertionError, match="dense U"):
+        no_unitary(None, np.eye(n), [1.0])
     harness.run(cfg, out_dir=tmp_path)
     assert len(shapes) >= len(cfg.time_grid.times())  # at least S_global on every row
     assert max(max(s) for s in shapes) <= r
@@ -375,13 +381,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("lattice.dp", _single_row(1e-200, 1e-200)),
     ("lattice.dp", _single_row(1.0, 1e-310)),
     ("lattice.dp", _single_row(1e200, 1e200)),
+    # a delta_k whose shell energies |n|^2 delta_k^2 all underflow to 0.0: the
+    # run used to write a CSV whose shell columns were all named S_E_0
+    ("lattice.delta_k", {"lattice": {"M": 1, "delta_k": 1e-170}}),
+    ("lattice.delta_k", {"lattice": {"N": 16, "delta_k": 1e-170}}),
 ])
 def test_cli_refuses_what_used_to_fail_mid_run(tmp_path, capsys, field, change):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(dict(QUANTUM, **change)))
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
-    assert f"config error: {field}: " in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: {field}: ")
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
 
@@ -393,6 +404,29 @@ def test_cli_refuses_deeply_nested_json(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == "config error: config: invalid JSON: nested too deeply to parse\n"
+
+
+@pytest.mark.parametrize("lattice", [{"M": 1}, {"N": 16}], ids=["cubic", "line"])
+def test_the_smallest_admitted_delta_k_writes_distinct_shell_names(tmp_path, lattice):
+    def delta_k(bits: int) -> float:  # the positive float with these bits
+        return float(np.int64(bits).view(np.float64))
+
+    def admitted(bits: int) -> bool:
+        try:
+            make_config(lattice=dict(lattice, delta_k=delta_k(bits)))
+        except ConfigError:
+            return False
+        return True
+
+    # bisect over the bit patterns of positive floats, which sort as the floats do
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (1e-170, 1.0))
+    assert not admitted(lo) and admitted(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if admitted(mid) else (mid, hi)
+    harness.run(make_config(lattice=dict(lattice, delta_k=delta_k(hi))), out_dir=tmp_path)
+    header = (tmp_path / "trace.csv").read_text().splitlines()[0].split(",")
+    assert len(set(header)) == len(header)
 
 
 def test_cli_unreadable_config_is_config_error(tmp_path, capsys):

@@ -223,6 +223,24 @@ def test_kick_refuses_a_complex_gradient():
 def test_marginal_mass_validated():
     with pytest.raises(StateValidationError):
         BetaMarginal(density=np.ones(GRID.n_p), dp=GRID.dp)
+    # the mass check is written so that NaN fails it: NaN > tol is False
+    for bad in (np.nan, np.inf):
+        with pytest.raises(StateValidationError, match="marginal mass"):
+            BetaMarginal(density=np.array([bad, 1.0]), dp=1.0)
+
+
+@pytest.mark.parametrize("refused, error, match", [
+    (lambda: PhaseSpaceGrid(nq=0, n_p=8, dq=0.1, dp=0.1), ValueError, "nq >= 1"),
+    (lambda: PhaseSpaceGrid(nq=8, n_p=0, dq=0.1, dp=0.1), ValueError, "n_p >= 2"),
+    (lambda: PhaseSpaceDensity(GRID), TypeError, "needs its values"),
+    (lambda: density_from_values(GRID, np.zeros((GRID.nq, GRID.n_p))), ValueError, "no mass"),
+    (lambda: apply_kick(single_p_row_density(GRID, 1.0), lambda q: np.zeros(3), 0.1),
+     ValueError, "one value per q cell"),
+    (lambda: kick_gradient("tan"), ValueError, "unknown kick shape 'tan'"),
+], ids=["nq-0", "np-0", "no-values", "no-mass", "gradient-shape", "kick-shape"])
+def test_classical_constructors_refuse_malformed_input(refused, error, match):
+    with pytest.raises(error, match=match):
+        refused()
 
 
 def test_xi_beta_chart_point_values():

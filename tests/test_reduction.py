@@ -598,3 +598,9 @@ def test_a_record_takes_each_field_once_positionally_or_by_keyword():
                    f"got {len(args)} positional and {sorted(kwargs)} by keyword")
         with pytest.raises(TypeError, match="^" + re.escape(message) + "$"):
             config.YukawaConfig(*args, **kwargs)
+
+
+@pytest.mark.parametrize("split", [alpha_decompose, reduce], ids=["alpha_decompose", "reduce"])
+def test_a_matrix_off_the_basis_size_is_refused(split):
+    with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match basis of size 27"):
+        split(np.eye(8) / 8, build_basis(1, 1.0))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from lelab.states import (
     DensityMatrix,
     PureState,
     effectively_pure_state,
+    entropy_from_eigenvalues,
     global_entropy,
     global_purity,
     pure_to_density,
@@ -122,6 +124,10 @@ def test_density_matrix_is_immutable():
 def test_pure_state_norm_checked():
     with pytest.raises(StateValidationError):
         PureState(np.array([1.0, 1.0]))
+    # the norm check is written so that NaN fails it: NaN > tol is False
+    for bad in (np.nan, np.inf):
+        with pytest.raises(StateValidationError, match="squared norm"):
+            PureState(np.array([bad, 0.0]))
     psi = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
     rho = pure_to_density(psi)
     assert abs(global_purity(rho) - 1.0) < 1e-14
@@ -192,12 +198,38 @@ def test_effectively_pure_state_rejects_bad_inputs():
     # wrong vector length for the shell
     with pytest.raises(ValueError):
         effectively_pure_state(basis, [0, 1], [v0, v0], mu)
-    # non-normalized shell vector
-    with pytest.raises(ValueError):
-        effectively_pure_state(basis, [0, 1], [v0, 2.0 * v1], mu)
+    # non-normalized shell vector; the check is written so that NaN fails it
+    for bad in (2.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="vector for shell 1 has squared norm"):
+            effectively_pure_state(basis, [0, 1], [v0, np.where(v1 == 1.0, bad, 0.0)], mu)
     # mu not unit trace
     with pytest.raises(ValueError):
         effectively_pure_state(basis, [0, 1], [v0, v1], np.eye(2))
+
+
+_CUBIC = build_basis(1, 1.0)
+_V0, _V1 = np.array([1.0]), np.eye(6)[0]
+
+
+@pytest.mark.parametrize("refused, error, match", [
+    (lambda: PureState(np.eye(2) / np.sqrt(2)), StateValidationError, "must be a vector"),
+    (lambda: effectively_pure_state(_CUBIC, [0, 4], [_V0, _V1], np.eye(2) / 2),
+     ValueError, r"shell ids must lie in \[0, 4\)"),
+    (lambda: effectively_pure_state(_CUBIC, [0, 1], [_V0], np.eye(2) / 2),
+     ValueError, "one vector per listed shell"),
+    (lambda: effectively_pure_state(_CUBIC, [0, 1], [_V0, _V1], np.eye(3) / 3),
+     ValueError, "mu must be 2x2"),
+], ids=["amplitudes-not-a-vector", "shell-id-out-of-range", "vector-count",
+        "mu-size"])
+def test_state_constructors_refuse_malformed_input(refused, error, match):
+    with pytest.raises(error, match=match):
+        refused()
+
+
+def test_the_entropy_of_no_eigenvalues_is_positive_zero():
+    for eigs in (np.array([]), np.array([1e-13, 0.0]), np.array([1.0])):
+        s = entropy_from_eigenvalues(eigs)
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
 
 def test_effectively_pure_on_line_lattice_is_plain_mixture():
@@ -310,6 +342,3 @@ def test_global_statistics_read_the_factor(rank):
     purity, entropy = _dense_purity_and_entropy(rho.matrix)
     assert abs(got[0] - purity) <= 1e-12
     assert abs(got[1] - entropy) <= 1e-12
-    # a raw ndarray keeps the dense path
-    assert abs(global_purity(rho.matrix) - purity) <= 1e-12
-    assert abs(global_entropy(rho.matrix) - entropy) <= 1e-12
