@@ -40,10 +40,12 @@ from .errors import ConfigError, DimensionCapError, StateValidationError
 # kick that spreads a row over most of the grid.  Whole-grid windows take
 # 32 B per cell, so this cap of 2048^2 cells bounds a run near 0.16 GB.
 MAX_GRID_CELLS = 1 << 22
-# Each step is one row in memory and in the CSV.  A quantum run holds its rows
-# and their string cells at once, 62-79 B per cell (measured), so the 93
-# columns of M = 7 hold about 0.7 GB at MAX_STEPS, and any quantum trace of
-# (steps + 1) * (5 + n_shells) cells at most about 0.8 GB at MAX_TRACE_CELLS.
+# Each step is one row in memory and in the CSV.  A quantum run keeps its list
+# of TraceRows, about 350 B per row plus 8 B per shell (measured), and writes
+# the CSV one row of strings at a time, so a trace of (steps + 1) * (5 + n_shells)
+# cells holds at most about 0.12 GB of rows at these caps, and its CSV, at most
+# 25 B per cell, is at most 0.25 GB.  Line N = 1024 at 9717 steps, at the cell
+# cap, peaks at 148 MB.
 MAX_STEPS = 100_000
 MAX_TRACE_CELLS = 10_000_000
 

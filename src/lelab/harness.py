@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -98,13 +99,16 @@ def build_initial_state(cfg: ExperimentConfig, basis: MomentumBasis) -> DensityM
     return DensityMatrix(factor=b)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]):
+def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]):
+    """Write ``header``, then each row of cells as ``rows`` formats it, so that
+    a run holds one row of strings at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for cells in [header, *rows]:
+        fh.write(",".join(header) + "\n")
+        for cells in rows:
             fh.write(",".join(cells) + "\n")
 
 
-def _run_quantum(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]], dict, dict]:
+def _run_quantum(cfg: ExperimentConfig) -> tuple[list[str], Iterable[list[str]], dict, dict]:
     basis = build_quantum_basis(cfg)
     pot = cfg.potential
     h = dynamics.build_hamiltonian(basis, pot.coupling, pot.screening)
@@ -136,8 +140,8 @@ def _run_quantum(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]], dic
     if isinstance(cfg.lattice, LineLattice):
         checks["nondegenerate_no_mixing"] = bool(s_eff.max() <= NO_MIXING_TOL)
 
-    cells = [[_fmt(r.t), _fmt(r.effective_entropy), _fmt(r.global_entropy), _fmt(r.purity),
-              str(int(r.effectively_pure)), *map(_fmt, r.shell_entropies)] for r in rows]
+    cells = ([_fmt(r.t), _fmt(r.effective_entropy), _fmt(r.global_entropy), _fmt(r.purity),
+              str(int(r.effectively_pure)), *map(_fmt, r.shell_entropies)] for r in rows)
     return header, cells, checks, {
         "final_effective_entropy": rows[-1].effective_entropy,
         "final_purity": rows[-1].purity,
@@ -146,7 +150,7 @@ def _run_quantum(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]], dic
     }
 
 
-def _run_classical(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]], dict, dict]:
+def _run_classical(cfg: ExperimentConfig) -> tuple[list[str], Iterable[list[str]], dict, dict]:
     rho0 = koopman.single_p_row_density(cfg.lattice, cfg.initial_state.p0)
     kick = cfg.potential
     grad_v = koopman.kick_gradient(kick.shape)
@@ -169,7 +173,7 @@ def _run_classical(cfg: ExperimentConfig) -> tuple[list[str], list[list[str]], d
 
     masses = np.array([m for _, _, m in rows])
     checks = {"mass_conserved": bool(np.abs(masses - 1.0).max() <= MASS_TOL)}
-    cells = [[_fmt(x) for x in row] for row in rows]
+    cells = ([_fmt(x) for x in row] for row in rows)
     return ["t", "S_classical", "mass"], cells, checks, {
         "final_effective_entropy": rows[-1][1], "final_mass": rows[-1][2]}
 

@@ -21,12 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from ._record import _frozen, record
-from .basis import MomentumBasis, bohr_labels
+from .basis import MomentumBasis
 from .dynamics import Hamiltonian
 from .errors import StateValidationError
 from .states import (
     TRACE_TOL,
     DensityMatrix,
+    _readonly_complex,
     as_matrix,
     entropy_from_eigenvalues,
 )
@@ -37,19 +38,38 @@ TAU_LAMBDA = 1e-12
 RANK_TOL = 1e-8
 
 
-@record
+# A pass over the labels of an n x n matrix holds about this many of them at
+# a time, never all n^2.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _label_blocks(n2: np.ndarray, lo):
+    """(rows, labels - lo) for consecutive blocks of rows of the n x n label
+    matrix n2[None, :] - n2[:, None], each block _BLOCK_ELEMENTS elements or
+    one row; with lo the smallest label, the shifted labels index arrays."""
+    shifted = n2 - lo
+    step = max(1, _BLOCK_ELEMENTS // len(n2))
+    for i in range(0, len(n2), step):
+        rows = slice(i, i + step)
+        yield rows, shifted[None, :] - n2[rows, None]
+
+
+@record(hide=("_basis",))
 class AlphaDecomposition:
     """Partition of a matrix into disjointly supported Bohr-frequency parts.
 
-    Sectors are labels over one copy of the matrix, not copies of it;
-    ``components`` builds a sector's matrix only when it is indexed.
+    Element (a, b) carries the integer label |n_b|^2 - |n_a|^2 of
+    ``basis.bohr_labels``; the labels are read from the basis's squared
+    norms where they are needed, and no n x n label array is built.  A
+    sector is a label, not a copy: ``components`` builds a sector's
+    matrix only when it is indexed.
     """
 
-    matrix: np.ndarray         # read-only copy of the decomposed matrix
-    labels: np.ndarray         # basis.bohr_labels: element alpha = label * delta_k**2
+    matrix: np.ndarray         # the decomposed matrix, read-only; the caller's own when it was frozen
     sector_labels: np.ndarray  # distinct labels of the nonzero elements, ascending
     alphas: np.ndarray         # sector_labels * delta_k**2; [0.0] for a zero matrix
     delta_k: float
+    _basis: MomentumBasis      # the basis the labels are read from
 
     @property
     def components(self) -> Sequence[np.ndarray]:
@@ -57,8 +77,14 @@ class AlphaDecomposition:
         return _Components(self)
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of all components; exact, because their supports are disjoint."""
-        return np.where(np.isin(self.labels, self.sector_labels), self.matrix, 0)
+        """Sum of all components; exact, because their supports are disjoint.
+
+        Which elements to keep depends only on the shells of the row and
+        the column, so an S x S table of shell pairs is expanded to n x n."""
+        shells = self._basis.shells.norms2
+        keep = np.isin(shells[None, :] - shells[:, None], self.sector_labels)
+        shell_of = np.searchsorted(shells, self._basis.norms2)
+        return np.where(keep[shell_of[:, None], shell_of], self.matrix, 0)
 
 
 @record
@@ -72,37 +98,49 @@ class _Components(Sequence):
 
     def __getitem__(self, i: int) -> np.ndarray:
         d = self.decomp
-        return np.where(d.labels == d.sector_labels[operator.index(i)], d.matrix, 0)
+        label = int(d.sector_labels[operator.index(i)])
+        n2 = d._basis.norms2.astype(np.int32)  # every |n|^2 under the point caps fits
+        return np.where(n2[None, :] == n2[:, None] + label, d.matrix, 0)
 
 
 def alpha_decompose(matrix, basis: MomentumBasis) -> AlphaDecomposition:
     """Split ``matrix`` by alpha = E_col - E_row.
 
     Grouping runs over integer squared-norm differences, so the support
-    partition is index bookkeeping, not floating-point arithmetic.
+    partition is index bookkeeping, not floating-point arithmetic.  A
+    frozen complex matrix (any ``DensityMatrix.matrix``) is held as it
+    is; any other is copied once (``states._readonly_complex``).
     """
-    m = as_matrix(matrix).copy()  # the decomposition must not follow later writes to the input
+    m = _readonly_complex(matrix.matrix if isinstance(matrix, DensityMatrix) else matrix)
     if m.shape != (basis.size, basis.size):
         raise ValueError(f"matrix shape {m.shape} does not match basis of size {basis.size}")
-    labels = bohr_labels(basis)
-    lo = labels.min()
-    # one count per label in [lo, max] instead of a sort of the n^2 labels
-    sector_labels = (np.flatnonzero(np.bincount((labels - lo)[m != 0])) + lo).astype(labels.dtype)
+    n2 = basis.norms2
+    lo = n2.min() - n2.max()  # labels lie in [lo, -lo]
+    present = np.zeros(1 - 2 * lo, dtype=bool)  # one flag per label, not a sort of the n^2 labels
+    for rows, shifted in _label_blocks(n2, lo):
+        present[shifted[m[rows] != 0]] = True
+    sector_labels = (np.flatnonzero(present) + lo).astype(n2.dtype)
     if not sector_labels.size:  # zero matrix: keep a single empty alpha = 0 sector
-        sector_labels = np.zeros(1, dtype=labels.dtype)
+        sector_labels = np.zeros(1, dtype=n2.dtype)
     alphas = sector_labels * basis.delta_k**2
-    return AlphaDecomposition(*map(_frozen, (m, labels, sector_labels, alphas)), basis.delta_k)
+    return AlphaDecomposition(m, _frozen(sector_labels), _frozen(alphas), basis.delta_k, basis)
 
 
 def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
     """Free evolution in decomposed form: each component gains exp(+i alpha t).
 
-    One phase per integer label in [min, max], gathered by ``labels``: the
-    same elementwise formula as on the n^2 alphas, evaluated once per label."""
-    labels = decomp.labels
-    lo = labels.min()
-    alpha = np.arange(lo, labels.max() + 1) * decomp.delta_k**2
-    return np.exp(1j * alpha * t)[labels - lo] * decomp.matrix
+    One phase per integer label in [lo, -lo], gathered by each row block's
+    labels: the same elementwise formula as on the n^2 alphas, evaluated
+    once per label."""
+    n2 = decomp._basis.norms2
+    lo = n2.min() - n2.max()
+    alpha = np.arange(lo, 1 - lo) * decomp.delta_k**2
+    phase = np.exp(1j * alpha * t)
+    m = decomp.matrix
+    out = np.empty_like(m)
+    for rows, shifted in _label_blocks(n2, lo):
+        np.multiply(phase[shifted], m[rows], out=out[rows])
+    return out
 
 
 @record

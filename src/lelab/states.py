@@ -30,6 +30,17 @@ class NormalStream(Protocol):
 
 
 def _readonly_complex(a) -> np.ndarray:
+    """How a value type takes a caller's array: ``a`` itself when it is a
+    complex ndarray that is read-only down its whole ``.base`` chain, as
+    every ``DensityMatrix.matrix`` and every ``_frozen`` array is, so that
+    nothing can write to it through numpy; anything else is copied into a
+    fresh read-only complex array, which later writes to ``a`` do not reach."""
+    if type(a) is np.ndarray and a.dtype == np.complex128:
+        link = a
+        while type(link) is np.ndarray and not link.flags.writeable:
+            link = link.base
+        if link is None:
+            return a
     return _frozen(np.array(a, dtype=complex))
 
 
@@ -125,7 +136,10 @@ class DensityMatrix:
     eigenvalue) or refuses it as not PSD.  A given factor is Hermitian and
     PSD by construction, so only its trace ||B||_F^2 is checked, and no
     n x n array is formed: ``matrix``, a ``_DenseOnDemand`` field, is then
-    built on first read, and ``repr`` does not read it.
+    built on first read, and ``repr`` does not read it.  A given array is
+    taken through ``_readonly_complex``: a frozen complex one, such as
+    another state's ``matrix``, is held as it is, and any other is copied
+    once, so that later writes to the caller's array do not reach the state.
     ``Propagator.evolve``, ``entropy_trace`` and the global statistics work
     on the factor.
     """
@@ -243,9 +257,12 @@ def effectively_pure_state(
 
 
 def entropy_from_eigenvalues(eigs: np.ndarray) -> float:
-    """-sum(x ln x) over eigenvalues, dropping those at or below the clip."""
-    kept = eigs[eigs > EIGENVALUE_CLIP]
-    return float(-(kept * np.log(kept)).sum()) + 0.0  # + 0.0: an empty sum is -0.0
+    """-sum(x ln x) over eigenvalues, dropping those at or below the clip.
+
+    A kept eigenvalue is clipped at 1, where roundoff can lift a pure
+    state's, so that every term is >= 0 and the sum is never negative."""
+    kept = np.minimum(eigs[eigs > EIGENVALUE_CLIP], 1.0)
+    return float(-(kept * np.log(kept)).sum()) + 0.0  # + 0.0: the negated sum of zero terms is -0.0
 
 
 def _gram(rho: DensityMatrix) -> np.ndarray:

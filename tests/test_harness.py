@@ -330,6 +330,15 @@ def test_quantum_demo_csv_matches_golden_values(tmp_path):
         assert np.abs(np.array(got, dtype=float) - np.array(want, dtype=float)).max() <= 1e-12
 
 
+def test_nondegenerate_demo_writes_no_negative_global_entropy(tmp_path):
+    # a pure state: roundoff lifts its one Gram eigenvalue just above 1
+    assert cli.main(["demo", "nondegenerate", "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "nondegenerate.csv").read_text().splitlines()
+    col = lines[0].split(",").index("S_global")
+    cells = [line.split(",")[col] for line in lines[1:]]
+    assert len(cells) == 41 and not any(c.startswith("-") for c in cells)
+
+
 def test_cli_check_command(capsys):
     assert cli.main(["check"]) == 0
     assert "ok" in capsys.readouterr().out

@@ -78,10 +78,8 @@ def test_alpha_decomposition_does_not_follow_later_writes_to_the_input():
         np.testing.assert_array_equal(comp, old)
 
 
-def test_alpha_decomposition_holds_no_per_sector_copy():
-    basis = build_basis(2, 1.0)
-    m = random_density_matrix(basis.size, np.random.default_rng(9)).matrix
-    dense = m.nbytes  # one n x n complex array
+def _held_by_decomposition(m, basis):
+    """(decomposition, bytes it holds that tracemalloc saw allocated)."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -89,9 +87,45 @@ def test_alpha_decomposition_holds_no_per_sector_copy():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    return dec, held
+
+
+def test_alpha_decomposition_of_a_frozen_matrix_holds_no_n_by_n_array():
+    basis = build_basis(2, 1.0)
+    m = random_density_matrix(basis.size, np.random.default_rng(9)).matrix  # read-only
+    dec, held = _held_by_decomposition(m, basis)
     assert len(dec.alphas) == 25
-    # the matrix copy plus its integer labels, not 25 sector matrices
-    assert held <= 3 * dense
+    # no copy of the matrix, no label matrix and no sector matrices: O(n) bookkeeping
+    assert held <= 64 * basis.size < m.nbytes
+
+
+def test_alpha_decomposition_of_a_writable_matrix_holds_one_copy():
+    basis = build_basis(2, 1.0)
+    m = random_density_matrix(basis.size, np.random.default_rng(9)).matrix.copy()
+    dec, held = _held_by_decomposition(m, basis)
+    assert len(dec.alphas) == 25
+    assert m.nbytes <= held <= m.nbytes + 64 * basis.size
+
+
+def test_a_frozen_complex_matrix_is_held_not_copied():
+    m = random_density_matrix(BASIS.size, np.random.default_rng(8)).matrix
+    assert not m.flags.writeable
+    assert DensityMatrix(m).matrix is m
+    assert alpha_decompose(m, BASIS).matrix is m
+
+
+def test_a_writable_matrix_is_copied_and_later_writes_reach_neither_object():
+    m = random_density_matrix(BASIS.size, np.random.default_rng(8)).matrix.copy()
+    frozen_view = m[:]
+    frozen_view.flags.writeable = False  # read-only, but its base is not
+    kept = m.copy()
+    objects = (DensityMatrix(m), alpha_decompose(m, BASIS),
+               DensityMatrix(frozen_view), alpha_decompose(frozen_view, BASIS))
+    m[:] = 0.0
+    for obj in objects:
+        assert obj.matrix is not m and obj.matrix is not frozen_view
+        assert not obj.matrix.flags.writeable
+        np.testing.assert_array_equal(obj.matrix, kept)
 
 
 def test_alpha_labels_are_energy_differences():
@@ -130,7 +164,8 @@ def test_sector_labels_are_the_distinct_labels_of_the_nonzero_elements(lattice):
     zero = np.zeros((basis.size, basis.size))
     for m in (zero, rho.matrix, assemble_block_diagonal(reduce(rho, basis), basis)):
         dec = alpha_decompose(m, basis)
-        expected = np.unique(dec.labels[m != 0]) if m.any() else np.zeros(1, dtype=dec.labels.dtype)
+        labels = bohr_labels(basis)
+        expected = np.unique(labels[m != 0]) if m.any() else np.zeros(1, dtype=labels.dtype)
         assert dec.sector_labels.dtype == expected.dtype
         np.testing.assert_array_equal(dec.sector_labels, expected)
 
@@ -140,7 +175,7 @@ def test_sector_labels_are_the_distinct_labels_of_the_nonzero_elements(lattice):
 def test_free_phase_law_is_the_elementwise_formula(lattice, t):
     basis = LABEL_BASES[lattice]
     dec = alpha_decompose(random_density_matrix(basis.size, np.random.default_rng(1)).matrix, basis)
-    elementwise = np.exp(1j * (dec.labels * dec.delta_k**2) * t) * dec.matrix
+    elementwise = np.exp(1j * (bohr_labels(basis) * dec.delta_k**2) * t) * dec.matrix
     assert free_phase_law(dec, t).tobytes() == elementwise.tobytes()
 
 

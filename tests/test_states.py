@@ -232,6 +232,13 @@ def test_the_entropy_of_no_eigenvalues_is_positive_zero():
         assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
 
+def test_an_eigenvalue_lifted_above_one_by_roundoff_gives_positive_zero():
+    s = entropy_from_eigenvalues(np.array([1 + 1e-15]))
+    assert s == 0.0 and math.copysign(1.0, s) == 1.0
+    # a pure state's Gram matrix can read 1 + 9e-16; the entropy must not go negative
+    assert entropy_from_eigenvalues(np.array([-1e-16, 2e-13, 1 + 9e-16])) >= 0.0
+
+
 def test_effectively_pure_on_line_lattice_is_plain_mixture():
     # every shell is one-dimensional, so the state is diagonal with mu's diagonal
     basis = build_basis_1d(4, 1.0)
