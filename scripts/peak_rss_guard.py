@@ -16,9 +16,12 @@ over its limit:
   ``alpha_decompose`` of a frozen rho(t), a ``np.linalg.norm`` sweep over
   its ``components``, ``reconstruct``, ``free_phase_law``, and
   ``DensityMatrix(m)`` with one free evolve.  A frozen matrix is held, not
-  copied, and no n x n label array is built: it peaked at 150.5 MB on a
-  2-CPU Xeon, and at 230.6 MB when each of ``alpha_decompose`` and
-  ``DensityMatrix`` copied the matrix and a whole int64 label matrix was held.
+  copied, no n x n label or mask array is built, and ``DensityMatrix(m)``
+  forms no n x n temporary for this rank-45 rho(t): it peaked at 125.8 MB
+  on a 2-CPU Xeon; 149.6 MB with an n x n mask per sector matrix and an
+  n x n Cholesky buffer and residual, and 230.6 MB when each of
+  ``alpha_decompose`` and ``DensityMatrix`` also copied the matrix and a
+  whole int64 label matrix was held.
 
 Each child's peak is read on its own with ``os.wait4``; ``RUSAGE_CHILDREN``
 would report the largest peak over all children.

@@ -1,4 +1,5 @@
-"""Frozen value types whose methods are written once, not generated.
+"""Frozen value types whose methods are written once, not generated, and
+the helpers every module shares.
 
 ``record`` reads a class's annotated fields once and installs shared
 methods, where ``dataclasses`` writes and compiles new ones per class
@@ -13,6 +14,15 @@ def _frozen(a):
     """Mark ``a`` read-only in place and return it."""
     a.setflags(write=False)
     return a
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices cutting ``rows`` rows of ``width`` elements into blocks of
+    max(1, 2**16 // width) rows (a width of 0 counts as 1): an elementwise
+    sweep over an n x n matrix or a grid holds temporaries of about 2**16
+    elements, never the whole."""
+    step = max(1, (1 << 16) // max(1, width))
+    return [slice(r, r + step) for r in range(0, rows, step)]
 
 
 class _DenseOnDemand:

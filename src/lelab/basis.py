@@ -124,9 +124,11 @@ def build_basis_1d(N: int, delta_k: float) -> MomentumBasis:
     return _basis_from_points(points, delta_k)
 
 
-def bohr_labels(basis: MomentumBasis) -> np.ndarray:
-    """Integer Bohr label |n_col|^2 - |n_row|^2 of every matrix element:
-    element (a, b) has alpha = E_b - E_a = label * delta_k^2, exactly."""
+def bohr_labels(basis: MomentumBasis, rows=slice(None)) -> np.ndarray:
+    """Integer Bohr label |n_col|^2 - |n_row|^2 of the matrix elements in
+    ``rows`` (default all): element (a, b) has alpha = E_b - E_a =
+    label * delta_k^2, exactly.  The one formula for the labels; the
+    Bohr-sector path reads it a block of rows at a time."""
     n2 = basis.norms2
-    return n2[None, :] - n2[:, None]
+    return n2[None, :] - n2[rows, None]
 

@@ -30,15 +30,13 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._record import _frozen, record
+from ._record import _frozen, _row_blocks, record
 from .basis import MomentumBasis, bohr_labels
 from .errors import DimensionCapError
 from .states import HERMITICITY_TOL, DensityMatrix
 
 # A dim-64 system already implies a 4096^2 superoperator; refuse beyond that.
 SUPEROP_DIM_CAP = 64
-# Elements of the superoperator that ``alpha_offblock_norm`` reads per chunk.
-OFFBLOCK_CHUNK_ELEMENTS = 1 << 16
 
 # Sign flips and characters are bit masks over the three coordinates:
 # bit i set flips (or, for a character, is odd under the flip of) axis i.
@@ -271,14 +269,17 @@ class Propagator:
         for rho(0) = B B^dagger, with G_b = Q_b^dagger (P^T B)_b formed once.  With a real
         Q_b, G_b and each C(t) block are one real product with the interleaved real and
         imaginary parts: half the flops, and no complex copy of Q_b.  A ``t`` that is
-        not finite raises ValueError before its phases are taken."""
+        not finite, or whose phase w_b t overflows, raises ValueError before its
+        phases are taken."""
         z = self.orbits.from_lattice(np.ascontiguousarray(b, dtype=np.complex128))
         bounds = np.cumsum([0] + [len(w) for w, _ in self.blocks])
         spans = list(zip(bounds[:-1], bounds[1:]))
         g = [_product(q, z[lo:hi], adjoint=True) for (_, q), (lo, hi) in zip(self.blocks, spans)]
         for t in map(float, times):
-            if not np.isfinite(t):
-                raise ValueError(f"t must be finite, got {t}")
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(t) and not any(np.isinf(w * t).any() for w, _ in self.blocks)
+            if not finite:
+                raise ValueError(f"t must be finite, with a finite phase w * t, got {t}")
             c = np.empty_like(z)
             for (w, q), gb, (lo, hi) in zip(self.blocks, g, spans):
                 _product(q, np.exp(-1j * w * t)[:, None] * gb, out=c[lo:hi])
@@ -366,15 +367,13 @@ def alpha_offblock_norm(s: np.ndarray, basis: MomentumBasis) -> tuple[float, flo
     labels = bohr_labels(basis).reshape(-1)
     if s.shape != (len(labels), len(labels)):
         raise ValueError(f"operator shape {s.shape} does not match basis of size {basis.size}")
-    # A few rows at a time, with in-sector elements zeroed, so the extra
-    # memory is bounded by the chunk instead of a gather of every
+    # A block of rows at a time, with in-sector elements zeroed, so the
+    # extra memory is bounded by the block instead of a gather of every
     # off-sector element.
-    n = len(labels)
-    step = max(1, OFFBLOCK_CHUNK_ELEMENTS // n)
     max_off = sum_sq = 0.0
-    for r in range(0, n, step):
-        mags = np.abs(s[r : r + step], dtype=float)
-        mags[labels[r : r + step, None] == labels[None, :]] = 0.0
+    for r in _row_blocks(len(labels), len(labels)):
+        mags = np.abs(s[r], dtype=float)
+        mags[labels[r, None] == labels[None, :]] = 0.0
         max_off = max(max_off, float(mags.max()))
         sum_sq += float(np.vdot(mags, mags))
     return max_off, float(np.sqrt(sum_sq))

@@ -13,10 +13,10 @@ Transport is semi-Lagrangian with linear interpolation: per p-row (flow)
 or per q-column (kick) the shift is constant, so the scheme preserves
 nonnegativity and conserves mass up to p-boundary truncation; the free
 flow also keeps the p-marginal.  Each kernel copies its integer shifts
-into small work blocks with at most two slices per row and blends with
-whole-array numpy, doing per element exactly the arithmetic of a
-one-row-at-a-time ``np.roll`` scheme, so the output is bit-identical
-to that scheme.
+into work blocks of about 2**16 cells (``_record._row_blocks``), with
+at most two slices per row, and blends with whole-array numpy, doing
+per element exactly the arithmetic of a one-row-at-a-time ``np.roll``
+scheme, so the output is bit-identical to that scheme.
 
 A density holds only its support window: the p columns [lo, hi) from
 the first to the last holding any bit other than +0.0 (so -0.0
@@ -38,12 +38,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._record import _DenseOnDemand, _frozen, record
+from ._record import _DenseOnDemand, _frozen, _row_blocks, record
 from .errors import StateValidationError
 
 MASS_TOL = 1e-8
-# Cells per work block of the transport kernels (512 KiB of float64).
-_BLOCK_CELLS = 1 << 16
 
 
 @record(by_value=True)
@@ -197,12 +195,6 @@ def single_p_row_density(grid: PhaseSpaceGrid, p0: float) -> PhaseSpaceDensity:
     return _handover(grid, column, nearest_p_row(grid, p0))
 
 
-def _blocks(rows: int, width: int) -> list[slice]:
-    """Slices cutting ``rows`` rows of ``width`` cells into blocks of about ``_BLOCK_CELLS``."""
-    step = max(1, _BLOCK_CELLS // width)
-    return [slice(r, r + step) for r in range(0, rows, step)]
-
-
 def classical_free_flow(rho: PhaseSpaceDensity, t: float) -> PhaseSpaceDensity:
     """Transport along q -> q + 2 p t at fixed p (characteristics of H = p^2).
 
@@ -229,7 +221,7 @@ def classical_free_flow(rho: PhaseSpaceDensity, t: float) -> PhaseSpaceDensity:
                          f"{offset[~np.isfinite(offset)][0]} cells")
     values = rho._window
     out = np.empty((nq, hi - lo))
-    for c in _blocks(hi - lo, nq):
+    for c in _row_blocks(hi - lo, nq):
         # k stays a float so that any finite offset is exact (an int64
         # overflows past 2**63 cells); + 0.0 turns floor(-0.0) into the +0 of
         # an integer.
@@ -286,7 +278,7 @@ def apply_kick(
     out_lo = max(0, lo - int(k.max()) - 1)
     n = max(0, min(grid.n_p, hi - int(k.min())) - out_lo)
     out = np.empty((grid.nq, n))
-    for r in _blocks(grid.nq, n + 1):
+    for r in _row_blocks(grid.nq, n + 1):
         e = np.zeros((len(w[r]), n + 1))
         for dst, src, s in zip(e, rho._window[r], (k[r] + out_lo).tolist()):
             # dst[x] = values[i, x + s], read only inside the support span

@@ -11,6 +11,11 @@ and, where occupied, a normalized block rho_hat_E.  The effective
 entropy is the unweighted sum of the per-shell entropies
 S_E = -Tr rho_hat_E ln rho_hat_E; it vanishes exactly when every
 occupied block has rank one (an effectively pure state).
+
+Every pass over the Bohr labels of an n x n matrix reads them from
+``basis.bohr_labels`` one block of rows at a time (``_record._row_blocks``),
+so the decomposition, its sector matrices, ``reconstruct`` and the free
+phase law build no n x n label or mask array.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._record import _frozen, record
-from .basis import MomentumBasis
+from ._record import _frozen, _row_blocks, record
+from .basis import MomentumBasis, bohr_labels
 from .dynamics import Hamiltonian
 from .errors import StateValidationError
 from .states import (
@@ -38,31 +43,15 @@ TAU_LAMBDA = 1e-12
 RANK_TOL = 1e-8
 
 
-# A pass over the labels of an n x n matrix holds about this many of them at
-# a time, never all n^2.
-_BLOCK_ELEMENTS = 1 << 16
-
-
-def _label_blocks(n2: np.ndarray, lo):
-    """(rows, labels - lo) for consecutive blocks of rows of the n x n label
-    matrix n2[None, :] - n2[:, None], each block _BLOCK_ELEMENTS elements or
-    one row; with lo the smallest label, the shifted labels index arrays."""
-    shifted = n2 - lo
-    step = max(1, _BLOCK_ELEMENTS // len(n2))
-    for i in range(0, len(n2), step):
-        rows = slice(i, i + step)
-        yield rows, shifted[None, :] - n2[rows, None]
-
-
 @record(hide=("_basis",))
 class AlphaDecomposition:
     """Partition of a matrix into disjointly supported Bohr-frequency parts.
 
     Element (a, b) carries the integer label |n_b|^2 - |n_a|^2 of
-    ``basis.bohr_labels``; the labels are read from the basis's squared
-    norms where they are needed, and no n x n label array is built.  A
-    sector is a label, not a copy: ``components`` builds a sector's
-    matrix only when it is indexed.
+    ``basis.bohr_labels``, read a block of rows at a time where it is
+    needed, so no n x n label or mask array is built.  A sector is a
+    label, not a copy: ``components`` builds a sector's matrix only when
+    it is indexed.
     """
 
     matrix: np.ndarray         # the decomposed matrix, read-only; the caller's own when it was frozen
@@ -77,14 +66,21 @@ class AlphaDecomposition:
         return _Components(self)
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of all components; exact, because their supports are disjoint.
+        """Sum of all components; exact, because their supports are disjoint."""
+        n2 = self._basis.norms2
+        lo = n2.min() - n2.max()  # labels lie in [lo, -lo]
+        kept = np.zeros(1 - 2 * lo, dtype=bool)
+        kept[self.sector_labels - lo] = True
+        return self._where(lambda labels: kept[labels - lo])
 
-        Which elements to keep depends only on the shells of the row and
-        the column, so an S x S table of shell pairs is expanded to n x n."""
-        shells = self._basis.shells.norms2
-        keep = np.isin(shells[None, :] - shells[:, None], self.sector_labels)
-        shell_of = np.searchsorted(shells, self._basis.norms2)
-        return np.where(keep[shell_of[:, None], shell_of], self.matrix, 0)
+    def _where(self, keep) -> np.ndarray:
+        """The matrix where ``keep(labels)`` holds for a block of rows'
+        labels, +0.0 elsewhere: one n x n output and one block at a time."""
+        m = self.matrix
+        out = np.zeros_like(m)
+        for r in _row_blocks(len(m), len(m)):
+            np.copyto(out[r], m[r], where=keep(bohr_labels(self._basis, r)))
+        return out
 
 
 @record
@@ -97,10 +93,8 @@ class _Components(Sequence):
         return len(self.decomp.sector_labels)
 
     def __getitem__(self, i: int) -> np.ndarray:
-        d = self.decomp
-        label = int(d.sector_labels[operator.index(i)])
-        n2 = d._basis.norms2.astype(np.int32)  # every |n|^2 under the point caps fits
-        return np.where(n2[None, :] == n2[:, None] + label, d.matrix, 0)
+        label = self.decomp.sector_labels[operator.index(i)]
+        return self.decomp._where(lambda labels: labels == label)
 
 
 def alpha_decompose(matrix, basis: MomentumBasis) -> AlphaDecomposition:
@@ -117,8 +111,8 @@ def alpha_decompose(matrix, basis: MomentumBasis) -> AlphaDecomposition:
     n2 = basis.norms2
     lo = n2.min() - n2.max()  # labels lie in [lo, -lo]
     present = np.zeros(1 - 2 * lo, dtype=bool)  # one flag per label, not a sort of the n^2 labels
-    for rows, shifted in _label_blocks(n2, lo):
-        present[shifted[m[rows] != 0]] = True
+    for r in _row_blocks(len(m), len(m)):
+        present[bohr_labels(basis, r)[m[r] != 0] - lo] = True
     sector_labels = (np.flatnonzero(present) + lo).astype(n2.dtype)
     if not sector_labels.size:  # zero matrix: keep a single empty alpha = 0 sector
         sector_labels = np.zeros(1, dtype=n2.dtype)
@@ -131,15 +125,19 @@ def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
 
     One phase per integer label in [lo, -lo], gathered by each row block's
     labels: the same elementwise formula as on the n^2 alphas, evaluated
-    once per label."""
-    n2 = decomp._basis.norms2
-    lo = n2.min() - n2.max()
+    once per label.  A ``t`` that is not finite, or whose phase alpha t
+    overflows, raises ValueError."""
+    basis = decomp._basis
+    lo = basis.norms2.min() - basis.norms2.max()
     alpha = np.arange(lo, 1 - lo) * decomp.delta_k**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(alpha * t).all():
+            raise ValueError(f"t must be finite, with a finite phase alpha * t, got {t}")
     phase = np.exp(1j * alpha * t)
     m = decomp.matrix
     out = np.empty_like(m)
-    for rows, shifted in _label_blocks(n2, lo):
-        np.multiply(phase[shifted], m[rows], out=out[rows])
+    for r in _row_blocks(len(m), len(m)):
+        np.multiply(phase[bohr_labels(basis, r) - lo], m[r], out=out[r])
     return out
 
 

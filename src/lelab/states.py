@@ -9,7 +9,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ._record import _DenseOnDemand, _frozen, record
+from ._record import _DenseOnDemand, _frozen, _row_blocks, record
 from .basis import MomentumBasis
 from .errors import StateValidationError
 
@@ -47,11 +47,12 @@ def _readonly_complex(a) -> np.ndarray:
 def _check_hermitian_unit_trace(m: np.ndarray, what: str) -> None:
     """The density-matrix rule short of positivity: raises
     StateValidationError, naming ``m`` as ``what``, unless ``m`` is square,
-    Hermitian and unit trace within the module tolerances."""
+    Hermitian and unit trace within the module tolerances.  Hermiticity is
+    checked a block of rows at a time."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateValidationError(f"{what} must be square, got shape {m.shape}")
     # Each comparison is written so that NaN fails it too.
-    herm = np.abs(m - m.conj().T).max()
+    herm = np.max([np.abs(m[r] - m[:, r].conj().T).max() for r in _row_blocks(len(m), len(m))])
     if not herm <= HERMITICITY_TOL:
         raise StateValidationError(f"{what} is not Hermitian: max deviation {herm:.3e}")
     tr = np.trace(m)
@@ -94,6 +95,9 @@ def _certified_factor(m: np.ndarray) -> np.ndarray | None:
     Pivoted Cholesky: each column is the Schur-complement column of the
     largest remaining diagonal d, and the pivots stop once max d is at or
     below PSD_TOL / n, so that a PSD remainder has ||.||_F <= tr <= PSD_TOL.
+    The columns are held as the rows of an array that doubles as the rank
+    grows, and the residual is summed a block of rows at a time, so no n x n
+    temporary is formed for a low-rank ``m``.
     B is kept only if ||m - B B^dagger||_F <= PSD_TOL; by Weyl's inequality
     the Hermitian part of ``m`` then has no eigenvalue below -PSD_TOL, the
     positivity rule of ``validated_spectrum``.  A non-PSD ``m``, or one
@@ -103,21 +107,27 @@ def _certified_factor(m: np.ndarray) -> np.ndarray | None:
     n = m.shape[0]
     d = m.diagonal().real.copy()
     cut = PSD_TOL / n
-    bt = np.empty((n, n), dtype=complex)  # row k is column k of B; r is not known in advance
+    bt = np.empty((0, n), dtype=complex)  # row k is column k of B; grown as the rank is found
     k = 0
     while k < n:
         p = int(np.argmax(d))
         if not d[p] > cut:
             break
+        if k == len(bt):  # double the rows, in the same row-major layout
+            bt = np.concatenate((bt, np.empty((min(max(k, 16), n - k), n), dtype=complex)))
         col = m[:, p] - bt[:k].T @ bt[:k, p].conj()
         col /= np.sqrt(d[p])
         bt[k] = col
         d -= col.real**2 + col.imag**2
         k += 1
     b = bt[:k].T.copy()
-    e = b @ b.conj().T
-    e -= m
-    if not np.sqrt(np.vdot(e, e).real) <= PSD_TOL:
+    bh = b.conj().T
+    residual2 = 0.0  # ||m - B B^dagger||_F^2, a block of rows at a time
+    for r in _row_blocks(n, n):
+        e = b[r] @ bh
+        e -= m[r]
+        residual2 += np.vdot(e, e).real
+    if not np.sqrt(residual2) <= PSD_TOL:
         return None
     return b / np.linalg.norm(b)
 

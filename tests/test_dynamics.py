@@ -17,7 +17,7 @@ from lelab.dynamics import (
     liouvillian_superoperator,
 )
 from lelab.errors import DimensionCapError
-from lelab.reduction import entropy_trace
+from lelab.reduction import alpha_decompose, entropy_trace, free_phase_law
 from lelab.states import (
     DensityMatrix,
     PureState,
@@ -588,10 +588,12 @@ def test_evolve_of_a_dense_state_drops_its_negative_roundoff():
     assert abs(gap - 2e-11) <= 1e-13
 
 
-@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, 1e308, -1e308])
 def test_an_infinite_time_is_refused_before_its_phases_are_taken(t):
     # RuntimeWarnings are errors under the test settings, so numpy's
-    # "invalid value" from exp(-i w t) would fail this test before the check
+    # "invalid value" from exp(-i w t) would fail this test before the check;
+    # a finite t whose phase w t or alpha t overflows is refused alike (it used
+    # to end in "density matrix has trace nan, not 1" or an all-NaN matrix)
     basis = build_basis(1, 1.0)
     h = build_hamiltonian(basis, 0.2, 1.0)
     rho = random_effectively_pure_state(basis, np.random.default_rng(6))
@@ -599,6 +601,8 @@ def test_an_infinite_time_is_refused_before_its_phases_are_taken(t):
         h.propagator.evolve(rho, t)
     with pytest.raises(ValueError, match="t must be finite"):
         entropy_trace(rho, h, [0.0, t], basis)
+    with pytest.raises(ValueError, match="t must be finite"):
+        free_phase_law(alpha_decompose(rho.matrix, basis), t)
 
 
 def test_evolve_at_time_zero_is_identity():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lelab import config, harness, koopman
-from lelab._record import _DenseOnDemand
+from lelab._record import _DenseOnDemand, _row_blocks
 from lelab.basis import bohr_labels, build_basis, build_basis_1d
 from lelab.config import validate_config
 from lelab.dynamics import Propagator, build_hamiltonian, commutator_superoperator, evolve
@@ -177,6 +177,69 @@ def test_free_phase_law_is_the_elementwise_formula(lattice, t):
     dec = alpha_decompose(random_density_matrix(basis.size, np.random.default_rng(1)).matrix, basis)
     elementwise = np.exp(1j * (bohr_labels(basis) * dec.delta_k**2) * t) * dec.matrix
     assert free_phase_law(dec, t).tobytes() == elementwise.tobytes()
+
+
+def test_row_blocks_cover_every_row_once():
+    for rows, width in [(343, 343), (1000, 1000), (7, 3), (5, (1 << 16) + 1), (0, 10)]:
+        blocks = _row_blocks(rows, width)
+        covered = np.concatenate([np.arange(rows)[r] for r in blocks] + [np.zeros(0, int)])
+        np.testing.assert_array_equal(covered, np.arange(rows))
+        assert all(r.stop - r.start == max(1, (1 << 16) // width) for r in blocks)
+    assert [r.stop - r.start for r in _row_blocks(5, (1 << 16) + 1)] == [1] * 5
+    assert _row_blocks(0, 10) == _row_blocks(0, 0) == []
+
+
+# Both span many row blocks: 2**16 elements are 49 rows at M = 5, 65 at N = 1000.
+BLOCKED_BASES = {"M5": build_basis(5, 0.7), "N1000": build_basis_1d(1000, 1.3)}
+
+
+def _few_sector_matrix(basis):
+    """(m, labels, off): a seeded rank-6 complex matrix kept on five labels
+    (-2 and 1 do not occur on the line), with a -0.0 on the diagonal and
+    one at ``off``, in the last row and in no kept sector."""
+    rng = np.random.default_rng(2)
+    g = rng.normal(size=(basis.size, 6)) + 1j * rng.normal(size=(basis.size, 6))
+    labels = bohr_labels(basis)
+    kept = np.isin(labels, [-2, 0, 1, 3, 7])
+    m = np.where(kept, g @ g.conj().T, 0)
+    off = tuple(np.argwhere(~kept)[-1])
+    m[off] = complex(-0.0, -0.0)
+    m[1, 1] = complex(-0.0, 0.0)
+    return m, labels, off
+
+
+@pytest.mark.parametrize("lattice", sorted(BLOCKED_BASES))
+def test_sector_matrices_are_the_label_oracle_byte_for_byte(lattice):
+    basis = BLOCKED_BASES[lattice]
+    m, labels, off = _few_sector_matrix(basis)
+    dec = alpha_decompose(m, basis)
+    assert dec.sector_labels.tolist() == ([-2, 0, 1, 3, 7] if lattice == "M5" else [0, 3, 7])
+    for label, comp in zip(dec.sector_labels, dec.components):
+        assert comp.tobytes() == np.where(labels == label, m, 0).tobytes()
+    whole = dec.reconstruct()
+    assert whole.tobytes() == np.where(np.isin(labels, dec.sector_labels), m, 0).tobytes()
+    assert whole[off].tobytes() == bytes(16) != m[off].tobytes()  # +0.0 off the sectors
+    for t in (0.37, -2.5, 1e6):
+        elementwise = np.exp(1j * (labels * dec.delta_k**2) * t) * m
+        assert free_phase_law(dec, t).tobytes() == elementwise.tobytes()
+
+
+def test_a_sector_matrix_holds_one_output_and_one_block():
+    basis = BLOCKED_BASES["M5"]
+    m = random_density_matrix(basis.size, np.random.default_rng(3), rank=45).matrix
+    dec = alpha_decompose(m, basis)
+    for build in (lambda: dec.components[len(dec.alphas) // 2], dec.reconstruct):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = build()
+            extra = tracemalloc.get_traced_memory()[1] - before - out.nbytes
+        finally:
+            tracemalloc.stop()
+        # a block of 2**16 labels (int64), their shifted copy and a bool
+        # mask are 17 bytes an element; an n x n bool mask alone is 1.8 MB
+        assert extra <= 24 * (1 << 16) < basis.size**2
 
 
 @given(seed=st.integers(0, 10_000), t=st.floats(-10.0, 10.0))

@@ -332,6 +332,22 @@ def test_a_factored_state_forms_its_matrix_only_when_read():
         rho.factor = b
 
 
+def test_a_matrix_state_holds_no_n_by_n_temporary():
+    # cube M = 5: n = 1331, a complex n x n matrix is 28 MB; rank 45 as for a rho(t)
+    m = random_density_matrix(1331, np.random.default_rng(5), rank=45).matrix
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rho = DensityMatrix(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.matrix is m and rho.factor.shape == (1331, 45)
+    # the factor, its growing rows and blocks of rows; an n x n Cholesky
+    # buffer and residual came to 58.6 MB
+    assert peak < m.nbytes // 4
+
+
 def _dense_purity_and_entropy(m: np.ndarray) -> tuple[float, float]:
     eigs = np.linalg.eigvalsh(m)
     kept = eigs[eigs > 1e-12]
