@@ -6,8 +6,11 @@ methods, where ``dataclasses`` writes and compiles new ones per class
 (about 0.75 ms each at import on Python 3.11).  A ``by_value`` record
 compares and hashes by its field values and equals only its own type; any
 other compares by identity, as types holding arrays must, since ``==`` on
-arrays is elementwise.
+arrays is elementwise.  Every array lelab builds on first read is a
+``functools.cached_property``, of a record or of ``dynamics.Hamiltonian``.
 """
+
+from functools import cached_property
 
 
 def _frozen(a):
@@ -25,45 +28,23 @@ def _row_blocks(rows: int, width: int) -> list[slice]:
     return [slice(r, r + step) for r in range(0, rows, step)]
 
 
-class _DenseOnDemand:
-    """A record field's default that holds the array it was given, or else
-    ``build(instance)``, formed on first read and kept read-only (the
-    ``matrix`` of ``states.DensityMatrix``, the ``values`` of
-    ``koopman.PhaseSpaceDensity``).  The array lives in the instance's
-    ``__dict__`` under the field's name with a leading underscore."""
-
-    def __init__(self, build):
-        self._build = build
-
-    def __set_name__(self, owner, name):
-        self._key = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        m = obj.__dict__[self._key]
-        if m is None:
-            m = _frozen(self._build(obj))
-            obj.__dict__[self._key] = m
-        return m
-
-    def __set__(self, obj, m):  # reached only from __init__ and __post_init__
-        # __init__ passes the field's default, this descriptor, when no array is given
-        obj.__dict__[self._key] = None if m is self else m
-
-
 def record(cls=None, /, *, by_value=False, hide=()):
     """Make ``cls`` a frozen record of its annotated fields: ``__init__`` takes
     them positionally or by keyword, defaulting to the class attributes of the
     same names, then calls ``self.__post_init__()`` if the class has one;
     setting or deleting an attribute raises AttributeError; ``repr`` leaves out
-    the fields in ``hide`` and those whose default is a ``_DenseOnDemand``."""
+    the fields in ``hide`` and the lazy ones, whose class attribute is a
+    ``cached_property``: ``__init__`` puts a lazy field in ``vars(self)``
+    only when it is given, and otherwise the property builds it on first read."""
 
     def make(cls):
         cls._fields = tuple(cls.__annotations__)
-        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
-        cls._shown = tuple(name for name in cls._fields if name not in hide
-                           and not isinstance(cls._defaults.get(name), _DenseOnDemand))
+        cls._lazy = frozenset(name for name in cls._fields
+                              if isinstance(cls.__dict__.get(name), cached_property))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
+                         if name in cls.__dict__ and name not in cls._lazy}
+        cls._shown = tuple(name for name in cls._fields
+                           if name not in hide and name not in cls._lazy)
         cls.__init__ = _init
         cls.__setattr__ = cls.__delattr__ = _refuse
         cls.__repr__ = _repr
@@ -83,11 +64,11 @@ def _init(self, *args, **kwargs):
     cls = type(self)
     values = {**cls._defaults, **dict(zip(cls._fields, args)), **kwargs}
     if (len(args) > len(cls._fields) or kwargs.keys() & cls._fields[: len(args)]
-            or values.keys() != set(cls._fields)):
+            or values.keys() | cls._lazy != set(cls._fields)):
         raise TypeError(f"{cls.__name__}() takes ({', '.join(cls._fields)}), each once, "
                         f"got {len(args)} positional and {sorted(kwargs)} by keyword")
-    for name in cls._fields:
-        object.__setattr__(self, name, values[name])
+    for name, value in values.items():
+        object.__setattr__(self, name, value)
     check = getattr(self, "__post_init__", None)
     if check is not None:
         check()

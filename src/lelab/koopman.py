@@ -34,11 +34,12 @@ made.  The full grid, ``values``, is formed only when read.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from ._record import _DenseOnDemand, _frozen, _row_blocks, record
+from ._record import _frozen, _row_blocks, record
 from .errors import StateValidationError
 
 MASS_TOL = 1e-8
@@ -54,6 +55,10 @@ class PhaseSpaceGrid:
     dp: float
 
     def __post_init__(self):
+        for name in ("nq", "n_p"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {n!r}")
         if self.nq < 1 or self.n_p < 2:
             raise ValueError("need nq >= 1 and n_p >= 2")
         if self.n_p % 2 != 0:
@@ -74,15 +79,6 @@ class PhaseSpaceGrid:
         return self.nq * self.dq
 
 
-def _full_grid(rho: PhaseSpaceDensity) -> np.ndarray:
-    """The nq x n_p grid of ``rho``: its window, +0.0 elsewhere."""
-    g = rho.grid
-    lo, hi = rho._span
-    v = np.zeros((g.nq, g.n_p))
-    v[:, lo:hi] = rho._window
-    return v
-
-
 @record
 class PhaseSpaceDensity:
     """Nonnegative unit-mass grid function; values[i, j] sits at (q_i, p_j).
@@ -90,16 +86,26 @@ class PhaseSpaceDensity:
     Built from a caller's nq x n_p array, which is scanned once for its
     support span ``_span`` = [lo, hi), the p columns from the first to the
     last holding any bit other than +0.0; only that window is copied and
-    kept, as ``_window``, read-only and C-ordered.  ``values``, the full
-    grid, is a ``_DenseOnDemand`` field: formed on first read, kept
-    read-only, and not read by ``repr``.
+    kept, as ``_window``, read-only and C-ordered, and the caller's array
+    is not held.  ``values``, the full grid, is a ``cached_property``
+    field: formed on first read, kept read-only, and not read by ``repr``.
+    ``mass`` is the window's sum times the cell area.
     """
 
     grid: PhaseSpaceGrid
-    values: np.ndarray = _DenseOnDemand(_full_grid)
+    values: np.ndarray
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The nq x n_p grid: the window, +0.0 elsewhere."""
+        g = self.grid
+        lo, hi = self._span
+        v = np.zeros((g.nq, g.n_p))
+        v[:, lo:hi] = self._window
+        return _frozen(v)
 
     def __post_init__(self):
-        v = self.__dict__["_values"]
+        v = vars(self).pop("values", None)
         if v is None:
             raise TypeError("PhaseSpaceDensity needs its values")
         if np.iscomplexobj(v):
@@ -130,14 +136,9 @@ class PhaseSpaceDensity:
         m = w.sum() * g.dq * g.dp
         if not abs(m - 1.0) <= MASS_TOL:  # likewise
             raise StateValidationError(f"mass is {m}, not 1")
-        self.__dict__["_values"] = None
         object.__setattr__(self, "_window", _frozen(w))
         object.__setattr__(self, "_span", (lo + a, lo + b))
-        object.__setattr__(self, "_mass", float(m))
-
-    @property
-    def mass(self) -> float:
-        return self._mass
+        object.__setattr__(self, "mass", float(m))
 
 
 def _handover(grid: PhaseSpaceGrid, w: np.ndarray, lo: int) -> PhaseSpaceDensity:
@@ -185,7 +186,10 @@ def gaussian_density(
 
 
 def nearest_p_row(grid: PhaseSpaceGrid, p0: float) -> int:
-    """Index of the p row nearest ``p0`` (the lower one on a tie)."""
+    """Index of the p row nearest ``p0`` (the lower one on a tie); a
+    non-finite ``p0`` raises ValueError."""
+    if not np.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0}")
     return int(np.argmin(np.abs(grid.p - p0)))
 
 
@@ -343,7 +347,7 @@ def xi_beta_coordinates(q, p, p_min: float = 0.0):
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    if np.any(np.abs(p) < p_min) or np.any(p == 0):
+    if not np.all((np.abs(p) >= p_min) & (p != 0)):  # written so that NaN fails too
         raise ValueError(f"|p| must be at least {max(p_min, np.finfo(float).tiny)} away from zero")
     xi = q / (2.0 * p)
     if xi.ndim == 0:

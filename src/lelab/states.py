@@ -5,11 +5,12 @@ Validation tolerances are fixed so that test oracles are unambiguous.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from ._record import _DenseOnDemand, _frozen, _row_blocks, record
+from ._record import _frozen, _row_blocks, record
 from .basis import MomentumBasis
 from .errors import StateValidationError
 
@@ -51,8 +52,10 @@ def _check_hermitian_unit_trace(m: np.ndarray, what: str) -> None:
     checked a block of rows at a time."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateValidationError(f"{what} must be square, got shape {m.shape}")
-    # Each comparison is written so that NaN fails it too.
-    herm = np.max([np.abs(m[r] - m[:, r].conj().T).max() for r in _row_blocks(len(m), len(m))])
+    # Each comparison is written so that NaN fails it too; an empty m is
+    # Hermitian, and fails on its trace 0.
+    herm = np.max([np.abs(m[r] - m[:, r].conj().T).max() for r in _row_blocks(len(m), len(m))],
+                  initial=0.0)
     if not herm <= HERMITICITY_TOL:
         raise StateValidationError(f"{what} is not Hermitian: max deviation {herm:.3e}")
     tr = np.trace(m)
@@ -145,20 +148,24 @@ class DensityMatrix:
     ``eigh`` gives the factor (``_psd_factor``: one column per positive
     eigenvalue) or refuses it as not PSD.  A given factor is Hermitian and
     PSD by construction, so only its trace ||B||_F^2 is checked, and no
-    n x n array is formed: ``matrix``, a ``_DenseOnDemand`` field, is then
-    built on first read, and ``repr`` does not read it.  A given array is
-    taken through ``_readonly_complex``: a frozen complex one, such as
-    another state's ``matrix``, is held as it is, and any other is copied
-    once, so that later writes to the caller's array do not reach the state.
-    ``Propagator.evolve``, ``entropy_trace`` and the global statistics work
-    on the factor.
+    n x n array is formed: ``matrix``, a ``cached_property`` field, is then
+    built as B B^dagger on first read, kept read-only, and not read by
+    ``repr``.  A given array is taken through ``_readonly_complex``: a
+    frozen complex one, such as another state's ``matrix``, is held as it
+    is, and any other is copied once, so that later writes to the caller's
+    array do not reach the state.  ``Propagator.evolve``, ``entropy_trace``
+    and the global statistics work on the factor.
     """
 
-    matrix: np.ndarray | None = _DenseOnDemand(lambda rho: rho.factor @ rho.factor.conj().T)
+    matrix: np.ndarray | None
     factor: np.ndarray | None = None
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _frozen(self.factor @ self.factor.conj().T)
+
     def __post_init__(self):
-        given = self.__dict__["_matrix"]
+        given = vars(self).pop("matrix", None)  # an explicit None leaves matrix to be built
         if (given is None) == (self.factor is None):
             raise StateValidationError("give a density matrix or its factor, not both or neither")
         if self.factor is None:
@@ -167,7 +174,7 @@ class DensityMatrix:
             b = _certified_factor(m)
             if b is None:
                 b = _psd_factor(*validated_spectrum(m))
-            b.setflags(write=False)
+            _frozen(b)
             object.__setattr__(self, "matrix", m)
         else:
             b = _readonly_complex(self.factor)

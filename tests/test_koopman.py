@@ -48,6 +48,10 @@ def test_grid_validation():
         PhaseSpaceGrid(nq=8, n_p=7, dq=0.1, dp=0.1)  # odd p count
     with pytest.raises(ValueError):
         PhaseSpaceGrid(nq=8, n_p=8, dq=-0.1, dp=0.1)
+    for nq, n_p in ((2.5, 4), (True, 4), (4, 4.0), (4, np.bool_(True)), ("4", 4)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PhaseSpaceGrid(nq, n_p, 1.0, 1.0)
+    assert PhaseSpaceGrid(np.int64(4), 4, 1.0, 1.0).nq == 4
 
 
 def test_density_validation():
@@ -75,11 +79,25 @@ def test_xi_translation_identity():
     np.testing.assert_array_equal(beta1, beta0)
 
 
+@pytest.mark.parametrize("p0", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_p0_is_refused(p0):
+    # argmin over a NaN or infinite distance would pick row 0, the lowest p
+    with pytest.raises(ValueError, match="p0 must be finite"):
+        koopman.nearest_p_row(GRID, p0)
+    with pytest.raises(ValueError, match="p0 must be finite"):
+        single_p_row_density(GRID, p0)
+
+
 def test_xi_chart_rejects_singular_band():
     with pytest.raises(ValueError):
         xi_beta_coordinates(1.0, 0.0)
     with pytest.raises(ValueError):
         xi_beta_coordinates(np.array([1.0]), np.array([0.01]), p_min=0.05)
+    for p in (np.nan, np.array([0.5, np.nan])):
+        with pytest.raises(ValueError):
+            xi_beta_coordinates(1.0, p)
+        with pytest.raises(ValueError):
+            xi_beta_coordinates(1.0, p, p_min=0.05)
     xi, beta = xi_beta_coordinates(1.0, 0.5, p_min=0.05)
     assert xi == pytest.approx(1.0)
     assert beta == 0.5
@@ -548,6 +566,7 @@ def test_density_does_not_alias_the_callers_array(build, order):
     callers = np.full((GRID.nq, GRID.n_p), 1.0 / (GRID.nq * GRID.n_p * GRID.dq * GRID.dp),
                       order=order)
     rho = build(GRID, callers)
+    assert "values" not in vars(rho)  # only the window is held
     before = rho.values.tobytes()
     callers[3, 4] = 7.0
     assert rho.values.tobytes() == before

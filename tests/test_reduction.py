@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lelab import config, harness, koopman
-from lelab._record import _DenseOnDemand, _row_blocks
+from lelab._record import _row_blocks
 from lelab.basis import bohr_labels, build_basis, build_basis_1d
 from lelab.config import validate_config
 from lelab.dynamics import Propagator, build_hamiltonian, commutator_superoperator, evolve
@@ -649,7 +650,7 @@ def _value_records():
 
 def _records():
     """One fresh instance of each of the 22 frozen value types, with every
-    array a ``_DenseOnDemand`` field would build still unbuilt."""
+    array a ``cached_property`` field would build still unbuilt."""
     factored = pure_to_density(random_pure_state(4, np.random.default_rng(9)))
     return {**_array_holders(), **_value_records(), "DensityMatrix": factored}
 
@@ -665,9 +666,9 @@ def test_every_value_type_is_frozen_and_compares_as_declared(name):
         with pytest.raises(AttributeError):
             delattr(x, field)
     # repr reads no lazy field, which would build its dense array
-    lazy = [f for f in names if isinstance(vars(type(x)).get(f), _DenseOnDemand)]
+    lazy = [f for f in names if isinstance(vars(type(x)).get(f), cached_property)]
     assert repr(x).startswith(f"{name}(") and "echo=" not in repr(x)
-    assert all(x.__dict__["_" + f] is None for f in lazy)
+    assert not any(f in vars(x) for f in lazy)
     assert bool(lazy) == (name in ("DensityMatrix", "PhaseSpaceDensity"))
     if name not in _value_records():
         assert x == x and x != y

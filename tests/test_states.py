@@ -36,6 +36,8 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(StateValidationError):
         DensityMatrix(np.ones((2, 3)))  # not square
+    with pytest.raises(StateValidationError, match="trace"):
+        DensityMatrix(np.zeros((0, 0)))  # empty: trace 0
     rho = DensityMatrix(np.diag([0.25, 0.75]))
     assert rho.factor.shape[0] == 2
 
@@ -361,7 +363,18 @@ def test_global_statistics_read_the_factor(rank):
     g = rng.normal(size=(40, rank)) + 1j * rng.normal(size=(40, rank))
     rho = DensityMatrix(factor=g / np.linalg.norm(g))
     got = global_purity(rho), global_entropy(rho)
-    assert vars(rho)["_matrix"] is None  # neither formed the dense matrix
+    assert "matrix" not in vars(rho)  # neither formed the dense matrix
     purity, entropy = _dense_purity_and_entropy(rho.matrix)
     assert abs(got[0] - purity) <= 1e-12
     assert abs(got[1] - entropy) <= 1e-12
+
+
+def test_a_factored_state_builds_its_matrix_once_on_first_read():
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
+    b = g / np.linalg.norm(g)
+    rho = DensityMatrix(None, factor=b)  # an explicit None leaves the matrix to be built
+    assert "matrix" not in vars(rho)
+    m = rho.matrix
+    assert m.tobytes() == (rho.factor @ rho.factor.conj().T).tobytes() == (b @ b.conj().T).tobytes()
+    assert not m.flags.writeable and rho.matrix is m
