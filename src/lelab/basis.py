@@ -127,8 +127,9 @@ def build_basis_1d(N: int, delta_k: float) -> MomentumBasis:
 def bohr_labels(basis: MomentumBasis, rows=slice(None)) -> np.ndarray:
     """Integer Bohr label |n_col|^2 - |n_row|^2 of the matrix elements in
     ``rows`` (default all): element (a, b) has alpha = E_b - E_a =
-    label * delta_k^2, exactly.  The one formula for the labels; the
-    Bohr-sector path reads it a block of rows at a time."""
+    label * delta_k^2, exactly.  The one formula for the labels;
+    ``alpha_decompose``, ``reconstruct`` and ``free_phase_law`` read it a
+    block of rows at a time, and a sector matrix reads shell pairs instead."""
     n2 = basis.norms2
     return n2[None, :] - n2[rows, None]
 

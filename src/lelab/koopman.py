@@ -63,8 +63,8 @@ class PhaseSpaceGrid:
             raise ValueError("need nq >= 1 and n_p >= 2")
         if self.n_p % 2 != 0:
             raise ValueError("n_p must be even so the p grid straddles zero")
-        if not (self.dq > 0 and self.dp > 0):
-            raise ValueError("dq and dp must be positive")
+        if not (0 < self.dq < np.inf and 0 < self.dp < np.inf):
+            raise ValueError(f"dq and dp must be positive and finite, got {self.dq}, {self.dp}")
 
     @property
     def q(self) -> np.ndarray:
@@ -178,7 +178,16 @@ def density_from_values(grid: PhaseSpaceGrid, values: np.ndarray) -> PhaseSpaceD
 def gaussian_density(
     grid: PhaseSpaceGrid, q0: float, p0: float, sigma_q: float, sigma_p: float
 ) -> PhaseSpaceDensity:
-    """Normalized Gaussian bump; q distance is taken around the period."""
+    """Normalized Gaussian bump; q distance is taken around the period.
+
+    A centre that is not finite, or a width that is not positive and
+    finite, raises ValueError naming it."""
+    for name, value in (("q0", q0), ("p0", p0)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    for name, value in (("sigma_q", sigma_q), ("sigma_p", sigma_p)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     dq_wrapped = np.remainder(grid.q - q0 + grid.q_period / 2, grid.q_period) - grid.q_period / 2
     fq = np.exp(-0.5 * (dq_wrapped / sigma_q) ** 2)
     fp = np.exp(-0.5 * ((grid.p - p0) / sigma_p) ** 2)

@@ -12,10 +12,13 @@ entropy is the unweighted sum of the per-shell entropies
 S_E = -Tr rho_hat_E ln rho_hat_E; it vanishes exactly when every
 occupied block has rank one (an effectively pure state).
 
-Every pass over the Bohr labels of an n x n matrix reads them from
-``basis.bohr_labels`` one block of rows at a time (``_record._row_blocks``),
-so the decomposition, its sector matrices, ``reconstruct`` and the free
-phase law build no n x n label or mask array.
+A sector is a set of shell pairs: label L holds the blocks m[s, p] whose
+shells have norms2[p] - norms2[s] = L, and as shell norms are distinct,
+each row shell s has at most one such p.  A sector matrix copies just
+those blocks.  The passes that read every element (the decomposition,
+``reconstruct`` and the free phase law) read the labels from
+``basis.bohr_labels`` one block of rows at a time
+(``_record._row_blocks``).  None builds an n x n label or mask array.
 """
 
 from __future__ import annotations
@@ -48,10 +51,11 @@ class AlphaDecomposition:
     """Partition of a matrix into disjointly supported Bohr-frequency parts.
 
     Element (a, b) carries the integer label |n_b|^2 - |n_a|^2 of
-    ``basis.bohr_labels``, read a block of rows at a time where it is
-    needed, so no n x n label or mask array is built.  A sector is a
-    label, not a copy: ``components`` builds a sector's matrix only when
-    it is indexed.
+    ``basis.bohr_labels``.  A sector is a label, not a copy:
+    ``components`` builds a sector's matrix only when it is indexed,
+    from its shell-pair blocks alone, and ``reconstruct`` reads the
+    labels a block of rows at a time, so no n x n label or mask array
+    is built.
     """
 
     matrix: np.ndarray         # the decomposed matrix, read-only; the caller's own when it was frozen
@@ -66,20 +70,16 @@ class AlphaDecomposition:
         return _Components(self)
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of all components; exact, because their supports are disjoint."""
+        """Sum of all components; exact, because their supports are disjoint.
+        One n x n output, filled one block of rows at a time."""
         n2 = self._basis.norms2
         lo = n2.min() - n2.max()  # labels lie in [lo, -lo]
         kept = np.zeros(1 - 2 * lo, dtype=bool)
         kept[self.sector_labels - lo] = True
-        return self._where(lambda labels: kept[labels - lo])
-
-    def _where(self, keep) -> np.ndarray:
-        """The matrix where ``keep(labels)`` holds for a block of rows'
-        labels, +0.0 elsewhere: one n x n output and one block at a time."""
         m = self.matrix
         out = np.zeros_like(m)
         for r in _row_blocks(len(m), len(m)):
-            np.copyto(out[r], m[r], where=keep(bohr_labels(self._basis, r)))
+            np.copyto(out[r], m[r], where=kept[bohr_labels(self._basis, r) - lo])
         return out
 
 
@@ -93,8 +93,22 @@ class _Components(Sequence):
         return len(self.decomp.sector_labels)
 
     def __getitem__(self, i: int) -> np.ndarray:
+        """The sector's shell-pair blocks m[s, p] copied into a zeroed n x n
+        output.  Shell norms are distinct, so row shell s has at most one
+        partner p, the one of norm norms2[s] + label: one searchsorted
+        finds them all.  Each block is copied through its flat indices,
+        so the working memory is one block's indices and values."""
         label = self.decomp.sector_labels[operator.index(i)]
-        return self.decomp._where(lambda labels: labels == label)
+        shells = self.decomp._basis.shells
+        target = shells.norms2 + label
+        partner = np.minimum(np.searchsorted(shells.norms2, target), len(target) - 1)
+        m = self.decomp.matrix
+        out = np.zeros(m.shape, m.dtype)
+        m_flat, out_flat = m.reshape(-1), out.reshape(-1)  # views: both are C-ordered
+        for s in np.flatnonzero(shells.norms2[partner] == target):
+            block = (shells.members[s][:, None] * len(m) + shells.members[partner[s]]).ravel()
+            out_flat[block] = m_flat[block]
+        return out
 
 
 def alpha_decompose(matrix, basis: MomentumBasis) -> AlphaDecomposition:
@@ -102,8 +116,9 @@ def alpha_decompose(matrix, basis: MomentumBasis) -> AlphaDecomposition:
 
     Grouping runs over integer squared-norm differences, so the support
     partition is index bookkeeping, not floating-point arithmetic.  A
-    frozen complex matrix (any ``DensityMatrix.matrix``) is held as it
-    is; any other is copied once (``states._readonly_complex``).
+    frozen C-ordered complex matrix (any ``DensityMatrix.matrix``) is
+    held as it is; any other is copied once into C order
+    (``states._readonly_complex``).
     """
     m = _readonly_complex(matrix.matrix if isinstance(matrix, DensityMatrix) else matrix)
     if m.shape != (basis.size, basis.size):

@@ -32,17 +32,18 @@ class NormalStream(Protocol):
 
 def _readonly_complex(a) -> np.ndarray:
     """How a value type takes a caller's array: ``a`` itself when it is a
-    complex ndarray that is read-only down its whole ``.base`` chain, as
-    every ``DensityMatrix.matrix`` and every ``_frozen`` array is, so that
-    nothing can write to it through numpy; anything else is copied into a
-    fresh read-only complex array, which later writes to ``a`` do not reach."""
-    if type(a) is np.ndarray and a.dtype == np.complex128:
+    C-ordered complex ndarray that is read-only down its whole ``.base``
+    chain, as every ``DensityMatrix.matrix`` is, so that nothing can write
+    to it through numpy; anything else is copied into a fresh read-only
+    C-ordered complex array, which later writes to ``a`` do not reach.
+    Held arrays are C-ordered, so a flat view of one is never a copy."""
+    if type(a) is np.ndarray and a.dtype == np.complex128 and a.flags.c_contiguous:
         link = a
         while type(link) is np.ndarray and not link.flags.writeable:
             link = link.base
         if link is None:
             return a
-    return _frozen(np.array(a, dtype=complex))
+    return _frozen(np.array(a, dtype=complex, order="C"))
 
 
 def _check_hermitian_unit_trace(m: np.ndarray, what: str) -> None:
@@ -151,10 +152,10 @@ class DensityMatrix:
     n x n array is formed: ``matrix``, a ``cached_property`` field, is then
     built as B B^dagger on first read, kept read-only, and not read by
     ``repr``.  A given array is taken through ``_readonly_complex``: a
-    frozen complex one, such as another state's ``matrix``, is held as it
-    is, and any other is copied once, so that later writes to the caller's
-    array do not reach the state.  ``Propagator.evolve``, ``entropy_trace``
-    and the global statistics work on the factor.
+    frozen C-ordered complex one, such as another state's ``matrix``, is
+    held as it is, and any other is copied once, so that later writes to
+    the caller's array do not reach the state.  ``Propagator.evolve``,
+    ``entropy_trace`` and the global statistics work on the factor.
     """
 
     matrix: np.ndarray | None

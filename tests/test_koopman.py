@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,22 @@ def test_grid_validation():
         with pytest.raises(ValueError, match="must be an integer"):
             PhaseSpaceGrid(nq, n_p, 1.0, 1.0)
     assert PhaseSpaceGrid(np.int64(4), 4, 1.0, 1.0).nq == 4
+    for dq, dp in ((np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            PhaseSpaceGrid(4, 4, dq, dp)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("q0", np.nan), ("q0", np.inf), ("p0", -np.inf), ("p0", np.nan),
+    ("sigma_q", 0.0), ("sigma_q", -0.4), ("sigma_q", np.inf), ("sigma_q", np.nan),
+    ("sigma_p", 0.0), ("sigma_p", -1.0), ("sigma_p", np.inf), ("sigma_p", np.nan),
+])
+def test_gaussian_density_refuses_a_bad_argument_by_name(name, bad):
+    args = {"q0": 2.0, "p0": 0.8, "sigma_q": 0.5, "sigma_p": 0.3, name: bad}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            gaussian_density(GRID, **args)
 
 
 def test_density_validation():

@@ -113,6 +113,14 @@ def test_a_frozen_complex_matrix_is_held_not_copied():
     assert not m.flags.writeable
     assert DensityMatrix(m).matrix is m
     assert alpha_decompose(m, BASIS).matrix is m
+    # a frozen view that is not C-ordered is copied once into C order,
+    # so that components can index the matrix flat
+    mt = m.T
+    dec = alpha_decompose(mt, BASIS)
+    assert dec.matrix is not mt and dec.matrix.flags.c_contiguous and not dec.matrix.flags.writeable
+    assert DensityMatrix(mt).matrix.flags.c_contiguous
+    for label, comp in zip(dec.sector_labels, dec.components, strict=True):
+        assert comp.tobytes() == np.where(bohr_labels(BASIS) == label, mt, 0).tobytes()
 
 
 def test_a_writable_matrix_is_copied_and_later_writes_reach_neither_object():
@@ -225,22 +233,67 @@ def test_sector_matrices_are_the_label_oracle_byte_for_byte(lattice):
         assert free_phase_law(dec, t).tobytes() == elementwise.tobytes()
 
 
+SHELL_PAIR_BASES = {"M0": build_basis(0, 1.0), "M1": BASIS, "M3": build_basis(3, 0.7),
+                    "N1": build_basis_1d(1, 1.3), "N16": LABEL_BASES["N16"]}
+
+
+@pytest.mark.parametrize("lattice", sorted(SHELL_PAIR_BASES))
+def test_shell_pair_sectors_are_the_label_oracle_byte_for_byte(lattice, monkeypatch):
+    basis = SHELL_PAIR_BASES[lattice]
+    labels = bohr_labels(basis)
+    rho = random_density_matrix(basis.size, np.random.default_rng(5)).matrix
+    zero = np.zeros((basis.size, basis.size))
+    decs = [alpha_decompose(m, basis) for m in (rho, zero)]
+    # a sector matrix reads shell pairs, never the labels
+    monkeypatch.delattr("lelab.reduction.bohr_labels")
+    dense, empty = decs
+    assert len(dense.components) == len(np.unique(labels))
+    for label, comp in zip(dense.sector_labels, dense.components, strict=True):
+        assert comp.tobytes() == np.where(labels == label, rho, 0).tobytes()
+    assert dense.components[-1].tobytes() == dense.components[len(dense.alphas) - 1].tobytes()
+    with pytest.raises(IndexError):
+        dense.components[len(dense.alphas)]
+    # the zero matrix keeps one empty alpha = 0 sector
+    assert empty.sector_labels.tolist() == [0] and empty.alphas.tolist() == [0.0]
+    (only,) = empty.components
+    assert only.dtype == complex and only.tobytes() == bytes(16 * basis.size**2)
+
+
+def _extra_bytes(build) -> int:
+    """Peak memory ``build()`` takes beyond the array it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = build()
+        return tracemalloc.get_traced_memory()[1] - before - out.nbytes
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_sector_matrix_holds_one_output_and_one_block():
     basis = BLOCKED_BASES["M5"]
     m = random_density_matrix(basis.size, np.random.default_rng(3), rank=45).matrix
     dec = alpha_decompose(m, basis)
     for build in (lambda: dec.components[len(dec.alphas) // 2], dec.reconstruct):
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = build()
-            extra = tracemalloc.get_traced_memory()[1] - before - out.nbytes
-        finally:
-            tracemalloc.stop()
-        # a block of 2**16 labels (int64), their shifted copy and a bool
-        # mask are 17 bytes an element; an n x n bool mask alone is 1.8 MB
-        assert extra <= 24 * (1 << 16) < basis.size**2
+        # reconstruct's block of 2**16 labels (int64), their shifted copy
+        # and a bool mask are 17 bytes an element; an n x n bool mask
+        # alone is 1.8 MB
+        assert _extra_bytes(build) <= 24 * (1 << 16) < basis.size**2
+
+
+@pytest.mark.parametrize("lattice", sorted(BLOCKED_BASES))
+def test_a_sector_matrix_holds_one_shell_pair_block(lattice):
+    basis = BLOCKED_BASES[lattice]
+    m = random_density_matrix(basis.size, np.random.default_rng(3), rank=45).matrix
+    dec = alpha_decompose(m, basis)
+    # one shell-pair block's flat indices and values (24 bytes an
+    # element) and a few arrays over the shells: the bound is 165 KB at
+    # M = 5 and 63 KB at N = 1000, where a block of 2**16 labels is 1 MB
+    bound = 2 * 16 * max(map(len, basis.shells.members))**2 + 64 * basis.n_shells
+    k = len(dec.alphas)
+    for i in sorted({k // 2, k - 1, *range(0, k, max(1, k // 12))}):
+        assert _extra_bytes(lambda: dec.components[i]) <= bound
 
 
 @given(seed=st.integers(0, 10_000), t=st.floats(-10.0, 10.0))
