@@ -128,8 +128,9 @@ def bohr_labels(basis: MomentumBasis, rows=slice(None)) -> np.ndarray:
     """Integer Bohr label |n_col|^2 - |n_row|^2 of the matrix elements in
     ``rows`` (default all): element (a, b) has alpha = E_b - E_a =
     label * delta_k^2, exactly.  The one formula for the labels;
-    ``alpha_decompose``, ``reconstruct`` and ``free_phase_law`` read it a
-    block of rows at a time, and a sector matrix reads shell pairs instead."""
+    ``alpha_decompose`` and ``reconstruct`` read it a block of rows at a
+    time, while a sector matrix reads shell pairs and ``free_phase_law``
+    takes one label per (row, column shell) pair instead."""
     n2 = basis.norms2
     return n2[None, :] - n2[rows, None]
 

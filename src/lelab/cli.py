@@ -8,11 +8,15 @@ Subcommands:
 Exit codes: 0 success, 2 config error (an unreadable ``--config``, or an
 ``--out-dir`` where the outputs cannot be created or written: one
 "output error" line), 3 invariant violation, 4 dimension cap exceeded.
+
+``entry`` is the process entry of both ``lelab`` and ``python -m
+lelab.cli``; ``main`` is the same command called in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .config import load_config
@@ -91,5 +95,18 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
 
 
-if __name__ == "__main__":
+def entry():
+    """Run ``main()`` as the whole process and exit with its code.
+
+    ``gc.freeze()`` first moves every object the imports made (about
+    22,000, most of them numpy's) to the permanent generation, so no full
+    collection walks them again: neither one during the run nor the ones
+    interpreter shutdown runs (README, start-up).  Objects the run makes
+    are collected as before.  ``main`` freezes nothing, so calling it in
+    process leaves the collector as it was."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -15,10 +15,11 @@ occupied block has rank one (an effectively pure state).
 A sector is a set of shell pairs: label L holds the blocks m[s, p] whose
 shells have norms2[p] - norms2[s] = L, and as shell norms are distinct,
 each row shell s has at most one such p.  A sector matrix copies just
-those blocks.  The passes that read every element (the decomposition,
-``reconstruct`` and the free phase law) read the labels from
-``basis.bohr_labels`` one block of rows at a time
-(``_record._row_blocks``).  None builds an n x n label or mask array.
+those blocks.  The passes that read every element (the decomposition
+and ``reconstruct``) read the labels from ``basis.bohr_labels`` one
+block of rows at a time (``_record._row_blocks``), and the free phase
+law takes a block's labels per column shell.  None builds an n x n
+label or mask array.
 """
 
 from __future__ import annotations
@@ -138,21 +139,25 @@ def alpha_decompose(matrix, basis: MomentumBasis) -> AlphaDecomposition:
 def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
     """Free evolution in decomposed form: each component gains exp(+i alpha t).
 
-    One phase per integer label in [lo, -lo], gathered by each row block's
-    labels: the same elementwise formula as on the n^2 alphas, evaluated
-    once per label.  A ``t`` that is not finite, or whose phase alpha t
-    overflows, raises ValueError."""
+    Element (a, b) has the label norms2(shell of b) - norms2[a], so each
+    block of rows takes one phase per (row, column shell) pair, by the
+    elementwise formula, and gathers it by each column's shell index:
+    n S exponentials in all (S << n on the cube, S = n on the line), and
+    no table over the labels.  A ``t`` that is not finite, or whose phase
+    alpha t overflows at an end label of [lo, -lo], raises ValueError."""
     basis = decomp._basis
-    lo = basis.norms2.min() - basis.norms2.max()
-    alpha = np.arange(lo, 1 - lo) * decomp.delta_k**2
+    n2, shell_n2 = basis.norms2, basis.shells.norms2
+    lo = n2.min() - n2.max()  # labels lie in [lo, -lo]
+    dk2 = decomp.delta_k**2
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(alpha * t).all():
+        if not np.isfinite(np.array([lo, -lo]) * dk2 * t).all():
             raise ValueError(f"t must be finite, with a finite phase alpha * t, got {t}")
-    phase = np.exp(1j * alpha * t)
+    col_shell = np.searchsorted(shell_n2, n2)
     m = decomp.matrix
     out = np.empty_like(m)
     for r in _row_blocks(len(m), len(m)):
-        np.multiply(phase[bohr_labels(basis, r) - lo], m[r], out=out[r])
+        phase = np.exp(1j * ((shell_n2[None, :] - n2[r, None]) * dk2) * t)
+        np.multiply(np.take(phase, col_shell, axis=1), m[r], out=out[r])
     return out
 
 

@@ -1,5 +1,8 @@
+import ast
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -579,3 +582,45 @@ def test_seeded_runs_and_the_check_never_import_numpy_random(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == [[], [], []]
+
+
+def test_the_process_entry_freezes_the_imports_before_main(monkeypatch):
+    frozen = []
+    monkeypatch.setattr(cli, "main", lambda: frozen.append(gc.get_freeze_count()) or 3)
+    try:
+        with pytest.raises(SystemExit) as done:
+            cli.entry()
+    finally:
+        gc.unfreeze()
+    assert frozen and frozen[0] > 0
+    assert done.value.code == 3
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    before = gc.get_freeze_count()
+    assert cli.main(["demo", "nondegenerate", "--out-dir", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_console_script_and_the_module_call_one_entry():
+    root = Path(__file__).resolve().parents[1]
+    script = re.search(r'^lelab = "lelab\.cli:(\w+)"$', (root / "pyproject.toml").read_text(), re.M)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = [node for node in tree.body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (stmt,) = block.body
+    assert script and ast.unparse(stmt) == f"{script.group(1)}()"
+    assert getattr(cli, script.group(1)) is cli.entry
+
+
+def test_the_module_entry_writes_what_main_writes_and_exits_with_its_code(tmp_path):
+    assert cli.main(["demo", "nondegenerate", "--out-dir", str(tmp_path / "main")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    child = [sys.executable, "-m", "lelab.cli"]
+    subprocess.run([*child, "demo", "nondegenerate", "--out-dir", str(tmp_path / "entry")],
+                   env=env, capture_output=True, check=True)
+    csv = "nondegenerate.csv"
+    assert (tmp_path / "entry" / csv).read_bytes() == (tmp_path / "main" / csv).read_bytes()
+    missing = subprocess.run([*child, "run", "--config", str(tmp_path / "absent.json")],
+                             env=env, capture_output=True, text=True)
+    assert missing.returncode == cli.EXIT_CONFIG and missing.stderr.startswith("config error:")

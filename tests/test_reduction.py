@@ -296,6 +296,20 @@ def test_a_sector_matrix_holds_one_shell_pair_block(lattice):
         assert _extra_bytes(lambda: dec.components[i]) <= bound
 
 
+def test_free_phase_law_holds_no_table_over_the_labels():
+    basis = BLOCKED_BASES["N1000"]
+    dec = alpha_decompose(random_density_matrix(basis.size, np.random.default_rng(3), rank=8).matrix, basis)
+    # one phase per label in [lo, -lo] was 1,999,999 complex phases and
+    # their alphas, 61 MB above the output; a row block's phases per
+    # (row, column shell) pair and their gather are about 3 MB
+    assert _extra_bytes(lambda: free_phase_law(dec, 0.37)) <= 8 << 20
+    # t is refused by the end labels of [lo, -lo], not by the labels present
+    diagonal = alpha_decompose(np.eye(basis.size), basis)
+    assert diagonal.sector_labels.tolist() == [0]
+    with pytest.raises(ValueError, match="t must be finite"):
+        free_phase_law(diagonal, 1e303)
+
+
 @given(seed=st.integers(0, 10_000), t=st.floats(-10.0, 10.0))
 @settings(max_examples=30, deadline=None)
 def test_free_phase_law_matches_exact_evolution(seed, t):
