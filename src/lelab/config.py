@@ -382,6 +382,8 @@ def _check_scales(lattice, basis: MomentumBasis | None, potential, t_max: float,
             # |k - k'|^2 <= 4 max|k|^2 bounds every transfer build_hamiltonian forms
             ("lattice.delta_k", "the largest squared momentum transfer, at most "
              "4 max|n|^2 delta_k^2,", 4 * e_max),
+            ("potential.mu", "the Yukawa denominator mu (|k|^2 + mu^2), at most "
+             "mu (4 max|n|^2 delta_k^2 + mu^2),", mu * (4 * e_max + mu * mu)),
             ("time_grid.t_max", "the bound t_max (max|n|^2 delta_k^2 + n 4 pi A / mu^3) "
              "on |E| t", t_max * (e_max + n * v_max)),
         ]

@@ -186,6 +186,16 @@ class Hamiltonian:
     def matrix(self) -> np.ndarray:
         return _frozen(np.diag(self.h0_diag) + self.v)
 
+    def v_product(self, b: np.ndarray) -> np.ndarray:
+        """v B = P blockdiag(H_b) P^T B - diag(h0) B for an n x r ``b``, with no
+        dense ``v``; ValueError for another n."""
+        b = np.ascontiguousarray(b, dtype=np.complex128)
+        if len(b) != self.dim:
+            raise ValueError(f"state of size {len(b)} does not match H of dimension {self.dim}")
+        z = np.split(self.orbits.from_lattice(b), np.cumsum([len(hb) for hb in self.blocks[:-1]]))
+        hz = np.concatenate([_product(hb, zb) for hb, zb in zip(self.blocks, z)])
+        return self.orbits.to_lattice(hz) - self.h0_diag[:, None] * b
+
     @cached_property
     def propagator(self) -> "Propagator":
         """Eigendecomposition of this H, computed on first use and kept."""
@@ -270,9 +280,11 @@ class Propagator:
         Q_b, G_b and each C(t) block are one real product with the interleaved real and
         imaginary parts: half the flops, and no complex copy of Q_b.  A ``t`` that is
         not finite, or whose phase w_b t overflows, raises ValueError before its
-        phases are taken."""
-        z = self.orbits.from_lattice(np.ascontiguousarray(b, dtype=np.complex128))
+        phases are taken, as does a ``b`` whose row count is not H's dimension."""
         bounds = np.cumsum([0] + [len(w) for w, _ in self.blocks])
+        if len(b) != bounds[-1]:
+            raise ValueError(f"state of size {len(b)} does not match H of dimension {bounds[-1]}")
+        z = self.orbits.from_lattice(np.ascontiguousarray(b, dtype=np.complex128))
         spans = list(zip(bounds[:-1], bounds[1:]))
         g = [_product(q, z[lo:hi], adjoint=True) for (_, q), (lo, hi) in zip(self.blocks, spans)]
         for t in map(float, times):

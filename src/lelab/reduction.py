@@ -10,16 +10,15 @@ Per shell E the reduction carries a weight lambda_E (the block trace)
 and, where occupied, a normalized block rho_hat_E.  The effective
 entropy is the unweighted sum of the per-shell entropies
 S_E = -Tr rho_hat_E ln rho_hat_E; it vanishes exactly when every
-occupied block has rank one (an effectively pure state).
+occupied block has rank one (an effectively pure state).  There is one
+shell reduction: for rho = C C^dagger, the block C_s C_s^dagger of
+shell s has the nonzero spectrum of a smaller Gram matrix
+(``_shell_grams``), which ``entropy_trace`` takes on each row's C and
+``reduce`` on a state's factor.
 
-A sector is a set of shell pairs: label L holds the blocks m[s, p] whose
-shells have norms2[p] - norms2[s] = L, and as shell norms are distinct,
-each row shell s has at most one such p.  A sector matrix copies just
-those blocks.  The passes that read every element (the decomposition
-and ``reconstruct``) read the labels from ``basis.bohr_labels`` one
-block of rows at a time (``_record._row_blocks``), and the free phase
-law takes a block's labels per column shell.  None builds an n x n
-label or mask array.
+A sector is a set of shell pairs (``_Components``), and the passes that
+read every element take the labels a block of rows at a time
+(``_record._row_blocks``): none builds an n x n label or mask array.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .states import (
     TRACE_TOL,
     DensityMatrix,
     _readonly_complex,
-    as_matrix,
     entropy_from_eigenvalues,
 )
 
@@ -163,46 +161,54 @@ def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
 
 @record
 class ShellDecomposition:
-    """Raw shell blocks of a matrix with their weights.
-
-    ``blocks[s]`` is the untouched submatrix on shell s, of trace
-    ``weights[s]``; a shell of weight above TAU_LAMBDA has the
-    normalized block rho_hat_s = ``blocks[s] / weights[s]``.
-    """
+    """Shell blocks by their traces ``weights`` and ``grams``: grams[s] has
+    the nonzero eigenvalues of shell s's block (a Gram matrix from
+    ``reduce``, the block itself from ``first_order_reduced_step``), or is
+    None where it would be 1 x 1, with S_E = 0 and rank one."""
 
     weights: np.ndarray
-    blocks: tuple[np.ndarray, ...]
+    grams: tuple[np.ndarray | None, ...]
 
 
-def reduce(rho, basis: MomentumBasis) -> ShellDecomposition:
-    """Effective state of ``rho``: its shell-block-diagonal part.
-
-    Accepts a DensityMatrix or any Hermitian ndarray (the first-order
-    step feeds a trace-one Hermitian matrix that need not be PSD).
-    """
-    m = as_matrix(rho)
-    if m.shape != (basis.size, basis.size):
-        raise ValueError(f"matrix shape {m.shape} does not match basis of size {basis.size}")
-    blocks = tuple(m[np.ix_(mem, mem)] for mem in basis.shells.members)  # fancy indexing copies
-    weights = np.array([float(np.trace(b).real) for b in blocks])
-    return ShellDecomposition(weights=weights, blocks=blocks)
-
-
-def assemble_block_diagonal(dec: ShellDecomposition, basis: MomentumBasis) -> np.ndarray:
-    """Embed the raw shell blocks back into a full block-diagonal matrix."""
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    for mem, block in zip(basis.shells.members, dec.blocks):
-        out[np.ix_(mem, mem)] = block
-    return out
+def _shell_layout(basis: MomentumBasis, b: np.ndarray):
+    """(order, bounds, spans): b[order] holds the n x r factor's rows by shell,
+    shell s in rows bounds[s]:bounds[s + 1], and spans lists the (s, lo, hi)
+    whose Gram matrix is larger than 1 x 1.  ValueError unless n = basis.size."""
+    if b.shape[0] != basis.size:
+        raise ValueError(f"state of size {b.shape[0]} does not match basis of size {basis.size}")
+    order = np.concatenate(basis.shells.members)
+    bounds = np.cumsum([0] + [len(mem) for mem in basis.shells.members])
+    spans = [(s, lo, hi) for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+             if min(hi - lo, b.shape[1]) > 1]
+    return order, bounds, spans
 
 
-def _shell_stats(gram: np.ndarray, weight: float) -> tuple[float, bool]:
-    """(S_E, rank one) of a shell block from ``gram``, the block or a Gram
-    matrix with the same nonzero eigenvalues, and ``weight``, the block's
-    trace.  An empty shell (weight <= TAU_LAMBDA) and a 1 x 1 ``gram``
-    give (0.0, True) with no ``eigvalsh``.  Rank is judged by the
-    second-largest eigenvalue of gram / weight, so ``RANK_TOL`` is scale-free."""
-    if weight <= TAU_LAMBDA or gram.shape[0] == 1:
+def _shell_grams(c: np.ndarray, spans):
+    """(s, ||C_s||_F^2, the smaller of C_s C_s^dagger and C_s^dagger C_s) for
+    C_s = c[lo:hi] of each span of the shell-ordered factor ``c``."""
+    for s, lo, hi in spans:
+        cs = c[lo:hi]
+        gram = cs @ cs.conj().T if hi - lo <= c.shape[1] else cs.conj().T @ cs
+        yield s, float(np.vdot(cs, cs).real), gram
+
+
+def reduce(rho: DensityMatrix, basis: MomentumBasis) -> ShellDecomposition:
+    """The shell-block-diagonal part of ``rho``, from ``rho.factor``: no n x n array."""
+    order, bounds, spans = _shell_layout(basis, rho.factor)
+    c = rho.factor[order]
+    weights = np.add.reduceat((c.real**2 + c.imag**2).sum(axis=1), bounds[:-1])
+    grams = [None] * basis.n_shells
+    for s, weight, gram in _shell_grams(c, spans):
+        weights[s], grams[s] = weight, gram
+    return ShellDecomposition(weights=weights, grams=tuple(grams))
+
+
+def _shell_stats(gram: np.ndarray | None, weight: float) -> tuple[float, bool]:
+    """(S_E, rank one) of a shell block of trace ``weight`` from ``gram``, which
+    has its nonzero eigenvalues; (0.0, True) with no ``eigvalsh`` for an empty
+    shell (weight <= TAU_LAMBDA) or no gram.  Rank is judged by the second-largest
+    eigenvalue of gram / weight, so ``RANK_TOL`` is scale-free."""
+    if weight <= TAU_LAMBDA or gram is None:
         return 0.0, True
     eigs = np.linalg.eigvalsh(gram / weight)
     return entropy_from_eigenvalues(eigs), bool(eigs[-2] < RANK_TOL)
@@ -210,32 +216,27 @@ def _shell_stats(gram: np.ndarray, weight: float) -> tuple[float, bool]:
 
 def shell_entropies(dec: ShellDecomposition) -> np.ndarray:
     """Per-shell S_E = -Tr rho_hat_E ln rho_hat_E; zero on empty shells."""
-    return np.array([_shell_stats(b, w)[0] for b, w in zip(dec.blocks, dec.weights)])
-
-
-def effective_entropy(dec: ShellDecomposition) -> float:
-    """Sum of per-shell entropies over occupied shells (unweighted)."""
-    return float(shell_entropies(dec).sum())
+    return np.array([_shell_stats(g, w)[0] for g, w in zip(dec.grams, dec.weights)])
 
 
 def is_effectively_pure(dec: ShellDecomposition) -> bool:
     """True iff every occupied normalized block has rank one (``_shell_stats``)."""
-    return all(_shell_stats(b, w)[1] for b, w in zip(dec.blocks, dec.weights))
+    return all(_shell_stats(g, w)[1] for g, w in zip(dec.grams, dec.weights))
 
 
 def first_order_reduced_step(
     rho0: DensityMatrix, h: Hamiltonian, t: float, basis: MomentumBasis
 ) -> ShellDecomposition:
-    """First-order effective state: reduce(rho0 - i t [v, rho0]).
-
-    The free part drops out of the reduction (its commutator has no
-    block-diagonal component), so only the interaction enters.  The
-    deviation from the exactly evolved reduction is O(t^2) for fixed H.
-    """
-    m = rho0.matrix
-    v = h.v
-    corrected = m - 1j * t * (v @ m - m @ v)
-    return reduce(corrected, basis)
+    """First-order effective state: the shell blocks of rho0 - i t [v, rho0],
+    B_s B_s^dagger - i t (W_s B_s^dagger - B_s W_s^dagger) for rho0 = B B^dagger
+    and W = ``h.v_product(B)``; the free part has no block-diagonal
+    commutator.  No n x n array is formed; the error is O(t^2) for fixed H."""
+    order, bounds, _ = _shell_layout(basis, rho0.factor)
+    c, w = rho0.factor[order], h.v_product(rho0.factor)[order]
+    blocks = [cs @ cs.conj().T - 1j * t * (ws @ cs.conj().T - cs @ ws.conj().T)
+              for cs, ws in zip(np.split(c, bounds[1:-1]), np.split(w, bounds[1:-1]))]
+    return ShellDecomposition(weights=np.array([np.trace(b).real for b in blocks]),
+                              grams=tuple(b if len(b) > 1 else None for b in blocks))
 
 
 @record
@@ -263,20 +264,12 @@ def entropy_trace(
     to rho(t) = C C^dagger, at O(n^2 r), and gathers C's rows into shell
     order.  ||C||_F^2 must be one within TRACE_TOL (StateValidationError
     otherwise); rho(t) is Hermitian and PSD by construction.  The r x r
-    C^dagger C has the nonzero spectrum of rho(t), which gives S_global,
-    and tr rho^2 = ||C^dagger C||_F^2.  The shell block C_s C_s^dagger (C_s
-    the rows of shell s) has weight ||C_s||_F^2 and the nonzero eigenvalues
-    of the smaller of C_s C_s^dagger and C_s^dagger C_s: ``_shell_stats``
-    of that Gram matrix gives S_E and the rank-one test, and one of size
-    one (a one-member shell, or r = 1) is skipped.  Rows follow the grid.
+    C^dagger C has the nonzero spectrum of rho(t), which gives S_global, and
+    tr rho^2 = ||C^dagger C||_F^2.  Each shell's Gram matrix (``_shell_grams``,
+    as in ``reduce``) gives S_E and the rank-one test (``_shell_stats``).
+    Rows follow the grid.  A basis or an ``h`` of another size raises ValueError.
     """
-    r = rho0.factor.shape[1]
-    # C's rows in shell order, so that each shell's rows are one slice.
-    order = np.concatenate(basis.shells.members)
-    bounds = np.cumsum([0] + [len(mem) for mem in basis.shells.members])
-    shells = [(s, lo, hi) for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-              if min(hi - lo, r) > 1]
-
+    order, _, spans = _shell_layout(basis, rho0.factor)
     rows = []
     for t, c in zip(time_grid, h.propagator.evolved_factors(rho0.factor, time_grid)):
         t = float(t)
@@ -287,10 +280,8 @@ def entropy_trace(
             raise StateValidationError(f"state at t = {t} has trace {norm2}, not 1")
         per_shell = np.zeros(basis.n_shells)
         pure = True
-        for s, lo, hi in shells:
-            cs = c[lo:hi]
-            block_gram = cs @ cs.conj().T if hi - lo <= r else cs.conj().T @ cs
-            per_shell[s], rank_one = _shell_stats(block_gram, float(np.vdot(cs, cs).real))
+        for s, weight, block_gram in _shell_grams(c, spans):
+            per_shell[s], rank_one = _shell_stats(block_gram, weight)
             pure = pure and rank_one
         rows.append(TraceRow(
             t=t,

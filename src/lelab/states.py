@@ -203,13 +203,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", a)
 
 
-def as_matrix(rho) -> np.ndarray:
-    """Underlying ndarray of a DensityMatrix, or the array itself."""
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
-
-
 def pure_to_density(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi|, factored as the column psi."""
     return DensityMatrix(factor=psi.amplitudes[:, None])

@@ -150,6 +150,11 @@ def _cross_cases() -> dict:
         raw["lattice"] = {"nq": 4, "np": 4, "dq": dq, "dp": dp}
         raw["initial_state"] = {"kind": "single-p-row", "p0": 0.0}
         cases[f"cross:start-density-{name}"] = _text(raw)
+    # a mu whose Yukawa denominator mu (|k|^2 + mu^2) overflows: through mu^3,
+    # which 4 pi A / mu^3 read as 0, or through the largest transfer |k|^2
+    cases["cross:mu-cube-overflow"] = _text(_with(q, ("potential", "mu"), 1e103))
+    cases["cross:mu-transfer-overflow"] = _text(
+        _with(_with(q, ("potential", "mu"), 1e10), ("lattice", "delta_k"), 1e150))
     # a delta_k whose shell energies |n|^2 delta_k^2 all underflow to 0.0
     for name, raw in (("cubic", q), ("line", BASES["line-random"])):
         cases[f"cross:delta_k-underflow-{name}"] = _text(_with(raw, ("lattice", "delta_k"), 1e-170))
@@ -297,6 +302,10 @@ NEW_REFUSALS = {
                                        "not a float of unit mass: mass is inf, not 1")],
     "cross:start-density-dq=dp=1e200": [("lattice.dp", "the start density 1 / (nq dq dp) is "
                                          "not a float of unit mass: mass is 0.0, not 1")],
+    "cross:mu-cube-overflow": [("potential.mu", "the Yukawa denominator mu (|k|^2 + mu^2), "
+                                "at most mu (4 max|n|^2 delta_k^2 + mu^2), overflows")],
+    "cross:mu-transfer-overflow": [("potential.mu", "the Yukawa denominator mu (|k|^2 + mu^2), "
+                                    "at most mu (4 max|n|^2 delta_k^2 + mu^2), overflows")],
     "cross:delta_k-underflow-cubic": [("lattice.delta_k", "the shell energies |n|^2 delta_k^2 "
                                        "underflow: they are not distinct floats")],
     "cross:delta_k-underflow-line": [("lattice.delta_k", "the shell energies |n|^2 delta_k^2 "

@@ -311,6 +311,45 @@ def test_evolved_factors_are_the_factors_evolve_returns(basis):
         assert c.shape == f.shape and c.tobytes() == f.tobytes()
 
 
+SIZE_MISMATCHES = {
+    "line": lambda: build_hamiltonian(build_basis_1d(4, 1.0), 0.2, 1.0),
+    "cube": lambda: build_hamiltonian(build_basis(2, 1.0), 0.2, 1.0),
+    "hand-built": lambda: Hamiltonian(np.arange(3.0), np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("lattice", sorted(SIZE_MISMATCHES))
+def test_a_state_off_the_hamiltonian_size_is_refused(lattice):
+    # a one-block H used to leave the extra rows of np.empty_like unwritten,
+    # and the cube's orbit map raised a bare IndexError
+    h = SIZE_MISMATCHES[lattice]()
+    basis = build_basis(1, 1.0)
+    rho = random_effectively_pure_state(basis, np.random.default_rng(6))
+    message = f"state of size 27 does not match H of dimension {h.dim}"
+    with pytest.raises(ValueError, match=message):
+        evolve(rho, h, 0.5)
+    with pytest.raises(ValueError, match=message):
+        next(h.propagator.evolved_factors(rho.factor, [0.5]))
+    with pytest.raises(ValueError, match=message):
+        entropy_trace(rho, h, [0.0, 0.5], basis)
+    with pytest.raises(ValueError, match=message):
+        h.v_product(rho.factor)
+
+
+@pytest.mark.parametrize("lattice", ["M1", "M3", "N16", "hand-built"])
+def test_v_product_matches_the_dense_interaction(lattice):
+    rng = np.random.default_rng(4)
+    if lattice == "hand-built":
+        h = random_hamiltonian(12, rng)
+    else:
+        basis = build_basis_1d(16, 1.0) if lattice == "N16" else build_basis(int(lattice[1]), 1.0)
+        h = build_hamiltonian(basis, 0.2, 1.0)
+    b = rng.standard_normal((h.dim, 3)) + 1j * rng.standard_normal((h.dim, 3))
+    vb = h.v_product(b)
+    assert "v" not in vars(h) or lattice == "hand-built"  # the blocks, not the dense v
+    np.testing.assert_allclose(vb, h.v @ b, rtol=0, atol=1e-13 * np.abs(h.v @ b).max())
+
+
 def test_propagator_unitary():
     rng = np.random.default_rng(0)
     h = random_hamiltonian(6, rng)

@@ -18,8 +18,6 @@ from lelab.reduction import (
     RANK_TOL,
     TAU_LAMBDA,
     alpha_decompose,
-    assemble_block_diagonal,
-    effective_entropy,
     entropy_trace,
     first_order_reduced_step,
     free_phase_law,
@@ -41,6 +39,31 @@ from lelab.states import (
 )
 
 BASIS = build_basis(1, 1.0)
+
+
+def _dense_blocks(m, basis):
+    """Oracle: the raw shell blocks of a dense matrix, copied with np.ix_."""
+    return [m[np.ix_(mem, mem)] for mem in basis.shells.members]
+
+
+def _block_diagonal(m, basis):
+    """Oracle: the shell-block-diagonal part of a dense matrix."""
+    out = np.zeros(m.shape, dtype=complex)
+    for mem, block in zip(basis.shells.members, _dense_blocks(m, basis)):
+        out[np.ix_(mem, mem)] = block
+    return out
+
+
+def _first_order_blocks(dec):
+    """The shell blocks of a ``first_order_reduced_step``: its ``grams`` are
+    the blocks themselves, and a one-member shell's block is its weight."""
+    return [np.array([[w]]) if g is None else g for g, w in zip(dec.grams, dec.weights)]
+
+
+def _top_eigenvalues(a, b):
+    """The largest min(len(a), len(b)) eigenvalues of Hermitian a and b."""
+    k = min(len(a), len(b))
+    return np.linalg.eigvalsh(a)[len(a) - k:], np.linalg.eigvalsh(b)[len(b) - k:]
 
 
 @given(seed=st.integers(0, 10_000))
@@ -159,7 +182,7 @@ def test_alpha_sector_count_for_generic_matrix():
 def test_alpha_zero_component_is_shell_block_diagonal():
     rho = random_density_matrix(BASIS.size, np.random.default_rng(2))
     dec = alpha_decompose(rho.matrix, BASIS)
-    block_diag = assemble_block_diagonal(reduce(rho, BASIS), BASIS)
+    block_diag = _block_diagonal(rho.matrix, BASIS)
     np.testing.assert_array_equal(dec.components[dec.alphas.tolist().index(0.0)], block_diag)
 
 
@@ -171,7 +194,7 @@ def test_sector_labels_are_the_distinct_labels_of_the_nonzero_elements(lattice):
     basis = LABEL_BASES[lattice]
     rho = random_density_matrix(basis.size, np.random.default_rng(3))
     zero = np.zeros((basis.size, basis.size))
-    for m in (zero, rho.matrix, assemble_block_diagonal(reduce(rho, basis), basis)):
+    for m in (zero, rho.matrix, _block_diagonal(rho.matrix, basis)):
         dec = alpha_decompose(m, basis)
         labels = bohr_labels(basis)
         expected = np.unique(labels[m != 0]) if m.any() else np.zeros(1, dtype=labels.dtype)
@@ -325,20 +348,26 @@ def test_reduce_weights_are_shell_traces():
     rho = random_density_matrix(BASIS.size, np.random.default_rng(11))
     dec = reduce(rho, BASIS)
     assert dec.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    for s, members in enumerate(BASIS.shells.members):
-        block = rho.matrix[np.ix_(members, members)]
+    for s, block in enumerate(_dense_blocks(rho.matrix, BASIS)):
         assert dec.weights[s] == pytest.approx(np.trace(block).real, abs=1e-14)
-        normalized = dec.blocks[s] / dec.weights[s]
-        np.testing.assert_allclose(normalized * dec.weights[s], block, atol=1e-14)
+        # the Gram matrix holds the block's nonzero spectrum; none for a 1 x 1 block
+        assert (dec.grams[s] is None) == (len(block) == 1)
+        if dec.grams[s] is not None:
+            np.testing.assert_allclose(*_top_eigenvalues(dec.grams[s], block), atol=1e-14)
 
 
 def test_reduce_is_idempotent():
     rho = random_density_matrix(BASIS.size, np.random.default_rng(13))
-    once = reduce(rho, BASIS)
-    again = reduce(assemble_block_diagonal(once, BASIS), BASIS)
-    np.testing.assert_array_equal(once.weights, again.weights)
-    for b1, b2 in zip(once.blocks, again.blocks):
+    block_diag = _block_diagonal(rho.matrix, BASIS)
+    for b1, b2 in zip(_dense_blocks(rho.matrix, BASIS), _dense_blocks(block_diag, BASIS)):
         np.testing.assert_array_equal(b1, b2)
+    # the block-diagonal part is a state, and reducing it changes nothing
+    once, again = reduce(rho, BASIS), reduce(DensityMatrix(block_diag), BASIS)
+    np.testing.assert_allclose(again.weights, once.weights, rtol=0, atol=1e-14)
+    for g1, g2 in zip(once.grams, again.grams, strict=True):
+        assert (g1 is None) == (g2 is None)
+        if g1 is not None:
+            np.testing.assert_allclose(*_top_eigenvalues(g1, g2), rtol=0, atol=1e-14)
 
 
 def test_effective_entropy_of_shell_mixture():
@@ -347,7 +376,7 @@ def test_effective_entropy_of_shell_mixture():
     m = np.zeros((BASIS.size, BASIS.size), dtype=complex)
     m[members, members] = 1.0 / len(members)
     dec = reduce(DensityMatrix(m), BASIS)
-    assert effective_entropy(dec) == pytest.approx(np.log(6), abs=1e-12)
+    assert shell_entropies(dec).sum() == pytest.approx(np.log(6), abs=1e-12)
     assert not is_effectively_pure(dec)
 
 
@@ -377,15 +406,15 @@ def test_empty_shells_do_not_contribute():
     m[i, i] = 1.0
     dec = reduce(DensityMatrix(m), BASIS)
     np.testing.assert_array_equal(dec.weights > TAU_LAMBDA, [True, False, False, False])
-    assert effective_entropy(dec) == 0.0
+    assert shell_entropies(dec).sum() == 0.0
     assert is_effectively_pure(dec)
 
 
 def _shell_expectation(shell_ops, rho, basis):
     """Tr(A rho) of a shell-block-diagonal A, one Hermitian block per shell,
-    read from the reduction's raw shell blocks alone."""
-    dec = reduce(rho, basis)
-    return float(sum(np.trace(op @ b) for op, b in zip(shell_ops, dec.blocks)).real)
+    read from the raw shell blocks alone."""
+    blocks = _dense_blocks(rho.matrix, basis)
+    return float(sum(np.trace(op @ b) for op, b in zip(shell_ops, blocks)).real)
 
 
 def test_expectation_xi_independent_under_free_flow():
@@ -410,9 +439,9 @@ def test_first_order_step_error_is_second_order():
     errs = []
     ts = [0.02, 0.04]
     for t in ts:
-        exact = assemble_block_diagonal(reduce(evolve(rho0, h, t), BASIS), BASIS)
-        approx = assemble_block_diagonal(first_order_reduced_step(rho0, h, t, BASIS), BASIS)
-        errs.append(np.linalg.norm(exact - approx))
+        exact = _dense_blocks(evolve(rho0, h, t).matrix, BASIS)
+        approx = _first_order_blocks(first_order_reduced_step(rho0, h, t, BASIS))
+        errs.append(np.sqrt(sum(np.linalg.norm(e - a) ** 2 for e, a in zip(exact, approx))))
     # doubling t quadruples the error
     assert errs[1] / errs[0] == pytest.approx(4.0, rel=0.05)
 
@@ -420,10 +449,61 @@ def test_first_order_step_error_is_second_order():
 def test_first_order_step_is_exact_for_free_evolution():
     h0 = build_hamiltonian(BASIS, 0.0, 1.0)
     rho0 = random_density_matrix(BASIS.size, np.random.default_rng(17))
-    exact = reduce(evolve(rho0, h0, 0.3), BASIS)
-    approx = first_order_reduced_step(rho0, h0, 0.3, BASIS)
-    for b1, b2 in zip(exact.blocks, approx.blocks):
+    exact = _dense_blocks(evolve(rho0, h0, 0.3).matrix, BASIS)
+    approx = _first_order_blocks(first_order_reduced_step(rho0, h0, 0.3, BASIS))
+    for b1, b2 in zip(exact, approx, strict=True):
         np.testing.assert_allclose(b1, b2, atol=1e-12)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_first_order_step_matches_the_dense_step(M):
+    # oracle: the shell blocks of the dense rho0 - i t [v, rho0]
+    basis = build_basis(M, 1.0)
+    h = build_hamiltonian(basis, 0.2, 1.0)
+    rho0 = random_effectively_pure_state(basis, np.random.default_rng(5))
+    m, v, t = rho0.matrix, h.v, 0.3
+    dense = _dense_blocks(m - 1j * t * (v @ m - m @ v), basis)
+    dec = first_order_reduced_step(rho0, h, t, basis)
+    for block, step in zip(dense, _first_order_blocks(dec), strict=True):
+        np.testing.assert_allclose(step, block, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dec.weights, [np.trace(b).real for b in dense], rtol=0, atol=1e-15)
+
+
+def _peak_above_inputs(step):
+    """tracemalloc peak of ``step()`` above the memory held when it starts."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("step, M", [("reduce", 7), ("first-order", 5)])
+def test_the_factored_reduction_stays_below_one_dense_state(step, M):
+    # one n x n complex array is 182 MB at M = 7 (n = 3375) and 28 MB at M = 5
+    basis = build_basis(M, 1.0)
+    rho = random_effectively_pure_state(basis, np.random.default_rng(11))
+    if step == "reduce":
+        peak = _peak_above_inputs(lambda: reduce(rho, basis))
+    else:
+        h = build_hamiltonian(basis, 0.2, 1.0)
+        peak = _peak_above_inputs(lambda: first_order_reduced_step(rho, h, 0.1, basis))
+        assert "v" not in vars(h)
+    assert "matrix" not in vars(rho)
+    assert peak < 16 * basis.size**2
+
+
+@pytest.mark.parametrize("size", [8, 64])
+def test_entropy_trace_refuses_a_basis_off_the_state_size(size):
+    # a smaller basis used to fail as "state at t = 0.0 has trace 0.22"
+    h = build_hamiltonian(BASIS, 0.2, 1.0)
+    rho0 = random_effectively_pure_state(BASIS, np.random.default_rng(6))
+    other = build_basis_1d(size, 1.0)
+    with pytest.raises(ValueError, match=f"state of size 27 does not match basis of size {size}"):
+        entropy_trace(rho0, h, [0.0, 1.0], other)
 
 
 def test_entropy_trace_rows_follow_grid():
@@ -573,19 +653,21 @@ def test_reduce_canonical_examples():
     # all population on the nondegenerate zero-momentum shell
     amp = np.zeros(BASIS.size, dtype=complex)
     amp[BASIS.index_of((0, 0, 0))] = 1.0
-    dec = reduce(pure_to_density(PureState(amp)), BASIS)
+    rho = pure_to_density(PureState(amp))
+    dec, blocks = reduce(rho, BASIS), _dense_blocks(rho.matrix, BASIS)
     assert dec.weights[0] == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(dec.blocks[0] / dec.weights[0], [[1.0]], atol=1e-14)
+    np.testing.assert_allclose(blocks[0] / dec.weights[0], [[1.0]], atol=1e-14)
     assert not (dec.weights[1:] > TAU_LAMBDA).any()
 
     # equal superposition across two shells: half weight each, rank-1 blocks,
     # and the cross-shell coherence is dropped by the reduction
     amp = np.zeros(BASIS.size, dtype=complex)
     amp[[BASIS.index_of((0, 0, 0)), BASIS.index_of((1, 0, 0))]] = 1.0 / np.sqrt(2)
-    dec = reduce(pure_to_density(PureState(amp)), BASIS)
+    rho = pure_to_density(PureState(amp))
+    dec, blocks = reduce(rho, BASIS), _dense_blocks(rho.matrix, BASIS)
     np.testing.assert_allclose(dec.weights[:2], [0.5, 0.5], atol=1e-14)
     for s in (0, 1):
-        eigs = np.linalg.eigvalsh(dec.blocks[s] / dec.weights[s])
+        eigs = np.linalg.eigvalsh(blocks[s] / dec.weights[s])
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
     assert is_effectively_pure(dec)
 
@@ -593,9 +675,12 @@ def test_reduce_canonical_examples():
     members = BASIS.shells.members[1]
     m = np.zeros((BASIS.size, BASIS.size), dtype=complex)
     m[members, members] = 1.0 / 6.0
-    dec = reduce(DensityMatrix(m), BASIS)
+    rho = DensityMatrix(m)
+    dec, blocks = reduce(rho, BASIS), _dense_blocks(rho.matrix, BASIS)
     assert dec.weights[1] == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(dec.blocks[1] / dec.weights[1], np.eye(6) / 6.0, atol=1e-14)
+    np.testing.assert_allclose(blocks[1] / dec.weights[1], np.eye(6) / 6.0, atol=1e-14)
+    np.testing.assert_allclose(np.linalg.eigvalsh(dec.grams[1] / dec.weights[1]),
+                               np.full(6, 1 / 6.0), atol=1e-14)
 
 
 def test_two_shell_mixture_entropies_add_unweighted():
@@ -607,7 +692,7 @@ def test_two_shell_mixture_entropies_add_unweighted():
     m[sub2, sub2] = 0.5 / 2.0
     m[sub3, sub3] = 0.5 / 3.0
     dec = reduce(DensityMatrix(m), BASIS)
-    assert effective_entropy(dec) == pytest.approx(np.log(2) + np.log(3), abs=1e-12)
+    assert shell_entropies(dec).sum() == pytest.approx(np.log(2) + np.log(3), abs=1e-12)
 
 
 def test_nondegenerate_shells_make_every_state_effectively_pure():
@@ -650,9 +735,9 @@ def test_free_evolution_leaves_reduction_blocks_fixed():
     rho = random_density_matrix(BASIS.size, np.random.default_rng(7))
     before = reduce(rho, BASIS)
     for t in (0.3, 1.7, 4.0):
-        after = reduce(evolve(rho, h0, t), BASIS)
-        np.testing.assert_allclose(after.weights, before.weights, atol=1e-10)
-        for ba, bb in zip(after.blocks, before.blocks):
+        rho_t = evolve(rho, h0, t)
+        np.testing.assert_allclose(reduce(rho_t, BASIS).weights, before.weights, atol=1e-10)
+        for ba, bb in zip(_dense_blocks(rho_t.matrix, BASIS), _dense_blocks(rho.matrix, BASIS)):
             np.testing.assert_allclose(ba, bb, atol=1e-10)
 
 
@@ -766,7 +851,10 @@ def test_a_record_takes_each_field_once_positionally_or_by_keyword():
             config.YukawaConfig(*args, **kwargs)
 
 
-@pytest.mark.parametrize("split", [alpha_decompose, reduce], ids=["alpha_decompose", "reduce"])
-def test_a_matrix_off_the_basis_size_is_refused(split):
-    with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match basis of size 27"):
-        split(np.eye(8) / 8, build_basis(1, 1.0))
+@pytest.mark.parametrize("split, given, message", [
+    (alpha_decompose, np.eye(8) / 8, r"matrix shape \(8, 8\) does not match basis of size 27"),
+    (reduce, DensityMatrix(np.eye(8) / 8), "state of size 8 does not match basis of size 27"),
+], ids=["alpha_decompose", "reduce"])
+def test_a_matrix_off_the_basis_size_is_refused(split, given, message):
+    with pytest.raises(ValueError, match=message):
+        split(given, build_basis(1, 1.0))

@@ -170,10 +170,11 @@ def test_effectively_pure_state_structure():
     # ... yet every shell block has rank one
     dec = reduce(rho, basis)
     assert is_effectively_pure(dec)
-    for s in range(basis.n_shells):
+    for s, members in enumerate(basis.shells.members):
         if dec.weights[s] <= TAU_LAMBDA:
             continue
-        eigs = np.linalg.eigvalsh(dec.blocks[s] / dec.weights[s])
+        block = rho.matrix[np.ix_(members, members)]  # dense oracle of the shell block
+        eigs = np.linalg.eigvalsh(block / dec.weights[s])
         assert eigs[-1] > 0.99
         if len(eigs) > 1:
             assert np.abs(eigs[:-1]).max() < 1e-12
