@@ -87,7 +87,7 @@ def bohr_sectors(config_path: str) -> None:
     basis = harness.build_quantum_basis(cfg)
     pot, t = cfg.potential, cfg.time_grid.t_max
     h = dynamics.build_hamiltonian(basis, pot.coupling, pot.screening)
-    m = dynamics.evolve(harness.build_initial_state(cfg, basis), h, t).matrix  # read-only
+    m = h.propagator.evolve(harness.build_initial_state(cfg, basis), t).matrix  # read-only
     dec = reduction.alpha_decompose(m, basis)
     norms = [float(np.linalg.norm(c)) for c in dec.components]
     # disjoint sectors: the norms of the sectors have the matrix's norm
@@ -95,7 +95,7 @@ def bohr_sectors(config_path: str) -> None:
             and abs(np.linalg.norm(norms) - np.linalg.norm(m)) <= 1e-12):
         raise AssertionError("the Bohr sectors do not tile the matrix")
     free = dynamics.build_hamiltonian(basis, 0.0, pot.screening)
-    err = np.abs(reduction.free_phase_law(dec, t) - dynamics.evolve(states.DensityMatrix(m), free, t).matrix).max()
+    err = np.abs(reduction.free_phase_law(dec, t) - free.propagator.evolve(states.DensityMatrix(m), t).matrix).max()
     if not err <= 1e-10:
         raise AssertionError(f"free_phase_law is off free evolution by {err:.3e}")
 

@@ -2,6 +2,6 @@
 effective entropy on momentum lattices, with a classical phase-space
 analogue and a config-driven experiment harness.
 
-Every name is imported from its module, e.g. ``lelab.dynamics.evolve``."""
+Every name is imported from its module, e.g. ``lelab.dynamics.build_hamiltonian``."""
 
 __version__ = "0.1.0"

@@ -123,14 +123,3 @@ def build_basis_1d(N: int, delta_k: float) -> MomentumBasis:
     points[:, 0] = np.arange(1, N + 1)
     return _basis_from_points(points, delta_k)
 
-
-def bohr_labels(basis: MomentumBasis, rows=slice(None)) -> np.ndarray:
-    """Integer Bohr label |n_col|^2 - |n_row|^2 of the matrix elements in
-    ``rows`` (default all): element (a, b) has alpha = E_b - E_a =
-    label * delta_k^2, exactly.  The one formula for the labels;
-    ``alpha_decompose`` and ``reconstruct`` read it a block of rows at a
-    time, while a sector matrix reads shell pairs and ``free_phase_law``
-    takes one label per (row, column shell) pair instead."""
-    n2 = basis.norms2
-    return n2[None, :] - n2[rows, None]
-

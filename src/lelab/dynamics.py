@@ -30,8 +30,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._record import _frozen, _row_blocks, record
-from .basis import MomentumBasis, bohr_labels
+from ._record import _frozen, record
+from .basis import MomentumBasis
 from .errors import DimensionCapError
 from .states import HERMITICITY_TOL, DensityMatrix
 
@@ -332,11 +332,6 @@ def _product(q: np.ndarray, x: np.ndarray, adjoint: bool = False, out=None) -> n
     return y.view(np.complex128)
 
 
-def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
-    """rho(t) = U(t) rho U(t)^dagger via the (cached) eigendecomposition of H."""
-    return h.propagator.evolve(rho, t)
-
-
 @record
 class Superoperator:
     """dim^2 x dim^2 matrix acting on row-major vectorized dim x dim matrices."""
@@ -370,23 +365,4 @@ def liouvillian_superoperator(h: Hamiltonian) -> Superoperator:
     free = commutator_superoperator(np.diag(h.h0_diag.astype(complex)))
     inter = commutator_superoperator(h.v)
     return Superoperator(free.matrix + inter.matrix, h.dim)
-
-
-def alpha_offblock_norm(s: np.ndarray, basis: MomentumBasis) -> tuple[float, float]:
-    """(max element, Frobenius norm) of the part of the superoperator
-    matrix ``s`` coupling different Bohr-frequency sectors."""
-    s = np.asarray(s)
-    labels = bohr_labels(basis).reshape(-1)
-    if s.shape != (len(labels), len(labels)):
-        raise ValueError(f"operator shape {s.shape} does not match basis of size {basis.size}")
-    # A block of rows at a time, with in-sector elements zeroed, so the
-    # extra memory is bounded by the block instead of a gather of every
-    # off-sector element.
-    max_off = sum_sq = 0.0
-    for r in _row_blocks(len(labels), len(labels)):
-        mags = np.abs(s[r], dtype=float)
-        mags[labels[r, None] == labels[None, :]] = 0.0
-        max_off = max(max_off, float(mags.max()))
-        sum_sq += float(np.vdot(mags, mags))
-    return max_off, float(np.sqrt(sum_sq))
 

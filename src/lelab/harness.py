@@ -265,7 +265,7 @@ def run_invariant_checks() -> dict:
     basis = build_basis(1, 1.0)
     h = dynamics.build_hamiltonian(basis, 0.3, 1.0)
     rho = states.random_density_matrix(basis.size, rng, rank=4)
-    rho_t = dynamics.evolve(rho, h, 1.7)
+    rho_t = h.propagator.evolve(rho, 1.7)
     results["purity_conserved"] = bool(
         abs(states.global_purity(rho_t) - states.global_purity(rho)) <= PURITY_DRIFT_TOL
     )
@@ -303,7 +303,7 @@ def run_invariant_checks() -> dict:
     cubic = build_basis(2, 0.7)
     rho0 = states.random_effectively_pure_state(cubic, rng)
     free = dynamics.build_hamiltonian(cubic, 0.0, 1.0)
-    rho_t = dynamics.evolve(rho0, free, 2 * np.pi / cubic.delta_k**2)
+    rho_t = free.propagator.evolve(rho0, 2 * np.pi / cubic.delta_k**2)
     results["free_period_returns_the_state"] = bool(
         np.abs(rho_t.matrix - rho0.matrix).max() <= FREE_PERIOD_TOL
     )

@@ -16,7 +16,8 @@ shell s has the nonzero spectrum of a smaller Gram matrix
 (``_shell_grams``), which ``entropy_trace`` takes on each row's C and
 ``reduce`` on a state's factor.
 
-A sector is a set of shell pairs (``_Components``), and the passes that
+No other module reads the labels (``bohr_labels``, ``_label_range``).  A
+sector is a set of shell pairs (``_Components``), and the passes that
 read every element take the labels a block of rows at a time
 (``_record._row_blocks``): none builds an n x n label or mask array.
 """
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ._record import _frozen, _row_blocks, record
-from .basis import MomentumBasis, bohr_labels
+from .basis import MomentumBasis
 from .dynamics import Hamiltonian
 from .errors import StateValidationError
 from .states import (
@@ -45,12 +46,47 @@ TAU_LAMBDA = 1e-12
 RANK_TOL = 1e-8
 
 
+def bohr_labels(basis: MomentumBasis, rows=slice(None)) -> np.ndarray:
+    """Integer Bohr label |n_col|^2 - |n_row|^2 of the matrix elements in
+    ``rows`` (default all): element (a, b) has alpha = E_b - E_a =
+    label * delta_k^2, exactly.  The one formula for the labels, read
+    whole by ``alpha_offblock_norm`` and a block of rows at a time by
+    ``alpha_decompose`` and ``reconstruct``; a sector matrix reads shell
+    pairs and ``free_phase_law`` one label per (row, column shell) pair."""
+    n2 = basis.norms2
+    return n2[None, :] - n2[rows, None]
+
+
+def _label_range(basis: MomentumBasis):
+    """lo = min |n|^2 - max |n|^2: every Bohr label of ``basis`` lies in [lo, -lo]."""
+    return basis.norms2.min() - basis.norms2.max()
+
+
+def alpha_offblock_norm(s: np.ndarray, basis: MomentumBasis) -> tuple[float, float]:
+    """(max element, Frobenius norm) of the part of the superoperator
+    matrix ``s`` coupling different Bohr-frequency sectors."""
+    s = np.asarray(s)
+    labels = bohr_labels(basis).reshape(-1)
+    if s.shape != (len(labels), len(labels)):
+        raise ValueError(f"operator shape {s.shape} does not match basis of size {basis.size}")
+    # A block of rows at a time, with in-sector elements zeroed, so the
+    # extra memory is bounded by the block instead of a gather of every
+    # off-sector element.
+    max_off = sum_sq = 0.0
+    for r in _row_blocks(len(labels), len(labels)):
+        mags = np.abs(s[r], dtype=float)
+        mags[labels[r, None] == labels[None, :]] = 0.0
+        max_off = max(max_off, float(mags.max()))
+        sum_sq += float(np.vdot(mags, mags))
+    return max_off, float(np.sqrt(sum_sq))
+
+
 @record(hide=("_basis",))
 class AlphaDecomposition:
     """Partition of a matrix into disjointly supported Bohr-frequency parts.
 
     Element (a, b) carries the integer label |n_b|^2 - |n_a|^2 of
-    ``basis.bohr_labels``.  A sector is a label, not a copy:
+    ``bohr_labels``.  A sector is a label, not a copy:
     ``components`` builds a sector's matrix only when it is indexed,
     from its shell-pair blocks alone, and ``reconstruct`` reads the
     labels a block of rows at a time, so no n x n label or mask array
@@ -60,8 +96,7 @@ class AlphaDecomposition:
     matrix: np.ndarray         # the decomposed matrix, read-only; the caller's own when it was frozen
     sector_labels: np.ndarray  # distinct labels of the nonzero elements, ascending
     alphas: np.ndarray         # sector_labels * delta_k**2; [0.0] for a zero matrix
-    delta_k: float
-    _basis: MomentumBasis      # the basis the labels are read from
+    _basis: MomentumBasis      # the basis the labels and delta_k are read from
 
     @property
     def components(self) -> Sequence[np.ndarray]:
@@ -71,8 +106,7 @@ class AlphaDecomposition:
     def reconstruct(self) -> np.ndarray:
         """Sum of all components; exact, because their supports are disjoint.
         One n x n output, filled one block of rows at a time."""
-        n2 = self._basis.norms2
-        lo = n2.min() - n2.max()  # labels lie in [lo, -lo]
+        lo = _label_range(self._basis)
         kept = np.zeros(1 - 2 * lo, dtype=bool)
         kept[self.sector_labels - lo] = True
         m = self.matrix
@@ -122,16 +156,16 @@ def alpha_decompose(matrix, basis: MomentumBasis) -> AlphaDecomposition:
     m = _readonly_complex(matrix.matrix if isinstance(matrix, DensityMatrix) else matrix)
     if m.shape != (basis.size, basis.size):
         raise ValueError(f"matrix shape {m.shape} does not match basis of size {basis.size}")
-    n2 = basis.norms2
-    lo = n2.min() - n2.max()  # labels lie in [lo, -lo]
+    lo = _label_range(basis)
     present = np.zeros(1 - 2 * lo, dtype=bool)  # one flag per label, not a sort of the n^2 labels
     for r in _row_blocks(len(m), len(m)):
         present[bohr_labels(basis, r)[m[r] != 0] - lo] = True
-    sector_labels = (np.flatnonzero(present) + lo).astype(n2.dtype)
+    dtype = basis.norms2.dtype
+    sector_labels = (np.flatnonzero(present) + lo).astype(dtype)
     if not sector_labels.size:  # zero matrix: keep a single empty alpha = 0 sector
-        sector_labels = np.zeros(1, dtype=n2.dtype)
+        sector_labels = np.zeros(1, dtype=dtype)
     alphas = sector_labels * basis.delta_k**2
-    return AlphaDecomposition(m, _frozen(sector_labels), _frozen(alphas), basis.delta_k, basis)
+    return AlphaDecomposition(m, _frozen(sector_labels), _frozen(alphas), basis)
 
 
 def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
@@ -145,8 +179,8 @@ def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
     alpha t overflows at an end label of [lo, -lo], raises ValueError."""
     basis = decomp._basis
     n2, shell_n2 = basis.norms2, basis.shells.norms2
-    lo = n2.min() - n2.max()  # labels lie in [lo, -lo]
-    dk2 = decomp.delta_k**2
+    lo = _label_range(basis)
+    dk2 = basis.delta_k**2
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(np.array([lo, -lo]) * dk2 * t).all():
             raise ValueError(f"t must be finite, with a finite phase alpha * t, got {t}")

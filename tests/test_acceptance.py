@@ -13,10 +13,8 @@ from lelab import cli
 from lelab.basis import build_basis, build_basis_1d
 from lelab.dynamics import (
     Hamiltonian,
-    alpha_offblock_norm,
     build_hamiltonian,
     commutator_superoperator,
-    evolve,
     liouvillian_superoperator,
 )
 from lelab.koopman import (
@@ -31,6 +29,7 @@ from lelab.koopman import (
 )
 from lelab.reduction import (
     alpha_decompose,
+    alpha_offblock_norm,
     entropy_trace,
     first_order_reduced_step,
     free_phase_law,
@@ -72,10 +71,10 @@ def test_01_unitarity_conservation():
                                   float(rng.uniform(0.5, 3.0)))
         t = float(rng.uniform(0.0, 10.0))
         rho = random_density_matrix(basis.size, rng, rank=int(rng.integers(1, 28)))
-        drift = abs(global_purity(evolve(rho, h, t)) - global_purity(rho))
+        drift = abs(global_purity(h.propagator.evolve(rho, t)) - global_purity(rho))
         worst_drift = max(worst_drift, drift)
         psi = pure_to_density(random_pure_state(basis.size, rng))
-        worst_entropy = max(worst_entropy, global_entropy(evolve(psi, h, t)))
+        worst_entropy = max(worst_entropy, global_entropy(h.propagator.evolve(psi, t)))
     elapsed = time.perf_counter() - t_start
     ok = worst_drift <= 1e-10 and worst_entropy <= 1e-9 and elapsed < 10.0
     _verdict(1, "unitarity-conservation", ok,
@@ -140,7 +139,7 @@ def test_05_superoperator_matches_conjugation():
         sup = liouvillian_superoperator(h)
         phases = scipy.linalg.expm(-1j * t * sup.matrix)
         via_superop = (phases @ rho.matrix.reshape(-1)).reshape(dim, dim)
-        via_conjugation = evolve(rho, h, t).matrix
+        via_conjugation = h.propagator.evolve(rho, t).matrix
         worst = max(worst, float(np.abs(via_superop - via_conjugation).max()))
     ok = worst <= 1e-9
     _verdict(5, "superoperator-oracle-equivalence", ok, f"max elementwise gap {worst:.1e}")
@@ -154,7 +153,7 @@ def test_06_first_order_reduced_step_error_scaling():
     errs = []
     for t in ts:
         # dense oracle of the exact reduction: the evolved state's raw shell blocks
-        rho_t = evolve(rho0, h, float(t)).matrix
+        rho_t = h.propagator.evolve(rho0, float(t)).matrix
         approx = first_order_reduced_step(rho0, h, float(t), basis)
         sq = 0.0
         for members, w, g in zip(basis.shells.members, approx.weights, approx.grams):
@@ -192,7 +191,7 @@ def test_08_alpha_decomposition_and_phase_law():
         dec = alpha_decompose(rho.matrix, basis)
         reconstruction_exact &= bool(np.array_equal(dec.reconstruct(), rho.matrix))
         t = float(rng.uniform(-10.0, 10.0))
-        gap = np.abs(free_phase_law(dec, t) - evolve(rho, h0, t).matrix).max()
+        gap = np.abs(free_phase_law(dec, t) - h0.propagator.evolve(rho, t).matrix).max()
         worst = max(worst, float(gap))
     ok = reconstruction_exact and worst <= 1e-10
     _verdict(8, "alpha-decomposition-exactness", ok,

@@ -5,19 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lelab.basis import bohr_labels, build_basis, build_basis_1d
+from lelab.basis import build_basis, build_basis_1d
 from lelab.dynamics import (
     Hamiltonian,
     Propagator,
     _sign_flips,
-    alpha_offblock_norm,
     build_hamiltonian,
     commutator_superoperator,
-    evolve,
     liouvillian_superoperator,
 )
 from lelab.errors import DimensionCapError
-from lelab.reduction import alpha_decompose, entropy_trace, free_phase_law
+from lelab.reduction import (
+    alpha_decompose,
+    alpha_offblock_norm,
+    bohr_labels,
+    entropy_trace,
+    free_phase_law,
+)
 from lelab.states import (
     DensityMatrix,
     PureState,
@@ -327,7 +331,7 @@ def test_a_state_off_the_hamiltonian_size_is_refused(lattice):
     rho = random_effectively_pure_state(basis, np.random.default_rng(6))
     message = f"state of size 27 does not match H of dimension {h.dim}"
     with pytest.raises(ValueError, match=message):
-        evolve(rho, h, 0.5)
+        h.propagator.evolve(rho, 0.5)
     with pytest.raises(ValueError, match=message):
         next(h.propagator.evolved_factors(rho.factor, [0.5]))
     with pytest.raises(ValueError, match=message):
@@ -361,8 +365,8 @@ def test_evolution_composes():
     rng = np.random.default_rng(1)
     h = random_hamiltonian(5, rng)
     rho = random_density_matrix(5, rng)
-    one_step = evolve(rho, h, 2.5)
-    two_step = evolve(evolve(rho, h, 1.0), h, 1.5)
+    one_step = h.propagator.evolve(rho, 2.5)
+    two_step = h.propagator.evolve(h.propagator.evolve(rho, 1.0), 1.5)
     np.testing.assert_allclose(one_step.matrix, two_step.matrix, atol=1e-12)
 
 
@@ -371,7 +375,7 @@ def test_diagonal_hamiltonian_evolves_phases_only():
     psi = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
     rho = pure_to_density(PureState(psi))
     t = 0.4
-    out = evolve(rho, h, t).matrix
+    out = h.propagator.evolve(rho, t).matrix
     expected = np.outer(np.exp(-1j * h.h0_diag * t) * psi,
                         (np.exp(-1j * h.h0_diag * t) * psi).conj())
     np.testing.assert_allclose(out, expected, atol=1e-14)
@@ -402,11 +406,11 @@ def test_evolution_preserves_unitary_invariants(seed, t):
     rng = np.random.default_rng(seed)
     h = random_hamiltonian(5, rng)
     rho = random_density_matrix(5, rng)
-    rho_t = evolve(rho, h, t)
+    rho_t = h.propagator.evolve(rho, t)
     assert abs(global_purity(rho_t) - global_purity(rho)) <= 1e-10
     assert abs(global_entropy(rho_t) - global_entropy(rho)) <= 1e-9
     psi = pure_to_density(random_pure_state(5, rng))
-    assert global_entropy(evolve(psi, h, t)) <= 1e-9
+    assert global_entropy(h.propagator.evolve(psi, t)) <= 1e-9
 
 
 @given(seed=st.integers(0, 10_000), dim=st.integers(2, 8))
@@ -648,14 +652,14 @@ def test_evolve_at_time_zero_is_identity():
     basis = build_basis(1, 1.0)
     h = build_hamiltonian(basis, 0.3, 1.0)
     rho = random_density_matrix(basis.size, np.random.default_rng(0))
-    np.testing.assert_allclose(evolve(rho, h, 0.0).matrix, rho.matrix, atol=1e-13)
+    np.testing.assert_allclose(h.propagator.evolve(rho, 0.0).matrix, rho.matrix, atol=1e-13)
 
 
 def test_two_level_quarter_period_transfer():
     # H = [[0, 1], [1, 0]] rotates population as cos^2(t); at t = pi/4
     # exactly half the population has moved to the other level.
     h = Hamiltonian(h0_diag=np.zeros(2), v=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    out = evolve(DensityMatrix(np.diag([1.0, 0.0])), h, np.pi / 4).matrix
+    out = h.propagator.evolve(DensityMatrix(np.diag([1.0, 0.0])), np.pi / 4).matrix
     assert out[0, 0].real == pytest.approx(0.5, abs=1e-12)
     assert out[1, 1].real == pytest.approx(0.5, abs=1e-12)
 

@@ -1,6 +1,8 @@
-"""The README's library tour is code that must keep running."""
+"""The README's library tour is code that must keep running, and every
+lelab name the README cites must exist."""
 
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -20,3 +22,21 @@ def test_readme_library_tour_runs():
     # effectively pure at t = 0 (S_eff = 0), mixing under the interaction
     assert "S_eff=0.0000" in rows[0] and "pure=True" in rows[0]
     assert "pure=False" in rows[-1]
+
+
+def test_every_qualified_name_in_the_readme_resolves():
+    # a name moved or removed in the code must not live on in the README
+    names = set(re.findall(r"\blelab(?:\.\w+)+", README.read_text(encoding="utf-8")))
+    assert any(name.count(".") >= 2 for name in names)  # module members are found
+    for name in sorted(names):
+        parts = name.split(".")
+        # the longest importable prefix is the module, the rest are attributes
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ModuleNotFoundError:
+                continue
+            break
+        for attr in parts[cut:]:
+            assert hasattr(obj, attr), f"README names {name}, which does not resolve"
+            obj = getattr(obj, attr)

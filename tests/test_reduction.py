@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from lelab import config, harness, koopman
 from lelab._record import _row_blocks
-from lelab.basis import bohr_labels, build_basis, build_basis_1d
+from lelab.basis import build_basis, build_basis_1d
 from lelab.config import validate_config
-from lelab.dynamics import Propagator, build_hamiltonian, commutator_superoperator, evolve
+from lelab.dynamics import Propagator, build_hamiltonian, commutator_superoperator
 from lelab.errors import StateValidationError
 from lelab.reduction import (
     RANK_TOL,
     TAU_LAMBDA,
     alpha_decompose,
+    bohr_labels,
     entropy_trace,
     first_order_reduced_step,
     free_phase_law,
@@ -207,7 +208,7 @@ def test_sector_labels_are_the_distinct_labels_of_the_nonzero_elements(lattice):
 def test_free_phase_law_is_the_elementwise_formula(lattice, t):
     basis = LABEL_BASES[lattice]
     dec = alpha_decompose(random_density_matrix(basis.size, np.random.default_rng(1)).matrix, basis)
-    elementwise = np.exp(1j * (bohr_labels(basis) * dec.delta_k**2) * t) * dec.matrix
+    elementwise = np.exp(1j * (bohr_labels(basis) * basis.delta_k**2) * t) * dec.matrix
     assert free_phase_law(dec, t).tobytes() == elementwise.tobytes()
 
 
@@ -252,7 +253,7 @@ def test_sector_matrices_are_the_label_oracle_byte_for_byte(lattice):
     assert whole.tobytes() == np.where(np.isin(labels, dec.sector_labels), m, 0).tobytes()
     assert whole[off].tobytes() == bytes(16) != m[off].tobytes()  # +0.0 off the sectors
     for t in (0.37, -2.5, 1e6):
-        elementwise = np.exp(1j * (labels * dec.delta_k**2) * t) * m
+        elementwise = np.exp(1j * (labels * basis.delta_k**2) * t) * m
         assert free_phase_law(dec, t).tobytes() == elementwise.tobytes()
 
 
@@ -340,8 +341,31 @@ def test_free_phase_law_matches_exact_evolution(seed, t):
     rho = random_density_matrix(BASIS.size, rng)
     h0 = build_hamiltonian(BASIS, 0.0, 1.0)
     via_phases = free_phase_law(alpha_decompose(rho.matrix, BASIS), t)
-    via_evolution = evolve(rho, h0, t).matrix
+    via_evolution = h0.propagator.evolve(rho, t).matrix
     assert np.abs(via_phases - via_evolution).max() <= 1e-10
+
+
+def test_the_bohr_sector_checks_hold_at_cubic_m4():
+    # perfbench/bohr_driver.py's three checks on rho(t) of the seeded
+    # effectively pure state, at n = 729: 97 sectors, each an n x n matrix
+    cfg = validate_config(json.dumps({
+        "mode": "quantum", "lattice": {"M": 4, "delta_k": 1.0},
+        "potential": {"A": 0.2, "mu": 1.0},
+        "initial_state": {"kind": "effectively-pure-mixed", "seed": 11},
+        "time_grid": {"t_max": 2.5, "steps": 1},
+    }))
+    basis = harness.build_quantum_basis(cfg)
+    t = cfg.time_grid.t_max
+    h = build_hamiltonian(basis, cfg.potential.coupling, cfg.potential.screening)
+    m = h.propagator.evolve(harness.build_initial_state(cfg, basis), t).matrix
+    dec = alpha_decompose(m, basis)
+    assert basis.size == 729 and len(dec.alphas) == 97
+    norms = [np.linalg.norm(c) for c in dec.components]
+    assert abs(np.linalg.norm(norms) - np.linalg.norm(m)) <= 1e-12
+    assert dec.reconstruct().tobytes() == m.tobytes()
+    free = build_hamiltonian(basis, 0.0, cfg.potential.screening)
+    direct = free.propagator.evolve(DensityMatrix(m), t).matrix
+    assert np.abs(free_phase_law(dec, t) - direct).max() <= 1e-10
 
 
 def test_reduce_weights_are_shell_traces():
@@ -429,7 +453,7 @@ def test_expectation_xi_independent_under_free_flow():
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         ops.append((g + g.conj().T) / 2)
     before = _shell_expectation(ops, rho, BASIS)
-    after = _shell_expectation(ops, evolve(rho, h0, 3.7), BASIS)
+    after = _shell_expectation(ops, h0.propagator.evolve(rho, 3.7), BASIS)
     assert after == pytest.approx(before, abs=1e-10)
 
 
@@ -439,7 +463,7 @@ def test_first_order_step_error_is_second_order():
     errs = []
     ts = [0.02, 0.04]
     for t in ts:
-        exact = _dense_blocks(evolve(rho0, h, t).matrix, BASIS)
+        exact = _dense_blocks(h.propagator.evolve(rho0, t).matrix, BASIS)
         approx = _first_order_blocks(first_order_reduced_step(rho0, h, t, BASIS))
         errs.append(np.sqrt(sum(np.linalg.norm(e - a) ** 2 for e, a in zip(exact, approx))))
     # doubling t quadruples the error
@@ -449,7 +473,7 @@ def test_first_order_step_error_is_second_order():
 def test_first_order_step_is_exact_for_free_evolution():
     h0 = build_hamiltonian(BASIS, 0.0, 1.0)
     rho0 = random_density_matrix(BASIS.size, np.random.default_rng(17))
-    exact = _dense_blocks(evolve(rho0, h0, 0.3).matrix, BASIS)
+    exact = _dense_blocks(h0.propagator.evolve(rho0, 0.3).matrix, BASIS)
     approx = _first_order_blocks(first_order_reduced_step(rho0, h0, 0.3, BASIS))
     for b1, b2 in zip(exact, approx, strict=True):
         np.testing.assert_allclose(b1, b2, atol=1e-12)
@@ -532,7 +556,7 @@ def test_entropy_trace_matches_momentum_basis_oracle(lattice):
     rows = entropy_trace(rho0, h, times, basis)
     assert len(rows) == len(times)
     for row, t in zip(rows, times):
-        rho_t = evolve(rho0, h, t)
+        rho_t = h.propagator.evolve(rho0, t)
         dec = reduce(rho_t, basis)
         per_shell = shell_entropies(dec)
         assert row.t == t
@@ -735,7 +759,7 @@ def test_free_evolution_leaves_reduction_blocks_fixed():
     rho = random_density_matrix(BASIS.size, np.random.default_rng(7))
     before = reduce(rho, BASIS)
     for t in (0.3, 1.7, 4.0):
-        rho_t = evolve(rho, h0, t)
+        rho_t = h0.propagator.evolve(rho, t)
         np.testing.assert_allclose(reduce(rho_t, BASIS).weights, before.weights, atol=1e-10)
         for ba, bb in zip(_dense_blocks(rho_t.matrix, BASIS), _dense_blocks(rho.matrix, BASIS)):
             np.testing.assert_allclose(ba, bb, atol=1e-10)
