@@ -6,8 +6,9 @@ Subcommands:
   demo  NAME [--out-dir PATH]            run a named built-in config
 
 Exit codes: 0 success, 2 config error (an unreadable ``--config``, or an
-``--out-dir`` where the outputs cannot be created or written: one
-"output error" line), 3 invariant violation, 4 dimension cap exceeded.
+``--out-dir`` where the outputs cannot be created or written, or a stdout
+that cannot be written: one "output error" line), 3 invariant violation,
+4 dimension cap exceeded.
 
 ``entry`` is the process entry of both ``lelab`` and ``python -m
 lelab.cli``; ``main`` is the same command called in process.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 
 from .config import load_config
@@ -66,22 +68,23 @@ def main(argv=None) -> int:
             results = run_invariant_checks()
             for name, ok in results.items():
                 print(f"{'ok  ' if ok else 'FAIL'} {name}")
-            return 0 if all(results.values()) else EXIT_INVARIANT
-        if args.command == "demo":
-            cfg = demo_config(args.name)
+            code = 0 if all(results.values()) else EXIT_INVARIANT
         else:
-            try:
-                cfg = load_config(args.config)
-            except (OSError, UnicodeDecodeError) as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-        try:
-            summary = run(cfg, out_dir=args.out_dir)
-        except OSError as exc:  # creating --out-dir or writing into it
-            print(f"output error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        _print_summary(summary)
-        return 0
+            if args.command == "demo":
+                cfg = demo_config(args.name)
+            else:
+                try:
+                    cfg = load_config(args.config)
+                except (OSError, UnicodeDecodeError) as exc:
+                    print(f"config error: {exc}", file=sys.stderr)
+                    return EXIT_CONFIG
+            _print_summary(run(cfg, out_dir=args.out_dir))
+            code = 0
+        sys.stdout.flush()
+        return code
+    except OSError as exc:  # creating --out-dir, writing into it, or writing stdout
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         for path, message in exc.errors:
             where = path or "config"
@@ -103,9 +106,18 @@ def entry():
     collection walks them again: neither one during the run nor the ones
     interpreter shutdown runs (README, start-up).  Objects the run makes
     are collected as before.  ``main`` freezes nothing, so calling it in
-    process leaves the collector as it was."""
+    process leaves the collector as it was.
+
+    When stdout cannot be written, ``main`` has reported it; the output
+    still buffered would fail shutdown's flush again and turn the exit code
+    into 120, so stdout's descriptor is pointed at the null device first."""
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -266,7 +266,7 @@ def _parse_mu_matrix(value, path: str, chk: _Collector):
             return None
         rows.append(tuple(float(x) for x in row))
     try:
-        states.validated_spectrum(np.array(rows), "matrix")
+        states.density_factor(np.array(rows), "matrix")
     except StateValidationError as err:
         chk.error(path, str(err))
         return None

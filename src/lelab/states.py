@@ -64,37 +64,9 @@ def _check_hermitian_unit_trace(m: np.ndarray, what: str) -> None:
         raise StateValidationError(f"{what} has trace {tr}, not 1")
 
 
-def validated_spectrum(m: np.ndarray, what: str = "density matrix"):
-    """(eigenvalues ascending, eigenvectors) of ``m`` after checking it is a
-    density matrix.
-
-    This is the one statement of the density-matrix rule: raises
-    StateValidationError, naming ``m`` as ``what``, unless ``m`` is
-    square, Hermitian, unit trace and positive semidefinite within the
-    module tolerances.  The one ``eigh`` serves both the PSD check and
-    the factor the caller builds from the pair (``_psd_factor``).
-    """
-    _check_hermitian_unit_trace(m, what)
-    eigs, vecs = np.linalg.eigh(m)
-    if not eigs[0] >= -PSD_TOL:
-        raise StateValidationError(
-            f"{what} is not positive semidefinite: min eigenvalue {eigs[0]:.3e}"
-        )
-    return eigs, vecs
-
-
-def _psd_factor(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """n x r factor B of the matrix with this eigendecomposition: one column
-    per positive eigenvalue, scaled to unit trace ||B||_F^2 = 1, since the
-    dropped eigenvalues in [-PSD_TOL, 0] may have moved it."""
-    keep = eigs > 0
-    b = vecs[:, keep] * np.sqrt(eigs[keep])
-    return b / np.linalg.norm(b)
-
-
 def _certified_factor(m: np.ndarray) -> np.ndarray | None:
-    """n x r factor B of a Hermitian, unit-trace ``m`` at its numerical rank,
-    or None when B B^dagger is not within PSD_TOL of ``m``.
+    """Unscaled n x r factor B of a Hermitian, unit-trace ``m`` at its
+    numerical rank, or None when B B^dagger is not within PSD_TOL of ``m``.
 
     Pivoted Cholesky: each column is the Schur-complement column of the
     largest remaining diagonal d, and the pivots stop once max d is at or
@@ -104,9 +76,8 @@ def _certified_factor(m: np.ndarray) -> np.ndarray | None:
     temporary is formed for a low-rank ``m``.
     B is kept only if ||m - B B^dagger||_F <= PSD_TOL; by Weyl's inequality
     the Hermitian part of ``m`` then has no eigenvalue below -PSD_TOL, the
-    positivity rule of ``validated_spectrum``.  A non-PSD ``m``, or one
-    whose negative roundoff stays in the residual, gets None.  B is scaled
-    to unit trace, as in ``_psd_factor``.
+    positivity rule of ``density_factor``.  A non-PSD ``m``, or one whose
+    negative roundoff stays in the residual, gets None.
     """
     n = m.shape[0]
     d = m.diagonal().real.copy()
@@ -131,8 +102,32 @@ def _certified_factor(m: np.ndarray) -> np.ndarray | None:
         e = b[r] @ bh
         e -= m[r]
         residual2 += np.vdot(e, e).real
-    if not np.sqrt(residual2) <= PSD_TOL:
-        return None
+    return b if np.sqrt(residual2) <= PSD_TOL else None
+
+
+def density_factor(m: np.ndarray, what: str = "density matrix") -> np.ndarray:
+    """n x r factor B of the density matrix ``m``, at its numerical rank and
+    scaled to unit trace ||B||_F^2 = 1.
+
+    This is the one statement of the density-matrix rule: raises
+    StateValidationError, naming ``m`` as ``what``, unless ``m`` is
+    square, Hermitian, unit trace and positive semidefinite within the
+    module tolerances.  B is the pivoted Cholesky factor when
+    ``_certified_factor`` certifies ``m``.  Otherwise one ``eigh`` refuses
+    an eigenvalue below -PSD_TOL and keeps one column per eigenvalue above
+    PSD_TOL / n, the cut of the Cholesky pivots, so both paths find the
+    same rank.  The dropped remainder may move the trace, hence the scaling.
+    """
+    _check_hermitian_unit_trace(m, what)
+    b = _certified_factor(m)
+    if b is None:
+        eigs, vecs = np.linalg.eigh(m)
+        if not eigs[0] >= -PSD_TOL:
+            raise StateValidationError(
+                f"{what} is not positive semidefinite: min eigenvalue {eigs[0]:.3e}"
+            )
+        keep = eigs > PSD_TOL / len(m)
+        b = vecs[:, keep] * np.sqrt(eigs[keep])
     return b / np.linalg.norm(b)
 
 
@@ -141,15 +136,11 @@ class DensityMatrix:
     """Complex Hermitian, unit-trace, positive-semidefinite matrix with its
     n x r factor B, ``matrix = B B^dagger``.
 
-    Give either ``matrix`` or ``factor``.  A matrix must be square,
-    Hermitian and unit trace; its factor is the pivoted Cholesky factor of
-    its numerical rank (``_certified_factor``), kept when B B^dagger is
-    within PSD_TOL of it in Frobenius norm, which also certifies it PSD.
-    Otherwise the matrix is checked by ``validated_spectrum``, whose
-    ``eigh`` gives the factor (``_psd_factor``: one column per positive
-    eigenvalue) or refuses it as not PSD.  A given factor is Hermitian and
-    PSD by construction, so only its trace ||B||_F^2 is checked, and no
-    n x n array is formed: ``matrix``, a ``cached_property`` field, is then
+    Give either ``matrix`` or ``factor``.  A matrix must pass the
+    density-matrix rule of ``density_factor``, which also gives its factor
+    at its numerical rank.  A given factor is Hermitian and PSD by
+    construction, so only its trace ||B||_F^2 is checked, and no n x n
+    array is formed: ``matrix``, a ``cached_property`` field, is then
     built as B B^dagger on first read, kept read-only, and not read by
     ``repr``.  A given array is taken through ``_readonly_complex``: a
     frozen C-ordered complex one, such as another state's ``matrix``, is
@@ -171,11 +162,7 @@ class DensityMatrix:
             raise StateValidationError("give a density matrix or its factor, not both or neither")
         if self.factor is None:
             m = _readonly_complex(given)
-            _check_hermitian_unit_trace(m, "density matrix")
-            b = _certified_factor(m)
-            if b is None:
-                b = _psd_factor(*validated_spectrum(m))
-            _frozen(b)
+            b = _frozen(density_factor(m))
             object.__setattr__(self, "matrix", m)
         else:
             b = _readonly_complex(self.factor)
@@ -251,11 +238,10 @@ def effectively_pure_state(
     result has rank at most one, so the state is effectively pure by
     construction; it is mixed whenever mu has rank above one with
     off-diagonal magnitudes strictly below the Cauchy-Schwarz bound.
-    The state is factored as Phi L, with L from the one ``eigh`` of mu
-    that ``validated_spectrum`` checks it with, so its rank is at most
-    len(shell_ids).
+    The state is factored as Phi L, with L = ``density_factor(mu)``, so
+    its rank is the numerical rank of mu: one for a rank-one mu.
 
-    ``mu`` must pass the density-matrix rule of ``validated_spectrum``
+    ``mu`` must pass the density-matrix rule of ``density_factor``
     (its StateValidationError is a ValueError naming ``mu``);
     ``shell_vectors[i]`` must be a unit vector of length equal to the
     degeneracy of shell ``shell_ids[i]``.
@@ -263,7 +249,7 @@ def effectively_pure_state(
     mu = np.asarray(mu, dtype=complex)
     if mu.shape != (len(shell_ids), len(shell_ids)):
         raise ValueError(f"mu must be {len(shell_ids)}x{len(shell_ids)}, got {mu.shape}")
-    l = _psd_factor(*validated_spectrum(mu, "mu"))
+    l = density_factor(mu, "mu")
     return DensityMatrix(factor=_shell_factor(basis, shell_ids, shell_vectors, l))
 
 
@@ -302,10 +288,10 @@ def random_pure_state(dim: int, rng: NormalStream) -> PureState:
 
 
 def random_density_matrix(dim: int, rng: NormalStream, rank: int | None = None) -> DensityMatrix:
-    """Full-rank (or given-rank) Wishart-style random mixed state."""
+    """Full-rank (or given-rank) Wishart-style random mixed state
+    g g^dagger / ||g||_F^2, held as its factor g / ||g||_F."""
     g = _ginibre(rng, dim, dim if rank is None else rank)
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return DensityMatrix(factor=g / np.linalg.norm(g))
 
 
 def random_effectively_pure_state(

@@ -441,6 +441,23 @@ def test_the_smallest_admitted_delta_k_writes_distinct_shell_names(tmp_path, lat
     assert len(set(header)) == len(header)
 
 
+def test_an_explicit_mu_run_end_to_end(tmp_path):
+    # mu of rank one: the state is one column, Phi L, and pure in every shell
+    cfg = make_config(lattice={"M": 2, "delta_k": 0.7},
+                      initial_state={"kind": "effectively-pure-mixed", "seed": 7,
+                                     "shells": [1, 2], "mu": [[0.1, 0.3], [0.3, 0.9]]})
+    rho0 = harness.build_initial_state(cfg, harness.build_quantum_basis(cfg))
+    assert rho0.factor.shape[1] == 1
+    csvs = []
+    for out in ("a", "b"):
+        summary = harness.run(cfg, out_dir=tmp_path / out)
+        assert summary.all_checks_pass
+        csvs.append(Path(summary.csv_path).read_bytes())
+    assert csvs[0] == csvs[1]
+    header, rows = read_csv(tmp_path / "a" / cfg.outputs.csv)
+    assert float(rows[0][header.index("S_eff")]) <= 1e-9
+
+
 def test_cli_unreadable_config_is_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_bytes(b"\xff\xfe{}")
@@ -465,6 +482,44 @@ def test_cli_unusable_out_dir_is_one_output_error(tmp_path, capsys, command, whe
     out = capsys.readouterr()
     assert out.err.startswith("output error: ") and out.err.count("\n") == 1
     assert out.out == ""
+
+
+class _FullStdout:
+    """A stdout whose every write fails, as on a full device."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [["check"], ["demo", "nondegenerate"]], ids=["check", "demo"])
+def test_cli_unwritable_stdout_is_one_output_error(tmp_path, capsys, monkeypatch, argv):
+    if argv[0] == "demo":
+        argv = [*argv, "--out-dir", str(tmp_path)]
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "output error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_the_process_entry_exits_2_when_stdout_fails(tmp_path, unbuffered):
+    # stdout is a pipe with no reader; shutdown's flush of what is still
+    # buffered must not turn the exit code into 120
+    code = ("import os, sys\n"
+            "r, w = os.pipe()\n"
+            "os.close(r)\n"
+            "os.dup2(w, 1)\n"
+            f"sys.argv[1:] = ['demo', 'nondegenerate', '--out-dir', {str(tmp_path)!r}]\n"
+            "from lelab import cli\n"
+            "cli.entry()\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == cli.EXIT_CONFIG
+    assert done.stderr.startswith("output error: ") and done.stderr.count("\n") == 1
 
 
 def test_cli_dimension_cap_exit_code(tmp_path, capsys):

@@ -36,7 +36,7 @@ from lelab.states import (
     random_density_matrix,
     random_effectively_pure_state,
     random_pure_state,
-    validated_spectrum,
+    density_factor,
 )
 
 BASIS = build_basis(1, 1.0)
@@ -581,7 +581,8 @@ def _dense_eigenbasis_trace(rho0, h, times, basis):
     for t in times:
         phase = np.exp(-1j * w * t)
         x = phase[:, None] * x0 * phase.conj()
-        spectrum, _ = validated_spectrum(x)
+        density_factor(x)
+        spectrum = np.linalg.eigvalsh(x)
         per_shell = np.zeros(basis.n_shells)
         pure = True
         for s, mem in enumerate(basis.shells.members):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lelab import states
 from lelab.basis import build_basis, build_basis_1d
 from lelab.errors import StateValidationError
 from lelab.reduction import TAU_LAMBDA, is_effectively_pure, reduce
@@ -22,7 +23,7 @@ from lelab.states import (
     random_density_matrix,
     random_effectively_pure_state,
     random_pure_state,
-    validated_spectrum,
+    density_factor,
     _certified_factor,
 )
 
@@ -68,7 +69,8 @@ def test_a_certified_factor_passes_the_eigh_rule(dim, rank, low):
     if low == 0.0:
         assert b is not None
     if b is not None:
-        assert validated_spectrum(m)[0][0] >= -PSD_TOL
+        density_factor(m)
+        assert np.linalg.eigvalsh(m)[0] >= -PSD_TOL
         assert b.shape == (dim, rank)
         assert abs(np.trace(m - b @ b.conj().T)) <= TRACE_TOL
         assert np.linalg.norm(m - b @ b.conj().T) <= PSD_TOL
@@ -76,6 +78,49 @@ def test_a_certified_factor_passes_the_eigh_rule(dim, rank, low):
         assert b is None
         with pytest.raises(StateValidationError, match="positive semidefinite"):
             DensityMatrix(m)
+
+
+def _near_rank_matrix(dim, rank, low):
+    """``rank`` eigenvalues in [0.5, 1.5], one at ``low``, trace one."""
+    rng = np.random.default_rng(dim + rank)
+    vecs, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    eigs = np.zeros(dim)
+    eigs[:rank] = rng.uniform(0.5, 1.5, rank)
+    eigs *= (1 - low) / eigs.sum()
+    eigs[-1] = low
+    m = (vecs * eigs) @ vecs.conj().T
+    return (m + m.conj().T) / 2
+
+
+def test_the_eigh_path_cuts_the_rank_where_the_cholesky_does(monkeypatch):
+    # an eigenvalue at -5e-11 stays in the Cholesky residual, so the eigh
+    # factors this matrix; it keeps the 4 columns above PSD_TOL / n, not
+    # every eigenvalue above 0 (15 of them, most roundoff)
+    m = _near_rank_matrix(27, 4, -5e-11)
+    assert _certified_factor(m) is None
+    checks = []
+    check = states._check_hermitian_unit_trace
+    monkeypatch.setattr(states, "_check_hermitian_unit_trace",
+                        lambda *args: checks.append(args[1]) or check(*args))
+    b = DensityMatrix(m).factor
+    assert checks == ["density matrix"]  # the Hermitian check runs once
+    assert b.shape == (27, 4)
+    assert np.linalg.norm(m - b @ b.conj().T) <= PSD_TOL
+    assert np.vdot(b, b).real == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("ids,mu", [
+    ([1, 2], np.array([[0.1, 0.3], [0.3, 0.9]])),
+    ([1, 2, 3], np.full((3, 3), 1 / 3)),
+], ids=["2x2", "3x3"])
+def test_a_rank_one_mu_gives_a_one_column_factor(ids, mu):
+    basis = build_basis(1, 1.0)
+    vecs = [np.eye(len(basis.shells.members[s]))[0] for s in ids]
+    rho = effectively_pure_state(basis, ids, vecs, mu)
+    assert rho.factor.shape == (basis.size, 1)
+    l = density_factor(mu, "mu")
+    assert l.shape == (len(ids), 1)
+    np.testing.assert_allclose(l @ l.conj().T, mu, atol=1e-15)
 
 
 def test_density_matrix_from_a_factor():
@@ -110,7 +155,7 @@ def test_builders_give_their_factor_and_rank():
     rho = effectively_pure_state(basis, [1, 2], [v1, v2], np.full((2, 2), 0.5))
     assert rho.factor.shape == (basis.size, 1)
     assert global_purity(rho) == pytest.approx(1.0, abs=1e-14)
-    # a dense state is factored by the eigh that checks it
+    # a drawn mixed state carries its factor, of the drawn rank
     mixed = random_density_matrix(basis.size, rng, rank=3)
     b = mixed.factor
     assert b.shape[1] >= 3 and not b.flags.writeable
