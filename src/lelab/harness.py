@@ -11,9 +11,9 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -49,13 +49,16 @@ def _fmt(x: float) -> str:
 @record(by_value=True)
 class RunSummary:
     """Run outcome; identical across reruns except for wall_time_s.  A final
-    value is None where the mode has none, or when no row ran."""
+    value is None where the mode has none, or when no row ran.  Each
+    invariant check is its margin ``{"measured", "tolerance"}``, passed when
+    measured <= tolerance; ``run`` writes both maps."""
 
     mode: str
     config: dict
     csv_path: str
     wall_time_s: float
     invariant_checks: dict
+    invariant_margins: dict | None = None
     final_effective_entropy: float | None = None
     final_purity: float | None = None
     final_mass: float | None = None
@@ -99,21 +102,59 @@ def build_initial_state(cfg: ExperimentConfig, basis: MomentumBasis) -> DensityM
     return DensityMatrix(factor=b)
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]):
-    """Write ``header``, then each row of cells as ``rows`` formats it, so that
-    a run holds one row of strings at a time."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+class _Fold:
+    """Sink for a run's rows in grid order that holds none of them: ``append``
+    writes the CSV cells that ``line`` gives for a row and keeps the first,
+    last, min and max of each value it gives (``stats``); ``len`` counts rows."""
+
+    def __init__(self, fh, header: list[str], line):
         fh.write(",".join(header) + "\n")
-        for cells in rows:
-            fh.write(",".join(cells) + "\n")
+        self._fh, self._line, self._rows = fh, line, 0
+
+    def append(self, row) -> None:
+        cells, values = self._line(row)
+        self._fh.write(",".join(cells) + "\n")
+        v = np.array(values, dtype=float)
+        if not self._rows:
+            self._acc = np.tile(v, (4, 1))
+        self._acc[1] = v
+        np.minimum(self._acc[2], v, out=self._acc[2])  # a NaN is kept to the end
+        np.maximum(self._acc[3], v, out=self._acc[3])
+        self._rows += 1
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def stats(self) -> list[dict]:
+        return [dict(zip(("first", "last", "min", "max"), map(float, a))) for a in self._acc.T]
 
 
-def _run_quantum(cfg: ExperimentConfig) -> tuple[list[str], Iterable[list[str]], dict, dict]:
+def _drift(stats: dict, x0: float | None = None) -> float:
+    """max |x - x0| over the rows, x0 the first value unless given: rounding is
+    monotone, so max(max - x0, x0 - min) is that float (NaN after a NaN row)."""
+    x0 = stats["first"] if x0 is None else x0
+    return max(stats["max"] - x0, x0 - stats["min"])
+
+
+def _margin(measured: float, tolerance: float) -> dict:
+    return {"measured": float(measured), "tolerance": tolerance}
+
+
+def _passes(margin: dict) -> bool:
+    return margin["measured"] <= margin["tolerance"]  # written so that NaN fails
+
+
+def _run_quantum(cfg: ExperimentConfig, fh) -> dict:
+    """Write the trace to ``fh``; return the summary's margins and final values."""
     basis = build_quantum_basis(cfg)
     pot = cfg.potential
     h = dynamics.build_hamiltonian(basis, pot.coupling, pot.screening)
     header = ["t", "S_eff", "S_global", "tr_rho2", "effectively_pure"]
     header += [f"S_E_{e:g}" for e in basis.shells.energies]
+    fold = _Fold(fh, header, lambda r: (
+        [_fmt(r.t), _fmt(r.effective_entropy), _fmt(r.global_entropy), _fmt(r.purity),
+         str(int(r.effectively_pure)), *map(_fmt, r.shell_entropies)],
+        (r.effective_entropy, r.purity, r.effectively_pure)))
 
     # Each row holds rho(t) = C C^dagger, Hermitian and PSD by construction,
     # and refuses a trace off by more than TRACE_TOL; what every row trusts
@@ -121,44 +162,34 @@ def _run_quantum(cfg: ExperimentConfig) -> tuple[list[str], Iterable[list[str]],
     # checked first, in H's own arithmetic, and a decomposition that fails
     # it computes no row.
     orthonormality, residual = h.propagator.eigenbasis_errors(h)
-    checks = {
-        "eigenbasis_orthonormal": orthonormality <= EIGENBASIS_ORTHONORMAL_TOL,
-        "eigenbasis_residual": residual <= EIGENBASIS_RESIDUAL_TOL,
-    }
-    if not all(checks.values()):
-        return header, [], checks, {}
+    margins = {"eigenbasis_orthonormal": _margin(orthonormality, EIGENBASIS_ORTHONORMAL_TOL),
+               "eigenbasis_residual": _margin(residual, EIGENBASIS_RESIDUAL_TOL)}
+    if not all(map(_passes, margins.values())):
+        return {"invariant_margins": margins}
 
     rho0 = build_initial_state(cfg, basis)
-    rows = reduction.entropy_trace(rho0, h, cfg.time_grid.times(), basis)
-    s_eff = np.array([r.effective_entropy for r in rows])
-    purity = np.array([r.purity for r in rows])
-    checks["purity_constant"] = bool(np.abs(purity - purity[0]).max() <= PURITY_DRIFT_TOL)
+    s_eff, purity, pure = reduction.entropy_trace(
+        rho0, h, cfg.time_grid.times(), basis, fold).stats()
+    margins["purity_constant"] = _margin(_drift(purity), PURITY_DRIFT_TOL)
     if pot.coupling == 0.0:
-        checks["free_entropy_constant"] = bool(
-            np.abs(s_eff - s_eff[0]).max() <= FREE_ENTROPY_TOL
-        )
+        margins["free_entropy_constant"] = _margin(_drift(s_eff), FREE_ENTROPY_TOL)
     if isinstance(cfg.lattice, LineLattice):
-        checks["nondegenerate_no_mixing"] = bool(s_eff.max() <= NO_MIXING_TOL)
-
-    cells = ([_fmt(r.t), _fmt(r.effective_entropy), _fmt(r.global_entropy), _fmt(r.purity),
-              str(int(r.effectively_pure)), *map(_fmt, r.shell_entropies)] for r in rows)
-    return header, cells, checks, {
-        "final_effective_entropy": rows[-1].effective_entropy,
-        "final_purity": rows[-1].purity,
-        "effectively_pure_initial": rows[0].effectively_pure,
-        "effectively_pure_final": rows[-1].effectively_pure,
-    }
+        margins["nondegenerate_no_mixing"] = _margin(s_eff["max"], NO_MIXING_TOL)
+    return {"invariant_margins": margins, "final_effective_entropy": s_eff["last"],
+            "final_purity": purity["last"], "effectively_pure_initial": bool(pure["first"]),
+            "effectively_pure_final": bool(pure["last"])}
 
 
-def _run_classical(cfg: ExperimentConfig) -> tuple[list[str], Iterable[list[str]], dict, dict]:
+def _run_classical(cfg: ExperimentConfig, fh) -> dict:
+    """Write the kick trace to ``fh``; return the summary's margins and final values."""
     rho0 = koopman.single_p_row_density(cfg.lattice, cfg.initial_state.p0)
     kick = cfg.potential
     grad_v = koopman.kick_gradient(kick.shape)
+    fold = _Fold(fh, ["t", "S_classical", "mass"], lambda row: (map(_fmt, row), row[1:]))
 
     # Each output time is reached by one exact flow from an anchor state
     # (initial, or post-kick), so interpolation diffusion never compounds.
     kicked = None
-    rows = []
     for t in cfg.time_grid.times():
         t = float(t)
         if kick.strength == 0.0 or t <= kick.time:
@@ -169,13 +200,11 @@ def _run_classical(cfg: ExperimentConfig) -> tuple[list[str], Iterable[list[str]
                     koopman.classical_free_flow(rho0, kick.time), grad_v, kick.strength)
             state = koopman.classical_free_flow(kicked, t - kick.time)
         marginal = koopman.classical_reduce(state)
-        rows.append((t, koopman.classical_effective_entropy(marginal), state.mass))
+        fold.append((t, koopman.classical_effective_entropy(marginal), state.mass))
 
-    masses = np.array([m for _, _, m in rows])
-    checks = {"mass_conserved": bool(np.abs(masses - 1.0).max() <= MASS_TOL)}
-    cells = ([_fmt(x) for x in row] for row in rows)
-    return ["t", "S_classical", "mass"], cells, checks, {
-        "final_effective_entropy": rows[-1][1], "final_mass": rows[-1][2]}
+    s, mass = fold.stats()
+    return {"invariant_margins": {"mass_conserved": _margin(_drift(mass, 1.0), MASS_TOL)},
+            "final_effective_entropy": s["last"], "final_mass": mass["last"]}
 
 
 def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunSummary:
@@ -185,20 +214,28 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> RunSummary:
     not checked again here.  A quantum run checks the eigendecomposition
     of H before it builds the initial state; if that check fails, no row
     is computed, the CSV holds only its header and the summary holds the
-    two eigenbasis checks with null final values.  Artifacts are written
-    even when an invariant check fails; the failure is then raised as
+    two eigenbasis checks with null final values.  The CSV is streamed to
+    a temporary name, so a row that raises (``StateValidationError``)
+    leaves no CSV and no summary.  Artifacts are written even when an
+    invariant check fails; the failure is then raised as
     InvariantViolation so callers can exit nonzero.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     mode_run = _run_quantum if cfg.mode == "quantum" else _run_classical
-    header, rows, checks, finals = mode_run(cfg)
     csv_path = out_dir / cfg.outputs.csv
-    _write_csv(csv_path, header, rows)
+    part = csv_path.with_name(csv_path.name + ".part")
+    try:  # the CSV gets its name once complete; a run that raises leaves none
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            fields = mode_run(cfg, fh)
+        os.replace(part, csv_path)
+    finally:
+        part.unlink(missing_ok=True)
+    checks = {name: _passes(m) for name, m in fields["invariant_margins"].items()}
     summary = RunSummary(mode=cfg.mode, config=cfg.echo, csv_path=str(csv_path),
                          wall_time_s=time.perf_counter() - t_start,
-                         invariant_checks=checks, **finals)
+                         invariant_checks=checks, **fields)
     with open(out_dir / cfg.outputs.summary, "w", encoding="utf-8") as fh:
         json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -290,8 +290,10 @@ def entropy_trace(
     h: Hamiltonian,
     time_grid: Sequence[float],
     basis: MomentumBasis,
-) -> list[TraceRow]:
-    """Evolve exactly to each grid time, reduce, and report.
+    rows=None,
+):
+    """Evolve exactly to each grid time, reduce, and hand each row to
+    ``rows.append`` as it is made; returns ``rows``, a new list by default.
 
     Works on the n x r factor B of rho0 = B B^dagger (``rho0.factor``):
     each row takes the ``Propagator.evolved_factors`` step of ``h.propagator``
@@ -302,9 +304,12 @@ def entropy_trace(
     tr rho^2 = ||C^dagger C||_F^2.  Each shell's Gram matrix (``_shell_grams``,
     as in ``reduce``) gives S_E and the rank-one test (``_shell_stats``).
     Rows follow the grid.  A basis or an ``h`` of another size raises ValueError.
+    ``lelab run`` passes a sink that keeps no row (``harness._Fold``), not a
+    generator: ``perfbench/tracing.py`` wraps this function by name, times
+    the rows inside the call and takes ``len`` of what it returns.
     """
     order, _, spans = _shell_layout(basis, rho0.factor)
-    rows = []
+    rows = [] if rows is None else rows
     for t, c in zip(time_grid, h.propagator.evolved_factors(rho0.factor, time_grid)):
         t = float(t)
         c = c[order]

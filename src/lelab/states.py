@@ -60,8 +60,8 @@ def _check_hermitian_unit_trace(m: np.ndarray, what: str) -> None:
     if not herm <= HERMITICITY_TOL:
         raise StateValidationError(f"{what} is not Hermitian: max deviation {herm:.3e}")
     tr = np.trace(m)
-    if not abs(tr - 1.0) <= TRACE_TOL:
-        raise StateValidationError(f"{what} has trace {tr}, not 1")
+    if not abs(tr - 1.0) <= TRACE_TOL:  # a Hermitian m has a real trace, so its real part is shown
+        raise StateValidationError(f"{what} has trace {tr.real}, not 1")
 
 
 def _certified_factor(m: np.ndarray) -> np.ndarray | None:

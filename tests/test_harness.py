@@ -13,7 +13,7 @@ import pytest
 
 from lelab import cli, dynamics, harness, reduction
 from lelab.config import validate_config
-from lelab.errors import ConfigError, InvariantViolation
+from lelab.errors import ConfigError, InvariantViolation, StateValidationError
 
 QUANTUM = {
     "mode": "quantum",
@@ -21,6 +21,14 @@ QUANTUM = {
     "potential": {"A": 0.2, "mu": 1.0},
     "initial_state": {"kind": "effectively-pure-mixed", "seed": 7},
     "time_grid": {"t_max": 1.0, "steps": 5},
+}
+
+CLASSICAL = {
+    "mode": "classical",
+    "lattice": {"nq": 32, "np": 32, "dq": 2 * np.pi / 32, "dp": 0.2},
+    "potential": {"kick_strength": 0.3, "kick_shape": "cos", "kick_time": 0.5},
+    "initial_state": {"kind": "single-p-row", "p0": 1.0},
+    "time_grid": {"t_max": 1.0, "steps": 4},
 }
 
 QUANTUM_HEADER = "t,S_eff,S_global,tr_rho2,effectively_pure,S_E_0,S_E_1,S_E_2,S_E_3"
@@ -87,14 +95,7 @@ def test_nondegenerate_run_records_no_mixing_check(tmp_path):
 
 
 def test_classical_run(tmp_path):
-    cfg = validate_config(json.dumps({
-        "mode": "classical",
-        "lattice": {"nq": 32, "np": 32, "dq": 2 * np.pi / 32, "dp": 0.2},
-        "potential": {"kick_strength": 0.3, "kick_shape": "cos", "kick_time": 0.5},
-        "initial_state": {"kind": "single-p-row", "p0": 1.0},
-        "time_grid": {"t_max": 1.0, "steps": 4},
-    }))
-    summary = harness.run(cfg, out_dir=tmp_path)
+    summary = harness.run(validate_config(json.dumps(CLASSICAL)), out_dir=tmp_path)
     header, rows = read_csv(tmp_path / "trace.csv")
     assert header == ["t", "S_classical", "mass"]
     assert len(rows) == 5
@@ -113,6 +114,64 @@ def test_runs_are_byte_deterministic(tmp_path):
     sb = json.loads((b / "summary.json").read_text())
     sa.pop("wall_time_s"), sb.pop("wall_time_s")
     assert sa == sb
+
+
+@pytest.mark.parametrize("raw", [
+    QUANTUM,
+    dict(QUANTUM, potential={"A": 0.0, "mu": 1.0}, initial_state={"kind": "shell-mixed", "shell": 1}),
+    dict(QUANTUM, lattice={"N": 8, "delta_k": 1.0}, initial_state={"kind": "pure-random", "seed": 3}),
+    CLASSICAL,
+], ids=["cubic", "free", "line", "classical"])
+def test_every_check_is_its_margin_against_its_tolerance(tmp_path, raw):
+    summary = harness.run(validate_config(json.dumps(raw)), out_dir=tmp_path)
+    loaded = json.loads((tmp_path / "summary.json").read_text())
+    margins, checks = loaded["invariant_margins"], loaded["invariant_checks"]
+    assert margins == summary.invariant_margins and set(margins) == set(checks)
+    for name, margin in margins.items():
+        assert set(margin) == {"measured", "tolerance"}
+        assert checks[name] is (margin["measured"] <= margin["tolerance"])
+    # each measured value is the one the rows give, bit for bit
+    header, rows = read_csv(tmp_path / "trace.csv")
+    col = {name: np.array([float(r[j]) for r in rows]) for j, name in enumerate(header)}
+    want = {"mass_conserved": np.abs(col["mass"] - 1.0).max()} if raw is CLASSICAL else {
+        "purity_constant": np.abs(col["tr_rho2"] - col["tr_rho2"][0]).max()}
+    if "free_entropy_constant" in margins:
+        want["free_entropy_constant"] = np.abs(col["S_eff"] - col["S_eff"][0]).max()
+    if "nondegenerate_no_mixing" in margins:
+        want["nondegenerate_no_mixing"] = col["S_eff"].max()
+    assert {name: margins[name]["measured"] for name in want} == want
+    assert ("free_entropy_constant" in want) == (raw["potential"].get("A") == 0.0)
+
+
+def test_a_failed_eigenbasis_check_records_both_errors(tmp_path, monkeypatch):
+    _scale_eigenvectors(monkeypatch)
+    with pytest.raises(InvariantViolation):
+        harness.run(make_config(), out_dir=tmp_path)
+    margins = json.loads((tmp_path / "summary.json").read_text())["invariant_margins"]
+    assert set(margins) == {"eigenbasis_orthonormal", "eigenbasis_residual"}
+    assert margins["eigenbasis_orthonormal"]["measured"] > harness.EIGENBASIS_ORTHONORMAL_TOL
+    assert margins["eigenbasis_residual"]["measured"] <= harness.EIGENBASIS_RESIDUAL_TOL
+
+
+def test_a_row_that_fails_its_trace_check_leaves_no_output(tmp_path, monkeypatch):
+    # row 2 of 6 loses its unit trace: the rows before it were streamed to
+    # the CSV's temporary file, which must go with the run
+    evolved = dynamics.Propagator.evolved_factors
+
+    def off_at_row_2(self, b, times):
+        for i, c in enumerate(evolved(self, b, times)):
+            yield c * 1.1 if i == 2 else c
+
+    monkeypatch.setattr(dynamics.Propagator, "evolved_factors", off_at_row_2)
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    kept.mkdir()
+    (kept / "trace.csv").write_text("an earlier run\n")
+    for out in (fresh, kept):
+        with pytest.raises(StateValidationError, match="state at t = 0.4 has trace 1.21"):
+            harness.run(make_config(), out_dir=out)
+    assert list(fresh.iterdir()) == []
+    assert [p.name for p in kept.iterdir()] == ["trace.csv"]
+    assert (kept / "trace.csv").read_text() == "an earlier run\n"
 
 
 def test_shell_index_out_of_range_is_config_error(tmp_path, monkeypatch, capsys):

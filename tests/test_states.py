@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,19 @@ def test_density_matrix_validation():
         DensityMatrix(np.zeros((0, 0)))  # empty: trace 0
     rho = DensityMatrix(np.diag([0.25, 0.75]))
     assert rho.factor.shape[0] == 2
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: DensityMatrix(0.55 * np.eye(2)), "density matrix has trace 1.1, not 1"),
+    (lambda: DensityMatrix(0.55 * np.eye(2, dtype=complex)), "density matrix has trace 1.1, not 1"),
+    (lambda: effectively_pure_state(build_basis(1, 1.0), [0, 1], [np.array([1.0]), np.eye(6)[0]],
+                                    0.55 * np.eye(2)), "mu has trace 1.1, not 1"),
+], ids=["real", "complex", "mu"])
+def test_a_trace_off_one_is_reported_as_a_real_number(refuse, message):
+    # the matrix is held complex, but a Hermitian one has a real trace:
+    # the message reads as the config check's on the same mu, not "(1.1+0j)"
+    with pytest.raises(StateValidationError, match=f"^{re.escape(message)}$"):
+        refuse()
 
 
 @pytest.mark.parametrize("given,message", [
