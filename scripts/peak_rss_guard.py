@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run three configs through ``lelab run`` and the Bohr-sector library path
+"""Run four configs through ``lelab run`` and the Bohr-sector library path
 once, each in its own child process, and fail if a child's peak RSS is
 over its limit:
 
@@ -12,6 +12,11 @@ over its limit:
 - a 2048 x 2048 classical grid (the ``MAX_GRID_CELLS`` cap) kicked from a
   single p row, for 4 steps, limit 64 MB.  A density holds only its support
   window, so this run must not hold a full grid;
+- a line of N = 1024 points (pure-random, seed 3) at the largest step count
+  that the trace-cell cap (``config.MAX_TRACE_CELLS``) admits, 9698 steps
+  of 1031 columns, limit 100 MB.  A run streams its rows to the CSV and keeps
+  none, so it peaks as a 4-step run does: 83 MB on a 2-CPU Xeon, where
+  keeping the rows took it to 148 MB;
 - the Bohr-sector path at cubic M = 5 (``bohr_sectors``), limit 200 MB:
   ``alpha_decompose`` of a frozen rho(t), a ``np.linalg.norm`` sweep over
   its ``components``, ``reconstruct``, ``free_phase_law``, and
@@ -42,9 +47,12 @@ LINE_N = 4096
 GRID_SIDE = 2048
 STEPS = 4
 BOHR_M = 5
+LONG_N = 1024
+LONG_STEPS = 9698  # (9698 + 1) * (7 + 1024) cells: one step more is over the cap
 LIMIT_MB = 256
 LINE_LIMIT_MB = 800
 CLASSICAL_LIMIT_MB = 64
+LONG_LIMIT_MB = 100
 BOHR_LIMIT_MB = 200
 
 QUANTUM = {
@@ -61,6 +69,8 @@ LINE = {
     "initial_state": {"kind": "pure-random", "seed": 3},
     "time_grid": {"t_max": 5.0, "steps": STEPS},
 }
+LONG = dict(LINE, lattice={"N": LONG_N, "delta_k": 1.0},
+            time_grid={"t_max": 5.0, "steps": LONG_STEPS})
 CLASSICAL = {
     "mode": "classical",
     "lattice": {"nq": GRID_SIDE, "np": GRID_SIDE, "dq": 2 * math.pi / GRID_SIDE,
@@ -126,6 +136,7 @@ def main() -> int:
                                 (f"line N = {LINE_N}, {STEPS} steps", LINE, LINE_LIMIT_MB),
                                 (f"classical {GRID_SIDE}^2, {STEPS} steps", CLASSICAL,
                                  CLASSICAL_LIMIT_MB),
+                                (f"line N = {LONG_N}, {LONG_STEPS} steps", LONG, LONG_LIMIT_MB),
                                 (f"Bohr sectors, cubic M = {BOHR_M}", BOHR, BOHR_LIMIT_MB)):
         with tempfile.TemporaryDirectory() as tmp:
             mb = peak_mb(config, Path(tmp), bohr=config is BOHR)

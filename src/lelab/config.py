@@ -41,8 +41,8 @@ from .errors import ConfigError, DimensionCapError, StateValidationError
 # 32 B per cell, so this cap of 2048^2 cells bounds a run near 0.16 GB.
 MAX_GRID_CELLS = 1 << 22
 # Each step is one CSV row.  A run streams its rows to the CSV and keeps none,
-# so this cap bounds only the file: (steps + 1) * (5 + n_shells) cells of at
-# most 25 B, 0.25 GB.  Line N = 1024 at 9717 steps, at the cell cap, peaks at
+# so this cap bounds only the file: (steps + 1) * (7 + n_shells) cells of at
+# most 25 B, 0.25 GB.  Line N = 1024 at 9698 steps, at the cell cap, peaks at
 # 83 MB, as at 4 steps (148 MB when a run kept its rows).
 MAX_STEPS = 100_000
 MAX_TRACE_CELLS = 10_000_000
@@ -351,7 +351,7 @@ def _check_caps(lattice, time_grid: TimeGridConfig) -> MomentumBasis | None:
         basis = None if classical else quantum_basis(lattice)
     if time_grid.steps > MAX_STEPS:
         raise DimensionCapError(f"time_grid.steps = {time_grid.steps} exceeds cap of {MAX_STEPS}")
-    cells = 0 if classical else (time_grid.steps + 1) * (5 + basis.n_shells)
+    cells = 0 if classical else (time_grid.steps + 1) * (7 + basis.n_shells)
     if cells > MAX_TRACE_CELLS:
         raise DimensionCapError(f"time_grid.steps = {time_grid.steps} gives a trace of {cells} "
                                 f"cells, over the cap of {MAX_TRACE_CELLS}")

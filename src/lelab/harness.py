@@ -11,6 +11,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -31,6 +32,8 @@ EIGENBASIS_RESIDUAL_TOL = 1e-10  # max_b max |H_b Q_b - Q_b diag(w_b)| / max_b m
 FREE_ENTROPY_TOL = 1e-9
 FREE_PERIOD_TOL = 1e-12  # max |rho(2 pi / delta_k^2) - rho(0)| under free evolution
 NO_MIXING_TOL = 1e-9
+ALPHA0_PURITY_TOL = 1e-10  # drift of P0 under free evolution
+COARSE_ENTROPY_TOL = 1e-10  # S_global <= S_cg and -ln P0 <= S_cg, up to this
 MASS_TOL = 1e-6
 
 
@@ -64,6 +67,7 @@ class RunSummary:
     final_mass: float | None = None
     effectively_pure_initial: bool | None = None
     effectively_pure_final: bool | None = None
+    alpha0_purity: dict | None = None  # {"first", "last", "min", "max"} of P0
 
     @property
     def all_checks_pass(self) -> bool:
@@ -144,17 +148,23 @@ def _passes(margin: dict) -> bool:
     return margin["measured"] <= margin["tolerance"]  # written so that NaN fails
 
 
+def _quantum_line(r: reduction.TraceRow):
+    cells = [_fmt(r.t), _fmt(r.effective_entropy), _fmt(r.global_entropy), _fmt(r.purity),
+             str(int(r.effectively_pure)), *map(_fmt, r.shell_entropies),
+             _fmt(r.alpha0_purity), _fmt(r.coarse_entropy)]
+    return cells, (r.effective_entropy, r.purity, r.effectively_pure, r.alpha0_purity,
+                   r.global_entropy - r.coarse_entropy,  # pinching never lowers entropy
+                   -math.log(r.alpha0_purity) - r.coarse_entropy)  # nor below -ln P0
+
+
 def _run_quantum(cfg: ExperimentConfig, fh) -> dict:
     """Write the trace to ``fh``; return the summary's margins and final values."""
     basis = build_quantum_basis(cfg)
     pot = cfg.potential
     h = dynamics.build_hamiltonian(basis, pot.coupling, pot.screening)
     header = ["t", "S_eff", "S_global", "tr_rho2", "effectively_pure"]
-    header += [f"S_E_{e:g}" for e in basis.shells.energies]
-    fold = _Fold(fh, header, lambda r: (
-        [_fmt(r.t), _fmt(r.effective_entropy), _fmt(r.global_entropy), _fmt(r.purity),
-         str(int(r.effectively_pure)), *map(_fmt, r.shell_entropies)],
-        (r.effective_entropy, r.purity, r.effectively_pure)))
+    header += [f"S_E_{e:g}" for e in basis.shells.energies] + ["P0", "S_cg"]
+    fold = _Fold(fh, header, _quantum_line)
 
     # Each row holds rho(t) = C C^dagger, Hermitian and PSD by construction,
     # and refuses a trace off by more than TRACE_TOL; what every row trusts
@@ -168,16 +178,19 @@ def _run_quantum(cfg: ExperimentConfig, fh) -> dict:
         return {"invariant_margins": margins}
 
     rho0 = build_initial_state(cfg, basis)
-    s_eff, purity, pure = reduction.entropy_trace(
+    s_eff, purity, pure, p0, over_cg, floor_over_cg = reduction.entropy_trace(
         rho0, h, cfg.time_grid.times(), basis, fold).stats()
     margins["purity_constant"] = _margin(_drift(purity), PURITY_DRIFT_TOL)
+    margins["coarse_entropy_bound"] = _margin(over_cg["max"], COARSE_ENTROPY_TOL)
+    margins["coarse_entropy_floor"] = _margin(floor_over_cg["max"], COARSE_ENTROPY_TOL)
     if pot.coupling == 0.0:
         margins["free_entropy_constant"] = _margin(_drift(s_eff), FREE_ENTROPY_TOL)
+        margins["alpha0_purity_constant"] = _margin(_drift(p0), ALPHA0_PURITY_TOL)
     if isinstance(cfg.lattice, LineLattice):
         margins["nondegenerate_no_mixing"] = _margin(s_eff["max"], NO_MIXING_TOL)
     return {"invariant_margins": margins, "final_effective_entropy": s_eff["last"],
             "final_purity": purity["last"], "effectively_pure_initial": bool(pure["first"]),
-            "effectively_pure_final": bool(pure["last"])}
+            "effectively_pure_final": bool(pure["last"]), "alpha0_purity": p0}
 
 
 def _run_classical(cfg: ExperimentConfig, fh) -> dict:

@@ -261,13 +261,13 @@ def test_a_lattice_over_the_point_cap_is_refused_without_shell_fields(lattice, m
 
 
 def test_a_quantum_trace_is_capped_by_its_cells():
-    # N = 1024 has 1029 columns: 9718 rows are 9,999,822 cells, 9719 rows 10,000,851
+    # N = 1024 has 1031 columns: 9699 rows are 9,999,669 cells, 9700 rows 10,000,700
     raw = dict(QUANTUM, lattice={"N": 1024, "delta_k": 0.05})
-    cfg = validate_config(json.dumps(dict(raw, time_grid={"t_max": 1.0, "steps": 9717})))
-    assert cfg.time_grid.steps == 9717
+    cfg = validate_config(json.dumps(dict(raw, time_grid={"t_max": 1.0, "steps": 9698})))
+    assert cfg.time_grid.steps == 9698
     with pytest.raises(DimensionCapError) as info:
-        validate_config(json.dumps(dict(raw, time_grid={"t_max": 1.0, "steps": 9718})))
-    assert str(info.value) == ("time_grid.steps = 9718 gives a trace of 10000851 cells, "
+        validate_config(json.dumps(dict(raw, time_grid={"t_max": 1.0, "steps": 9699})))
+    assert str(info.value) == ("time_grid.steps = 9699 gives a trace of 10000700 cells, "
                                f"over the cap of {MAX_TRACE_CELLS}")
 
 
@@ -277,9 +277,9 @@ def test_the_largest_cubic_lattice_keeps_the_full_step_cap():
                time_grid={"t_max": 1.0, "steps": MAX_STEPS})
     cfg = validate_config(json.dumps(raw))
     assert cfg.time_grid.steps == MAX_STEPS
-    assert (MAX_STEPS + 1) * (5 + quantum_basis(cfg.lattice).n_shells) == 9_300_093
-    # from M = 8 on the trace cells cap the steps: M = 10 (179 shells) keeps 54346
-    for m, steps in ((8, 82643), (10, 54346)):
+    assert (MAX_STEPS + 1) * (7 + quantum_basis(cfg.lattice).n_shells) == 9_500_095
+    # from M = 8 on the trace cells cap the steps: M = 10 (179 shells) keeps 53762
+    for m, steps in ((8, 81299), (10, 53762)):
         raw = dict(raw, lattice={"M": m, "delta_k": 1.0})
         ok = validate_config(json.dumps(dict(raw, time_grid={"t_max": 1.0, "steps": steps})))
         assert ok.time_grid.steps == steps

@@ -1,6 +1,7 @@
 import ast
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -31,7 +32,7 @@ CLASSICAL = {
     "time_grid": {"t_max": 1.0, "steps": 4},
 }
 
-QUANTUM_HEADER = "t,S_eff,S_global,tr_rho2,effectively_pure,S_E_0,S_E_1,S_E_2,S_E_3"
+QUANTUM_HEADER = "t,S_eff,S_global,tr_rho2,effectively_pure,S_E_0,S_E_1,S_E_2,S_E_3,P0,S_cg"
 
 
 def _single_row(dq: float, dp: float) -> dict:
@@ -60,7 +61,7 @@ def test_quantum_run_writes_csv_and_summary(tmp_path):
     summary = harness.run(make_config(), out_dir=tmp_path)
     header, rows = read_csv(tmp_path / "trace.csv")
     assert header[:5] == ["t", "S_eff", "S_global", "tr_rho2", "effectively_pure"]
-    assert header[5:] == ["S_E_0", "S_E_1", "S_E_2", "S_E_3"]
+    assert header[5:] == ["S_E_0", "S_E_1", "S_E_2", "S_E_3", "P0", "S_cg"]
     assert len(rows) == 6
     assert float(rows[0][1]) <= 1e-12  # starts effectively pure
     assert rows[0][4] == "1"
@@ -73,7 +74,8 @@ def test_quantum_run_writes_csv_and_summary(tmp_path):
     assert loaded["config"] == QUANTUM
     assert loaded["all_checks_pass"] is True
     assert set(loaded["invariant_checks"]) == {"eigenbasis_orthonormal", "eigenbasis_residual",
-                                               "purity_constant"}
+                                               "purity_constant", "coarse_entropy_bound",
+                                               "coarse_entropy_floor"}
 
 
 def test_free_run_records_entropy_constancy_check(tmp_path):
@@ -133,14 +135,34 @@ def test_every_check_is_its_margin_against_its_tolerance(tmp_path, raw):
     # each measured value is the one the rows give, bit for bit
     header, rows = read_csv(tmp_path / "trace.csv")
     col = {name: np.array([float(r[j]) for r in rows]) for j, name in enumerate(header)}
-    want = {"mass_conserved": np.abs(col["mass"] - 1.0).max()} if raw is CLASSICAL else {
-        "purity_constant": np.abs(col["tr_rho2"] - col["tr_rho2"][0]).max()}
-    if "free_entropy_constant" in margins:
+    if raw is CLASSICAL:
+        assert {name: m["measured"] for name, m in margins.items()} == {
+            "mass_conserved": np.abs(col["mass"] - 1.0).max()}
+        assert loaded["alpha0_purity"] is None
+        return
+    p0, s_cg = col["P0"], col["S_cg"]
+    want = {"purity_constant": np.abs(col["tr_rho2"] - col["tr_rho2"][0]).max(),
+            "coarse_entropy_bound": (col["S_global"] - s_cg).max(),
+            "coarse_entropy_floor": max(-math.log(x) - s for x, s in zip(p0, s_cg))}
+    if raw["potential"]["A"] == 0.0:
         want["free_entropy_constant"] = np.abs(col["S_eff"] - col["S_eff"][0]).max()
-    if "nondegenerate_no_mixing" in margins:
+        want["alpha0_purity_constant"] = np.abs(p0 - p0[0]).max()
+    if "N" in raw["lattice"]:
         want["nondegenerate_no_mixing"] = col["S_eff"].max()
-    assert {name: margins[name]["measured"] for name in want} == want
-    assert ("free_entropy_constant" in want) == (raw["potential"].get("A") == 0.0)
+    want.update(eigenbasis_orthonormal=margins["eigenbasis_orthonormal"]["measured"],
+                eigenbasis_residual=margins["eigenbasis_residual"]["measured"])
+    assert {name: m["measured"] for name, m in margins.items()} == want
+    assert loaded["alpha0_purity"] == {"first": p0[0], "last": p0[-1], "min": p0.min(),
+                                       "max": p0.max()}
+
+
+@pytest.mark.parametrize("name", ["free-invariance", "nondegenerate", "yukawa-mixing"])
+def test_every_quantum_demo_passes_the_alpha0_checks(tmp_path, name):
+    summary = harness.run(harness.demo_config(name), out_dir=tmp_path)
+    wanted = {"coarse_entropy_bound", "coarse_entropy_floor"}
+    if name == "free-invariance":  # A = 0: P0 is constant
+        wanted.add("alpha0_purity_constant")
+    assert wanted <= set(summary.invariant_checks) and summary.all_checks_pass
 
 
 def test_a_failed_eigenbasis_check_records_both_errors(tmp_path, monkeypatch):

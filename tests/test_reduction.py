@@ -569,6 +569,27 @@ def test_entropy_trace_matches_momentum_basis_oracle(lattice):
         assert rows[-1].effective_entropy > 1e-4  # the comparison covers mixing rows
 
 
+@pytest.mark.parametrize("state", ["effectively-pure", "pure"])
+def test_p0_and_s_cg_are_the_alpha0_component_purity_and_entropy(state):
+    # at M = 2 the rank-19 state has a Gram matrix larger than 1 x 1 on most
+    # shells; the pure state has none, so P0 is all squared weights there
+    basis = build_basis(2, 1.0)
+    h = build_hamiltonian(basis, 0.2, 1.0)
+    rng = np.random.default_rng(31)
+    rho0 = (random_effectively_pure_state(basis, rng) if state == "effectively-pure"
+            else pure_to_density(random_pure_state(basis.size, rng)))
+    times = np.linspace(0.0, 5.0, 4)
+    rows = entropy_trace(rho0, h, times, basis)
+    for row, t in zip(rows, times):
+        dec = alpha_decompose(h.propagator.evolve(rho0, t).matrix, basis)
+        zero = dec.components[int(np.flatnonzero(dec.sector_labels == 0)[0])]
+        assert row.alpha0_purity == pytest.approx(np.vdot(zero, zero).real, rel=0, abs=1e-12)
+        s_cg = entropy_from_eigenvalues(np.linalg.eigvalsh(zero))
+        assert row.coarse_entropy == pytest.approx(s_cg, rel=0, abs=1e-12)
+        assert row.global_entropy <= row.coarse_entropy and -np.log(row.alpha0_purity) <= s_cg
+    assert abs(rows[-1].alpha0_purity - rows[0].alpha0_purity) > 1e-3  # the interaction moves P0
+
+
 def _dense_eigenbasis_trace(rho0, h, times, basis):
     """The dense trace that the factored one replaced: X(t) = e^{-iwt} X0 e^{+iwt}
     with X0 = Q^dagger rho0 Q, validated with an n x n eigh per row, and
