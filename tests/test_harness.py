@@ -1,5 +1,6 @@
 import ast
 import gc
+import io
 import json
 import math
 import os
@@ -163,6 +164,17 @@ def test_every_quantum_demo_passes_the_alpha0_checks(tmp_path, name):
     if name == "free-invariance":  # A = 0: P0 is constant
         wanted.add("alpha0_purity_constant")
     assert wanted <= set(summary.invariant_checks) and summary.all_checks_pass
+
+
+def test_a_nan_row_fails_the_checks_that_read_it():
+    # min and max carry a NaN to the end, whichever row it comes in
+    for values in ((1.0, float("nan"), 1.0), (float("nan"), 1.0, 1.0), (1.0, 1.0, float("nan"))):
+        fold = harness._Fold(io.StringIO(), ["x"], lambda v: ([repr(v)], (v,)))
+        for v in values:
+            fold.append(v)
+        (x,) = fold.stats()
+        assert len(fold) == 3 and math.isnan(harness._drift(x)) and math.isnan(x["max"])
+        assert not harness._passes(harness._margin(harness._drift(x), 1.0))
 
 
 def test_a_failed_eigenbasis_check_records_both_errors(tmp_path, monkeypatch):
