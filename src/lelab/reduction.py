@@ -13,8 +13,8 @@ S_E = -Tr rho_hat_E ln rho_hat_E; it vanishes exactly when every
 occupied block has rank one (an effectively pure state).  There is one
 shell reduction: for rho = C C^dagger, the block C_s C_s^dagger of
 shell s has the nonzero spectrum of a smaller Gram matrix
-(``_shell_grams``), which ``entropy_trace`` takes on each row's C and
-``reduce`` on a state's factor.
+(``_shell_blocks``, which also gives every shell's weight), which
+``entropy_trace`` takes on each row's C and ``reduce`` on a state's factor.
 
 No other module reads the labels (``bohr_labels``, ``_label_range``).  A
 sector is a set of shell pairs (``_Components``), and the passes that
@@ -25,7 +25,7 @@ read every element take the labels a block of rows at a time
 from __future__ import annotations
 
 import operator
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -217,29 +217,25 @@ def _shell_layout(basis: MomentumBasis, b: np.ndarray):
     return order, bounds, spans
 
 
-def _shell_grams(c: np.ndarray, spans):
-    """(s, ||C_s||_F^2, the smaller of C_s C_s^dagger and C_s^dagger C_s) for
-    C_s = c[lo:hi] of each span of the shell-ordered factor ``c``."""
-    for s, lo, hi in spans:
-        cs = c[lo:hi]
-        gram = cs @ cs.conj().T if hi - lo <= c.shape[1] else cs.conj().T @ cs
-        yield s, float(np.vdot(cs, cs).real), gram
+def _shell_blocks(c: np.ndarray, bounds: np.ndarray, spans):
+    """(weights, grams) of the shell-ordered factor ``c``: ||C_s||_F^2 of every
+    shell C_s = c[bounds[s]:bounds[s + 1]], by one reduceat, and an iterator
+    of (s, the smaller of C_s C_s^dagger and C_s^dagger C_s) over the spans
+    (s, lo, hi), each formed when it is reached, so a row holds one."""
+    def grams():
+        for s, lo, hi in spans:
+            cs = c[lo:hi]
+            yield s, cs @ cs.conj().T if hi - lo <= c.shape[1] else cs.conj().T @ cs
 
-
-def _shell_weights(c: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """||C_s||_F^2 of every shell of the shell-ordered factor ``c``, by one reduceat."""
-    return np.add.reduceat((c.real**2 + c.imag**2).sum(axis=1), bounds[:-1])
+    return np.add.reduceat((c.real**2 + c.imag**2).sum(axis=1), bounds[:-1]), grams()
 
 
 def reduce(rho: DensityMatrix, basis: MomentumBasis) -> ShellDecomposition:
     """The shell-block-diagonal part of ``rho``, from ``rho.factor``: no n x n array."""
     order, bounds, spans = _shell_layout(basis, rho.factor)
-    c = rho.factor[order]
-    weights = _shell_weights(c, bounds)
-    grams = [None] * basis.n_shells
-    for s, weight, gram in _shell_grams(c, spans):
-        weights[s], grams[s] = weight, gram
-    return ShellDecomposition(weights=weights, grams=tuple(grams))
+    weights, grams = _shell_blocks(rho.factor[order], bounds, spans)
+    held = dict(grams)
+    return ShellDecomposition(weights=weights, grams=tuple(map(held.get, range(len(weights)))))
 
 
 def _shell_stats(gram: np.ndarray | None, weight: float) -> tuple[float, bool]:
@@ -295,7 +291,7 @@ class TraceRow:
 def entropy_trace(
     rho0: DensityMatrix,
     h: Hamiltonian,
-    time_grid: Sequence[float],
+    time_grid: Iterable[float],
     basis: MomentumBasis,
     rows=None,
 ):
@@ -308,31 +304,32 @@ def entropy_trace(
     order.  ||C||_F^2 must be one within TRACE_TOL (StateValidationError
     otherwise); rho(t) is Hermitian and PSD by construction.  The r x r
     C^dagger C has the nonzero spectrum of rho(t), which gives S_global, and
-    tr rho^2 = ||C^dagger C||_F^2.  Each shell's Gram matrix (``_shell_grams``,
-    as in ``reduce``) gives S_E and the rank-one test (``_shell_stats``), and
-    ||G_s||_F^2 adds to P0 (a skipped shell's 1 x 1 Gram adds w_s^2).  With
-    the shell weights w_s of one reduceat, S_cg = -sum w_s ln w_s + sum w_s S_E_s,
-    and no eigvalsh more.
-    Rows follow the grid.  A basis or an ``h`` of another size raises ValueError.
+    tr rho^2 = ||C^dagger C||_F^2.  ``_shell_blocks``, as in ``reduce``, gives
+    every shell's weight w_s (one reduceat) and Gram matrix G_s; with those
+    w_s, G_s gives S_E and the rank-one test (``_shell_stats``) and
+    ||G_s||_F^2 adds to P0 (a skipped shell's 1 x 1 Gram adds w_s^2), so
+    S_cg = -sum w_s ln w_s + sum w_s S_E_s exactly, with no eigvalsh more.
+    The grid is read once, so any iterable of times will do, and rows
+    follow it.  A basis or an ``h`` of another size raises ValueError.
     ``lelab run`` passes a sink that keeps no row (``harness._Fold``), not a
     generator: ``perfbench/tracing.py`` wraps this function by name, times
     the rows inside the call and takes ``len`` of what it returns.
     """
     order, bounds, spans = _shell_layout(basis, rho0.factor)
     rows = [] if rows is None else rows
-    for t, c in zip(time_grid, h.propagator.evolved_factors(rho0.factor, time_grid)):
-        t = float(t)
+    times = [float(t) for t in time_grid]
+    for t, c in zip(times, h.propagator.evolved_factors(rho0.factor, times)):
         c = c[order]
         gram = c.conj().T @ c
         norm2 = float(np.trace(gram).real)
         if not abs(norm2 - 1.0) <= TRACE_TOL:  # written so that NaN fails too
             raise StateValidationError(f"state at t = {t} has trace {norm2}, not 1")
         per_shell = np.zeros(basis.n_shells)
-        weights = _shell_weights(c, bounds)
+        weights, grams = _shell_blocks(c, bounds, spans)
         block_purity = weights**2
         pure = True
-        for s, weight, block_gram in _shell_grams(c, spans):
-            per_shell[s], rank_one = _shell_stats(block_gram, weight)
+        for s, block_gram in grams:
+            per_shell[s], rank_one = _shell_stats(block_gram, weights[s])
             block_purity[s] = np.vdot(block_gram, block_gram).real
             pure = pure and rank_one
         rows.append(TraceRow(

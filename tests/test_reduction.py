@@ -540,6 +540,37 @@ def test_entropy_trace_rows_follow_grid():
     assert rows[0].effectively_pure
 
 
+def test_a_generator_of_times_gives_the_rows_of_a_list():
+    # the grid was read twice, so a one-shot iterable paired each t with the next C(t)
+    h = build_hamiltonian(BASIS, 0.2, 1.0)
+    rho0 = random_effectively_pure_state(BASIS, np.random.default_rng(6))
+    times = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+    listed = entropy_trace(rho0, h, times, BASIS)
+    streamed = entropy_trace(rho0, h, (t for t in times), BASIS)
+    assert [r.t for r in streamed] == times
+    for a, b in zip(listed, streamed, strict=True):
+        assert (a.effective_entropy, a.alpha0_purity, a.coarse_entropy) == (
+            b.effective_entropy, b.alpha0_purity, b.coarse_entropy)
+        assert a.shell_entropies.tobytes() == b.shell_entropies.tobytes()
+
+
+def test_reduce_and_every_trace_row_share_one_shell_reduction():
+    # the yukawa-mixing demo state has multi-member shells of rank above one
+    cfg = harness.demo_config("yukawa-mixing")
+    basis = harness.build_quantum_basis(cfg)
+    h = build_hamiltonian(basis, cfg.potential.coupling, cfg.potential.screening)
+    rho0 = harness.build_initial_state(cfg, basis)
+    times = cfg.time_grid.times()
+    rows = entropy_trace(rho0, h, times, basis)
+    assert len(rows) == len(times)
+    for row, t in zip(rows, times):
+        dec = reduce(h.propagator.evolve(rho0, t), basis)
+        assert shell_entropies(dec).tobytes() == row.shell_entropies.tobytes()
+        w = dec.weights
+        assert row.coarse_entropy == entropy_from_eigenvalues(w) + float(w @ row.shell_entropies)
+    assert max(r.effective_entropy for r in rows) > 1e-2  # the rows cover mixing
+
+
 @pytest.mark.parametrize("lattice", ["cubic", "line"])
 def test_entropy_trace_matches_momentum_basis_oracle(lattice):
     # Oracle: evolve in the momentum basis, reduce, and take the global
