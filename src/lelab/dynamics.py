@@ -33,7 +33,7 @@ import numpy as np
 from ._record import _frozen, record
 from .basis import MomentumBasis
 from .errors import DimensionCapError
-from .states import HERMITICITY_TOL, DensityMatrix
+from .states import HERMITICITY_TOL, DensityMatrix, _hermitian_deviation
 
 # A dim-64 system already implies a 4096^2 superoperator; refuse beyond that.
 SUPEROP_DIM_CAP = 64
@@ -155,7 +155,7 @@ class Hamiltonian:
             raise ValueError(f"h0_diag must be finite, got {h0[~np.isfinite(h0)][0]}")
         if v.shape != (len(h0), len(h0)):
             raise ValueError(f"v must be {len(h0)}x{len(h0)}, got {v.shape}")
-        herm = np.abs(v - v.conj().T).max() if v.size else 0.0
+        herm = _hermitian_deviation(v)
         if not herm <= HERMITICITY_TOL:  # written so that NaN fails too
             raise ValueError(f"v is not Hermitian: max deviation {herm:.3e}")
         _frozen(v)

@@ -46,17 +46,24 @@ def _readonly_complex(a) -> np.ndarray:
     return _frozen(np.array(a, dtype=complex, order="C"))
 
 
+def _hermitian_deviation(m: np.ndarray) -> float:
+    """max |m - m^dagger| of a square ``m``, taken a block of rows at a time
+    so that no n x n temporary is formed: 0.0 for an empty ``m``, NaN when
+    ``m`` holds a NaN.  The one Hermitian rule of states and Hamiltonians."""
+    return np.max([np.abs(m[r] - m[:, r].conj().T).max() for r in _row_blocks(len(m), len(m))],
+                  initial=0.0)
+
+
 def _check_hermitian_unit_trace(m: np.ndarray, what: str) -> None:
     """The density-matrix rule short of positivity: raises
     StateValidationError, naming ``m`` as ``what``, unless ``m`` is square,
-    Hermitian and unit trace within the module tolerances.  Hermiticity is
-    checked a block of rows at a time."""
+    Hermitian (``_hermitian_deviation``) and unit trace within the module
+    tolerances."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateValidationError(f"{what} must be square, got shape {m.shape}")
     # Each comparison is written so that NaN fails it too; an empty m is
     # Hermitian, and fails on its trace 0.
-    herm = np.max([np.abs(m[r] - m[:, r].conj().T).max() for r in _row_blocks(len(m), len(m))],
-                  initial=0.0)
+    herm = _hermitian_deviation(m)
     if not herm <= HERMITICITY_TOL:
         raise StateValidationError(f"{what} is not Hermitian: max deviation {herm:.3e}")
     tr = np.trace(m)

@@ -146,6 +146,27 @@ def test_hamiltonian_refuses_a_nan_potential():
         Hamiltonian(np.zeros(2), np.full((2, 2), np.nan))
 
 
+def test_the_hermitian_check_of_v_forms_no_n_by_n_temporary():
+    # the constructor holds its copy of v and diag(h0) + v, and the check of
+    # v takes a block of rows at a time; a whole-matrix |v - v^dagger| peaked
+    # at 3.0 v.nbytes above the input
+    rng = np.random.default_rng(3)
+    n = 1024
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v = g + g.conj().T
+    del g
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        h = Hamiltonian(np.zeros(n), v)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert h.v.dtype == np.complex128
+    assert peak < 2.75 * v.nbytes
+
+
 def test_hamiltonian_refuses_a_nan_h0():
     with pytest.raises(ValueError, match="h0_diag"):
         Hamiltonian(np.array([np.nan, 0.0]), np.zeros((2, 2)))
