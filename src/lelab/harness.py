@@ -68,6 +68,7 @@ class RunSummary:
     effectively_pure_initial: bool | None = None
     effectively_pure_final: bool | None = None
     alpha0_purity: dict | None = None  # {"first", "last", "min", "max"} of P0
+    alpha0_flow: dict | None = None  # {"c1", "kappa"}: P0's short-time law, before any row
 
     @property
     def all_checks_pass(self) -> bool:
@@ -178,6 +179,7 @@ def _run_quantum(cfg: ExperimentConfig, fh) -> dict:
         return {"invariant_margins": margins}
 
     rho0 = build_initial_state(cfg, basis)
+    c1, kappa = reduction.alpha0_flow(rho0, h, basis)
     s_eff, purity, pure, p0, over_cg, floor_over_cg = reduction.entropy_trace(
         rho0, h, cfg.time_grid.times(), basis, fold).stats()
     margins["purity_constant"] = _margin(_drift(purity), PURITY_DRIFT_TOL)
@@ -190,7 +192,8 @@ def _run_quantum(cfg: ExperimentConfig, fh) -> dict:
         margins["nondegenerate_no_mixing"] = _margin(s_eff["max"], NO_MIXING_TOL)
     return {"invariant_margins": margins, "final_effective_entropy": s_eff["last"],
             "final_purity": purity["last"], "effectively_pure_initial": bool(pure["first"]),
-            "effectively_pure_final": bool(pure["last"]), "alpha0_purity": p0}
+            "effectively_pure_final": bool(pure["last"]), "alpha0_purity": p0,
+            "alpha0_flow": {"c1": c1, "kappa": kappa}}
 
 
 def _run_classical(cfg: ExperimentConfig, fh) -> dict:

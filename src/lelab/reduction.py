@@ -274,6 +274,49 @@ def first_order_reduced_step(
                               grams=tuple(b if len(b) > 1 else None for b in blocks))
 
 
+def alpha0_flow(rho0: DensityMatrix, h: Hamiltonian, basis: MomentumBasis) -> tuple[float, float]:
+    """(c1, kappa), the short-time law of P0 = ||rho_{alpha=0}||_F^2 out of rho0,
+    from rho0 and v alone, before any row runs.  With K = [v, rho0]:
+
+    - c1 = dP0/dt at t = 0 = 2 sum_s Re tr(rho_ss (-i K)_ss);
+    - kappa = ||K_off||_F^2, the part of K off the shell blocks, so that
+      P0(0) - P0(t) = kappa t^2 + O(t^3) for a shell-block-diagonal rho0
+      (whose c1 is 0).
+
+    The free part of H has no shell-block commutator, so it adds to neither.
+    For rho0 = B B^dagger and W = ``h.v_product(B)``, K = W B^dagger - B W^dagger
+    and ||K||_F^2 = 2 tr(W^dagger W B^dagger B) - 2 Re tr((W^dagger B)^2), from
+    r x r products.  Each shell's part takes the rows of B and W on it, in
+    the smaller of the shell's two Gram forms (``_shell_blocks``): no dense v
+    and no n x n array."""
+    order, bounds, spans = _shell_layout(basis, rho0.factor)
+    b, w = rho0.factor, h.v_product(rho0.factor)
+    wb = w.conj().T @ b
+    k2 = 2 * np.vdot(b.conj().T @ b, w.conj().T @ w).real - 2 * np.sum(wb * wb.T).real
+    c, w = b[order], w[order]
+    weights, grams = _shell_blocks(c, bounds, spans)
+    z = np.add.reduceat((c.conj() * w).sum(axis=1), bounds[:-1])  # tr C_s^dagger W_s
+    # Im tr(rho_ss K_ss) and ||K_ss||_F^2 of a shell with a 1 x 1 Gram: with
+    # r = 1 its K_ss is w_s c_s^dagger - c_s w_s^dagger; with r > 1 it has one
+    # member, and K_ss = 2i Im z_s
+    flow = 2 * weights * z.imag
+    if c.shape[1] == 1:
+        ww = np.add.reduceat((w.real**2 + w.imag**2).sum(axis=1), bounds[:-1])
+        on_shell = 2 * ww * weights - 2 * (z * z).real
+    else:
+        on_shell = 4 * z.imag**2
+    for (s, lo, hi), (_, g) in zip(spans, grams):
+        cs, ws = c[lo:hi], w[lo:hi]
+        if hi - lo <= c.shape[1]:  # g = C_s C_s^dagger = rho_ss, and K_ss itself is as small
+            ks = ws @ cs.conj().T - cs @ ws.conj().T
+            flow[s], on_shell[s] = np.sum(g * ks.T).imag, np.vdot(ks, ks).real
+        else:  # g = C_s^dagger C_s: tr(rho_ss K_ss) = tr((m - m^dagger) g) for m = C_s^dagger W_s
+            m = cs.conj().T @ ws
+            flow[s] = np.sum((m - m.conj().T) * g.T).imag
+            on_shell[s] = 2 * np.vdot(g, ws.conj().T @ ws).real - 2 * np.sum(m * m.T).real
+    return 2 * float(flow.sum()), float(k2 - on_shell.sum())
+
+
 @record
 class TraceRow:
     """One time point of an entropy trace."""

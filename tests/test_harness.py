@@ -157,6 +157,20 @@ def test_every_check_is_its_margin_against_its_tolerance(tmp_path, raw):
                                        "max": p0.max()}
 
 
+@pytest.mark.parametrize("raw", [QUANTUM, CLASSICAL], ids=["quantum", "classical"])
+def test_a_quantum_summary_records_the_flow_out_of_alpha_zero(tmp_path, raw):
+    cfg = validate_config(json.dumps(raw))
+    harness.run(cfg, out_dir=tmp_path)
+    flow = json.loads((tmp_path / "summary.json").read_text())["alpha0_flow"]
+    if raw is CLASSICAL:
+        assert flow is None
+        return
+    basis = harness.build_quantum_basis(cfg)
+    h = dynamics.build_hamiltonian(basis, cfg.potential.coupling, cfg.potential.screening)
+    c1, kappa = reduction.alpha0_flow(harness.build_initial_state(cfg, basis), h, basis)
+    assert flow == {"c1": c1, "kappa": kappa} and kappa > 0
+
+
 @pytest.mark.parametrize("name", ["free-invariance", "nondegenerate", "yukawa-mixing"])
 def test_every_quantum_demo_passes_the_alpha0_checks(tmp_path, name):
     summary = harness.run(harness.demo_config(name), out_dir=tmp_path)

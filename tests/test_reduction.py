@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lelab import config, harness, koopman
 from lelab._record import _row_blocks
+from lelab._rng import default_rng
 from lelab.basis import build_basis, build_basis_1d
 from lelab.config import validate_config
 from lelab.dynamics import Propagator, build_hamiltonian, commutator_superoperator
@@ -17,6 +18,7 @@ from lelab.errors import StateValidationError
 from lelab.reduction import (
     RANK_TOL,
     TAU_LAMBDA,
+    alpha0_flow,
     alpha_decompose,
     bohr_labels,
     entropy_trace,
@@ -619,6 +621,72 @@ def test_p0_and_s_cg_are_the_alpha0_component_purity_and_entropy(state):
         assert row.coarse_entropy == pytest.approx(s_cg, rel=0, abs=1e-12)
         assert row.global_entropy <= row.coarse_entropy and -np.log(row.alpha0_purity) <= s_cg
     assert abs(rows[-1].alpha0_purity - rows[0].alpha0_purity) > 1e-3  # the interaction moves P0
+
+
+def _diagonal_mu_state(basis, seed):
+    """A shell-block-diagonal state: one unit vector per shell, mixed by a diagonal mu."""
+    rng = np.random.default_rng(seed)
+    p = rng.random(basis.n_shells) + 0.1
+    return random_effectively_pure_state(basis, rng, mu=np.diag(p / p.sum()))
+
+
+@pytest.mark.parametrize("A", [0.05, 0.2])
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_a_block_diagonal_state_leaves_alpha_zero_at_kappa_t_squared(M, A):
+    basis = build_basis(M, 1.0)
+    h = build_hamiltonian(basis, A, 1.0)
+    rho0 = _diagonal_mu_state(basis, 11)
+    c1, kappa = alpha0_flow(rho0, h, basis)
+    t = 1e-3
+    first, later = entropy_trace(rho0, h, [0.0, t], basis)
+    assert abs(c1) <= 1e-12
+    assert abs((first.alpha0_purity - later.alpha0_purity) / (kappa * t**2) - 1) <= 1e-3
+
+
+def test_the_seeded_state_leaves_alpha_zero_at_c1_t():
+    # the seeded effectively pure state has off-shell blocks, so P0 moves at first order
+    basis = build_basis(1, 1.0)
+    h = build_hamiltonian(basis, 0.05, 1.0)
+    rho0 = random_effectively_pure_state(basis, default_rng(11))
+    c1, _ = alpha0_flow(rho0, h, basis)
+    t = 1e-4
+    first, later = entropy_trace(rho0, h, [0.0, t], basis)
+    assert c1 * t == pytest.approx(later.alpha0_purity - first.alpha0_purity, rel=1e-2)
+
+
+def _dense_alpha0_flow(rho0, h, basis):
+    """Oracle: c1 and kappa from the dense K = [v, rho0] and its np.ix_ shell blocks."""
+    m = rho0.matrix
+    k = h.v @ m - m @ h.v
+    off, c1 = k.copy(), 0.0
+    for mem in basis.shells.members:
+        ix = np.ix_(mem, mem)
+        c1 += 2 * np.trace(m[ix] @ (-1j * k[ix])).real
+        off[ix] = 0.0
+    return c1, np.vdot(off, off).real
+
+
+@pytest.mark.parametrize("lattice", ["M1", "M2", "N16"])
+@pytest.mark.parametrize("state", ["pure", "rank-4", "full", "seeded", "diagonal-mu"])
+def test_alpha0_flow_matches_the_dense_commutator(lattice, state):
+    # the states cover every shell form: r = 1, one-member shells with r > 1,
+    # and shells with more members than r and with fewer
+    basis = build_basis(int(lattice[1:]), 1.0) if lattice[0] == "M" else build_basis_1d(16, 1.0)
+    h = build_hamiltonian(basis, 0.2, 1.0)
+    rng = np.random.default_rng(5)
+    if state == "pure":
+        rho0 = pure_to_density(random_pure_state(basis.size, rng))
+    elif state in ("rank-4", "full"):
+        rho0 = random_density_matrix(basis.size, rng, rank=4 if state == "rank-4" else None)
+    elif state == "seeded":
+        rho0 = random_effectively_pure_state(basis, rng)
+    else:
+        rho0 = _diagonal_mu_state(basis, 5)
+    c1, kappa = alpha0_flow(rho0, h, basis)
+    assert "v" not in vars(h)  # the dense v is the oracle's alone
+    want_c1, want_kappa = _dense_alpha0_flow(rho0, h, basis)
+    assert kappa == pytest.approx(want_kappa, rel=1e-12, abs=0)
+    assert c1 == pytest.approx(want_c1, rel=0, abs=1e-12)
 
 
 def _dense_eigenbasis_trace(rho0, h, times, basis):
