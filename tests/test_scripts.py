@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -39,3 +40,22 @@ def test_the_long_trace_guard_runs_at_the_trace_cell_cap():
     longer = dict(guard.LONG, time_grid=dict(guard.LONG["time_grid"], steps=guard.LONG_STEPS + 1))
     with pytest.raises(DimensionCapError, match=f"over the cap of {MAX_TRACE_CELLS}"):
         validate_config(json.dumps(longer))
+
+
+def test_output_digests_name_every_output_with_the_sha256_of_its_bytes(tmp_path, capsys):
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import output_digests
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    assert output_digests.main(["--out-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split("  ")[1] for line in lines]
+    assert names == sorted(
+        ["check.txt", "classical-kick/trace.csv", "cubic-yukawa/trace.csv", "line-long/trace.csv"]
+        + [f"demo/{name}.csv" for name in ("classical-kick", "free-invariance", "nondegenerate",
+                                          "yukawa-mixing")]
+        + [f"bohr-M{m}-seed{seed}.json" for m in (1, 3) for seed in (0, 7)])
+    for line, name in zip(lines, names):
+        assert line.split("  ")[0] == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert (tmp_path / "check.txt").read_text().startswith("ok   purity_conserved\n")
