@@ -188,13 +188,23 @@ class Hamiltonian:
 
     def v_product(self, b: np.ndarray) -> np.ndarray:
         """v B = P blockdiag(H_b) P^T B - diag(h0) B for an n x r ``b``, with no
-        dense ``v``; ValueError for another n."""
+        dense ``v``; ValueError for another n.  Each block's product is written
+        into its rows of one array, and diag(h0) B is subtracted in place, so
+        besides ``b`` and the orbit map's per-group temporaries at most two
+        n x r arrays are alive at once."""
         b = np.ascontiguousarray(b, dtype=np.complex128)
         if len(b) != self.dim:
             raise ValueError(f"state of size {len(b)} does not match H of dimension {self.dim}")
-        z = np.split(self.orbits.from_lattice(b), np.cumsum([len(hb) for hb in self.blocks[:-1]]))
-        hz = np.concatenate([_product(hb, zb) for hb, zb in zip(self.blocks, z)])
-        return self.orbits.to_lattice(hz) - self.h0_diag[:, None] * b
+        bounds = np.cumsum([0] + [len(hb) for hb in self.blocks])
+        z = self.orbits.from_lattice(b)  # b itself when there are no orbit groups
+        hz = np.empty_like(z)
+        for hb, lo, hi in zip(self.blocks, bounds[:-1], bounds[1:]):
+            _product(hb, z[lo:hi], out=hz[lo:hi])
+        del z
+        vb = self.orbits.to_lattice(hz)  # hz itself when there are no orbit groups
+        del hz
+        vb -= self.h0_diag[:, None] * b
+        return vb
 
     @cached_property
     def propagator(self) -> "Propagator":
