@@ -29,6 +29,37 @@ from lelab.states import (
 )
 
 
+@pytest.mark.parametrize("n", [1, 5, states._HERMITIAN_TILE - 1, states._HERMITIAN_TILE,
+                               states._HERMITIAN_TILE + 1, 343])
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_hermitian_deviation_is_the_dense_max(n, kind):
+    # the tiles compare each pair once; the dense max compares it twice
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if kind == "complex" else 0)
+    h = (m + m.conj().T) / 2
+    h[-1, 0] += 3e-13  # an off-Hermitian pair in the last, partial tile row
+    for a in (m, h):
+        assert states._hermitian_deviation(a) == np.abs(a - a.conj().T).max()
+    h[n // 2, n - 1] = np.nan
+    assert math.isnan(states._hermitian_deviation(h))
+
+
+def test_hermitian_deviation_of_an_empty_matrix_is_zero():
+    assert states._hermitian_deviation(np.zeros((0, 0), dtype=complex)) == 0.0
+
+
+def test_hermitian_deviation_holds_only_tile_sized_temporaries():
+    m = np.ones((700, 700), dtype=complex)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        states._hermitian_deviation(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * states._HERMITIAN_TILE ** 2 * m.itemsize
+
+
 def test_density_matrix_validation():
     with pytest.raises(StateValidationError):
         DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]]))  # not Hermitian
