@@ -41,11 +41,16 @@ from .errors import ConfigError, DimensionCapError, StateValidationError
 # 32 B per cell, so this cap of 2048^2 cells bounds a run near 0.16 GB.
 MAX_GRID_CELLS = 1 << 22
 # Each step is one CSV row.  A run streams its rows to the CSV and keeps none,
-# so this cap bounds only the file: (steps + 1) * (7 + n_shells) cells of at
-# most 25 B, 0.25 GB.  Line N = 1024 at 9698 steps, at the cell cap, peaks at
-# 83 MB, as at 4 steps (148 MB when a run kept its rows).
+# so this cap bounds only the file: (steps + 1) rows of the
+# QUANTUM_HEAD_COLUMNS, one S_E column per shell and the QUANTUM_TAIL_COLUMNS,
+# cells of at most 25 B, 0.25 GB.  Line N = 1024 at 9698 steps, at the cell
+# cap, peaks at 83 MB, as at 4 steps (148 MB when a run kept its rows).
 MAX_STEPS = 100_000
 MAX_TRACE_CELLS = 10_000_000
+# A quantum trace's CSV columns around its per-shell S_E_<energy> ones; the
+# harness writes them, and the cell cap counts them.
+QUANTUM_HEAD_COLUMNS = ("t", "S_eff", "S_global", "tr_rho2", "effectively_pure")
+QUANTUM_TAIL_COLUMNS = ("P0", "S_cg")
 
 QUANTUM_STATE_KINDS = ("pure-random", "effectively-pure-mixed", "shell-mixed")
 CLASSICAL_STATE_KINDS = ("single-p-row",)
@@ -351,7 +356,8 @@ def _check_caps(lattice, time_grid: TimeGridConfig) -> MomentumBasis | None:
         basis = None if classical else quantum_basis(lattice)
     if time_grid.steps > MAX_STEPS:
         raise DimensionCapError(f"time_grid.steps = {time_grid.steps} exceeds cap of {MAX_STEPS}")
-    cells = 0 if classical else (time_grid.steps + 1) * (7 + basis.n_shells)
+    fixed = len(QUANTUM_HEAD_COLUMNS) + len(QUANTUM_TAIL_COLUMNS)
+    cells = 0 if classical else (time_grid.steps + 1) * (fixed + basis.n_shells)
     if cells > MAX_TRACE_CELLS:
         raise DimensionCapError(f"time_grid.steps = {time_grid.steps} gives a trace of {cells} "
                                 f"cells, over the cap of {MAX_TRACE_CELLS}")

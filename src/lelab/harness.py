@@ -22,7 +22,8 @@ from . import dynamics, koopman, reduction, states
 from ._record import asdict, record
 from ._rng import default_rng
 from .basis import MomentumBasis, build_basis, build_basis_1d
-from .config import ExperimentConfig, LineLattice, quantum_basis, validate_config
+from .config import (QUANTUM_HEAD_COLUMNS, QUANTUM_TAIL_COLUMNS, ExperimentConfig,
+                     LineLattice, quantum_basis, validate_config)
 from .errors import ConfigError, InvariantViolation
 from .states import DensityMatrix
 
@@ -163,8 +164,8 @@ def _run_quantum(cfg: ExperimentConfig, fh) -> dict:
     basis = build_quantum_basis(cfg)
     pot = cfg.potential
     h = dynamics.build_hamiltonian(basis, pot.coupling, pot.screening)
-    header = ["t", "S_eff", "S_global", "tr_rho2", "effectively_pure"]
-    header += [f"S_E_{e:g}" for e in basis.shells.energies] + ["P0", "S_cg"]
+    header = [*QUANTUM_HEAD_COLUMNS, *(f"S_E_{e:g}" for e in basis.shells.energies),
+              *QUANTUM_TAIL_COLUMNS]
     fold = _Fold(fh, header, _quantum_line)
 
     # Each row holds rho(t) = C C^dagger, Hermitian and PSD by construction,

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lelab import cli, dynamics, harness, reduction
+from lelab import cli, config, dynamics, harness, reduction
 from lelab.config import validate_config
-from lelab.errors import ConfigError, InvariantViolation, StateValidationError
+from lelab.errors import ConfigError, DimensionCapError, InvariantViolation, StateValidationError
 
 QUANTUM = {
     "mode": "quantum",
@@ -663,6 +663,21 @@ def test_cli_refuses_grids_over_their_caps(tmp_path, capsys, change, message):
     assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 4
     assert f"dimension cap: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lattice", [{"M": 1, "delta_k": 1.0}, {"N": 16, "delta_k": 0.5}],
+                         ids=["M1", "N16"])
+def test_the_trace_cell_cap_counts_the_cells_a_run_writes(tmp_path, monkeypatch, lattice):
+    raw = json.dumps(dict(QUANTUM, lattice=lattice))
+    csv = harness.run(validate_config(raw), out_dir=tmp_path).csv_path
+    header, rows = read_csv(Path(csv))
+    cells = len(rows) * len(header)
+    assert {len(row) for row in rows} == {len(header)}
+    monkeypatch.setattr(config, "MAX_TRACE_CELLS", cells)
+    validate_config(raw)
+    monkeypatch.setattr(config, "MAX_TRACE_CELLS", cells - 1)
+    with pytest.raises(DimensionCapError, match=f"gives a trace of {cells} cells"):
+        validate_config(raw)
 
 
 def test_cli_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
