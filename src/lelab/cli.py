@@ -11,13 +11,15 @@ that cannot be written: one "output error" line), 3 invariant violation,
 4 dimension cap exceeded.
 
 ``entry`` is the process entry of both ``lelab`` and ``python -m
-lelab.cli``; ``main`` is the same command called in process.
+lelab.cli``: it runs ``main``, then the atexit handlers, flushes the
+standard streams and leaves by ``os._exit`` without interpreter teardown.
+``main`` is the same command called in process; it returns the code.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
+import atexit
 import os
 import sys
 
@@ -101,23 +103,25 @@ def main(argv=None) -> int:
 def entry():
     """Run ``main()`` as the whole process and exit with its code.
 
-    ``gc.freeze()`` first moves every object the imports made (about
-    22,000, most of them numpy's) to the permanent generation, so no full
-    collection walks them again: neither one during the run nor the ones
-    interpreter shutdown runs (README, start-up).  Objects the run makes
-    are collected as before.  ``main`` freezes nothing, so calling it in
-    process leaves the collector as it was.
-
-    When stdout cannot be written, ``main`` has reported it; the output
-    still buffered would fail shutdown's flush again and turn the exit code
-    into 120, so stdout's descriptor is pointed at the null device first."""
-    gc.freeze()
+    Once ``main`` returns, the atexit handlers run (``atexit._run_exitfuncs``
+    is the call CPython's own shutdown makes: each handler once, then the
+    list is cleared), stdout and stderr are flushed and the process leaves
+    by ``os._exit``.  That skips interpreter teardown, whose module clearing
+    and full collections walk the ~22,000 objects the imports made (README,
+    start-up).  Nothing else is left to do: lelab starts no Python thread,
+    and every file it opens is closed by a ``with`` block before ``main``
+    returns.  A flush that fails is an unwritable stdout that ``main`` has
+    already reported, so its code is kept.  An exception that escapes
+    ``main`` (``SystemExit`` from argparse included) leaves through the
+    normal shutdown."""
     code = main()
-    try:
-        sys.stdout.flush()
-    except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

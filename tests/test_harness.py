@@ -1,5 +1,4 @@
 import ast
-import gc
 import io
 import json
 import math
@@ -761,22 +760,82 @@ def test_seeded_runs_and_the_check_never_import_numpy_random(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == [[], [], []]
 
 
-def test_the_process_entry_freezes_the_imports_before_main(monkeypatch):
-    frozen = []
-    monkeypatch.setattr(cli, "main", lambda: frozen.append(gc.get_freeze_count()) or 3)
-    try:
-        with pytest.raises(SystemExit) as done:
-            cli.entry()
-    finally:
-        gc.unfreeze()
-    assert frozen and frozen[0] > 0
-    assert done.value.code == 3
+def _entry_child(args, cwd=None, code=None):
+    """``python -m lelab.cli ARGS``, or ``python -c CODE ARGS`` when ``code``
+    is given, run with lelab on its path and buffered stdout; the finished
+    process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]),
+               PYTHONUNBUFFERED="")
+    head = ["-m", "lelab.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
 
 
-def test_main_in_process_freezes_nothing(tmp_path):
-    before = gc.get_freeze_count()
-    assert cli.main(["demo", "nondegenerate", "--out-dir", str(tmp_path)]) == 0
-    assert gc.get_freeze_count() == before
+def test_the_process_entry_exits_with_mains_codes(tmp_path):
+    ok = _entry_child(["demo", "nondegenerate", "--out-dir", str(tmp_path / "ok")])
+    missing = _entry_child(["run", "--config", str(tmp_path / "absent.json")])
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(dict(QUANTUM, lattice={"M": 11, "delta_k": 1.0})))
+    capped = _entry_child(["run", "--config", str(big), "--out-dir", str(tmp_path / "big")])
+    violated = _entry_child(["check"], code=(
+        "from lelab import cli\n"
+        "from lelab.errors import InvariantViolation\n"
+        "def explode():\n"
+        "    raise InvariantViolation('purity drifted')\n"
+        "cli.run_invariant_checks = explode\n"
+        "cli.entry()\n"))
+    codes = [done.returncode for done in (ok, missing, violated, capped)]
+    assert codes == [0, cli.EXIT_CONFIG, cli.EXIT_INVARIANT, cli.EXIT_DIMENSION]
+    assert ok.stderr == ""
+    for done, head in ((missing, "config error: "), (violated, "invariant violation: "),
+                       (capped, "dimension cap: ")):
+        assert done.stderr.startswith(head) and done.stderr.count("\n") == 1
+        assert done.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [["run", "--config", "exp.json", "--out-dir", "out"],
+                                  ["run", "--config", "absent.json", "--out-dir", "out"],
+                                  ["demo", "yukawa-mixing", "--out-dir", "out"],
+                                  ["check"]],
+                         ids=["run", "run-missing", "demo", "check"])
+def test_the_process_entry_writes_what_main_writes(tmp_path, capsys, monkeypatch, argv):
+    # the same relative paths from two working directories, so the printed
+    # CSV path is the same text
+    for side in ("main", "entry"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "exp.json").write_text(json.dumps(QUANTUM))
+    monkeypatch.chdir(tmp_path / "main")
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    done = _entry_child(argv, cwd=tmp_path / "entry")
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.out, out.err)
+    written = sorted(p.name for p in (tmp_path / "main" / "out").glob("*"))
+    assert written == sorted(p.name for p in (tmp_path / "entry" / "out").glob("*"))
+    for name in written:
+        main_bytes, entry_bytes = ((tmp_path / side / "out" / name).read_bytes()
+                                   for side in ("main", "entry"))
+        if name.endswith(".json"):
+            main_bytes, entry_bytes = ({k: v for k, v in json.loads(b).items() if k != "wall_time_s"}
+                                       for b in (main_bytes, entry_bytes))
+        assert entry_bytes == main_bytes, name
+    assert bool(written) == (code == 0 and argv[0] != "check")
+
+
+def test_the_process_entry_runs_each_atexit_handler_once_and_flushes_its_output(tmp_path):
+    # the handler prints without flushing; the entry flushes after the handlers
+    log = tmp_path / "atexit.log"
+    done = _entry_child(["demo", "nondegenerate", "--out-dir", str(tmp_path / "out")], code=(
+        "import atexit\n"
+        "def handler():\n"
+        f"    with open({str(log)!r}, 'a') as fh:\n"
+        "        fh.write('ran\\n')\n"
+        "    print('atexit handler ran')\n"
+        "atexit.register(handler)\n"
+        "from lelab import cli\n"
+        "cli.entry()\n"))
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.endswith("invariant checks: pass\natexit handler ran\n")
+    assert log.read_text() == "ran\n"
 
 
 def test_the_console_script_and_the_module_call_one_entry():
