@@ -1,14 +1,14 @@
 """Command-line entry point.
 
-Subcommands:
-  run   --config PATH [--out-dir PATH]   run one experiment from a JSON config
-  check                                  run the standalone invariant battery
-  demo  NAME [--out-dir PATH]            run a named built-in config
+Commands (``USAGE`` is the grammar, parsed here without argparse):
+  run   --config PATH [--out-dir DIR]   run one experiment from a JSON config
+  check                                 run the standalone invariant battery
+  demo  NAME [--out-dir DIR]            run a named built-in config
 
-Exit codes: 0 success, 2 config error (an unreadable ``--config``, or an
-``--out-dir`` where the outputs cannot be created or written, or a stdout
-that cannot be written: one "output error" line), 3 invariant violation,
-4 dimension cap exceeded.
+Exit codes: 0 success (``-h``/``--help`` prints ``USAGE``), 2 usage or config
+error (an unreadable ``--config``, or an ``--out-dir`` where the outputs
+cannot be created or written, or a stdout that cannot be written: one
+"output error" line), 3 invariant violation, 4 dimension cap exceeded.
 
 ``entry`` is the process entry of both ``lelab`` and ``python -m
 lelab.cli``: it runs ``main``, then the atexit handlers, flushes the
@@ -18,7 +18,6 @@ standard streams and leaves by ``os._exit`` without interpreter teardown.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import os
 import sys
@@ -31,25 +30,40 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_DIMENSION = 4
 
+USAGE = ("usage: lelab run --config PATH [--out-dir DIR]\n       lelab check\n"
+         f"       lelab demo {{{','.join(sorted(DEMO_CONFIGS))}}} [--out-dir DIR]\n")
+_COMMANDS = {"run": {"--config": None, "--out-dir": "."}, "check": {},
+             "demo": {"NAME": None, "--out-dir": "."}}
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lelab",
-        description="Exact density-matrix evolution with energy-shell reduction, "
-        "effective entropy, and a classical phase-space analogue.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment from a JSON config")
-    p_run.add_argument("--config", required=True, help="path to the JSON config")
-    p_run.add_argument("--out-dir", default=".", help="directory for CSV and summary")
+class _UsageError(Exception):
+    """A command line outside ``USAGE``; the message is its error line."""
 
-    sub.add_parser("check", help="run the invariant spot-check battery")
 
-    p_demo = sub.add_parser("demo", help="run a named built-in config")
-    p_demo.add_argument("name", choices=sorted(DEMO_CONFIGS))
-    p_demo.add_argument("--out-dir", default=".", help="directory for CSV and summary")
-    return parser
+def _parse(argv) -> tuple[str, dict[str, str]]:
+    """(command, values) of ``argv``: the command's ``_COMMANDS`` defaults (None
+    for a required one), then each ``--opt VALUE`` or ``--opt=VALUE`` in order,
+    and demo's one positional word as "NAME"; ("help", {}) if ``argv`` holds -h
+    or --help.  _UsageError for a command line outside ``USAGE``."""
+    if {"-h", "--help"} & set(argv):
+        return "help", {}
+    command, *words = list(argv) or [None]
+    if command not in _COMMANDS:
+        raise _UsageError(f"unknown command {command!r}" if command else "no command given")
+    values = dict(_COMMANDS[command])
+    while words:
+        word = words.pop(0)
+        key, eq, value = word.partition("=") if word.startswith("-") else ("NAME", "=", word)
+        if key not in values or key == "NAME" and values[key] is not None:
+            raise _UsageError(f"unrecognized argument {word!r}")
+        if not eq and (not words or words[0].startswith("-")):
+            raise _UsageError(f"option {key} needs a value")
+        values[key] = value if eq else words.pop(0)
+    missing = [key for key, value in values.items() if value is None]
+    if missing or command == "demo" and values["NAME"] not in DEMO_CONFIGS:
+        raise _UsageError(f"{command} needs {missing[0]}" if missing else f"unknown demo "
+                          f"{values['NAME']!r} (choose from {', '.join(sorted(DEMO_CONFIGS))})")
+    return command, values
 
 
 def _print_summary(summary) -> None:
@@ -64,26 +78,32 @@ def _print_summary(summary) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "check":
+        command, values = _parse(sys.argv[1:] if argv is None else argv)
+        if command == "help":
+            print(USAGE, end="")
+            code = 0
+        elif command == "check":
             results = run_invariant_checks()
             for name, ok in results.items():
                 print(f"{'ok  ' if ok else 'FAIL'} {name}")
             code = 0 if all(results.values()) else EXIT_INVARIANT
         else:
-            if args.command == "demo":
-                cfg = demo_config(args.name)
+            if command == "demo":
+                cfg = demo_config(values["NAME"])
             else:
                 try:
-                    cfg = load_config(args.config)
+                    cfg = load_config(values["--config"])
                 except (OSError, UnicodeDecodeError) as exc:
                     print(f"config error: {exc}", file=sys.stderr)
                     return EXIT_CONFIG
-            _print_summary(run(cfg, out_dir=args.out_dir))
+            _print_summary(run(cfg, out_dir=values["--out-dir"]))
             code = 0
         sys.stdout.flush()
         return code
+    except _UsageError as exc:
+        print(f"{USAGE}lelab: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:  # creating --out-dir, writing into it, or writing stdout
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -111,9 +131,9 @@ def entry():
     start-up).  Nothing else is left to do: lelab starts no Python thread,
     and every file it opens is closed by a ``with`` block before ``main``
     returns.  A flush that fails is an unwritable stdout that ``main`` has
-    already reported, so its code is kept.  An exception that escapes
-    ``main`` (``SystemExit`` from argparse included) leaves through the
-    normal shutdown."""
+    already reported, so its code is kept.  ``main`` returns a code for
+    every outcome, a usage error included; an exception that escapes it
+    anyway leaves through the normal shutdown."""
     code = main()
     atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):

@@ -453,6 +453,63 @@ def test_cli_check_command(capsys):
     assert "ok" in capsys.readouterr().out
 
 
+_DEMO_CHOICES = ", ".join(sorted(harness.DEMO_CONFIGS))
+_USAGE_ERRORS = {
+    "no-command": ([], "no command given"),
+    "unknown-command": (["frobnicate", "--out-dir", "out"], "unknown command 'frobnicate'"),
+    "run-without-config": (["run", "--out-dir", "out"], "run needs --config"),
+    "option-without-value": (["run", "--config"], "option --config needs a value"),
+    "option-before-option": (["run", "--config", "--out-dir", "out"],
+                             "option --config needs a value"),
+    "unknown-option": (["run", "--config", "exp.json", "--out-dir", "out", "--verbose"],
+                       "unrecognized argument '--verbose'"),
+    "abbreviated-option": (["run", "--conf", "exp.json", "--out-dir", "out"],
+                           "unrecognized argument '--conf'"),
+    "check-with-an-argument": (["check", "now"], "unrecognized argument 'now'"),
+    "demo-without-name": (["demo", "--out-dir", "out"], "demo needs NAME"),
+    "demo-nosuch": (["demo", "nosuch", "--out-dir", "out"],
+                    f"unknown demo 'nosuch' (choose from {_DEMO_CHOICES})"),
+    "demo-two-names": (["demo", "nondegenerate", "yukawa-mixing", "--out-dir", "out"],
+                       "unrecognized argument 'yukawa-mixing'"),
+}
+
+
+@pytest.mark.parametrize("argv,message", list(_USAGE_ERRORS.values()), ids=list(_USAGE_ERRORS))
+def test_cli_usage_errors_return_2_with_the_usage_and_one_error_line(
+        tmp_path, capsys, monkeypatch, argv, message):
+    # a returned code, not argparse's SystemExit(2), which would fail the test
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.json").write_text(json.dumps(QUANTUM))
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.err == f"{cli.USAGE}lelab: error: {message}\n"
+    assert out.err.startswith("usage: ") and out.err.count("lelab: error:") == 1
+    assert out.out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "-h"], ["check", "--help"],
+                                  ["demo", "nondegenerate", "-h"],
+                                  ["run", "--config", "absent.json", "--help"]],
+                         ids=["h", "help", "run-h", "check-help", "demo-h", "run-config-help"])
+def test_cli_help_prints_the_usage_to_stdout_and_returns_0(capsys, argv):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (cli.USAGE, "")
+
+
+def test_cli_options_take_either_form_in_any_order_and_the_last_repeat_wins(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.json").write_text(json.dumps(QUANTUM))
+    assert cli.main(["run", "--out-dir=first", "--config=absent.json", "--config", "exp.json",
+                     "--out-dir", "second"]) == 0
+    assert cli.main(["demo", "--out-dir=a=b", "--out-dir=demo", "nondegenerate"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.count("invariant checks: pass") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo", "exp.json", "second"]
+    assert (tmp_path / "demo" / "nondegenerate.csv").is_file()
+    assert sorted(p.name for p in (tmp_path / "second").iterdir()) == ["summary.json", "trace.csv"]
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(QUANTUM, potential={"A": 0.2, "mu": -1.0})))
@@ -600,7 +657,8 @@ class _FullStdout:
         pass
 
 
-@pytest.mark.parametrize("argv", [["check"], ["demo", "nondegenerate"]], ids=["check", "demo"])
+@pytest.mark.parametrize("argv", [["check"], ["demo", "nondegenerate"], ["--help"]],
+                         ids=["check", "demo", "help"])
 def test_cli_unwritable_stdout_is_one_output_error(tmp_path, capsys, monkeypatch, argv):
     if argv[0] == "demo":
         argv = [*argv, "--out-dir", str(tmp_path)]
@@ -708,19 +766,33 @@ def test_a_quantum_run_forms_no_dense_state(tmp_path, state):
     assert peak < n * n * 16
 
 
-def test_importing_the_cli_loads_no_dataclasses():
+def test_importing_the_cli_loads_no_dataclasses(tmp_path):
     # dataclasses writes and compiles each class's methods at import, about
-    # 0.75 ms a class: most of what importing lelab.cli used to cost
+    # 0.75 ms a class: most of what importing lelab.cli used to cost.
+    # argparse imports gettext, and its first parse locale: neither the
+    # import nor a quantum or a classical run may load them
+    steps = []
+    for mode, cfg in (("quantum", QUANTUM), ("classical", CLASSICAL)):
+        (tmp_path / f"{mode}.json").write_text(json.dumps(cfg))
+        steps.append(["run", "--config", str(tmp_path / f"{mode}.json"),
+                      "--out-dir", str(tmp_path / mode)])
     code = ("import json, sys\n"
             "import numpy\n"
             "before = set(sys.modules)\n"
             "import lelab.cli\n"
-            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+            "added = sorted(set(sys.modules) - before)\n"
+            "parser = {'argparse', 'gettext', 'locale'}\n"
+            "loaded = [sorted(parser & set(sys.modules))]\n"
+            f"for argv in {steps!r}:\n"
+            "    assert lelab.cli.main(argv) == 0, argv\n"
+            "    loaded.append(sorted(parser & set(sys.modules)))\n"
+            "print(json.dumps([added, loaded]))\n")
     src = str(Path(harness.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
-    added = json.loads(done.stdout.splitlines()[-1])
+    added, loaded = json.loads(done.stdout.splitlines()[-1])
     assert "lelab.cli" in added and "dataclasses" not in added
+    assert loaded == [[], [], []]
 
 
 def test_a_quantum_run_never_imports_numpy_ma(tmp_path):
@@ -796,8 +868,10 @@ def test_the_process_entry_exits_with_mains_codes(tmp_path):
 @pytest.mark.parametrize("argv", [["run", "--config", "exp.json", "--out-dir", "out"],
                                   ["run", "--config", "absent.json", "--out-dir", "out"],
                                   ["demo", "yukawa-mixing", "--out-dir", "out"],
-                                  ["check"]],
-                         ids=["run", "run-missing", "demo", "check"])
+                                  ["check"],
+                                  ["run", "--out-dir", "out"],
+                                  ["demo", "--help"]],
+                         ids=["run", "run-missing", "demo", "check", "run-usage", "help"])
 def test_the_process_entry_writes_what_main_writes(tmp_path, capsys, monkeypatch, argv):
     # the same relative paths from two working directories, so the printed
     # CSV path is the same text
@@ -818,7 +892,7 @@ def test_the_process_entry_writes_what_main_writes(tmp_path, capsys, monkeypatch
             main_bytes, entry_bytes = ({k: v for k, v in json.loads(b).items() if k != "wall_time_s"}
                                        for b in (main_bytes, entry_bytes))
         assert entry_bytes == main_bytes, name
-    assert bool(written) == (code == 0 and argv[0] != "check")
+    assert bool(written) == (code == 0 and argv[0] != "check" and "--help" not in argv)
 
 
 def test_the_process_entry_runs_each_atexit_handler_once_and_flushes_its_output(tmp_path):

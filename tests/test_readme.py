@@ -40,3 +40,13 @@ def test_every_qualified_name_in_the_readme_resolves():
         for attr in parts[cut:]:
             assert hasattr(obj, attr), f"README names {name}, which does not resolve"
             obj = getattr(obj, attr)
+
+
+def test_the_command_line_block_is_the_usage_lelab_prints(capsys):
+    from lelab import cli, harness
+
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```\n(.*?)```", text[text.index("## Command line"):], re.DOTALL).group(1)
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out == block
+    assert "{" + ",".join(sorted(harness.DEMO_CONFIGS)) + "} " in block
