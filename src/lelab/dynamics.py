@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._record import _frozen, record
+from ._record import _frozen, _row_blocks, record
 from .basis import MomentumBasis
 from .errors import DimensionCapError
 from .states import HERMITICITY_TOL, DensityMatrix, _hermitian_deviation
@@ -57,8 +57,11 @@ class OrbitMap:
     point p of the orbit.  ``groups`` hold the orbits that share one set of
     flipped axes, s = 2^k points each: (points (o, s) lattice rows,
     slots (o, s) stacked rows, chi (s, s)), with chi symmetric and its own
-    inverse, so that P and P^T are one small product per group.  No
-    groups means P = I, applied without a copy.
+    inverse, so that P and P^T are small products over a group's orbits.
+    They take a block of orbits at a time (``_record._row_blocks`` rows of
+    s r elements), so the gather and the product of a block hold about
+    2**16 elements, never a group's whole share of n x r.  No groups means
+    P = I, applied without a copy.
     """
 
     def __init__(self, groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = ()):
@@ -70,7 +73,8 @@ class OrbitMap:
             return z
         out = np.empty_like(z)
         for points, slots, chi in self.groups:
-            out[points] = chi @ z[slots]
+            for o in _row_blocks(len(points), len(chi) * z.shape[1]):
+                out[points[o]] = chi @ z[slots[o]]
         return out
 
     def from_lattice(self, b: np.ndarray) -> np.ndarray:
@@ -79,7 +83,8 @@ class OrbitMap:
             return b
         out = np.empty_like(b)
         for points, slots, chi in self.groups:
-            out[slots] = chi @ b[points]
+            for o in _row_blocks(len(points), len(chi) * b.shape[1]):
+                out[slots[o]] = chi @ b[points[o]]
         return out
 
 

@@ -405,6 +405,39 @@ def test_v_product_peak_memory_is_bounded():
     assert peak < 4 * b.nbytes
 
 
+def test_v_product_peak_memory_at_cubic_m8_is_under_three_factors():
+    # n = 4913, r = 116: the orbit map takes a block of orbits at a time;
+    # the eight-point group's whole gather and product put the peak at 3.67
+    h = build_hamiltonian(build_basis(8, 0.7), 0.2, 1.0)
+    b = np.ones((h.dim, 116), dtype=complex)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        h.v_product(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * b.nbytes
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_the_orbit_map_equals_one_product_per_group(dtype):
+    # cubic M = 6 at r = 116 splits the eight-point group into blocks; each
+    # orbit's product is the same, so the result is the same bit for bit
+    h = build_hamiltonian(build_basis(6, 0.7), 0.2, 1.0)
+    rng = np.random.default_rng(6)
+    z = rng.standard_normal((h.dim, 116)).astype(dtype)
+    if dtype is complex:
+        z += 1j * rng.standard_normal(z.shape)
+    to_ref, from_ref = np.empty_like(z), np.empty_like(z)
+    for points, slots, chi in h.orbits.groups:
+        to_ref[points] = chi @ z[slots]
+        from_ref[slots] = chi @ z[points]
+    assert max(len(points) for points, _, _ in h.orbits.groups) * 8 * 116 > 2**16
+    assert np.array_equal(h.orbits.to_lattice(z), to_ref)
+    assert np.array_equal(h.orbits.from_lattice(z), from_ref)
+
+
 def test_propagator_unitary():
     rng = np.random.default_rng(0)
     h = random_hamiltonian(6, rng)
