@@ -477,7 +477,7 @@ _USAGE_ERRORS = {
 @pytest.mark.parametrize("argv,message", list(_USAGE_ERRORS.values()), ids=list(_USAGE_ERRORS))
 def test_cli_usage_errors_return_2_with_the_usage_and_one_error_line(
         tmp_path, capsys, monkeypatch, argv, message):
-    # a returned code, not argparse's SystemExit(2), which would fail the test
+    # main returns the code: a SystemExit would fail the test
     monkeypatch.chdir(tmp_path)
     (tmp_path / "exp.json").write_text(json.dumps(QUANTUM))
     assert cli.main(argv) == cli.EXIT_CONFIG
