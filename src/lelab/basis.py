@@ -8,6 +8,8 @@ form an energy shell, so the shell partition is exact bookkeeping.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from ._record import _frozen, record
@@ -23,11 +25,12 @@ MAX_LINE_POINTS = 4096
 
 @record
 class ShellTable:
-    """Distinct energies in ascending order with their member point indices."""
+    """Shells by ascending energy; shell s is rows bounds[s]:bounds[s + 1], listed in members[s]."""
 
     energies: np.ndarray            # (n_shells,) strictly increasing
-    members: tuple[np.ndarray, ...] # per-shell point indices
+    members: tuple[np.ndarray, ...] # per-shell point indices, arange(bounds[s], bounds[s + 1])
     norms2: np.ndarray              # (n_shells,) integer squared norm of each shell
+    bounds: np.ndarray              # (n_shells + 1,) first row of each shell, then n
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -40,7 +43,7 @@ class MomentumBasis:
     Immutable after construction; all arrays are read-only.
     """
 
-    points: np.ndarray       # (n, 3) integer lattice coordinates, lexicographic
+    points: np.ndarray       # (n, 3) integer coordinates, by |n|^2, lexicographic within a shell
     delta_k: float
     energies: np.ndarray     # (n,) E = |n|^2 * delta_k^2
     norms2: np.ndarray       # (n,) integer squared norms
@@ -55,26 +58,30 @@ class MomentumBasis:
         return len(self.shells)
 
     def index_of(self, n) -> int:
-        """Index of the lattice point with integer coordinates ``n``."""
-        hits = np.flatnonzero((self.points == np.asarray(n, dtype=int)).all(axis=1))
+        """Row of the point ``n``; KeyError unless ``n`` is three integers on the lattice."""
+        try:
+            p = tuple(map(operator.index, n))
+        except TypeError:  # not a sequence of integers
+            p = ()
+        hits = np.flatnonzero((self.points == p).all(axis=1)) if len(p) == 3 else ()
         if len(hits) != 1:
-            raise KeyError(f"lattice point {tuple(n)} not in basis")
+            raise KeyError(f"lattice point {n!r} not in basis")
         return int(hits[0])
 
 
 def _basis_from_points(points: np.ndarray, delta_k: float) -> MomentumBasis:
+    # One stable sort puts the points in shell order, lexicographic within a
+    # shell; np.unique would do it too, but numpy 2.4's imports numpy.ma.
+    points = points[np.argsort((points * points).sum(axis=1), kind="stable")]
     norms2 = (points * points).sum(axis=1)
-    # One stable sort groups the shells, each one's members ascending;
-    # np.unique would do it too, but numpy 2.4's imports numpy.ma.
-    order = np.argsort(norms2, kind="stable")
-    starts = np.flatnonzero(np.diff(norms2[order])) + 1
-    distinct = norms2[order[np.concatenate(([0], starts))]]  # ascending
-    members = tuple(map(_frozen, np.split(order, starts)))
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(norms2)) + 1, [len(points)]))
+    distinct = norms2[bounds[:-1]]  # ascending
     dk2 = delta_k * delta_k
     shells = ShellTable(
         energies=_frozen(distinct * dk2),
-        members=members,
-        norms2=_frozen(distinct.copy()),
+        members=tuple(map(_frozen, np.split(np.arange(len(points)), bounds[1:-1]))),
+        norms2=_frozen(distinct),
+        bounds=_frozen(bounds),
     )
     return MomentumBasis(
         points=_frozen(points),
@@ -91,7 +98,7 @@ def _check_spacing(delta_k: float) -> None:
 
 
 def build_basis(M: int, delta_k: float) -> MomentumBasis:
-    """Cubic lattice {-M..M}^3 in deterministic lexicographic order.
+    """Cubic lattice {-M..M}^3 in shell order, lexicographic within a shell.
 
     Raises DimensionCapError when (2M+1)^3 exceeds ``MAX_CUBIC_POINTS``.
     """

@@ -17,10 +17,11 @@ Symmetry blocks.  A sign flip of a lattice coordinate changes neither
 {-M..M}^3 of ``build_basis`` onto itself, so they commute with its H.
 In the basis of their characters, P^T H P is block diagonal with one
 block per character, where P (``OrbitMap``) is orthogonal with at most
-eight nonzeros per row and column.  The cube's orbits are written down,
-not searched for (``_sign_flips``); any other point set (the line
-lattice, M = 0) and a hand-built ``Hamiltonian(h0_diag, v)`` have one
-block and P = I.  Every H goes through the same blocked code.
+eight nonzeros per row and column.  The cube's orbits are written down
+in lexicographic rows, not searched for, and mapped to the basis's shell
+order (``_sign_flips``); any other point set (the line lattice, M = 0)
+and a hand-built ``Hamiltonian(h0_diag, v)`` have one block and P = I.
+Every H goes through the same blocked code.
 """
 
 from __future__ import annotations
@@ -89,32 +90,31 @@ class OrbitMap:
 
 
 def _sign_flips(points: np.ndarray):
-    """The sign-flip symmetry of ``points`` as (group, reps, first, sizes,
-    blocks, orbits):
+    """The sign-flip symmetry of ``points`` as (group, reps, sizes, blocks, orbits):
 
     - group: the flip masks, 0 (the identity) first;
     - reps (r, 3): one point per orbit, |n_i| on the flipped axes;
-    - first (r,): the lowest lattice row of each orbit (-rep on the cube);
     - sizes (r,): points per orbit, 2^(nonzero flipped coordinates);
     - blocks: (character mask, orbits) per block, in stacked order;
     - orbits: the ``OrbitMap``.
 
-    The cube {-M..M}^3 in lexicographic order, as ``build_basis`` makes it
-    for M >= 1, is written down: all eight flips, reps {0..M}^3 in
-    lexicographic order, and lattice row ((x + M) L + y + M) L + z + M
-    with L = 2M + 1 for the point (x, y, z).  Any other point set (the
-    line, M = 0) gets the trivial group: one block and P = I.  Blocks are
-    stacked with the trivial character last (see ``build_hamiltonian``)."""
+    The cube {-M..M}^3 in any order (``build_basis`` makes it in shell
+    order for M >= 1) is written down: all eight flips, reps {0..M}^3 in
+    lexicographic order, and lexicographic row ((x + M) L + y + M) L + z + M,
+    L = 2M + 1, for the point (x, y, z), mapped to its row of ``points`` by
+    one inverse permutation, ``rank``.  Any other point set (the line, M = 0)
+    gets the trivial group: one block and P = I.  Blocks are stacked with
+    the trivial character last (see ``build_hamiltonian``)."""
     n = len(points)
     m = int(points.max())
     side = 2 * m + 1
+    rank = np.lexsort(points.T[::-1])  # the row of ``points`` at each lexicographic cube row
 
-    def row(p):  # lattice row of each cube point p (..., 3)
-        return ((p[..., 0] + m) * side + p[..., 1] + m) * side + p[..., 2] + m
+    def row(p):  # row of each cube point p (..., 3), through its lexicographic row
+        return rank[((p[..., 0] + m) * side + p[..., 1] + m) * side + p[..., 2] + m]
 
     if m == 0 or n != side**3 or points.min() < -m or not np.array_equal(row(points), np.arange(n)):
-        rows = np.arange(n)
-        return np.zeros(1, dtype=int), points, rows, np.ones(n, dtype=int), ((0, rows),), OrbitMap()
+        return np.zeros(1, dtype=int), points, np.ones(n, int), ((0, np.arange(n)),), OrbitMap()
     r = np.arange(m + 1)
     reps = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
     support = (reps != 0) @ _BITS
@@ -132,7 +132,7 @@ def _sign_flips(points: np.ndarray):
         at = row(reps[mine, None, :] * signs)  # at[i, j]: the flips sub[j] of rep mine[i]
         chi = (-1.0) ** _POPCOUNT[sub[:, None] & sub[None, :]] / np.sqrt(len(sub))
         groups.append(tuple(map(_frozen, (at, slot[sub][:, mine].T, chi))))
-    return np.arange(8), reps, row(-reps), 2 ** _POPCOUNT[support], blocks, OrbitMap(tuple(groups))
+    return np.arange(8), reps, 2 ** _POPCOUNT[support], blocks, OrbitMap(tuple(groups))
 
 
 class Hamiltonian:
@@ -249,11 +249,11 @@ def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -
     if not screening > 0:
         raise ValueError(f"screening must be positive, got {screening}")
     dk = basis.delta_k
-    group, reps, first, sizes, characters, orbits = _sign_flips(basis.points)
+    group, reps, sizes, characters, orbits = _sign_flips(basis.points)
     signs = [np.where((int(u) & _BITS) > 0, -1, 1) for u in group]
     kernels = [_yukawa(_difference_norms(reps, reps * s), dk, coupling, screening) for s in signs]
     root = np.sqrt(sizes)  # 1 or 2^j sqrt(2): the two scalings below commute exactly
-    energies = basis.energies[first]
+    energies = (reps * reps).sum(axis=1) * (dk * dk)  # as basis.energies
     blocks = []
     for e, members in characters:
         # The trivial character, last, holds every orbit: its block is summed

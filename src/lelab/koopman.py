@@ -393,4 +393,4 @@ def classical_effective_entropy(marginal: BetaMarginal) -> float:
     """
     g = marginal.density
     positive = g[g > 0]
-    return float(-(positive * np.log(positive)).sum() * marginal.dp)
+    return float(-(positive * np.log(positive)).sum() * marginal.dp) + 0.0  # never -0.0

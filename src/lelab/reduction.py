@@ -12,9 +12,10 @@ entropy is the unweighted sum of the per-shell entropies
 S_E = -Tr rho_hat_E ln rho_hat_E; it vanishes exactly when every
 occupied block has rank one (an effectively pure state).  There is one
 shell reduction: for rho = C C^dagger, the block C_s C_s^dagger of
-shell s has the nonzero spectrum of a smaller Gram matrix
-(``_shell_blocks``, which also gives every shell's weight), which
-``entropy_trace`` takes on each row's C and ``reduce`` on a state's factor.
+shell s, with C_s one row range of C (the basis is in shell order), has
+the nonzero spectrum of a smaller Gram matrix (``_shell_blocks``, which
+also gives every shell's weight), which ``entropy_trace`` takes on each
+row's C and ``reduce`` on a state's factor.
 
 No other module reads the labels (``bohr_labels``, ``_label_range``).  A
 sector is a set of shell pairs (``_Components``), and the passes that
@@ -126,21 +127,19 @@ class _Components(Sequence):
         return len(self.decomp.sector_labels)
 
     def __getitem__(self, i: int) -> np.ndarray:
-        """The sector's shell-pair blocks m[s, p] copied into a zeroed n x n
-        output.  Shell norms are distinct, so row shell s has at most one
-        partner p, the one of norm norms2[s] + label: one searchsorted
-        finds them all.  Each block is copied through its flat indices,
-        so the working memory is one block's indices and values."""
+        """The sector's shell-pair blocks m[s, p], each one 2-D slice, copied
+        into a zeroed n x n output.  Shell norms are distinct, so row shell s
+        has at most one partner p, the one of norm norms2[s] + label: one
+        searchsorted finds them all."""
         label = self.decomp.sector_labels[operator.index(i)]
         shells = self.decomp._basis.shells
         target = shells.norms2 + label
         partner = np.minimum(np.searchsorted(shells.norms2, target), len(target) - 1)
         m = self.decomp.matrix
         out = np.zeros(m.shape, m.dtype)
-        m_flat, out_flat = m.reshape(-1), out.reshape(-1)  # views: both are C-ordered
         for s in np.flatnonzero(shells.norms2[partner] == target):
-            block = (shells.members[s][:, None] * len(m) + shells.members[partner[s]]).ravel()
-            out_flat[block] = m_flat[block]
+            block = slice(*shells.bounds[s:s + 2]), slice(*shells.bounds[partner[s]:partner[s] + 2])
+            out[block] = m[block]
         return out
 
 
@@ -173,7 +172,7 @@ def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
 
     Element (a, b) has the label norms2(shell of b) - norms2[a], so each
     block of rows takes one phase per (row, column shell) pair, by the
-    elementwise formula, and gathers it by each column's shell index:
+    elementwise formula, and repeats it over each column shell's row range:
     n S exponentials in all (S << n on the cube, S = n on the line), and
     no table over the labels.  A ``t`` that is not finite, or whose phase
     alpha t overflows at an end label of [lo, -lo], raises ValueError."""
@@ -184,12 +183,11 @@ def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(np.array([lo, -lo]) * dk2 * t).all():
             raise ValueError(f"t must be finite, with a finite phase alpha * t, got {t}")
-    col_shell = np.searchsorted(shell_n2, n2)
     m = decomp.matrix
     out = np.empty_like(m)
     for r in _row_blocks(len(m), len(m)):
         phase = np.exp(1j * ((shell_n2[None, :] - n2[r, None]) * dk2) * t)
-        np.multiply(np.take(phase, col_shell, axis=1), m[r], out=out[r])
+        np.multiply(np.repeat(phase, np.diff(basis.shells.bounds), axis=1), m[r], out=out[r])
     return out
 
 
@@ -205,20 +203,18 @@ class ShellDecomposition:
 
 
 def _shell_layout(basis: MomentumBasis, b: np.ndarray):
-    """(order, bounds, spans): b[order] holds the n x r factor's rows by shell,
-    shell s in rows bounds[s]:bounds[s + 1], and spans lists the (s, lo, hi)
-    whose Gram matrix is larger than 1 x 1.  ValueError unless n = basis.size."""
+    """(bounds, spans): shell s is rows bounds[s]:bounds[s + 1] of the n x r factor and spans
+    the (s, lo, hi) with a Gram matrix above 1 x 1.  ValueError unless n = basis.size."""
     if b.shape[0] != basis.size:
         raise ValueError(f"state of size {b.shape[0]} does not match basis of size {basis.size}")
-    order = np.concatenate(basis.shells.members)
-    bounds = np.cumsum([0] + [len(mem) for mem in basis.shells.members])
+    bounds = basis.shells.bounds
     spans = [(s, lo, hi) for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
              if min(hi - lo, b.shape[1]) > 1]
-    return order, bounds, spans
+    return bounds, spans
 
 
 def _shell_blocks(c: np.ndarray, bounds: np.ndarray, spans):
-    """(weights, grams) of the shell-ordered factor ``c``: ||C_s||_F^2 of every
+    """(weights, grams) of the factor ``c``: ||C_s||_F^2 of every
     shell C_s = c[bounds[s]:bounds[s + 1]], by one reduceat, and an iterator
     of (s, the smaller of C_s C_s^dagger and C_s^dagger C_s) over the spans
     (s, lo, hi), each formed when it is reached, so a row holds one."""
@@ -232,8 +228,7 @@ def _shell_blocks(c: np.ndarray, bounds: np.ndarray, spans):
 
 def reduce(rho: DensityMatrix, basis: MomentumBasis) -> ShellDecomposition:
     """The shell-block-diagonal part of ``rho``, from ``rho.factor``: no n x n array."""
-    order, bounds, spans = _shell_layout(basis, rho.factor)
-    weights, grams = _shell_blocks(rho.factor[order], bounds, spans)
+    weights, grams = _shell_blocks(rho.factor, *_shell_layout(basis, rho.factor))
     held = dict(grams)
     return ShellDecomposition(weights=weights, grams=tuple(map(held.get, range(len(weights)))))
 
@@ -266,8 +261,8 @@ def first_order_reduced_step(
     B_s B_s^dagger - i t (W_s B_s^dagger - B_s W_s^dagger) for rho0 = B B^dagger
     and W = ``h.v_product(B)``; the free part has no block-diagonal
     commutator.  No n x n array is formed; the error is O(t^2) for fixed H."""
-    order, bounds, _ = _shell_layout(basis, rho0.factor)
-    c, w = rho0.factor[order], h.v_product(rho0.factor)[order]
+    bounds, _ = _shell_layout(basis, rho0.factor)
+    c, w = rho0.factor, h.v_product(rho0.factor)
     blocks = [cs @ cs.conj().T - 1j * t * (ws @ cs.conj().T - cs @ ws.conj().T)
               for cs, ws in zip(np.split(c, bounds[1:-1]), np.split(w, bounds[1:-1]))]
     return ShellDecomposition(weights=np.array([np.trace(b).real for b in blocks]),
@@ -289,11 +284,10 @@ def alpha0_flow(rho0: DensityMatrix, h: Hamiltonian, basis: MomentumBasis) -> tu
     r x r products.  Each shell's part takes the rows of B and W on it, in
     the smaller of the shell's two Gram forms (``_shell_blocks``): no dense v
     and no n x n array."""
-    order, bounds, spans = _shell_layout(basis, rho0.factor)
-    b, w = rho0.factor, h.v_product(rho0.factor)
-    wb = w.conj().T @ b
-    k2 = 2 * np.vdot(b.conj().T @ b, w.conj().T @ w).real - 2 * np.sum(wb * wb.T).real
-    c, w = b[order], w[order]
+    bounds, spans = _shell_layout(basis, rho0.factor)
+    c, w = rho0.factor, h.v_product(rho0.factor)
+    wc = w.conj().T @ c
+    k2 = 2 * np.vdot(c.conj().T @ c, w.conj().T @ w).real - 2 * np.sum(wc * wc.T).real
     weights, grams = _shell_blocks(c, bounds, spans)
     z = np.add.reduceat((c.conj() * w).sum(axis=1), bounds[:-1])  # tr C_s^dagger W_s
     # Im tr(rho_ss K_ss) and ||K_ss||_F^2 of a shell with a 1 x 1 Gram: with
@@ -343,11 +337,11 @@ def entropy_trace(
 
     Works on the n x r factor B of rho0 = B B^dagger (``rho0.factor``):
     each row takes the ``Propagator.evolved_factors`` step of ``h.propagator``
-    to rho(t) = C C^dagger, at O(n^2 r), and gathers C's rows into shell
-    order.  ||C||_F^2 must be one within TRACE_TOL (StateValidationError
-    otherwise); rho(t) is Hermitian and PSD by construction.  The r x r
-    C^dagger C has the nonzero spectrum of rho(t), which gives S_global, and
-    tr rho^2 = ||C^dagger C||_F^2.  ``_shell_blocks``, as in ``reduce``, gives
+    to rho(t) = C C^dagger, at O(n^2 r); shell s is C's rows bounds[s]:bounds[s + 1].
+    ||C||_F^2 must be one within TRACE_TOL (StateValidationError otherwise);
+    rho(t) is Hermitian and PSD by construction.  The r x r C^dagger C has
+    the nonzero spectrum of rho(t), which gives S_global, and tr rho^2 =
+    ||C^dagger C||_F^2.  ``_shell_blocks``, as in ``reduce``, gives
     every shell's weight w_s (one reduceat) and Gram matrix G_s; with those
     w_s, G_s gives S_E and the rank-one test (``_shell_stats``) and
     ||G_s||_F^2 adds to P0 (a skipped shell's 1 x 1 Gram adds w_s^2), so
@@ -358,11 +352,10 @@ def entropy_trace(
     generator: ``perfbench/tracing.py`` wraps this function by name, times
     the rows inside the call and takes ``len`` of what it returns.
     """
-    order, bounds, spans = _shell_layout(basis, rho0.factor)
+    bounds, spans = _shell_layout(basis, rho0.factor)
     rows = [] if rows is None else rows
     times = [float(t) for t in time_grid]
     for t, c in zip(times, h.propagator.evolved_factors(rho0.factor, times)):
-        c = c[order]
         gram = c.conj().T @ c
         norm2 = float(np.trace(gram).real)
         if not abs(norm2 - 1.0) <= TRACE_TOL:  # written so that NaN fails too

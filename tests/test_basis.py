@@ -47,15 +47,31 @@ def test_zero_extent_basis_is_a_single_resting_point():
     np.testing.assert_array_equal(b.shells.members[0], [0])
 
 
-def test_lexicographic_order_and_index_of():
+@pytest.mark.parametrize("basis", [build_basis(m, 1.0) for m in range(5)] + [build_basis_1d(16, 1.0)],
+                         ids=[f"M{m}" for m in range(5)] + ["N16"])
+def test_shell_order_and_index_of(basis):
+    # points ascend in |n|^2 and are lexicographic within a shell
+    keys = [(x * x + y * y + z * z, x, y, z) for x, y, z in basis.points.tolist()]
+    assert keys == sorted(set(keys))
+    # each shell is a row range
+    bounds = basis.shells.bounds
+    assert len(bounds) == basis.n_shells + 1 and bounds[0] == 0 and bounds[-1] == basis.size
+    for s, mem in enumerate(basis.shells.members):
+        np.testing.assert_array_equal(mem, np.arange(bounds[s], bounds[s + 1]))
+    for i, p in enumerate(basis.points):
+        assert basis.index_of(p) == i
+        assert basis.index_of(tuple(p.tolist())) == i
+
+
+def test_index_of_refuses_what_is_not_a_lattice_point():
     basis = build_basis(1, 1.0)
-    np.testing.assert_array_equal(basis.points[0], [-1, -1, -1])
-    np.testing.assert_array_equal(basis.points[-1], [1, 1, 1])
-    for i in (0, 13, 26):
-        assert basis.index_of(basis.points[i]) == i
-    assert basis.index_of((0, 0, 0)) == 13
-    with pytest.raises(KeyError):
-        basis.index_of((2, 0, 0))
+    assert basis.index_of((0, 0, 0)) == 0
+    np.testing.assert_array_equal(basis.points[basis.index_of((1, -1, 0))], [1, -1, 0])
+    # off the lattice, not integers, not three coordinates, not coordinates at all
+    for n in [(2, 0, 0), (0.5, 0, 0), (1.0, 0, 0), np.zeros(3), (1, 0), (0, 0, 0, 0), ((1, 2), 3, 4),
+              0, "abc", None]:
+        with pytest.raises(KeyError):
+            basis.index_of(n)
 
 
 def test_point_cap_enforced():

@@ -107,6 +107,19 @@ def test_classical_run(tmp_path):
     assert summary.final_effective_entropy > float(rows[0][1]) + 1e-3
 
 
+def test_unit_cell_classical_run_reports_plus_zero_entropy(tmp_path, capsys):
+    # all mass in one cell of g = 1: the entropy sums zero terms, whose negation is -0.0
+    raw = dict(_single_row(1.0, 1.0), lattice={"nq": 1, "np": 2, "dq": 1.0, "dp": 1.0})
+    cfg_path = tmp_path / "unit.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+    assert "final effective entropy: 0\n" in capsys.readouterr().out
+    s = json.loads((tmp_path / "summary.json").read_text())["final_effective_entropy"]
+    assert s == 0.0 and math.copysign(1.0, s) == 1.0
+    summary = harness.run(validate_config(json.dumps(raw)), out_dir=tmp_path / "again")
+    assert math.copysign(1.0, summary.final_effective_entropy) == 1.0
+
+
 def test_runs_are_byte_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     harness.run(make_config(), out_dir=a)

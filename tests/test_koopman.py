@@ -264,6 +264,12 @@ def test_marginal_mass_validated():
             BetaMarginal(density=np.array([bad, 1.0]), dp=1.0)
 
 
+def test_entropy_of_unit_density_cells_is_plus_zero():
+    # every occupied cell has g = 1, so -sum g ln g sums zero terms: +0.0, not -0.0
+    s = classical_effective_entropy(BetaMarginal(density=np.array([1.0, 0.0]), dp=1.0))
+    assert s == 0.0 and np.copysign(1.0, s) == 1.0
+
+
 @pytest.mark.parametrize("refused, error, match", [
     (lambda: PhaseSpaceGrid(nq=0, n_p=8, dq=0.1, dp=0.1), ValueError, "nq >= 1"),
     (lambda: PhaseSpaceGrid(nq=8, n_p=0, dq=0.1, dp=0.1), ValueError, "n_p >= 2"),
