@@ -25,12 +25,11 @@ MAX_LINE_POINTS = 4096
 
 @record
 class ShellTable:
-    """Shells by ascending energy; shell s is rows bounds[s]:bounds[s + 1], listed in members[s]."""
+    """Shells by ascending energy; shell s is the row range bounds[s]:bounds[s + 1]."""
 
-    energies: np.ndarray            # (n_shells,) strictly increasing
-    members: tuple[np.ndarray, ...] # per-shell point indices, arange(bounds[s], bounds[s + 1])
-    norms2: np.ndarray              # (n_shells,) integer squared norm of each shell
-    bounds: np.ndarray              # (n_shells + 1,) first row of each shell, then n
+    energies: np.ndarray  # (n_shells,) strictly increasing
+    norms2: np.ndarray    # (n_shells,) integer squared norm of each shell
+    bounds: np.ndarray    # (n_shells + 1,) first row of each shell, then n
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -77,12 +76,8 @@ def _basis_from_points(points: np.ndarray, delta_k: float) -> MomentumBasis:
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(norms2)) + 1, [len(points)]))
     distinct = norms2[bounds[:-1]]  # ascending
     dk2 = delta_k * delta_k
-    shells = ShellTable(
-        energies=_frozen(distinct * dk2),
-        members=tuple(map(_frozen, np.split(np.arange(len(points)), bounds[1:-1]))),
-        norms2=_frozen(distinct),
-        bounds=_frozen(bounds),
-    )
+    shells = ShellTable(energies=_frozen(distinct * dk2), norms2=_frozen(distinct),
+                        bounds=_frozen(bounds))
     return MomentumBasis(
         points=_frozen(points),
         delta_k=float(delta_k),

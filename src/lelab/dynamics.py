@@ -244,10 +244,13 @@ def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -
     over the orbits on which chi_e is defined (no flipped coordinate of
     R_a that e is odd under is zero).  The sum runs in the same order for
     [a, b] and [b, a], so each block is exactly symmetric; with the
-    trivial group it is diag(E) + v bit for bit.
+    trivial group it is diag(E) + v bit for bit.  A ``coupling`` not finite, or a
+    ``screening`` not positive and finite, raises ValueError naming it.
     """
-    if not screening > 0:
-        raise ValueError(f"screening must be positive, got {screening}")
+    if not np.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling}")
+    if not 0 < screening < np.inf:
+        raise ValueError(f"screening must be positive and finite, got {screening}")
     dk = basis.delta_k
     group, reps, sizes, characters, orbits = _sign_flips(basis.points)
     signs = [np.where((int(u) & _BITS) > 0, -1, 1) for u in group]

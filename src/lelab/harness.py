@@ -102,9 +102,9 @@ def build_initial_state(cfg: ExperimentConfig, basis: MomentumBasis) -> DensityM
         rng = default_rng(st.seed)
         mu = None if st.mu is None else np.array(st.mu, dtype=float)
         return states.random_effectively_pure_state(basis, rng, shell_ids=st.shells, mu=mu)
-    members = basis.shells.members[st.shell]  # shell-mixed: I / deg on the shell
-    b = np.zeros((basis.size, len(members)), dtype=complex)
-    b[members, np.arange(len(members))] = 1.0 / np.sqrt(len(members))
+    lo, hi = basis.shells.bounds[st.shell:st.shell + 2]  # shell-mixed: I / deg on the shell
+    b = np.zeros((basis.size, hi - lo), dtype=complex)
+    b[lo:hi] = np.eye(hi - lo) / np.sqrt(hi - lo)
     return DensityMatrix(factor=b)
 
 

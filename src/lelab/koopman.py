@@ -164,9 +164,12 @@ class BetaMarginal:
 
 
 def density_from_values(grid: PhaseSpaceGrid, values: np.ndarray) -> PhaseSpaceDensity:
-    """Clip tiny negatives and normalize to unit mass."""
+    """Clip tiny negatives and normalize to unit mass; values that are
+    complex or not finite raise StateValidationError."""
     if np.iscomplexobj(values):
         raise StateValidationError("values must be real, got a complex array")
+    if not np.isfinite(values).all():
+        raise StateValidationError("values must be finite")
     v = np.clip(np.asarray(values, dtype=float), 0.0, None)
     total = v.sum() * grid.dq * grid.dp
     if total <= 0:

@@ -10,12 +10,10 @@ Per shell E the reduction carries a weight lambda_E (the block trace)
 and, where occupied, a normalized block rho_hat_E.  The effective
 entropy is the unweighted sum of the per-shell entropies
 S_E = -Tr rho_hat_E ln rho_hat_E; it vanishes exactly when every
-occupied block has rank one (an effectively pure state).  There is one
-shell reduction: for rho = C C^dagger, the block C_s C_s^dagger of
-shell s, with C_s one row range of C (the basis is in shell order), has
-the nonzero spectrum of a smaller Gram matrix (``_shell_blocks``, which
-also gives every shell's weight), which ``entropy_trace`` takes on each
-row's C and ``reduce`` on a state's factor.
+occupied block has rank one (an effectively pure state).  One shell
+pass, ``_reduce_factor``, takes every per-shell statistic of rho = C C^dagger
+from C, whose shells are row ranges (the basis is in shell order);
+``reduce`` runs it on a state's factor and ``entropy_trace`` on each row's C.
 
 No other module reads the labels (``bohr_labels``, ``_label_range``).  A
 sector is a set of shell pairs (``_Components``), and the passes that
@@ -193,80 +191,78 @@ def free_phase_law(decomp: AlphaDecomposition, t: float) -> np.ndarray:
 
 @record
 class ShellDecomposition:
-    """Shell blocks by their traces ``weights`` and ``grams``: grams[s] has
-    the nonzero eigenvalues of shell s's block (a Gram matrix from
-    ``reduce``, the block itself from ``first_order_reduced_step``), or is
-    None where it would be 1 x 1, with S_E = 0 and rank one."""
+    """Per-shell statistics of a state's alpha = 0 blocks rho_ss (``reduce``); S_E and
+    rank one are (0, True) on an empty shell (w_s <= TAU_LAMBDA) or a 1 x 1 Gram matrix."""
 
-    weights: np.ndarray
-    grams: tuple[np.ndarray | None, ...]
-
-
-def _shell_layout(basis: MomentumBasis, b: np.ndarray):
-    """(bounds, spans): shell s is rows bounds[s]:bounds[s + 1] of the n x r factor and spans
-    the (s, lo, hi) with a Gram matrix above 1 x 1.  ValueError unless n = basis.size."""
-    if b.shape[0] != basis.size:
-        raise ValueError(f"state of size {b.shape[0]} does not match basis of size {basis.size}")
-    bounds = basis.shells.bounds
-    spans = [(s, lo, hi) for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-             if min(hi - lo, b.shape[1]) > 1]
-    return bounds, spans
+    weights: np.ndarray    # w_s = tr rho_ss
+    entropies: np.ndarray  # S_E = -Tr rho_hat_s ln rho_hat_s
+    rank_one: np.ndarray   # bool: second eigenvalue of rho_hat_s below RANK_TOL
+    purities: np.ndarray   # ||rho_ss||_F^2
 
 
-def _shell_blocks(c: np.ndarray, bounds: np.ndarray, spans):
-    """(weights, grams) of the factor ``c``: ||C_s||_F^2 of every
-    shell C_s = c[bounds[s]:bounds[s + 1]], by one reduceat, and an iterator
-    of (s, the smaller of C_s C_s^dagger and C_s^dagger C_s) over the spans
-    (s, lo, hi), each formed when it is reached, so a row holds one."""
-    def grams():
-        for s, lo, hi in spans:
-            cs = c[lo:hi]
-            yield s, cs @ cs.conj().T if hi - lo <= c.shape[1] else cs.conj().T @ cs
+def _spans(basis: MomentumBasis, c: np.ndarray) -> list[tuple[int, int, int]]:
+    """(s, lo, hi), as Python ints, of each shell s whose rows c[lo:hi] of the n x r
+    factor ``c`` have a smaller Gram matrix above 1 x 1; ValueError unless n = basis.size."""
+    if c.shape[0] != basis.size:
+        raise ValueError(f"state of size {c.shape[0]} does not match basis of size {basis.size}")
+    bounds = basis.shells.bounds.tolist()
+    return [(s, lo, hi) for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+            if min(hi - lo, c.shape[1]) > 1]
 
-    return np.add.reduceat((c.real**2 + c.imag**2).sum(axis=1), bounds[:-1]), grams()
+
+def _norms2(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """||X_s||_F^2 of the rows X_s = x[bounds[s]:bounds[s + 1]] of every shell, by one reduceat."""
+    return np.add.reduceat((x.real**2 + x.imag**2).sum(axis=1), bounds[:-1])
+
+
+def _reduce_factor(c: np.ndarray, basis: MomentumBasis, spans) -> ShellDecomposition:
+    """The per-shell statistics of rho = C C^dagger from ``c`` = C and its ``_spans``:
+    w_s = ||C_s||_F^2, and the block C_s C_s^dagger has the nonzero spectrum and
+    norm of the smaller Gram matrix G_s, formed when shell s is reached.  One
+    eigvalsh of G_s / w_s gives S_E and the (scale-free) rank-one test."""
+    weights = _norms2(c, basis.shells.bounds)
+    entropies, rank_one = np.zeros(len(weights)), np.ones(len(weights), dtype=bool)
+    purities = weights**2  # ||G_s||_F^2 of a 1 x 1 G_s
+    for s, lo, hi in spans:
+        cs = c[lo:hi]
+        g = cs @ cs.conj().T if hi - lo <= c.shape[1] else cs.conj().T @ cs
+        purities[s] = np.vdot(g, g).real
+        if weights[s] > TAU_LAMBDA:
+            eigs = np.linalg.eigvalsh(g / weights[s])
+            entropies[s], rank_one[s] = entropy_from_eigenvalues(eigs), eigs[-2] < RANK_TOL
+    return ShellDecomposition(weights, entropies, rank_one, purities)
 
 
 def reduce(rho: DensityMatrix, basis: MomentumBasis) -> ShellDecomposition:
-    """The shell-block-diagonal part of ``rho``, from ``rho.factor``: no n x n array."""
-    weights, grams = _shell_blocks(rho.factor, *_shell_layout(basis, rho.factor))
-    held = dict(grams)
-    return ShellDecomposition(weights=weights, grams=tuple(map(held.get, range(len(weights)))))
-
-
-def _shell_stats(gram: np.ndarray | None, weight: float) -> tuple[float, bool]:
-    """(S_E, rank one) of a shell block of trace ``weight`` from ``gram``, which
-    has its nonzero eigenvalues; (0.0, True) with no ``eigvalsh`` for an empty
-    shell (weight <= TAU_LAMBDA) or no gram.  Rank is judged by the second-largest
-    eigenvalue of gram / weight, so ``RANK_TOL`` is scale-free."""
-    if weight <= TAU_LAMBDA or gram is None:
-        return 0.0, True
-    eigs = np.linalg.eigvalsh(gram / weight)
-    return entropy_from_eigenvalues(eigs), bool(eigs[-2] < RANK_TOL)
+    """The per-shell statistics of ``rho``'s shell blocks, from ``rho.factor``: no n x n array."""
+    return _reduce_factor(rho.factor, basis, _spans(basis, rho.factor))
 
 
 def shell_entropies(dec: ShellDecomposition) -> np.ndarray:
     """Per-shell S_E = -Tr rho_hat_E ln rho_hat_E; zero on empty shells."""
-    return np.array([_shell_stats(g, w)[0] for g, w in zip(dec.grams, dec.weights)])
+    return dec.entropies
 
 
 def is_effectively_pure(dec: ShellDecomposition) -> bool:
-    """True iff every occupied normalized block has rank one (``_shell_stats``)."""
-    return all(_shell_stats(g, w)[1] for g, w in zip(dec.grams, dec.weights))
+    """True iff every occupied normalized block has rank one."""
+    return bool(dec.rank_one.all())
 
 
 def first_order_reduced_step(
     rho0: DensityMatrix, h: Hamiltonian, t: float, basis: MomentumBasis
-) -> ShellDecomposition:
-    """First-order effective state: the shell blocks of rho0 - i t [v, rho0],
+) -> list[np.ndarray]:
+    """First-order effective state: the list of shell blocks of rho0 - i t [v, rho0],
     B_s B_s^dagger - i t (W_s B_s^dagger - B_s W_s^dagger) for rho0 = B B^dagger
-    and W = ``h.v_product(B)``; the free part has no block-diagonal
-    commutator.  No n x n array is formed; the error is O(t^2) for fixed H."""
-    bounds, _ = _shell_layout(basis, rho0.factor)
+    and W = ``h.v_product(B)``, 1 x 1 ones included; the free part has no
+    block-diagonal commutator.  No n x n array is formed; the error is O(t^2)
+    for fixed H.  A ``t`` that is not finite raises ValueError."""
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    _spans(basis, rho0.factor)  # checks the size
+    cuts = basis.shells.bounds[1:-1]
     c, w = rho0.factor, h.v_product(rho0.factor)
-    blocks = [cs @ cs.conj().T - 1j * t * (ws @ cs.conj().T - cs @ ws.conj().T)
-              for cs, ws in zip(np.split(c, bounds[1:-1]), np.split(w, bounds[1:-1]))]
-    return ShellDecomposition(weights=np.array([np.trace(b).real for b in blocks]),
-                              grams=tuple(b if len(b) > 1 else None for b in blocks))
+    return [cs @ cs.conj().T - 1j * t * (ws @ cs.conj().T - cs @ ws.conj().T)
+            for cs, ws in zip(np.split(c, cuts), np.split(w, cuts))]
 
 
 def alpha0_flow(rho0: DensityMatrix, h: Hamiltonian, basis: MomentumBasis) -> tuple[float, float]:
@@ -282,30 +278,30 @@ def alpha0_flow(rho0: DensityMatrix, h: Hamiltonian, basis: MomentumBasis) -> tu
     For rho0 = B B^dagger and W = ``h.v_product(B)``, K = W B^dagger - B W^dagger
     and ||K||_F^2 = 2 tr(W^dagger W B^dagger B) - 2 Re tr((W^dagger B)^2), from
     r x r products.  Each shell's part takes the rows of B and W on it, in
-    the smaller of the shell's two Gram forms (``_shell_blocks``): no dense v
+    the smaller of the shell's two Gram forms (as ``_reduce_factor``): no dense v
     and no n x n array."""
-    bounds, spans = _shell_layout(basis, rho0.factor)
+    spans, bounds = _spans(basis, rho0.factor), basis.shells.bounds
     c, w = rho0.factor, h.v_product(rho0.factor)
     wc = w.conj().T @ c
     k2 = 2 * np.vdot(c.conj().T @ c, w.conj().T @ w).real - 2 * np.sum(wc * wc.T).real
-    weights, grams = _shell_blocks(c, bounds, spans)
+    weights = _norms2(c, bounds)
     z = np.add.reduceat((c.conj() * w).sum(axis=1), bounds[:-1])  # tr C_s^dagger W_s
     # Im tr(rho_ss K_ss) and ||K_ss||_F^2 of a shell with a 1 x 1 Gram: with
     # r = 1 its K_ss is w_s c_s^dagger - c_s w_s^dagger; with r > 1 it has one
     # member, and K_ss = 2i Im z_s
     flow = 2 * weights * z.imag
     if c.shape[1] == 1:
-        ww = np.add.reduceat((w.real**2 + w.imag**2).sum(axis=1), bounds[:-1])
-        on_shell = 2 * ww * weights - 2 * (z * z).real
+        on_shell = 2 * _norms2(w, bounds) * weights - 2 * (z * z).real
     else:
         on_shell = 4 * z.imag**2
-    for (s, lo, hi), (_, g) in zip(spans, grams):
+    for s, lo, hi in spans:
         cs, ws = c[lo:hi], w[lo:hi]
         if hi - lo <= c.shape[1]:  # g = C_s C_s^dagger = rho_ss, and K_ss itself is as small
+            g = cs @ cs.conj().T
             ks = ws @ cs.conj().T - cs @ ws.conj().T
             flow[s], on_shell[s] = np.sum(g * ks.T).imag, np.vdot(ks, ks).real
         else:  # g = C_s^dagger C_s: tr(rho_ss K_ss) = tr((m - m^dagger) g) for m = C_s^dagger W_s
-            m = cs.conj().T @ ws
+            g, m = cs.conj().T @ cs, cs.conj().T @ ws
             flow[s] = np.sum((m - m.conj().T) * g.T).imag
             on_shell[s] = 2 * np.vdot(g, ws.conj().T @ ws).real - 2 * np.sum(m * m.T).real
     return 2 * float(flow.sum()), float(k2 - on_shell.sum())
@@ -337,14 +333,11 @@ def entropy_trace(
 
     Works on the n x r factor B of rho0 = B B^dagger (``rho0.factor``):
     each row takes the ``Propagator.evolved_factors`` step of ``h.propagator``
-    to rho(t) = C C^dagger, at O(n^2 r); shell s is C's rows bounds[s]:bounds[s + 1].
-    ||C||_F^2 must be one within TRACE_TOL (StateValidationError otherwise);
-    rho(t) is Hermitian and PSD by construction.  The r x r C^dagger C has
-    the nonzero spectrum of rho(t), which gives S_global, and tr rho^2 =
-    ||C^dagger C||_F^2.  ``_shell_blocks``, as in ``reduce``, gives
-    every shell's weight w_s (one reduceat) and Gram matrix G_s; with those
-    w_s, G_s gives S_E and the rank-one test (``_shell_stats``) and
-    ||G_s||_F^2 adds to P0 (a skipped shell's 1 x 1 Gram adds w_s^2), so
+    to rho(t) = C C^dagger, at O(n^2 r).  ||C||_F^2 must be one within TRACE_TOL
+    (StateValidationError otherwise); rho(t) is Hermitian and PSD by construction.
+    The r x r C^dagger C has the nonzero spectrum of rho(t), which gives S_global,
+    and tr rho^2 = ||C^dagger C||_F^2.  ``_reduce_factor``, as in ``reduce``, gives
+    each shell's w_s, S_E, rank-one test and ||rho_ss||_F^2 (summing to P0), so
     S_cg = -sum w_s ln w_s + sum w_s S_E_s exactly, with no eigvalsh more.
     The grid is read once, so any iterable of times will do, and rows
     follow it.  A basis or an ``h`` of another size raises ValueError.
@@ -352,7 +345,7 @@ def entropy_trace(
     generator: ``perfbench/tracing.py`` wraps this function by name, times
     the rows inside the call and takes ``len`` of what it returns.
     """
-    bounds, spans = _shell_layout(basis, rho0.factor)
+    spans = _spans(basis, rho0.factor)
     rows = [] if rows is None else rows
     times = [float(t) for t in time_grid]
     for t, c in zip(times, h.propagator.evolved_factors(rho0.factor, times)):
@@ -360,22 +353,16 @@ def entropy_trace(
         norm2 = float(np.trace(gram).real)
         if not abs(norm2 - 1.0) <= TRACE_TOL:  # written so that NaN fails too
             raise StateValidationError(f"state at t = {t} has trace {norm2}, not 1")
-        per_shell = np.zeros(basis.n_shells)
-        weights, grams = _shell_blocks(c, bounds, spans)
-        block_purity = weights**2
-        pure = True
-        for s, block_gram in grams:
-            per_shell[s], rank_one = _shell_stats(block_gram, weights[s])
-            block_purity[s] = np.vdot(block_gram, block_gram).real
-            pure = pure and rank_one
+        dec = _reduce_factor(c, basis, spans)
         rows.append(TraceRow(
             t=t,
-            effective_entropy=float(per_shell.sum()),
+            effective_entropy=float(dec.entropies.sum()),
             global_entropy=entropy_from_eigenvalues(np.linalg.eigvalsh(gram)),
             purity=float(np.vdot(gram, gram).real),
-            effectively_pure=pure,
-            shell_entropies=per_shell,
-            alpha0_purity=float(block_purity.sum()),
-            coarse_entropy=entropy_from_eigenvalues(weights) + float(weights @ per_shell),
+            effectively_pure=bool(dec.rank_one.all()),
+            shell_entropies=dec.entropies,
+            alpha0_purity=float(dec.purities.sum()),
+            coarse_entropy=(entropy_from_eigenvalues(dec.weights)
+                            + float(dec.weights @ dec.entropies)),
         ))
     return rows

@@ -214,28 +214,35 @@ def _ginibre(rng: NormalStream, *shape: int) -> np.ndarray:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def _shell_factor(basis: MomentumBasis, shell_ids: Sequence[int],
-                  shell_vectors: Sequence[np.ndarray], l: np.ndarray) -> np.ndarray:
-    """B = Phi L, with column s of Phi the vector of shell ``shell_ids[s]``
-    embedded in the full space; checks the ids and the vectors."""
+def _shell_ids(basis: MomentumBasis, shell_ids: Sequence[int]) -> list[int]:
+    """``shell_ids`` as ints; ValueError naming them unless they are
+    non-empty, distinct and in [0, basis.n_shells)."""
     ids = [int(s) for s in shell_ids]
-    if len(set(ids)) != len(ids):
-        raise ValueError("shell ids must be distinct")
-    if any(not 0 <= s < basis.n_shells for s in ids):
-        raise ValueError(f"shell ids must lie in [0, {basis.n_shells})")
+    if not ids or len(set(ids)) != len(ids) or not all(0 <= s < basis.n_shells for s in ids):
+        raise ValueError(f"shell ids must lie in [0, {basis.n_shells}), at least one and "
+                         f"each once, got {ids}")
+    return ids
+
+
+def _shell_factor(basis: MomentumBasis, ids: list[int],
+                  shell_vectors: Sequence[np.ndarray], l: np.ndarray) -> np.ndarray:
+    """B = Phi L, with column s of Phi the vector of shell ``ids[s]``
+    embedded in the full space; ``ids`` are ``_shell_ids``, and the
+    vectors are checked here."""
     if len(shell_vectors) != len(ids):
         raise ValueError("need exactly one vector per listed shell")
+    bounds = basis.shells.bounds
     b = np.zeros((basis.size, l.shape[1]), dtype=complex)
     for s, v, l_row in zip(ids, shell_vectors, l):
         v = np.asarray(v, dtype=complex)
-        deg = len(basis.shells.members[s])
-        if v.shape != (deg,):
-            raise ValueError(f"vector for shell {s} must have length {deg}, got {v.shape}")
+        lo, hi = bounds[s], bounds[s + 1]
+        if v.shape != (hi - lo,):
+            raise ValueError(f"vector for shell {s} must have length {hi - lo}, got {v.shape}")
         norm2 = float(np.vdot(v, v).real)
         if not abs(norm2 - 1.0) <= NORM_TOL:  # written so that NaN fails too
             raise ValueError(f"vector for shell {s} has squared norm {norm2}, not 1")
-        # shells are disjoint, so the rows of shell s are v_s (x) L[s]
-        b[basis.shells.members[s]] = np.outer(v, l_row)
+        # shells are disjoint row ranges, so the rows of shell s are v_s (x) L[s]
+        b[lo:hi] = np.outer(v, l_row)
     return b
 
 
@@ -260,11 +267,12 @@ def effectively_pure_state(
     ``shell_vectors[i]`` must be a unit vector of length equal to the
     degeneracy of shell ``shell_ids[i]``.
     """
+    ids = _shell_ids(basis, shell_ids)
     mu = np.asarray(mu, dtype=complex)
-    if mu.shape != (len(shell_ids), len(shell_ids)):
-        raise ValueError(f"mu must be {len(shell_ids)}x{len(shell_ids)}, got {mu.shape}")
+    if mu.shape != (len(ids), len(ids)):
+        raise ValueError(f"mu must be {len(ids)}x{len(ids)}, got {mu.shape}")
     l = density_factor(mu, "mu")
-    return DensityMatrix(factor=_shell_factor(basis, shell_ids, shell_vectors, l))
+    return DensityMatrix(factor=_shell_factor(basis, ids, shell_vectors, l))
 
 
 def entropy_from_eigenvalues(eigs: np.ndarray) -> float:
@@ -318,9 +326,12 @@ def random_effectively_pure_state(
 
     Without ``mu`` the mixing matrix is mu = L L^dagger, L = g / ||g||_F
     for a seeded complex Gaussian square g, and L is the factor used.
+    ``shell_ids`` must be non-empty, distinct and in [0, basis.n_shells),
+    or ValueError is raised before anything is drawn.
     """
-    ids = list(range(basis.n_shells)) if shell_ids is None else [int(s) for s in shell_ids]
-    vecs = [random_pure_state(len(basis.shells.members[s]), rng).amplitudes for s in ids]
+    ids = list(range(basis.n_shells)) if shell_ids is None else _shell_ids(basis, shell_ids)
+    deg = np.diff(basis.shells.bounds)
+    vecs = [random_pure_state(int(deg[s]), rng).amplitudes for s in ids]
     if mu is not None:
         return effectively_pure_state(basis, ids, vecs, mu)
     g = _ginibre(rng, len(ids), len(ids))

@@ -156,8 +156,8 @@ def test_06_first_order_reduced_step_error_scaling():
         rho_t = h.propagator.evolve(rho0, float(t)).matrix
         approx = first_order_reduced_step(rho0, h, float(t), basis)
         sq = 0.0
-        for members, w, g in zip(basis.shells.members, approx.weights, approx.grams):
-            block = np.array([[w]]) if g is None else g  # the step's grams are its blocks
+        for n2, block in zip(basis.shells.norms2, approx, strict=True):
+            members = np.flatnonzero(basis.norms2 == n2)
             sq += np.linalg.norm(rho_t[np.ix_(members, members)] - block) ** 2
         errs.append(np.sqrt(sq))
     slope = float(np.polyfit(np.log(ts), np.log(errs), 1)[0])

@@ -17,7 +17,7 @@ def test_cubic_m1_size_and_shells():
     assert basis.size == 27
     assert basis.n_shells == 4
     np.testing.assert_array_equal(basis.shells.norms2, [0, 1, 2, 3])
-    np.testing.assert_array_equal([len(m) for m in basis.shells.members], [1, 6, 12, 8])
+    np.testing.assert_array_equal(np.diff(basis.shells.bounds), [1, 6, 12, 8])
     np.testing.assert_allclose(basis.shells.energies, [0.0, 1.0, 2.0, 3.0])
 
 
@@ -44,7 +44,7 @@ def test_zero_extent_basis_is_a_single_resting_point():
     np.testing.assert_array_equal(b.points, [[0, 0, 0]])
     np.testing.assert_array_equal(b.energies, [0.0])
     assert b.n_shells == 1
-    np.testing.assert_array_equal(b.shells.members[0], [0])
+    np.testing.assert_array_equal(b.shells.bounds, [0, 1])
 
 
 @pytest.mark.parametrize("basis", [build_basis(m, 1.0) for m in range(5)] + [build_basis_1d(16, 1.0)],
@@ -53,11 +53,12 @@ def test_shell_order_and_index_of(basis):
     # points ascend in |n|^2 and are lexicographic within a shell
     keys = [(x * x + y * y + z * z, x, y, z) for x, y, z in basis.points.tolist()]
     assert keys == sorted(set(keys))
-    # each shell is a row range
+    # each shell is a row range, and the ranges partition the rows by |n|^2
     bounds = basis.shells.bounds
     assert len(bounds) == basis.n_shells + 1 and bounds[0] == 0 and bounds[-1] == basis.size
-    for s, mem in enumerate(basis.shells.members):
-        np.testing.assert_array_equal(mem, np.arange(bounds[s], bounds[s + 1]))
+    for s, n2 in enumerate(basis.shells.norms2):
+        np.testing.assert_array_equal(np.arange(bounds[s], bounds[s + 1]),
+                                      np.flatnonzero(basis.norms2 == n2))
     for i, p in enumerate(basis.points):
         assert basis.index_of(p) == i
         assert basis.index_of(tuple(p.tolist())) == i
@@ -95,10 +96,10 @@ def test_shells_match_the_unique_oracle(lattice):
     np.testing.assert_array_equal(basis.shells.norms2, distinct)
     assert basis.shells.norms2.dtype == distinct.dtype
     np.testing.assert_array_equal(basis.shells.energies, distinct * (0.7 * 0.7))
-    assert len(basis.shells.members) == len(members)
-    for got, want in zip(basis.shells.members, members):
-        np.testing.assert_array_equal(got, want)  # ascending, as flatnonzero lists them
-        assert got.dtype == want.dtype and not got.flags.writeable
+    bounds = basis.shells.bounds
+    assert len(bounds) == len(members) + 1 and not bounds.flags.writeable
+    for s, want in enumerate(members):
+        np.testing.assert_array_equal(np.arange(bounds[s], bounds[s + 1]), want)
 
 
 def test_invalid_arguments_rejected():
@@ -114,7 +115,7 @@ def test_1d_lattice_is_nondegenerate():
     basis = build_basis_1d(16, 1.0)
     assert basis.size == 16
     assert basis.n_shells == 16
-    np.testing.assert_array_equal([len(m) for m in basis.shells.members], np.ones(16, dtype=int))
+    np.testing.assert_array_equal(np.diff(basis.shells.bounds), np.ones(16, dtype=int))
     np.testing.assert_array_equal(basis.shells.norms2, np.arange(1, 17) ** 2)
 
 
@@ -122,11 +123,13 @@ def test_1d_lattice_is_nondegenerate():
 @settings(max_examples=30, deadline=None)
 def test_shells_partition_the_lattice(m, delta_k):
     basis = build_basis(m, delta_k)
-    seen = np.concatenate([np.asarray(mem) for mem in basis.shells.members])
+    rows = [np.flatnonzero(basis.norms2 == n2) for n2 in basis.shells.norms2]
+    seen = np.concatenate(rows)
     assert len(seen) == basis.size
     assert set(seen.tolist()) == set(range(basis.size))
-    # members of one shell share the bitwise-identical energy
-    for s, mem in enumerate(basis.shells.members):
-        assert np.all(basis.energies[mem] == basis.shells.energies[s])
+    # the rows of one shell's range share the bitwise-identical energy
+    bounds = basis.shells.bounds
+    for s in range(basis.n_shells):
+        assert np.all(basis.energies[bounds[s]:bounds[s + 1]] == basis.shells.energies[s])
     # shell energies strictly increase
     assert np.all(np.diff(basis.shells.energies) > 0)

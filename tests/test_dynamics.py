@@ -124,10 +124,17 @@ def test_build_hamiltonian_matches_difference_array_formula(lattice, extent, dk)
     assert np.array_equal(build_hamiltonian(basis, 0.3, 1.1).v, expected)
 
 
-@pytest.mark.parametrize("screening", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("screening", [0.0, -1.0, float("nan"), float("inf")])
 def test_yukawa_rejects_non_positive_screening(screening):
     with pytest.raises(ValueError, match="screening"):
         build_hamiltonian(build_basis(1, 1.0), 1.0, screening)
+
+
+@pytest.mark.parametrize("coupling", [float("nan"), float("inf"), -float("inf")])
+def test_yukawa_refuses_a_coupling_that_is_not_finite(coupling):
+    # a NaN coupling used to build NaN blocks, and an infinite one to warn first
+    with pytest.raises(ValueError, match=f"^coupling must be finite, got {coupling}$"):
+        build_hamiltonian(build_basis(1, 1.0), coupling, 1.0)
 
 
 def test_coupling_zero_gives_free_hamiltonian():

@@ -249,6 +249,15 @@ def test_density_from_values_refuses_complex_values():
         density_from_values(GRID, np.ones((GRID.nq, GRID.n_p), dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_from_values_refuses_values_that_are_not_finite(bad):
+    # an inf cell used to warn in the division, then report "min is nan"
+    values = np.ones((GRID.nq, GRID.n_p))
+    values[2, 3] = bad
+    with pytest.raises(StateValidationError, match="^values must be finite$"):
+        density_from_values(GRID, values)
+
+
 def test_kick_refuses_a_complex_gradient():
     rho = single_p_row_density(GRID, p0=1.0)
     with pytest.raises(ValueError, match="grad_v must return real values"):

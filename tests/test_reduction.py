@@ -44,29 +44,22 @@ from lelab.states import (
 BASIS = build_basis(1, 1.0)
 
 
+def _shell_rows(basis):
+    """Oracle: each shell's rows, found from the points' |n|^2, not from shells.bounds."""
+    return [np.flatnonzero(basis.norms2 == n2) for n2 in basis.shells.norms2]
+
+
 def _dense_blocks(m, basis):
     """Oracle: the raw shell blocks of a dense matrix, copied with np.ix_."""
-    return [m[np.ix_(mem, mem)] for mem in basis.shells.members]
+    return [m[np.ix_(mem, mem)] for mem in _shell_rows(basis)]
 
 
 def _block_diagonal(m, basis):
     """Oracle: the shell-block-diagonal part of a dense matrix."""
     out = np.zeros(m.shape, dtype=complex)
-    for mem, block in zip(basis.shells.members, _dense_blocks(m, basis)):
+    for mem, block in zip(_shell_rows(basis), _dense_blocks(m, basis)):
         out[np.ix_(mem, mem)] = block
     return out
-
-
-def _first_order_blocks(dec):
-    """The shell blocks of a ``first_order_reduced_step``: its ``grams`` are
-    the blocks themselves, and a one-member shell's block is its weight."""
-    return [np.array([[w]]) if g is None else g for g, w in zip(dec.grams, dec.weights)]
-
-
-def _top_eigenvalues(a, b):
-    """The largest min(len(a), len(b)) eigenvalues of Hermitian a and b."""
-    k = min(len(a), len(b))
-    return np.linalg.eigvalsh(a)[len(a) - k:], np.linalg.eigvalsh(b)[len(b) - k:]
 
 
 @given(seed=st.integers(0, 10_000))
@@ -316,7 +309,7 @@ def test_a_sector_matrix_holds_one_shell_pair_block(lattice):
     # one shell-pair block's flat indices and values (24 bytes an
     # element) and a few arrays over the shells: the bound is 165 KB at
     # M = 5 and 63 KB at N = 1000, where a block of 2**16 labels is 1 MB
-    bound = 2 * 16 * max(map(len, basis.shells.members))**2 + 64 * basis.n_shells
+    bound = 2 * 16 * max(map(len, _shell_rows(basis)))**2 + 64 * basis.n_shells
     k = len(dec.alphas)
     for i in sorted({k // 2, k - 1, *range(0, k, max(1, k // 12))}):
         assert _extra_bytes(lambda: dec.components[i]) <= bound
@@ -375,11 +368,24 @@ def test_reduce_weights_are_shell_traces():
     dec = reduce(rho, BASIS)
     assert dec.weights.sum() == pytest.approx(1.0, abs=1e-12)
     for s, block in enumerate(_dense_blocks(rho.matrix, BASIS)):
-        assert dec.weights[s] == pytest.approx(np.trace(block).real, abs=1e-14)
-        # the Gram matrix holds the block's nonzero spectrum; none for a 1 x 1 block
-        assert (dec.grams[s] is None) == (len(block) == 1)
-        if dec.grams[s] is not None:
-            np.testing.assert_allclose(*_top_eigenvalues(dec.grams[s], block), atol=1e-14)
+        weight = np.trace(block).real
+        assert dec.weights[s] == pytest.approx(weight, abs=1e-14)
+        # every other statistic is read from the block's spectrum
+        eigs = np.linalg.eigvalsh(block / weight)
+        assert dec.entropies[s] == pytest.approx(entropy_from_eigenvalues(eigs), abs=1e-12)
+        assert dec.rank_one[s] == (len(block) == 1 or eigs[-2] < RANK_TOL)
+        assert dec.purities[s] == pytest.approx(np.vdot(block, block).real, abs=1e-14)
+
+
+def test_reduce_and_its_readers_run_one_eigvalsh_per_multi_member_shell(monkeypatch):
+    # shell_entropies and is_effectively_pure used to run eigvalsh again
+    rho = random_density_matrix(BASIS.size, np.random.default_rng(11))
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+    dec = reduce(rho, BASIS)
+    shell_entropies(dec)
+    is_effectively_pure(dec)
+    assert sorted(sizes) == sorted(len(rows) for rows in _shell_rows(BASIS) if len(rows) > 1)
 
 
 def test_reduce_is_idempotent():
@@ -389,16 +395,14 @@ def test_reduce_is_idempotent():
         np.testing.assert_array_equal(b1, b2)
     # the block-diagonal part is a state, and reducing it changes nothing
     once, again = reduce(rho, BASIS), reduce(DensityMatrix(block_diag), BASIS)
-    np.testing.assert_allclose(again.weights, once.weights, rtol=0, atol=1e-14)
-    for g1, g2 in zip(once.grams, again.grams, strict=True):
-        assert (g1 is None) == (g2 is None)
-        if g1 is not None:
-            np.testing.assert_allclose(*_top_eigenvalues(g1, g2), rtol=0, atol=1e-14)
+    for field in ("weights", "entropies", "purities"):
+        np.testing.assert_allclose(getattr(again, field), getattr(once, field), rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(again.rank_one, once.rank_one)
 
 
 def test_effective_entropy_of_shell_mixture():
     # maximally mixed on the 6-fold shell: S_eff = ln 6 regardless of weight
-    members = BASIS.shells.members[1]
+    members = _shell_rows(BASIS)[1]
     m = np.zeros((BASIS.size, BASIS.size), dtype=complex)
     m[members, members] = 1.0 / len(members)
     dec = reduce(DensityMatrix(m), BASIS)
@@ -450,7 +454,7 @@ def test_expectation_xi_independent_under_free_flow():
     rho = random_density_matrix(BASIS.size, rng)
     h0 = build_hamiltonian(BASIS, 0.0, 1.0)
     ops = []
-    for members in BASIS.shells.members:
+    for members in _shell_rows(BASIS):
         d = len(members)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         ops.append((g + g.conj().T) / 2)
@@ -466,7 +470,7 @@ def test_first_order_step_error_is_second_order():
     ts = [0.02, 0.04]
     for t in ts:
         exact = _dense_blocks(h.propagator.evolve(rho0, t).matrix, BASIS)
-        approx = _first_order_blocks(first_order_reduced_step(rho0, h, t, BASIS))
+        approx = first_order_reduced_step(rho0, h, t, BASIS)
         errs.append(np.sqrt(sum(np.linalg.norm(e - a) ** 2 for e, a in zip(exact, approx))))
     # doubling t quadruples the error
     assert errs[1] / errs[0] == pytest.approx(4.0, rel=0.05)
@@ -476,7 +480,7 @@ def test_first_order_step_is_exact_for_free_evolution():
     h0 = build_hamiltonian(BASIS, 0.0, 1.0)
     rho0 = random_density_matrix(BASIS.size, np.random.default_rng(17))
     exact = _dense_blocks(h0.propagator.evolve(rho0, 0.3).matrix, BASIS)
-    approx = _first_order_blocks(first_order_reduced_step(rho0, h0, 0.3, BASIS))
+    approx = first_order_reduced_step(rho0, h0, 0.3, BASIS)
     for b1, b2 in zip(exact, approx, strict=True):
         np.testing.assert_allclose(b1, b2, atol=1e-12)
 
@@ -489,10 +493,19 @@ def test_first_order_step_matches_the_dense_step(M):
     rho0 = random_effectively_pure_state(basis, np.random.default_rng(5))
     m, v, t = rho0.matrix, h.v, 0.3
     dense = _dense_blocks(m - 1j * t * (v @ m - m @ v), basis)
-    dec = first_order_reduced_step(rho0, h, t, basis)
-    for block, step in zip(dense, _first_order_blocks(dec), strict=True):
+    # one block per shell, 1 x 1 ones included
+    for block, step in zip(dense, first_order_reduced_step(rho0, h, t, basis), strict=True):
+        assert step.shape == block.shape
         np.testing.assert_allclose(step, block, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(dec.weights, [np.trace(b).real for b in dense], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_first_order_step_refuses_a_time_that_is_not_finite(t):
+    # a NaN t used to give NaN blocks
+    h = build_hamiltonian(BASIS, 0.2, 1.0)
+    rho0 = random_effectively_pure_state(BASIS, np.random.default_rng(5))
+    with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+        first_order_reduced_step(rho0, h, t, BASIS)
 
 
 def _peak_above_inputs(step):
@@ -659,7 +672,7 @@ def _dense_alpha0_flow(rho0, h, basis):
     m = rho0.matrix
     k = h.v @ m - m @ h.v
     off, c1 = k.copy(), 0.0
-    for mem in basis.shells.members:
+    for mem in _shell_rows(basis):
         ix = np.ix_(mem, mem)
         c1 += 2 * np.trace(m[ix] @ (-1j * k[ix])).real
         off[ix] = 0.0
@@ -705,7 +718,7 @@ def _dense_eigenbasis_trace(rho0, h, times, basis):
         spectrum = np.linalg.eigvalsh(x)
         per_shell = np.zeros(basis.n_shells)
         pure = True
-        for s, mem in enumerate(basis.shells.members):
+        for s, mem in enumerate(_shell_rows(basis)):
             if len(mem) == 1:
                 continue
             block = q[mem] @ x @ q[mem].conj().T
@@ -742,7 +755,7 @@ def test_factored_trace_matches_dense_eigenbasis_oracle(lattice, rank):
         want_rank = 1
     elif rank == "degeneracy":
         rho0, basis = _config_state(ORACLE_LATTICES[lattice], {"kind": "shell-mixed", "shell": 2})
-        want_rank = len(basis.shells.members[2])
+        want_rank = len(_shell_rows(basis)[2])
     elif rank == "shell-count":
         rho0, basis = _config_state(ORACLE_LATTICES[lattice],
                                     {"kind": "effectively-pure-mixed", "seed": 4})
@@ -817,22 +830,22 @@ def test_reduce_canonical_examples():
     assert is_effectively_pure(dec)
 
     # maximally mixed on the 6-fold shell: full weight, block I/6
-    members = BASIS.shells.members[1]
+    members = _shell_rows(BASIS)[1]
     m = np.zeros((BASIS.size, BASIS.size), dtype=complex)
     m[members, members] = 1.0 / 6.0
     rho = DensityMatrix(m)
     dec, blocks = reduce(rho, BASIS), _dense_blocks(rho.matrix, BASIS)
     assert dec.weights[1] == pytest.approx(1.0, abs=1e-14)
     np.testing.assert_allclose(blocks[1] / dec.weights[1], np.eye(6) / 6.0, atol=1e-14)
-    np.testing.assert_allclose(np.linalg.eigvalsh(dec.grams[1] / dec.weights[1]),
-                               np.full(6, 1 / 6.0), atol=1e-14)
+    assert dec.entropies[1] == pytest.approx(np.log(6), abs=1e-14)
+    assert dec.purities[1] == pytest.approx(1 / 6.0, abs=1e-14)
 
 
 def test_two_shell_mixture_entropies_add_unweighted():
     # two shells holding maximally mixed sub-blocks of ranks 2 and 3:
     # the per-shell entropies ln 2 and ln 3 add without lambda weights
-    sub2 = BASIS.shells.members[1][:2]
-    sub3 = BASIS.shells.members[2][:3]
+    sub2 = _shell_rows(BASIS)[1][:2]
+    sub3 = _shell_rows(BASIS)[2][:3]
     m = np.zeros((BASIS.size, BASIS.size), dtype=complex)
     m[sub2, sub2] = 0.5 / 2.0
     m[sub3, sub3] = 0.5 / 3.0
@@ -853,11 +866,11 @@ def test_expectation_identity_and_free_energy():
     rho = random_density_matrix(BASIS.size, rng)
     dec = reduce(rho, BASIS)
 
-    identity_blocks = [np.eye(len(m)) for m in BASIS.shells.members]
+    identity_blocks = [np.eye(len(m)) for m in _shell_rows(BASIS)]
     assert _shell_expectation(identity_blocks, rho, BASIS) == pytest.approx(1.0, abs=1e-12)
 
     h0_blocks = [
-        e * np.eye(len(m)) for e, m in zip(BASIS.shells.energies, BASIS.shells.members)
+        e * np.eye(len(m)) for e, m in zip(BASIS.shells.energies, _shell_rows(BASIS))
     ]
     free_energy = float((dec.weights * BASIS.shells.energies).sum())
     assert _shell_expectation(h0_blocks, rho, BASIS) == pytest.approx(free_energy, abs=1e-12)
@@ -865,7 +878,7 @@ def test_expectation_identity_and_free_energy():
     # random shell-block-diagonal observable against the full-trace oracle
     full = np.zeros((BASIS.size, BASIS.size), dtype=complex)
     blocks = []
-    for members in BASIS.shells.members:
+    for members in _shell_rows(BASIS):
         g = rng.standard_normal((len(members), len(members)))
         g = g + 1j * rng.standard_normal(g.shape)
         block = (g + g.conj().T) / 2

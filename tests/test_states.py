@@ -160,7 +160,7 @@ def test_the_eigh_path_cuts_the_rank_where_the_cholesky_does(monkeypatch):
 ], ids=["2x2", "3x3"])
 def test_a_rank_one_mu_gives_a_one_column_factor(ids, mu):
     basis = build_basis(1, 1.0)
-    vecs = [np.eye(len(basis.shells.members[s]))[0] for s in ids]
+    vecs = [np.eye(np.count_nonzero(basis.norms2 == basis.shells.norms2[s]))[0] for s in ids]
     rho = effectively_pure_state(basis, ids, vecs, mu)
     assert rho.factor.shape == (basis.size, 1)
     l = density_factor(mu, "mu")
@@ -260,7 +260,8 @@ def test_effectively_pure_state_structure():
     # ... yet every shell block has rank one
     dec = reduce(rho, basis)
     assert is_effectively_pure(dec)
-    for s, members in enumerate(basis.shells.members):
+    for s, n2 in enumerate(basis.shells.norms2):
+        members = np.flatnonzero(basis.norms2 == n2)
         if dec.weights[s] <= TAU_LAMBDA:
             continue
         block = rho.matrix[np.ix_(members, members)]  # dense oracle of the shell block
@@ -317,6 +318,16 @@ _V0, _V1 = np.array([1.0]), np.eye(6)[0]
 def test_state_constructors_refuse_malformed_input(refused, error, match):
     with pytest.raises(error, match=match):
         refused()
+
+
+@pytest.mark.parametrize("ids", [[9], [], [-1], [1, 1]],
+                         ids=["past-the-end", "empty", "negative", "repeated"])
+def test_random_effectively_pure_state_refuses_bad_shell_ids_before_drawing(ids):
+    # past the end used to raise a bare IndexError, and no ids "trace 0.0"
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="^shell ids must .*" + re.escape(f", got {ids}") + "$"):
+        random_effectively_pure_state(_CUBIC, rng, shell_ids=ids)
+    assert rng.normal() == np.random.default_rng(4).normal()  # nothing was drawn
 
 
 def test_the_entropy_of_no_eigenvalues_is_positive_zero():
@@ -384,7 +395,7 @@ def test_single_shell_unit_mu_gives_pure_projector():
     vec = np.full(6, 1.0 / np.sqrt(6))
     rho = effectively_pure_state(basis, [1], [vec], np.array([[1.0]]))
     assert global_purity(rho) == pytest.approx(1.0, abs=1e-12)
-    members = basis.shells.members[1]
+    members = np.flatnonzero(basis.norms2 == basis.shells.norms2[1])
     np.testing.assert_allclose(
         rho.matrix[np.ix_(members, members)], np.outer(vec, vec), atol=1e-15
     )
