@@ -230,7 +230,7 @@ def _reduce_factor(c: np.ndarray, basis: MomentumBasis, spans) -> ShellDecomposi
         if weights[s] > TAU_LAMBDA:
             eigs = np.linalg.eigvalsh(g / weights[s])
             entropies[s], rank_one[s] = entropy_from_eigenvalues(eigs), eigs[-2] < RANK_TOL
-    return ShellDecomposition(weights, entropies, rank_one, purities)
+    return ShellDecomposition(*map(_frozen, (weights, entropies, rank_one, purities)))
 
 
 def reduce(rho: DensityMatrix, basis: MomentumBasis) -> ShellDecomposition:
@@ -258,9 +258,10 @@ def first_order_reduced_step(
     for fixed H.  A ``t`` that is not finite raises ValueError."""
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    _spans(basis, rho0.factor)  # checks the size
-    cuts = basis.shells.bounds[1:-1]
-    c, w = rho0.factor, h.v_product(rho0.factor)
+    c = rho0.factor
+    if c.shape[0] != basis.size:
+        raise ValueError(f"state of size {c.shape[0]} does not match basis of size {basis.size}")
+    cuts, w = basis.shells.bounds[1:-1], h.v_product(c)
     return [cs @ cs.conj().T - 1j * t * (ws @ cs.conj().T - cs @ ws.conj().T)
             for cs, ws in zip(np.split(c, cuts), np.split(w, cuts))]
 
@@ -339,11 +340,10 @@ def entropy_trace(
     and tr rho^2 = ||C^dagger C||_F^2.  ``_reduce_factor``, as in ``reduce``, gives
     each shell's w_s, S_E, rank-one test and ||rho_ss||_F^2 (summing to P0), so
     S_cg = -sum w_s ln w_s + sum w_s S_E_s exactly, with no eigvalsh more.
-    The grid is read once, so any iterable of times will do, and rows
-    follow it.  A basis or an ``h`` of another size raises ValueError.
-    ``lelab run`` passes a sink that keeps no row (``harness._Fold``), not a
-    generator: ``perfbench/tracing.py`` wraps this function by name, times
-    the rows inside the call and takes ``len`` of what it returns.
+    The grid is read once, so any iterable of times will do, and rows follow it.
+    A basis or an ``h`` of another size raises ValueError.  ``lelab run`` passes a sink
+    that keeps no row (``harness._Fold``), not a generator: ``perfbench/tracing.py`` wraps
+    this function by name, times the rows inside the call and takes ``len`` of what it returns.
     """
     spans = _spans(basis, rho0.factor)
     rows = [] if rows is None else rows
@@ -354,15 +354,15 @@ def entropy_trace(
         if not abs(norm2 - 1.0) <= TRACE_TOL:  # written so that NaN fails too
             raise StateValidationError(f"state at t = {t} has trace {norm2}, not 1")
         dec = _reduce_factor(c, basis, spans)
+        entropies = shell_entropies(dec)
         rows.append(TraceRow(
             t=t,
-            effective_entropy=float(dec.entropies.sum()),
+            effective_entropy=float(entropies.sum()),
             global_entropy=entropy_from_eigenvalues(np.linalg.eigvalsh(gram)),
             purity=float(np.vdot(gram, gram).real),
-            effectively_pure=bool(dec.rank_one.all()),
-            shell_entropies=dec.entropies,
+            effectively_pure=is_effectively_pure(dec),
+            shell_entropies=entropies,
             alpha0_purity=float(dec.purities.sum()),
-            coarse_entropy=(entropy_from_eigenvalues(dec.weights)
-                            + float(dec.weights @ dec.entropies)),
+            coarse_entropy=entropy_from_eigenvalues(dec.weights) + float(dec.weights @ entropies),
         ))
     return rows

@@ -388,6 +388,15 @@ def test_reduce_and_its_readers_run_one_eigvalsh_per_multi_member_shell(monkeypa
     assert sorted(sizes) == sorted(len(rows) for rows in _shell_rows(BASIS) if len(rows) > 1)
 
 
+def test_reduce_fields_are_read_only():
+    # shell_entropies hands out dec.entropies itself, so a write must not reach dec
+    dec = reduce(random_density_matrix(BASIS.size, np.random.default_rng(12)), BASIS)
+    for field in ("weights", "entropies", "rank_one", "purities"):
+        assert not getattr(dec, field).flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        shell_entropies(dec)[0] = 1.0
+
+
 def test_reduce_is_idempotent():
     rho = random_density_matrix(BASIS.size, np.random.default_rng(13))
     block_diag = _block_diagonal(rho.matrix, BASIS)
@@ -395,8 +404,9 @@ def test_reduce_is_idempotent():
         np.testing.assert_array_equal(b1, b2)
     # the block-diagonal part is a state, and reducing it changes nothing
     once, again = reduce(rho, BASIS), reduce(DensityMatrix(block_diag), BASIS)
-    for field in ("weights", "entropies", "purities"):
-        np.testing.assert_allclose(getattr(again, field), getattr(once, field), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(again.weights, once.weights, rtol=0, atol=1e-14)
+    for field in ("entropies", "purities"):
+        np.testing.assert_allclose(getattr(again, field), getattr(once, field), rtol=0, atol=1e-14)
     np.testing.assert_array_equal(again.rank_one, once.rank_one)
 
 
