@@ -2,16 +2,18 @@
 """Print one sha256 line per deterministic output of lelab, so that two
 checkouts can be compared output by output:
 
-- the CSV of each built-in demo;
+- the CSV and summary JSON of each built-in demo;
 - the stdout of ``lelab check``;
-- ``trace.csv`` of the cubic-yukawa, line-long and classical-kick benchmark
-  configs at seed 0 and their benchmark sizes, built by
-  ``perfbench/workloads.make_config``;
+- ``trace.csv`` and ``summary.json`` of the cubic-yukawa, line-long and
+  classical-kick benchmark configs at seed 0 and their benchmark sizes,
+  built by ``perfbench/workloads.make_config``;
 - the JSON of ``perfbench/bohr_driver.drive`` at cubic M = 1 and 3, for
   seeds 0 and 7.
 
-Each line is ``<sha256>  <name>``, sorted by name.  With ``--out-dir`` the
-outputs are kept there under those names, for a cell-by-cell comparison.
+Each summary is rewritten without its ``wall_time_s``, the one value that
+differs between reruns, before it is hashed.  Each line is
+``<sha256>  <name>``, sorted by name.  With ``--out-dir`` the outputs are
+kept there under those names, for a cell-by-cell comparison.
 
 Usage: PYTHONPATH=src python scripts/output_digests.py [--out-dir DIR]
 """
@@ -55,11 +57,17 @@ def write_outputs(out: Path) -> None:
     if code != 0:
         raise SystemExit(f"lelab check exited {code}")
     (out / "check.txt").write_text(stdout.getvalue())
+    for path in out.glob("*/*summary.json"):
+        summary = json.loads(path.read_text())
+        del summary["wall_time_s"]
+        path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def digests(out: Path) -> list[str]:
-    """``<sha256>  <name>`` of the check output, the CSVs and the driver JSON."""
-    files = [out / "check.txt", *out.glob("*/*.csv"), *out.glob("*.json")]
+    """``<sha256>  <name>`` of the check output, the CSVs, the summaries and the
+    driver JSON."""
+    files = [out / "check.txt", *out.glob("*/*.csv"), *out.glob("*/*summary.json"),
+             *out.glob("*.json")]
     names = sorted(p.relative_to(out).as_posix() for p in files)
     return [f"{hashlib.sha256((out / n).read_bytes()).hexdigest()}  {n}" for n in names]
 

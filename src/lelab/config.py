@@ -381,6 +381,7 @@ def _check_scales(lattice, basis: MomentumBasis | None, potential, t_max: float,
         mu3 = mu * mu * mu
         v_max = 4 * math.pi * potential.coupling / mu3 if mu3 > 0 else math.inf
         e_max = float(basis.shells.energies[-1])  # max|n|^2 delta_k^2, inf if it overflowed
+        bound = e_max + n * v_max  # bounds ||H|| and ||v||
         scales = [
             ("potential.mu", "the largest Yukawa element 4 pi A / mu^3", v_max),
             # |k - k'|^2 <= 4 max|k|^2 bounds every transfer build_hamiltonian forms
@@ -388,8 +389,11 @@ def _check_scales(lattice, basis: MomentumBasis | None, potential, t_max: float,
              "4 max|n|^2 delta_k^2,", 4 * e_max),
             ("potential.mu", "the Yukawa denominator mu (|k|^2 + mu^2), at most "
              "mu (4 max|n|^2 delta_k^2 + mu^2),", mu * (4 * e_max + mu * mu)),
+            # alpha0_flow's ||H B||^2 and kappa = ||[v, rho0]||_F^2 <= 4 ||v||^2, tr rho0 = 1
+            ("lattice.delta_k" if e_max >= n * v_max else "potential.mu",
+             "the squared bound 4 (max|n|^2 delta_k^2 + n 4 pi A / mu^3)^2", 4 * bound * bound),
             ("time_grid.t_max", "the bound t_max (max|n|^2 delta_k^2 + n 4 pi A / mu^3) "
-             "on |E| t", t_max * (e_max + n * v_max)),
+             "on |E| t", t_max * bound),
         ]
     for path, what, value in scales:
         if not math.isfinite(value):

@@ -217,15 +217,17 @@ class Hamiltonian:
         return Propagator.from_hamiltonian(self)
 
 
-def _yukawa(d2: np.ndarray, delta_k: float, coupling: float, screening: float) -> np.ndarray:
-    """Vt(k) = 4 pi A / (mu (|k|^2 + mu^2)) at |k|^2 = ``d2`` delta_k^2, d2 integer."""
-    k2 = d2 * delta_k**2
-    return 4.0 * np.pi * coupling / (screening * (k2 + screening * screening))
-
-
-def _difference_norms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """|p_i - q_j|^2 in exact integers, without an (n, m, 3) difference array."""
-    return (p * p).sum(axis=1)[:, None] + (q * q).sum(axis=1)[None, :] - 2 * (p @ q.T)
+def _yukawa(p, q, delta_k: float, coupling: float, screening: float) -> np.ndarray:
+    """Vt(k) = 4 pi A / (mu (|k|^2 + mu^2)) at k = (p_i - q_j) delta_k in one float array; the
+    integer |p_i - q_j|^2 = |p_i|^2 + |q_j|^2 - 2 p_i.q_j < 2**53 is formed exactly."""
+    k2 = p.astype(float) @ q.T.astype(float)
+    k2 *= -2.0
+    k2 += (p * p).sum(axis=1)[:, None]
+    k2 += (q * q).sum(axis=1)
+    k2 *= delta_k**2
+    k2 += screening * screening
+    k2 *= screening
+    return np.divide(4.0 * np.pi * coupling, k2, out=k2)
 
 
 def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -> Hamiltonian:
@@ -254,7 +256,7 @@ def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -
     dk = basis.delta_k
     group, reps, sizes, characters, orbits = _sign_flips(basis.points)
     signs = [np.where((int(u) & _BITS) > 0, -1, 1) for u in group]
-    kernels = [_yukawa(_difference_norms(reps, reps * s), dk, coupling, screening) for s in signs]
+    kernels = [_yukawa(reps, reps * s, dk, coupling, screening) for s in signs]
     root = np.sqrt(sizes)  # 1 or 2^j sqrt(2): the two scalings below commute exactly
     energies = (reps * reps).sum(axis=1) * (dk * dk)  # as basis.energies
     blocks = []
@@ -274,8 +276,7 @@ def build_hamiltonian(basis: MomentumBasis, coupling: float, screening: float) -
         blocks.append(_frozen(hb))
 
     def dense_v() -> np.ndarray:
-        p = basis.points
-        return _yukawa(_difference_norms(p, p), dk, coupling, screening)
+        return _yukawa(basis.points, basis.points, dk, coupling, screening)
 
     return Hamiltonian._from_blocks(basis.energies, tuple(blocks), orbits, dense_v)
 

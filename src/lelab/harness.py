@@ -46,10 +46,6 @@ def worker_count() -> int:
     return 1
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x) + 0.0)  # + 0.0 normalizes -0.0
-
-
 @record(by_value=True)
 class RunSummary:
     """Run outcome; identical across reruns except for wall_time_s.  A final
@@ -150,10 +146,14 @@ def _passes(margin: dict) -> bool:
     return margin["measured"] <= margin["tolerance"]  # written so that NaN fails
 
 
+def _cells(row) -> list[str]:
+    return list(map(repr, (np.asarray(row, dtype=float) + 0.0).tolist()))  # + 0.0: no -0.0
+
+
 def _quantum_line(r: reduction.TraceRow):
-    cells = [_fmt(r.t), _fmt(r.effective_entropy), _fmt(r.global_entropy), _fmt(r.purity),
-             str(int(r.effectively_pure)), *map(_fmt, r.shell_entropies),
-             _fmt(r.alpha0_purity), _fmt(r.coarse_entropy)]
+    cells = _cells(np.concatenate(([r.t, r.effective_entropy, r.global_entropy, r.purity],
+                                   r.shell_entropies, [r.alpha0_purity, r.coarse_entropy])))
+    cells.insert(4, str(int(r.effectively_pure)))
     return cells, (r.effective_entropy, r.purity, r.effectively_pure, r.alpha0_purity,
                    r.global_entropy - r.coarse_entropy,  # pinching never lowers entropy
                    -math.log(r.alpha0_purity) - r.coarse_entropy)  # nor below -ln P0
@@ -202,7 +202,7 @@ def _run_classical(cfg: ExperimentConfig, fh) -> dict:
     rho0 = koopman.single_p_row_density(cfg.lattice, cfg.initial_state.p0)
     kick = cfg.potential
     grad_v = koopman.kick_gradient(kick.shape)
-    fold = _Fold(fh, ["t", "S_classical", "mass"], lambda row: (map(_fmt, row), row[1:]))
+    fold = _Fold(fh, ["t", "S_classical", "mass"], lambda row: (_cells(row), row[1:]))
 
     # Each output time is reached by one exact flow from an anchor state
     # (initial, or post-kick), so interpolation diffusion never compounds.

@@ -13,8 +13,8 @@ Transport is semi-Lagrangian with linear interpolation: per p-row (flow)
 or per q-column (kick) the shift is constant, so the scheme preserves
 nonnegativity and conserves mass up to p-boundary truncation; the free
 flow also keeps the p-marginal.  Each kernel copies its integer shifts
-into work blocks of about 2**16 cells (``_record._row_blocks``), with
-at most two slices per row, and blends with whole-array numpy, doing
+into work blocks of about 2**16 cells (``_record._row_blocks``), by two
+slices per flow row or one scatter per kick block, and blends, doing
 per element exactly the arithmetic of a one-row-at-a-time ``np.roll``
 scheme, so the output is bit-identical to that scheme.
 
@@ -266,9 +266,9 @@ def apply_kick(
     w * c[j + k + 1]``, zero where the index leaves the grid.  Only cells
     that read the support span [lo, hi) can be nonzero, so only the output
     window [lo - max k - 1, hi - min k), clipped to the grid, is
-    allocated and written.  For each block of q columns, one slice copy
-    per column fills a (columns, window + 1) buffer whose first and last
-    ``window`` entries per q are the two shifted columns.
+    allocated and written.  For each block of q columns, one scatter of
+    the support window fills a (columns, window + 1) buffer whose first
+    and last ``window`` entries per q are the two shifted columns.
 
     The backtraced p must stay on the grid; mass pushed past the p
     boundary is dropped, and the resulting mass defect trips the
@@ -295,12 +295,10 @@ def apply_kick(
     n = max(0, min(grid.n_p, hi - int(k.min())) - out_lo)
     out = np.empty((grid.nq, n))
     for r in _row_blocks(grid.nq, n + 1):
-        e = np.zeros((len(w[r]), n + 1))
-        for dst, src, s in zip(e, rho._window[r], (k[r] + out_lo).tolist()):
-            # dst[x] = values[i, x + s], read only inside the support span
-            x0, x1 = max(0, lo - s), min(n + 1, hi - s)
-            if x0 < x1:
-                dst[x0:x1] = src[x0 + s - lo : x1 + s - lo]
+        x = np.arange(lo, hi) - (k[r] + out_lo)[:, None]  # where cell j of row i lands
+        keep = (x >= 0) & (x <= n)
+        e = np.zeros((len(x), n + 1))
+        e[keep.nonzero()[0], x[keep]] = rho._window[r][keep]
         np.multiply(e[:, 1:], w[r], out=out[r])
         a = e[:, :n]
         a *= 1.0 - w[r]

@@ -10,6 +10,7 @@ from lelab.dynamics import (
     Hamiltonian,
     Propagator,
     _sign_flips,
+    _yukawa,
     build_hamiltonian,
     commutator_superoperator,
     liouvillian_superoperator,
@@ -85,6 +86,24 @@ def test_yukawa_fourier_closed_form():
     assert v(2.0, 1.0, (1, 1, 1)) == pytest.approx(2 * np.pi)
     assert v(1.0, 2.0, (0, 0, 0)) == pytest.approx(np.pi / 2)
     assert v(0.5, 2.0, (1, 1, 0)) == pytest.approx(4 * np.pi * 0.5 / (2.0 * (2.0 + 4.0)))
+
+
+@pytest.mark.parametrize("basis", [build_basis_1d(4096, 0.37), build_basis(10, 0.37),
+                                   build_basis(2, 1.0)], ids=["line-cap", "cubic-cap", "cubic-2"])
+@pytest.mark.parametrize("coupling,screening", [(0.3, 1.0), (5.0, 1e-3), (0.0, 2.0), (0.7, 1e4)])
+def test_yukawa_kernel_is_the_integer_formula_bit_for_bit(basis, coupling, screening):
+    # every point against a few columns, signs flipped as the symmetry blocks
+    # flip them; at the line cap |n|^2 reaches 4096^2 = 1.7e7
+    p = basis.points
+    q = np.concatenate([p[[0, len(p) // 2, len(p) - 1]], -p[[0, len(p) - 1]],
+                        p[[len(p) - 1]] * [-1, 1, -1]])
+    d2 = ((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)  # |p_i - q_j|^2 in int64
+    assert d2.dtype == np.int64 and d2.max() < 2**53
+    dk = basis.delta_k
+    want = 4.0 * np.pi * coupling / (screening * (d2 * dk**2 + screening * screening))
+    got = _yukawa(p, q, dk, coupling, screening)
+    assert got.dtype == np.float64 and got.shape == (len(p), len(q))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_yukawa_fourier_positive_and_decaying():

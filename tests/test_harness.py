@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import io
 import json
 import math
@@ -6,11 +7,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lelab import cli, config, dynamics, harness, reduction
 from lelab.config import validate_config
@@ -557,6 +562,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("lattice.delta_k", {"lattice": {"M": 1, "delta_k": 1e200}}),
     # the largest energy 3 delta_k^2 is finite, the largest transfer 12 delta_k^2 is not
     ("lattice.delta_k", {"lattice": {"M": 1, "delta_k": 4e153}}),
+    # the squared bound 4 (max|n|^2 delta_k^2 + n 4 pi A / mu^3)^2 overflows: each
+    # used to pass its checks with "kappa": NaN in summary.json, and to die of an
+    # overflow in alpha0_flow's matmul under -W error::RuntimeWarning
+    ("potential.mu", {"lattice": {"N": 2, "delta_k": 1.0}, "potential": {"A": 5.0, "mu": 1e-100},
+                      "time_grid": {"t_max": 100.0, "steps": 1}}),
+    ("lattice.delta_k", {"lattice": {"M": 2, "delta_k": 1e150},
+                         "initial_state": {"kind": "shell-mixed", "shell": 3}}),
     ("time_grid.t_max", {
         "mode": "classical",
         "lattice": {"nq": 16, "np": 16, "dq": 0.1, "dp": 0.1},
@@ -583,6 +595,42 @@ def test_cli_refuses_what_used_to_fail_mid_run(tmp_path, capsys, field, change):
     assert line.startswith(f"config error: {field}: ")
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
+
+def _strict_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+_SCALE = st.floats(-150.0, 150.0).map(lambda e: 10.0**e)  # log-uniform over 1e-150..1e150
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lattice=st.one_of(st.fixed_dictionaries({"M": st.integers(0, 1), "delta_k": _SCALE}),
+                         st.fixed_dictionaries({"N": st.integers(1, 4), "delta_k": _SCALE})),
+       coupling=_SCALE, screening=_SCALE, t_max=_SCALE,
+       state=st.sampled_from([{"kind": "pure-random", "seed": 3},
+                              {"kind": "effectively-pure-mixed", "seed": 7},
+                              {"kind": "shell-mixed", "shell": 0}]))
+def test_every_scale_is_refused_or_runs_to_a_strict_summary(lattice, coupling, screening, t_max,
+                                                            state):
+    # any finite scales: refused up front, or a run with no RuntimeWarning
+    # that exits 0 or 3 and whose summary holds no NaN or Infinity
+    raw = {"mode": "quantum", "lattice": lattice, "potential": {"A": coupling, "mu": screening},
+           "initial_state": state, "time_grid": {"t_max": t_max, "steps": 2}}
+    try:
+        validate_config(json.dumps(raw))
+    except (ConfigError, DimensionCapError):
+        return
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cfg_path = Path(tmp) / "exp.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert code in (0, 3), raw
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=_strict_constant)
+        assert summary["all_checks_pass"] == (code == 0), raw
 
 
 def test_cli_refuses_deeply_nested_json(tmp_path, capsys):

@@ -676,3 +676,21 @@ def test_run_writes_the_same_csv_bytes_with_the_oracle_kernels(tmp_path, monkeyp
     kernels = (tmp_path / "kernels" / "trace.csv").read_bytes()
     assert kernels == (tmp_path / "oracles" / "trace.csv").read_bytes()
     assert len(kernels.splitlines()) == 12
+
+
+def test_kick_keeps_row_on_grid_holds_at_both_inclusive_bounds_and_no_further():
+    grid = koopman.PhaseSpaceGrid(nq=4, n_p=8, dq=2 * np.pi / 4, dp=1.0)
+    row = 5
+
+    def keeps(offsets):  # strength 1 and dp 1: the offset is V' itself
+        return koopman.kick_keeps_row_on_grid(grid, row, lambda q: np.array(offsets), 1.0)
+
+    top, bottom = float(row), float(row - (grid.n_p - 1))  # rows 0 and n_p - 1
+    assert keeps([top, bottom, 0.0, 1.0])
+    assert keeps([top, top, top, top]) and keeps([bottom] * 4)
+    assert not keeps([np.nextafter(top, np.inf), bottom, 0.0, 1.0])
+    assert not keeps([top, np.nextafter(bottom, -np.inf), 0.0, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        assert not keeps([top, bottom, bad, 1.0])
+    # a finite V' whose offset strength * V' / dp overflows keeps nothing either
+    assert not koopman.kick_keeps_row_on_grid(grid, row, lambda q: np.full(4, 1e300), 1e300)

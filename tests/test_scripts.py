@@ -53,9 +53,14 @@ def test_output_digests_name_every_output_with_the_sha256_of_its_bytes(tmp_path,
     names = [line.split("  ")[1] for line in lines]
     assert names == sorted(
         ["check.txt", "classical-kick/trace.csv", "cubic-yukawa/trace.csv", "line-long/trace.csv"]
-        + [f"demo/{name}.csv" for name in ("classical-kick", "free-invariance", "nondegenerate",
-                                          "yukawa-mixing")]
+        + [f"{w}/summary.json" for w in ("classical-kick", "cubic-yukawa", "line-long")]
+        + [f"demo/{name}{ext}" for name in ("classical-kick", "free-invariance", "nondegenerate",
+                                           "yukawa-mixing") for ext in (".csv", ".summary.json")]
         + [f"bohr-M{m}-seed{seed}.json" for m in (1, 3) for seed in (0, 7)])
     for line, name in zip(lines, names):
         assert line.split("  ")[0] == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    for name in names:
+        if name.endswith("summary.json"):  # hashed without the one value reruns change
+            summary = json.loads((tmp_path / name).read_text())
+            assert "wall_time_s" not in summary and "all_checks_pass" in summary
     assert (tmp_path / "check.txt").read_text().startswith("ok   purity_conserved\n")
