@@ -562,13 +562,6 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("lattice.delta_k", {"lattice": {"M": 1, "delta_k": 1e200}}),
     # the largest energy 3 delta_k^2 is finite, the largest transfer 12 delta_k^2 is not
     ("lattice.delta_k", {"lattice": {"M": 1, "delta_k": 4e153}}),
-    # the squared bound 4 (max|n|^2 delta_k^2 + n 4 pi A / mu^3)^2 overflows: each
-    # used to pass its checks with "kappa": NaN in summary.json, and to die of an
-    # overflow in alpha0_flow's matmul under -W error::RuntimeWarning
-    ("potential.mu", {"lattice": {"N": 2, "delta_k": 1.0}, "potential": {"A": 5.0, "mu": 1e-100},
-                      "time_grid": {"t_max": 100.0, "steps": 1}}),
-    ("lattice.delta_k", {"lattice": {"M": 2, "delta_k": 1e150},
-                         "initial_state": {"kind": "shell-mixed", "shell": 3}}),
     ("time_grid.t_max", {
         "mode": "classical",
         "lattice": {"nq": 16, "np": 16, "dq": 0.1, "dp": 0.1},
@@ -585,6 +578,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     # run used to write a CSV whose shell columns were all named S_E_0
     ("lattice.delta_k", {"lattice": {"M": 1, "delta_k": 1e-170}}),
     ("lattice.delta_k", {"lattice": {"N": 16, "delta_k": 1e-170}}),
+    # the squared bound 4 (max|n|^2 delta_k^2 + n 4 pi A / mu^3)^2 overflows: each
+    # used to pass its checks with "kappa": NaN in summary.json, and to die of an
+    # overflow in alpha0_flow's matmul under -W error::RuntimeWarning
+    ("potential.mu", {"lattice": {"N": 2, "delta_k": 1.0}, "potential": {"A": 5.0, "mu": 1e-100},
+                      "time_grid": {"t_max": 100.0, "steps": 1}}),
+    ("lattice.delta_k", {"lattice": {"M": 2, "delta_k": 1e150},
+                         "initial_state": {"kind": "shell-mixed", "shell": 3}}),
 ])
 def test_cli_refuses_what_used_to_fail_mid_run(tmp_path, capsys, field, change):
     cfg_path = tmp_path / "exp.json"
