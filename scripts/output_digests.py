@@ -15,6 +15,13 @@ differs between reruns, before it is hashed.  Each line is
 ``<sha256>  <name>``, sorted by name.  With ``--out-dir`` the outputs are
 kept there under those names, for a cell-by-cell comparison.
 
+Two runs under the same BLAS thread variables (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``) print the same lines, but some digests move with the
+thread count: with one thread, ``bohr-M3-seed0.json``,
+``bohr-M3-seed7.json``, ``line-long/trace.csv`` and
+``line-long/summary.json`` differ from the default threads on a 2-CPU
+machine.  Compare two commits only under one thread setting.
+
 Usage: PYTHONPATH=src python scripts/output_digests.py [--out-dir DIR]
 """
 

@@ -41,20 +41,20 @@ from .errors import ConfigError, DimensionCapError, StateValidationError
 # 32 B per cell, so this cap of 2048^2 cells bounds a run near 0.16 GB.
 MAX_GRID_CELLS = 1 << 22
 # Each step is one CSV row.  A run streams its rows to the CSV and keeps none,
-# so this cap bounds only the file: (steps + 1) rows of the
-# QUANTUM_HEAD_COLUMNS, one S_E column per shell and the QUANTUM_TAIL_COLUMNS,
-# cells of at most 25 B, 0.25 GB.  Line N = 1024 at 9698 steps, at the cell
-# cap, peaks at 83 MB, as at 4 steps (148 MB when a run kept its rows).
+# so this cap bounds only the file: (steps + 1) rows of the QUANTUM_COLUMNS,
+# S_E_<energy> standing for n_shells of them, cells of at most 25 B, 0.25 GB.
+# Line N = 1024 at 9698 steps, at the cell cap, peaks at 83 MB, as at 4 steps
+# (148 MB when a run kept its rows).
 MAX_STEPS = 100_000
 MAX_TRACE_CELLS = 10_000_000
-# A quantum trace's CSV columns around its per-shell S_E_<energy> ones; the
-# harness writes them, and the cell cap counts them.
-QUANTUM_HEAD_COLUMNS = ("t", "S_eff", "S_global", "tr_rho2", "effectively_pure")
-QUANTUM_TAIL_COLUMNS = ("P0", "S_cg")
-
-QUANTUM_STATE_KINDS = ("pure-random", "effectively-pure-mixed", "shell-mixed")
-CLASSICAL_STATE_KINDS = ("single-p-row",)
-KICK_SHAPES = ("cos", "sin")
+# A trace's CSV columns in order.  Each quantum column is written from the
+# reduction.TraceRow field it maps to, shell_entropies giving the S_E_<energy>
+# columns, one per shell; a classical row is (t, S_classical, mass).
+QUANTUM_COLUMNS = {"t": "t", "S_eff": "effective_entropy", "S_global": "global_entropy",
+                   "tr_rho2": "purity", "effectively_pure": "effectively_pure",
+                   "S_E_<energy>": "shell_entropies", "P0": "alpha0_purity",
+                   "S_cg": "coarse_entropy"}
+CLASSICAL_COLUMNS = ("t", "S_classical", "mass")
 
 
 @record(by_value=True)
@@ -173,15 +173,18 @@ class _Collector:
             return None
         return dict(v)
 
-    def field(self, obj: dict, section: str, key: str, kind: type, *, required=True,
-              default=None, minimum=None, exclusive_minimum=None, choices=None):
-        """Pop ``obj[key]`` as ``kind``, or record why it cannot be read and return ``default``."""
+    def field(self, obj: dict, section: str, key: str, kind, *, required=True, minimum=None,
+              exclusive_minimum=None, choices=None):
+        """Pop ``obj[key]`` as ``kind``, a type of ``_TYPES`` or a reader
+        ``kind(value, path, collector)``, or record why it cannot be read and return None."""
         path = f"{section}.{key}" if section else key
         if key not in obj:
             if required:
                 self.error(path, "required field is missing")
-            return default
+            return None
         v = obj.pop(key)
+        if kind not in _TYPES:
+            return kind(v, path, self)
         accepts, expected = _TYPES[kind]
         if not accepts(v):
             self.error(path, expected)
@@ -193,155 +196,144 @@ class _Collector:
             self.error(path, f"must be one of {list(choices)}, got {v!r}")
         else:
             return kind(v)
-        return default
+        return None
 
-    def reject_unknown(self, obj: dict, path: str):
+    def fields(self, obj: dict, section: str, table) -> dict:
+        """Pop the fields of ``table`` in order, then refuse the keys left; key -> value."""
+        values = {key: self.field(obj, section, key, kind, **kw) for key, kind, kw in table}
         for key in sorted(obj):
-            self.error(f"{path}.{key}" if path else key, "unknown field")
+            self.error(f"{section}.{key}" if section else key, "unknown field")
+        return values
 
 
-# Lattice key -> (class, smallest value).
-_QUANTUM_LATTICES = {"M": (CubicLattice, 0), "N": (LineLattice, 1)}
+def _shell_list(v, path: str, chk: _Collector):
+    if not isinstance(v, list) or len(v) < 1 or not all(_is_int(x) and x >= 0 for x in v):
+        chk.error(path, "expected a list of shell indices >= 0")
+    elif len(set(v)) != len(v):
+        chk.error(path, "shell indices must be distinct")
+    else:
+        return tuple(int(x) for x in v)
+    return None
+
+
+def _mu_matrix(value, path: str, chk: _Collector):
+    if not isinstance(value, list) or not value:
+        chk.error(path, "expected a non-empty square matrix (list of rows)")
+        return None
+    n = len(value)
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != n or not all(map(_is_number, row)):
+            chk.error(f"{path}[{i}]", f"expected a row of {n} finite numbers")
+            return None
+    mu = tuple(tuple(map(float, row)) for row in value)
+    try:
+        states.density_factor(np.array(mu), "matrix")
+    except StateValidationError as err:
+        chk.error(path, str(err))
+        return None
+    return mu
+
+
+def _file_name(v, path: str, chk: _Collector):
+    """A non-empty string, kept when it is not a plain file name for the distinct-names rule."""
+    accepts, expected = _TYPES[str]
+    if not accepts(v):
+        chk.error(path, expected)
+        return None
+    if v in (".", "..") or any(c in v for c in "/\\\0"):
+        chk.error(path, f"must be a plain file name, got {v!r}")
+    return v
+
+
+# Each record's fields, in its field order: (JSON key, type, _Collector.field
+# keywords).  A lattice variant is picked by a key of its own (not delta_k).
+_POSITIVE = {"exclusive_minimum": 0.0}
+_DELTA_K = ("delta_k", float, _POSITIVE)
+_LATTICES = {
+    CubicLattice: (("M", int, {"minimum": 0}), _DELTA_K),
+    LineLattice: (("N", int, {"minimum": 1}), _DELTA_K),
+    ClassicalGrid: (("nq", int, {"minimum": 1}), ("np", int, {"minimum": 2}),
+                    ("dq", float, _POSITIVE), ("dp", float, _POSITIVE)),
+}
+_POTENTIALS = {
+    YukawaConfig: (("A", float, {"minimum": 0.0}), ("mu", float, _POSITIVE)),
+    KickConfig: (("kick_strength", float, {}),
+                 ("kick_shape", str, {"choices": koopman.KICK_GRADIENTS}),
+                 ("kick_time", float, {"required": False, "minimum": 0.0})),
+}
+_SEED = ("seed", int, {"minimum": 0})
+# Initial-state kind -> (the mode it belongs to, its fields).
+_STATE_KINDS = {
+    "pure-random": ("quantum", (_SEED,)),
+    "effectively-pure-mixed": ("quantum", (_SEED, ("shells", _shell_list, {"required": False}),
+                                           ("mu", _mu_matrix, {"required": False}))),
+    "shell-mixed": ("quantum", (("shell", int, {"minimum": 0}),)),
+    "single-p-row": ("classical", (("p0", float, {}),)),
+}
+_TIME_GRID = (("t_max", float, _POSITIVE), ("steps", int, {"minimum": 1}))
+_OUTPUTS = (("csv", _file_name, {"required": False}), ("summary", _file_name, {"required": False}))
+
+
+def _build(cls, values: dict):
+    """``cls`` of the values in field order, or None when one did not read."""
+    return None if None in values.values() else cls(*values.values())
 
 
 def _parse_lattice(raw: dict, mode: str | None, chk: _Collector):
     obj = chk.object(raw, "lattice")
     if obj is None:
         return None
-    key = next((k for k in _QUANTUM_LATTICES if k in obj), None)
-    if key is not None:
-        cls, minimum = _QUANTUM_LATTICES[key]
-        size = chk.field(obj, "lattice", key, int, minimum=minimum)
-        delta_k = chk.field(obj, "lattice", "delta_k", float, exclusive_minimum=0.0)
-        chk.reject_unknown(obj, "lattice")
+    cls = next((c for c, table in _LATTICES.items()
+                if any(key in obj for key, _, _ in table if key != "delta_k")), None)
+    if cls is None:
+        chk.error("lattice", "must contain M (cubic), N (line) or nq/np/dq/dp (classical)")
+        return None
+    values = chk.fields(obj, "lattice", _LATTICES[cls])
+    if cls is not ClassicalGrid:
         if mode == "classical":
             chk.error("lattice", "classical mode needs a grid {nq, np, dq, dp}")
-        return None if size is None or delta_k is None else cls(size, delta_k)
-    if any(k in obj for k in ("nq", "np", "dq", "dp")):
-        nq = chk.field(obj, "lattice", "nq", int, minimum=1)
-        n_p = chk.field(obj, "lattice", "np", int, minimum=2)
-        dq = chk.field(obj, "lattice", "dq", float, exclusive_minimum=0.0)
-        dp = chk.field(obj, "lattice", "dp", float, exclusive_minimum=0.0)
-        chk.reject_unknown(obj, "lattice")
-        if n_p is not None and n_p % 2 != 0:
-            chk.error("lattice.np", "must be even (the p grid straddles zero)")
-            return None
-        if mode == "quantum":
-            chk.error("lattice", "quantum mode needs {M, delta_k} or {N, delta_k}")
-        if None in (nq, n_p, dq, dp):
-            return None
-        return ClassicalGrid(nq=nq, n_p=n_p, dq=dq, dp=dp)
-    chk.error("lattice", "must contain M (cubic), N (line) or nq/np/dq/dp (classical)")
-    return None
+    elif values["np"] is not None and values["np"] % 2 != 0:
+        chk.error("lattice.np", "must be even (the p grid straddles zero)")
+        return None
+    elif mode == "quantum":
+        chk.error("lattice", "quantum mode needs {M, delta_k} or {N, delta_k}")
+    return _build(cls, values)
 
 
 def _parse_potential(raw: dict, mode: str | None, t_max: float | None, chk: _Collector):
     obj = chk.object(raw, "potential")
     if obj is None:
         return None
-    if mode == "classical" or (mode is None and "kick_strength" in obj):
-        strength = chk.field(obj, "potential", "kick_strength", float)
-        shape = chk.field(obj, "potential", "kick_shape", str, choices=KICK_SHAPES)
-        time = chk.field(obj, "potential", "kick_time", float, required=False, minimum=0.0)
-        chk.reject_unknown(obj, "potential")
-        if strength is None or shape is None:
-            return None
-        if time is None:
-            time = (t_max or 0.0) / 2.0
-        return KickConfig(strength=strength, shape=shape, time=time)
-    coupling = chk.field(obj, "potential", "A", float, minimum=0.0)
-    screening = chk.field(obj, "potential", "mu", float, exclusive_minimum=0.0)
-    chk.reject_unknown(obj, "potential")
-    if coupling is None or screening is None:
-        return None
-    return YukawaConfig(coupling=coupling, screening=screening)
-
-
-def _parse_mu_matrix(value, path: str, chk: _Collector):
-    if not isinstance(value, list) or not value:
-        chk.error(path, "expected a non-empty square matrix (list of rows)")
-        return None
-    n = len(value)
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != n or not all(_is_number(x) for x in row):
-            chk.error(f"{path}[{i}]", f"expected a row of {n} finite numbers")
-            return None
-        rows.append(tuple(float(x) for x in row))
-    try:
-        states.density_factor(np.array(rows), "matrix")
-    except StateValidationError as err:
-        chk.error(path, str(err))
-        return None
-    return tuple(rows)
+    kick = mode == "classical" or (mode is None and "kick_strength" in obj)
+    values = chk.fields(obj, "potential", _POTENTIALS[KickConfig if kick else YukawaConfig])
+    if kick and values["kick_time"] is None:
+        values["kick_time"] = (t_max or 0.0) / 2.0
+    return _build(KickConfig if kick else YukawaConfig, values)
 
 
 def _parse_initial_state(raw: dict, mode: str | None, chk: _Collector):
     obj = chk.object(raw, "initial_state")
     if obj is None:
         return None
-    all_kinds = QUANTUM_STATE_KINDS + CLASSICAL_STATE_KINDS
-    kind = chk.field(obj, "initial_state", "kind", str, choices=all_kinds)
-    if kind is None:
-        chk.reject_unknown(obj, "initial_state")
-        return None
-    if mode == "quantum" and kind not in QUANTUM_STATE_KINDS:
-        chk.error("initial_state.kind", f"{kind!r} is not a quantum state kind")
-    if mode == "classical" and kind not in CLASSICAL_STATE_KINDS:
-        chk.error("initial_state.kind", f"{kind!r} is not a classical state kind")
-
-    seed = shell = shells = mu = p0 = None
-    if kind in ("pure-random", "effectively-pure-mixed"):
-        seed = chk.field(obj, "initial_state", "seed", int, minimum=0)
-    if kind == "effectively-pure-mixed":
-        if "shells" in obj:
-            v = obj.pop("shells")
-            if (not isinstance(v, list) or len(v) < 1
-                    or not all(_is_int(x) and x >= 0 for x in v)):
-                chk.error("initial_state.shells", "expected a list of shell indices >= 0")
-            elif len(set(v)) != len(v):
-                chk.error("initial_state.shells", "shell indices must be distinct")
-            else:
-                shells = tuple(int(x) for x in v)
-        if "mu" in obj:
-            mu = _parse_mu_matrix(obj.pop("mu"), "initial_state.mu", chk)
-            if mu is not None and shells is not None and len(mu) != len(shells):
-                chk.error("initial_state.mu", f"size {len(mu)} does not match {len(shells)} shells")
-    elif kind == "shell-mixed":
-        shell = chk.field(obj, "initial_state", "shell", int, minimum=0)
-    elif kind == "single-p-row":
-        p0 = chk.field(obj, "initial_state", "p0", float)
-    chk.reject_unknown(obj, "initial_state")
-    return InitialStateConfig(kind=kind, seed=seed, shell=shell, shells=shells, mu=mu, p0=p0)
-
-
-def _parse_time_grid(raw: dict, chk: _Collector):
-    obj = chk.object(raw, "time_grid")
-    if obj is None:
-        return None
-    t_max = chk.field(obj, "time_grid", "t_max", float, exclusive_minimum=0.0)
-    steps = chk.field(obj, "time_grid", "steps", int, minimum=1)
-    chk.reject_unknown(obj, "time_grid")
-    if t_max is None or steps is None:
-        return None
-    return TimeGridConfig(t_max=t_max, steps=steps)
+    kind = chk.field(obj, "initial_state", "kind", str, choices=_STATE_KINDS)
+    kind_mode, table = _STATE_KINDS.get(kind, (mode, ()))
+    if mode is not None and kind_mode != mode:
+        chk.error("initial_state.kind", f"{kind!r} is not a {mode} state kind")
+    values = chk.fields(obj, "initial_state", table)
+    shells, mu = values.get("shells"), values.get("mu")
+    if mu is not None and shells is not None and len(mu) != len(shells):
+        chk.error("initial_state.mu", f"size {len(mu)} does not match {len(shells)} shells")
+    return None if kind is None else InitialStateConfig(kind=kind, **values)
 
 
 def _parse_outputs(raw: dict, chk: _Collector):
     """Two distinct plain file names, written inside the run's output directory."""
-    obj = chk.object(raw, "outputs") if "outputs" in raw else {}
-    if obj is None:
-        return OutputsConfig()
-    names = {}
-    for key, default in (("csv", "trace.csv"), ("summary", "summary.json")):
-        name = chk.field(obj, "outputs", key, str, required=False, default=default)
-        if name in (".", "..") or any(c in name for c in "/\\\0"):
-            chk.error(f"outputs.{key}", f"must be a plain file name, got {name!r}")
-        names[key] = name
-    chk.reject_unknown(obj, "outputs")
-    if names["csv"] == names["summary"]:
-        chk.error("outputs.summary", f"must differ from outputs.csv, both are {names['csv']!r}")
-    return OutputsConfig(**names)
+    obj = chk.object(raw, "outputs") if "outputs" in raw else None  # None: the default names
+    values = chk.fields(obj or {}, "outputs", _OUTPUTS)
+    outputs = OutputsConfig(**{key: name for key, name in values.items() if name is not None})
+    if outputs.csv == outputs.summary:
+        chk.error("outputs.summary", f"must differ from outputs.csv, both are {outputs.csv!r}")
+    return outputs
 
 
 def _check_caps(lattice, time_grid: TimeGridConfig) -> MomentumBasis | None:
@@ -356,8 +348,7 @@ def _check_caps(lattice, time_grid: TimeGridConfig) -> MomentumBasis | None:
         basis = None if classical else quantum_basis(lattice)
     if time_grid.steps > MAX_STEPS:
         raise DimensionCapError(f"time_grid.steps = {time_grid.steps} exceeds cap of {MAX_STEPS}")
-    fixed = len(QUANTUM_HEAD_COLUMNS) + len(QUANTUM_TAIL_COLUMNS)
-    cells = 0 if classical else (time_grid.steps + 1) * (fixed + basis.n_shells)
+    cells = 0 if classical else (time_grid.steps + 1) * (len(QUANTUM_COLUMNS) - 1 + basis.n_shells)
     if cells > MAX_TRACE_CELLS:
         raise DimensionCapError(f"time_grid.steps = {time_grid.steps} gives a trace of {cells} "
                                 f"cells, over the cap of {MAX_TRACE_CELLS}")
@@ -477,7 +468,9 @@ def validate_config(text: str) -> ExperimentConfig:
 
     work = {k: v for k, v in raw.items() if k in known}
     mode = chk.field(work, "", "mode", str, choices=("quantum", "classical"))
-    time_grid = _parse_time_grid(work, chk)
+    obj = chk.object(work, "time_grid")
+    time_grid = None if obj is None else _build(TimeGridConfig,
+                                                chk.fields(obj, "time_grid", _TIME_GRID))
     lattice = _parse_lattice(work, mode, chk)
     potential = _parse_potential(work, mode, time_grid.t_max if time_grid else None, chk)
     initial_state = _parse_initial_state(work, mode, chk)
@@ -492,15 +485,7 @@ def validate_config(text: str) -> ExperimentConfig:
         _check_basis_fit(basis, initial_state, chk)
     chk.raise_if_any()
 
-    return ExperimentConfig(
-        mode=mode,
-        lattice=lattice,
-        potential=potential,
-        initial_state=initial_state,
-        time_grid=time_grid,
-        outputs=outputs,
-        echo=raw,
-    )
+    return ExperimentConfig(mode, lattice, potential, initial_state, time_grid, outputs, raw)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import platform
 import resource
+import sys
 import time
 from pathlib import Path
 
@@ -24,8 +26,8 @@ from . import __version__, dynamics, koopman, reduction, states
 from ._record import asdict, record
 from ._rng import default_rng
 from .basis import MomentumBasis, build_basis, build_basis_1d
-from .config import (QUANTUM_HEAD_COLUMNS, QUANTUM_TAIL_COLUMNS, ExperimentConfig,
-                     LineLattice, quantum_basis, validate_config)
+from .config import (CLASSICAL_COLUMNS, QUANTUM_COLUMNS, ExperimentConfig, LineLattice,
+                     quantum_basis, validate_config)
 from .errors import ConfigError, InvariantViolation
 from .states import DensityMatrix
 
@@ -63,7 +65,7 @@ class RunSummary:
     mode: str
     config: dict
     csv_path: str
-    run_info: dict  # wall and stage times, peak RSS, versions, BLAS threads: _run_info
+    run_info: dict  # wall and stage times, peak RSS, versions, BLAS and threads: _run_info
     invariant_margins: dict
     final_effective_entropy: float | None = None
     final_purity: float | None = None
@@ -171,23 +173,33 @@ def _stopwatch(stages: dict):
 
 def _run_info(wall_time_s: float, stages: dict) -> dict:
     """The summary's one key that differs between reruns: the run's wall time and
-    each stage's, named after the lelab function it runs, the process's peak RSS
-    (``ru_maxrss`` is in KiB on Linux), the versions and the BLAS threads set."""
+    each stage's, named after the lelab function it runs, the peak RSS (``ru_maxrss``
+    is bytes on macOS, KiB elsewhere), the versions, numpy's BLAS and its threads."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except (AttributeError, KeyError, TypeError):
+        blas = "unknown"
+    rss_unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
     return {"wall_time_s": wall_time_s, "stages_s": stages,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / rss_unit,
             "versions": {"lelab": __version__, "numpy": np.__version__,
                          "python": platform.python_version()},
+            "blas": blas,
             "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}}
 
 
 def _cells(row) -> list[str]:
-    return list(map(repr, (np.asarray(row, dtype=float) + 0.0).tolist()))  # + 0.0: no -0.0
+    return list(map(repr, (np.array(row, dtype=float, ndmin=1) + 0.0).tolist()))  # + 0.0: no -0.0
+
+
+_quantum_values = operator.attrgetter(*QUANTUM_COLUMNS.values())
 
 
 def _quantum_line(r: reduction.TraceRow):
-    cells = _cells(np.concatenate(([r.t, r.effective_entropy, r.global_entropy, r.purity],
-                                   r.shell_entropies, [r.alpha0_purity, r.coarse_entropy])))
-    cells.insert(4, str(int(r.effectively_pure)))
+    cells = []  # the flag as 0 or 1, each shell entropy its own cell
+    for v in _quantum_values(r):
+        cells += [str(int(v))] if isinstance(v, bool) else _cells(v)
     return cells, (r.effective_entropy, r.purity, r.effectively_pure, r.alpha0_purity,
                    r.global_entropy - r.coarse_entropy,  # pinching never lowers entropy
                    -math.log(r.alpha0_purity) - r.coarse_entropy)  # nor below -ln P0
@@ -197,8 +209,8 @@ def _run_quantum(cfg: ExperimentConfig, fh, lap) -> dict:
     """Write the trace to ``fh``, timing each stage by ``lap``; return the
     summary's margins and final values."""
     basis = build_quantum_basis(cfg)
-    header = [*QUANTUM_HEAD_COLUMNS, *(f"S_E_{e:g}" for e in basis.shells.energies),
-              *QUANTUM_TAIL_COLUMNS]
+    shells = [f"S_E_{e:g}" for e in basis.shells.energies]
+    header = [c for name in QUANTUM_COLUMNS for c in (shells if name == "S_E_<energy>" else [name])]
     fold = _Fold(fh, header, _quantum_line)
     lap("harness.build_quantum_basis")
     pot = cfg.potential
@@ -247,7 +259,7 @@ def _run_classical(cfg: ExperimentConfig, fh, lap) -> dict:
     lap("koopman.single_p_row_density")
     kick = cfg.potential
     grad_v = koopman.kick_gradient(kick.shape)
-    fold = _Fold(fh, ["t", "S_classical", "mass"], lambda row: (_cells(row), row[1:]))
+    fold = _Fold(fh, CLASSICAL_COLUMNS, lambda row: (_cells(row), row[1:]))
 
     # Each output time is reached by one exact flow from an anchor state
     # (initial, or post-kick), so interpolation diffusion never compounds.

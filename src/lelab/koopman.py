@@ -327,13 +327,15 @@ def _kick_offset(
         return strength * dv / grid.dp
 
 
+# Kick shape -> V'(q) of its kick potential V(q) = cos q or sin q.
+KICK_GRADIENTS = {"cos": lambda q: -np.sin(q), "sin": np.cos}
+
+
 def kick_gradient(shape: str) -> Callable[[np.ndarray], np.ndarray]:
-    """V'(q) for the named kick potential V(q) = cos q or sin q."""
-    if shape == "cos":
-        return lambda q: -np.sin(q)
-    if shape == "sin":
-        return lambda q: np.cos(q)
-    raise ValueError(f"unknown kick shape {shape!r}")
+    """V'(q) for the named kick potential (``KICK_GRADIENTS``)."""
+    if shape not in KICK_GRADIENTS:
+        raise ValueError(f"unknown kick shape {shape!r}")
+    return KICK_GRADIENTS[shape]
 
 
 def kick_keeps_row_on_grid(

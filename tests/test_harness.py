@@ -157,6 +157,29 @@ def test_run_info_times_each_stage_within_the_wall_time(tmp_path, monkeypatch, r
                                 "python": ".".join(map(str, sys.version_info[:3]))}
     assert info["threads"] == {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None,
                                "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS")}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert info["blas"] == {"name": blas["name"], "version": blas["version"]}
+
+
+@pytest.mark.parametrize("error", [AttributeError, KeyError, TypeError])
+def test_run_info_names_the_blas_unknown_where_numpy_cannot_say(monkeypatch, error):
+    # a numpy whose show_config takes no mode raises TypeError
+    def show_config(*args, **kwargs):
+        raise error("mode")
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    assert harness._run_info(0.0, {})["blas"] == "unknown"
+
+
+@pytest.mark.parametrize("platform,mb", [("darwin", 3.0), ("linux", 3072.0)])
+def test_run_info_reads_peak_rss_in_the_platforms_unit(monkeypatch, platform, mb):
+    # ru_maxrss is in bytes on macOS and in KiB on Linux
+    class Usage:
+        ru_maxrss = 3 << 20
+
+    monkeypatch.setattr(harness.resource, "getrusage", lambda who: Usage())
+    monkeypatch.setattr(sys, "platform", platform)
+    assert harness._run_info(0.0, {})["peak_rss_mb"] == mb
 
 
 @pytest.mark.parametrize("raw", [

@@ -545,14 +545,22 @@ def test_the_factored_reduction_stays_below_one_dense_state(step, M):
     assert peak < 16 * basis.size**2
 
 
-@pytest.mark.parametrize("size", [8, 64])
-def test_entropy_trace_refuses_a_basis_off_the_state_size(size):
-    # a smaller basis used to fail as "state at t = 0.0 has trace 0.22"
+def _trace(rho0, h, basis):
+    return entropy_trace(rho0, h, [0.0, 1.0], basis)
+
+
+@pytest.mark.parametrize("size,call", [
+    (8, _trace), (64, _trace),
+    (8, lambda rho0, h, basis: first_order_reduced_step(rho0, h, 0.1, basis)),
+], ids=["8", "64", "first_order_reduced_step"])
+def test_entropy_trace_refuses_a_basis_off_the_state_size(size, call):
+    # a smaller basis used to fail as "state at t = 0.0 has trace 0.22";
+    # first_order_reduced_step refuses it the same way
     h = build_hamiltonian(BASIS, 0.2, 1.0)
     rho0 = random_effectively_pure_state(BASIS, np.random.default_rng(6))
     other = build_basis_1d(size, 1.0)
     with pytest.raises(ValueError, match=f"state of size 27 does not match basis of size {size}"):
-        entropy_trace(rho0, h, [0.0, 1.0], other)
+        call(rho0, h, other)
 
 
 def test_entropy_trace_rows_follow_grid():
